@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -389,6 +390,11 @@ WorkerPool::WorkerPool(PoolConfig cfg, PoolClient client)
   if (cfg_.queue_capacity == 0) {
     cfg_.queue_capacity = static_cast<std::size_t>(cfg_.workers) * 2;
   }
+  if (cfg_.core_budget < 1) {
+    cfg_.core_budget =
+        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  }
+  stats_.core_budget = cfg_.core_budget;
 }
 
 WorkerPool::~WorkerPool() = default;
@@ -428,6 +434,7 @@ PoolOutcome WorkerPool::run(
   };
 
   stats_ = PoolStats{};
+  stats_.core_budget = cfg_.core_budget;
   std::vector<Slot> slots(static_cast<std::size_t>(cfg_.workers));
   std::deque<Job> queue;
   bool source_done = false;
@@ -941,7 +948,8 @@ PoolOutcome WorkerPool::run(
     // Idle (pass 1 feeds it this round), Busy/Spawning (it will pull the
     // key's jobs when it frees up), or dies (respawn keeps the claim; a
     // slot past its respawn budget goes Dead and Dead slots claim
-    // nothing).
+    // nothing). The core budget only delays a job: every job fits once
+    // nothing is in flight.
     auto dispatch_to = [&](Slot& s, std::deque<Job>::iterator it) -> bool {
       Job job = std::move(*it);
       queue.erase(it);
@@ -967,27 +975,36 @@ PoolOutcome WorkerPool::run(
       return true;
     };
     if (!aborting) {
-      // Oversubscription guard: never run more jobs at once than
-      // cfg_.max_inflight (0 = uncapped). Surplus idle workers keep their
-      // warm affinity partitions and stand by as crash-containment
-      // spares; dispatching to them anyway would just preempt the workers
-      // already measuring kernel loops.
-      const std::size_t cap = cfg_.max_inflight == 0
-                                  ? slots.size()
-                                  : std::min(cfg_.max_inflight, slots.size());
-      std::size_t inflight = 0;
+      // Oversubscription guard: admit a job only while its cores fit the
+      // budget beside the jobs in flight. A wide job waits until enough
+      // narrow ones finish (or nothing runs, for one as wide as the
+      // machine); idle workers it leaves unused keep their warm affinity
+      // partitions and stand by as crash-containment spares.
+      const int budget = cfg_.core_budget;
+      auto cores_of = [budget](const Job& j) {
+        return std::clamp(j.cores, 1, budget);
+      };
+      int cores_inflight = 0;
       for (const Slot& s : slots) {
-        if (s.state == WorkerState::Busy) ++inflight;
+        if (s.state == WorkerState::Busy && s.job) {
+          cores_inflight += cores_of(*s.job);
+        }
       }
+      auto admit = [&](Slot& s, std::deque<Job>::iterator it) -> bool {
+        const int cores = cores_of(*it);
+        if (cores_inflight + cores > budget) return false;
+        if (!dispatch_to(s, it)) return false;
+        cores_inflight += cores;
+        stats_.peak_cores_inflight =
+            std::max(stats_.peak_cores_inflight, cores_inflight);
+        return true;
+      };
       for (Slot& s : slots) {
-        if (queue.empty() || inflight >= cap) break;
+        if (queue.empty() || cores_inflight >= budget) break;
         if (s.state != WorkerState::Idle || s.last_affinity == 0) continue;
         for (auto it = queue.begin(); it != queue.end(); ++it) {
           if (it->affinity == s.last_affinity) {
-            if (dispatch_to(s, it)) {
-              ++stats_.affinity_hits;
-              ++inflight;
-            }
+            if (admit(s, it)) ++stats_.affinity_hits;
             break;
           }
         }
@@ -1004,11 +1021,11 @@ PoolOutcome WorkerPool::run(
         return false;
       };
       for (Slot& s : slots) {
-        if (queue.empty() || inflight >= cap) break;
+        if (queue.empty() || cores_inflight >= budget) break;
         if (s.state != WorkerState::Idle) continue;
         for (auto it = queue.begin(); it != queue.end(); ++it) {
           if (!claimed_elsewhere(it->affinity, s)) {
-            if (dispatch_to(s, it)) ++inflight;
+            admit(s, it);
             break;
           }
         }

@@ -92,6 +92,11 @@ struct Job {
   /// so per-key warm state (dataset caches, allocator arenas) is built
   /// once per pool instead of once per worker.
   std::uint64_t affinity = 0;
+  /// Cores the job occupies while it runs: 1 for a serial job, its thread
+  /// team for a parallel one. Charged against PoolConfig::core_budget,
+  /// clamped to [1, core_budget] — a job wider than the machine runs
+  /// alone rather than never.
+  int cores = 1;
 };
 
 /// Client verdict after a result or failure is delivered.
@@ -125,13 +130,15 @@ struct PoolConfig {
                                      ///< long-lived worker regardless of
                                      ///< per-job behaviour; wall deadlines
                                      ///< cover hangs instead.
-  /// Cap on jobs executing concurrently across the pool; 0 = workers
-  /// (uncapped). Callers set this to the machine's hardware concurrency
-  /// so measured kernel loops never oversubscribe physical cores: surplus
-  /// workers stay resident as warm dataset-cache partitions (see
-  /// Job::affinity) and crash-containment spares, but only max_inflight
-  /// of them run a job at any instant.
-  std::size_t max_inflight = 0;
+  /// Cores the pool may keep busy at once; 0 = the machine's hardware
+  /// concurrency. A queued job is admitted only while the cores of the
+  /// jobs in flight plus its own Job::cores fit the budget (or nothing is
+  /// in flight), so a parallel job's thread team never shares cores with
+  /// other measured work, and serial jobs fill the cores it leaves free.
+  /// Idle workers beyond what the budget admits stay resident as warm
+  /// dataset-cache partitions (see Job::affinity) and crash-containment
+  /// spares.
+  int core_budget = 0;
   /// Result/final payload transport. Shm falls back to Json per worker
   /// when ring setup fails (counted in PoolStats::ring_fallbacks).
   Transport transport = Transport::Shm;
@@ -153,6 +160,8 @@ struct PoolStats {
   std::size_t jobs_failed = 0;       ///< failures handed to the client
   std::size_t peak_queue_depth = 0;  ///< high water of the pending queue
   std::size_t affinity_hits = 0;     ///< dispatches to the job's warm worker
+  int core_budget = 0;               ///< resolved PoolConfig::core_budget
+  int peak_cores_inflight = 0;       ///< high water of admitted Job::cores
   std::size_t shm_spawns = 0;        ///< spawns that got a shm ring
   std::size_t ring_fallbacks = 0;    ///< spawns degraded to Json transport
   std::uint64_t ring_messages = 0;   ///< payloads delivered over rings

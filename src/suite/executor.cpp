@@ -1,5 +1,6 @@
 #include "suite/executor.hpp"
 
+#include <omp.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -1295,6 +1296,11 @@ std::string Executor::worker_run_cell(const std::string& payload) {
   // retried cell sees spent budgets instead of re-firing the fault that
   // killed its first worker.
   faults::injector().deserialize_state(v.string_or("injector", ""));
+  // Run with the team the supervisor admitted: one thread for a Seq cell
+  // (its setUp fills and checksums go serial, bit-identically), the
+  // in-process team for an OpenMP cell, which runs alone.
+  const int team = static_cast<int>(v.number_or("threads", 0.0));
+  if (team > 0) omp_set_num_threads(team);
 
   // Wire fault: go silent. The heartbeat thread stops beating and the job
   // never completes — from the supervisor's seat, a wedged worker.
@@ -1454,6 +1460,17 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
     jobs.push_back(std::move(p));
   }
 
+  // Measured kernel loops must not preempt each other, so the pool admits
+  // cells against a budget of the machine's cores: a Seq cell runs on one
+  // thread and takes one core, an OpenMP cell runs the in-process team and
+  // takes that many cores (all of them on a machine no wider than the
+  // team). Reading the team size starts no OpenMP threads, so forking
+  // stays safe.
+  const int omp_team = omp_get_max_threads();
+  auto team_of = [omp_team](VariantID v) {
+    return is_openmp_variant(v) ? omp_team : 1;
+  };
+
   sandbox::PoolClient client;
   client.on_worker_start = [] {
     cali::TraceSink& sink = cali::TraceSink::instance();
@@ -1501,6 +1518,7 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
     o["variant"] = to_string(p.r.variant);
     o["tuning_index"] = static_cast<std::int64_t>(p.cell->tuning);
     o["tuning"] = p.r.tuning_name;
+    o["threads"] = team_of(p.cell->vid);
     // Current state, captured at dispatch — not enqueue — time, so a retry
     // after a fatal fire carries the decremented budget.
     o["injector"] = faults::injector().serialize_state();
@@ -1659,12 +1677,6 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
   // it a window wider than the default 2x workers: enough to see past one
   // kernel's contiguous (variant, tuning) cells to the next kernel.
   cfg.queue_capacity = static_cast<std::size_t>(params_.workers) * 8;
-  // Measured kernel loops must not preempt each other: cap concurrent
-  // jobs at the machine's hardware concurrency. Extra workers beyond the
-  // cap still hold their warm dataset-cache partitions and serve as
-  // crash-containment spares. On machines with cores >= workers this
-  // changes nothing.
-  cfg.max_inflight = std::max(1u, std::thread::hardware_concurrency());
 
   // Seed the wire dictionary before the pool forks: every worker inherits
   // the sweep's vocabulary (statuses, kernel/region names, metric keys) by
@@ -1703,6 +1715,7 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
     // Cells of one kernel share a dispatch-affinity key, steering them to
     // the worker whose dataset cache that kernel already warmed.
     job.affinity = affinity_key(jobs[next].r.kernel);
+    job.cores = team_of(jobs[next].cell->vid);
     job.id = next++;
     return job;  // payload is filled by before_dispatch
   };

@@ -432,72 +432,78 @@ TEST_F(PoolTest, BackpressureBoundsOutstandingPulls) {
 
 // Workers report their job's wall-clock interval; CLOCK_MONOTONIC is
 // system-wide, so intervals from different worker processes compare
-// directly. With max_inflight=1 no two intervals may overlap (the cap
-// keeps measured work off shared cores even when more workers are
-// resident); uncapped, the sleeping jobs must overlap.
-TEST_F(PoolTest, MaxInflightCapSerializesJobExecution) {
-  for (const std::size_t cap : {std::size_t{1}, std::size_t{0}}) {
-    PoolConfig cfg;
-    cfg.workers = 2;
-    cfg.max_inflight = cap;
-    PoolClient client;
-    client.before_dispatch = [](Job& job) {
-      job.payload = std::to_string(job.id);
-    };
-    client.run_job = [](const std::string& payload) {
-      const auto t0 = std::chrono::steady_clock::now();
-      std::this_thread::sleep_for(std::chrono::milliseconds(60));
-      const auto t1 = std::chrono::steady_clock::now();
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.6f %.6f",
-                    std::chrono::duration<double>(t0.time_since_epoch())
-                        .count(),
-                    std::chrono::duration<double>(t1.time_since_epoch())
-                        .count());
-      return payload + " " + buf;
-    };
-    std::vector<std::pair<double, double>> intervals;
-    client.on_result = [&](const Job&, const std::string& result) {
-      double id = 0.0;
-      double t0 = 0.0;
-      double t1 = 0.0;
-      EXPECT_EQ(std::sscanf(result.c_str(), "%lf %lf %lf", &id, &t0, &t1),
-                3);
-      intervals.emplace_back(t0, t1);
-      return Disposition::Done;
-    };
-    client.on_failure = [&](const Job&, const JobFailure& f) {
-      ADD_FAILURE() << "unexpected failure: " << f.describe();
-      return Disposition::Done;
-    };
+// directly. Under a 4-core budget a 4-core job must run with nothing
+// beside it, a job wider than the budget must still run (alone) rather
+// than deadlock, and 1-core jobs must share the budget.
+TEST_F(PoolTest, CoreBudgetAdmitsJobsByCores) {
+  constexpr int kBudget = 4;
+  const std::vector<int> cores = {1, 1, 1, 1, 4, 1, 1, 1, 8, 1, 1, 1};
+  PoolConfig cfg;
+  cfg.workers = 4;
+  cfg.core_budget = kBudget;
+  PoolClient client;
+  client.before_dispatch = [](Job& job) {
+    job.payload = std::to_string(job.id);
+  };
+  client.run_job = [](const std::string& payload) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    const auto t1 = std::chrono::steady_clock::now();
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.6f %.6f",
+                  std::chrono::duration<double>(t0.time_since_epoch()).count(),
+                  std::chrono::duration<double>(t1.time_since_epoch()).count());
+    return payload + " " + buf;
+  };
+  std::vector<std::pair<double, double>> intervals(cores.size(), {0.0, 0.0});
+  std::vector<bool> done(cores.size(), false);
+  client.on_result = [&](const Job& job, const std::string& result) {
+    double t0 = 0.0;
+    double t1 = 0.0;
+    EXPECT_EQ(std::sscanf(result.c_str(), "%*u %lf %lf", &t0, &t1), 2);
+    intervals[job.id] = {t0, t1};
+    done[job.id] = true;
+    return Disposition::Done;
+  };
+  client.on_failure = [&](const Job&, const JobFailure& f) {
+    ADD_FAILURE() << "unexpected failure: " << f.describe();
+    return Disposition::Done;
+  };
 
-    std::size_t next = 0;
-    WorkerPool pool(cfg, client);
-    const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
-      if (next >= 4) return std::nullopt;
-      Job j;
-      j.id = next++;
-      return j;
-    });
+  std::size_t next = 0;
+  WorkerPool pool(cfg, client);
+  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
+    if (next >= cores.size()) return std::nullopt;
+    Job j;
+    j.cores = cores[next];
+    j.id = next++;
+    return j;
+  });
 
-    EXPECT_EQ(out, PoolOutcome::Completed);
-    ASSERT_EQ(intervals.size(), 4u);
-    std::size_t overlaps = 0;
-    for (std::size_t a = 0; a < intervals.size(); ++a) {
-      for (std::size_t b = a + 1; b < intervals.size(); ++b) {
-        if (intervals[a].first < intervals[b].second &&
-            intervals[b].first < intervals[a].second) {
-          ++overlaps;
-        }
-      }
-    }
-    if (cap == 1) {
-      EXPECT_EQ(overlaps, 0u) << "capped pool ran jobs concurrently";
-    } else {
-      EXPECT_GE(overlaps, 1u) << "uncapped 2-worker pool never overlapped";
-    }
-    expect_no_children();
+  EXPECT_EQ(out, PoolOutcome::Completed);
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    EXPECT_TRUE(done[i]) << "job " << i << " (" << cores[i]
+                         << " cores) never completed";
   }
+  auto overlap = [&](std::size_t a, std::size_t b) {
+    return intervals[a].first < intervals[b].second &&
+           intervals[b].first < intervals[a].second;
+  };
+  std::size_t narrow_overlaps = 0;
+  for (std::size_t a = 0; a < cores.size(); ++a) {
+    for (std::size_t b = a + 1; b < cores.size(); ++b) {
+      if (!overlap(a, b)) continue;
+      EXPECT_TRUE(cores[a] == 1 && cores[b] == 1)
+          << "job " << a << " (" << cores[a] << " cores) overlapped job " << b
+          << " (" << cores[b] << " cores)";
+      ++narrow_overlaps;
+    }
+  }
+  EXPECT_GE(narrow_overlaps, 1u) << "1-core jobs never shared the budget";
+  EXPECT_EQ(pool.stats().core_budget, kBudget);
+  EXPECT_LE(pool.stats().peak_cores_inflight, kBudget);
+  EXPECT_GE(pool.stats().peak_cores_inflight, 2);
+  expect_no_children();
 }
 
 // ------------------------------------------------- pool: fork degradation

@@ -86,3 +86,61 @@ endif()
 if(NOT out3 MATCHES "rperf-worker;")
   message(FATAL_ERROR "folded stacks lack worker frames:\n${out3}")
 endif()
+
+# Pooled phase: under --workers the supervisor admits cells by cores and
+# tells each worker the team to run. The OpenMP cells must still get the
+# in-process team of 2 (a worker shows an OpenMP thread row beside its
+# main one), and every cell's checksum must equal an in-process run's.
+foreach(mode pooled inproc)
+  if(mode STREQUAL "pooled")
+    set(extra --workers 2 --trace "${WORKDIR}/${mode}/trace.json")
+  else()
+    set(extra "")
+  endif()
+  execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E env OMP_NUM_THREADS=2
+            "${RAJAPERF}" --kernels Basic_DAXPY,Stream_TRIAD
+            --variants Base_Seq,RAJA_OpenMP --size-factor 0.01
+            --outdir "${WORKDIR}/${mode}" ${extra}
+    OUTPUT_VARIABLE out_${mode}
+    RESULT_VARIABLE rc_${mode})
+  if(NOT rc_${mode} EQUAL 0)
+    message(FATAL_ERROR "${mode} run: want exit 0, got ${rc_${mode}}:\n"
+                        "${out_${mode}}")
+  endif()
+  set(sums_${mode} "")
+  file(STRINGS "${WORKDIR}/${mode}/progress.jsonl" lines)
+  foreach(line IN LISTS lines)
+    if(line MATCHES "\"checksum_hex\":\"([^\"]+)\".*\"kernel\":\"([^\"]+)\".*\"variant\":\"([^\"]+)\"")
+      list(APPEND sums_${mode}
+           "${CMAKE_MATCH_2}/${CMAKE_MATCH_3}=${CMAKE_MATCH_1}")
+    endif()
+  endforeach()
+  list(SORT sums_${mode})
+endforeach()
+list(LENGTH sums_pooled n_pooled)
+if(NOT n_pooled EQUAL 4)
+  message(FATAL_ERROR "pooled run: want 4 cell checksums, got ${n_pooled}: "
+                      "${sums_pooled}")
+endif()
+if(NOT sums_pooled STREQUAL sums_inproc)
+  message(FATAL_ERROR "pooled checksums diverge from in-process:\n"
+                      "in-process: ${sums_inproc}\npooled: ${sums_pooled}")
+endif()
+
+execute_process(
+  COMMAND "${REPORT}" --trace "${WORKDIR}/pooled/trace.json"
+  OUTPUT_VARIABLE out5
+  RESULT_VARIABLE rc5)
+if(NOT rc5 EQUAL 0)
+  message(FATAL_ERROR "report --trace (pooled): exit ${rc5}:\n${out5}")
+endif()
+if(NOT out5 MATCHES "([0-9]+) processes, ([0-9]+) thread row")
+  message(FATAL_ERROR "pooled trace summary lacks row counts:\n${out5}")
+endif()
+math(EXPR omp_rows "${CMAKE_MATCH_2} - ${CMAKE_MATCH_1}")
+if(omp_rows LESS 1)
+  message(FATAL_ERROR "pooled OpenMP cells ran without a team: "
+                      "${CMAKE_MATCH_2} thread rows over ${CMAKE_MATCH_1} "
+                      "processes:\n${out5}")
+endif()

@@ -162,10 +162,12 @@ int main(int argc, char** argv) {
       const auto& ws = exec.pool_stats();
       std::printf("workers: %d pooled, %zu spawned, %zu recycled "
                   "(%zu heartbeat timeouts, %zu deadline kills, "
-                  "%zu corrupt frames), peak queue %zu\n",
+                  "%zu corrupt frames), peak queue %zu, "
+                  "peak cores %d of %d\n",
                   params.workers, ws.spawns, ws.recycles,
                   ws.heartbeat_timeouts, ws.deadline_kills, ws.corrupt_frames,
-                  ws.peak_queue_depth);
+                  ws.peak_queue_depth, ws.peak_cores_inflight,
+                  ws.core_budget);
       if (exec.degraded()) {
         std::printf("WARNING: pool unavailable (%zu spawn failures); "
                     "sweep degraded to in-process execution\n",
