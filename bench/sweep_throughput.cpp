@@ -15,17 +15,13 @@
 // (these run FIRST: they fork workers, and a fork after the in-process
 // legs have warmed libgomp's thread pool would deadlock):
 //
-//   forkcell  — --isolate cell, one disposable worker per cell: the
-//               fork-per-cell sandbox path.
-//   pooled    — --workers 4 --transport json: the supervised persistent
-//               worker pool over the v2 JSON-over-pipe transport, which
-//               amortizes the fork and warm-up over the whole sweep. The
-//               pooled-vs-fork speedup is the pool's reason to exist.
-//   pooled_shm— --workers 4 (default shm transport): the same pool over
-//               the v3 binary wire codec + per-worker shared-memory ring,
-//               with kernel-affinity dispatch keeping repeat cells on the
-//               worker whose dataset cache is already warm. The
-//               shm-vs-json speedup is this transport's reason to exist.
+//   forkcell  — --isolate cell: a one-worker disposable pool that recycles
+//               its worker before every cell, so each cell pays a fork.
+//   pooled    — --workers 4: the supervised persistent worker pool, which
+//               amortizes the fork and warm-up over the whole sweep, with
+//               kernel-affinity dispatch keeping repeat cells on the worker
+//               whose dataset cache is already warm. The pooled-vs-fork
+//               speedup is the persistent pool's reason to exist.
 //
 // Only setup machinery differs; the measured kernel loops are identical.
 // The benchmark reports wall time and cells/second for both modes, checks
@@ -209,32 +205,19 @@ int main(int argc, char** argv) {
   const ModeResult forkcell = run_mode(/*legacy=*/false, /*traced=*/false,
                                        sand);
   std::printf("  forkcell:  %.3f s wall, %zu/%zu cells passed "
-              "(%.1f cells/s; fork-per-cell sandbox)\n",
+              "(%.1f cells/s; a disposable worker per cell)\n",
               forkcell.wall_sec, forkcell.passed, forkcell.cells,
               static_cast<double>(forkcell.passed) / forkcell.wall_sec);
 
   sand.workers = 4;
-  sand.shm_transport = false;  // v2 JSON-over-pipe baseline for the shm leg
   const ModeResult pooled = run_mode(/*legacy=*/false, /*traced=*/false,
                                      sand);
   const double pooled_speedup = forkcell.wall_sec / pooled.wall_sec;
   std::printf("  pooled:    %.3f s wall, %zu/%zu cells passed "
-              "(%.1f cells/s; 4 pooled workers, JSON transport, "
-              "%.2fx vs fork-per-cell)\n",
+              "(%.1f cells/s; 4 pooled workers, %.2fx vs fork-per-cell)\n",
               pooled.wall_sec, pooled.passed, pooled.cells,
               static_cast<double>(pooled.passed) / pooled.wall_sec,
               pooled_speedup);
-
-  sand.shm_transport = true;
-  const ModeResult pooled_shm = run_mode(/*legacy=*/false, /*traced=*/false,
-                                         sand);
-  const double shm_speedup = pooled.wall_sec / pooled_shm.wall_sec;
-  std::printf("  pooled_shm:%.3f s wall, %zu/%zu cells passed "
-              "(%.1f cells/s; 4 pooled workers, shm-ring transport, "
-              "%.2fx vs JSON pooled)\n",
-              pooled_shm.wall_sec, pooled_shm.passed, pooled_shm.cells,
-              static_cast<double>(pooled_shm.passed) / pooled_shm.wall_sec,
-              shm_speedup);
 
   // Legacy first so the optimized run cannot inherit warmed pool chunks the
   // legacy run would not have; each mode starts from an empty pool/cache.
@@ -314,7 +297,7 @@ int main(int argc, char** argv) {
   // same deterministic fills, only the executing process differs. Exact
   // == (not memcmp: x86 long double carries uninitialized padding bytes).
   std::size_t sandbox_mismatched = 0;
-  for (const auto* leg : {&forkcell, &pooled, &pooled_shm}) {
+  for (const auto* leg : {&forkcell, &pooled}) {
     for (const auto& [key, sum] : leg->checksums) {
       const auto it = opt.checksums.find(key);
       if (it == opt.checksums.end()) continue;
@@ -382,15 +365,7 @@ int main(int argc, char** argv) {
   pl["cells_per_sec"] = static_cast<double>(pooled.passed) / pooled.wall_sec;
   pl["workers"] = static_cast<std::int64_t>(4);
   o["sandbox_pooled"] = std::move(pl);
-  json::Object ps;
-  ps["wall_sec"] = pooled_shm.wall_sec;
-  ps["cells_passed"] = static_cast<std::int64_t>(pooled_shm.passed);
-  ps["cells_per_sec"] =
-      static_cast<double>(pooled_shm.passed) / pooled_shm.wall_sec;
-  ps["workers"] = static_cast<std::int64_t>(4);
-  o["sandbox_pooled_shm"] = std::move(ps);
   o["pooled_vs_fork_speedup"] = pooled_speedup;
-  o["pooled_shm_vs_pooled_speedup"] = shm_speedup;
   o["sandbox_checksums_mismatched"] =
       static_cast<std::int64_t>(sandbox_mismatched);
   o["wall_time_reduction_pct"] = reduction_pct;
@@ -423,9 +398,6 @@ int main(int argc, char** argv) {
                  store_overhead_pct);
     return 1;
   }
-  if (forkcell.passed != opt.passed || pooled.passed != opt.passed ||
-      pooled_shm.passed != opt.passed) {
-    return 1;
-  }
+  if (forkcell.passed != opt.passed || pooled.passed != opt.passed) return 1;
   return 0;
 }

@@ -294,7 +294,10 @@ std::string Injector::serialize_state() const {
   return os.str();
 }
 
-void Injector::deserialize_state(const std::string& state) {
+namespace {
+
+/// Parse serialize_state() output; empty when malformed.
+std::vector<long> parse_state(const std::string& state) {
   std::istringstream is(state);
   std::string field;
   std::vector<long> values;
@@ -302,13 +305,33 @@ void Injector::deserialize_state(const std::string& state) {
     try {
       values.push_back(std::stol(field));
     } catch (const std::exception&) {
-      return;  // malformed: keep current state
+      return {};
     }
   }
-  if (values.size() != specs_.size() + 1) return;  // configure mismatch
+  return values;
+}
+
+}  // namespace
+
+void Injector::deserialize_state(const std::string& state) {
+  const std::vector<long> values = parse_state(state);
+  if (values.size() != specs_.size() + 1) return;  // malformed or mismatch
   rng_state_ = static_cast<std::uint32_t>(values[0]);
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     specs_[i].budget = static_cast<int>(values[i + 1]);
+  }
+}
+
+void Injector::fold_result_state(const std::string& state) {
+  const std::vector<long> values = parse_state(state);
+  if (values.size() != specs_.size() + 1) return;  // malformed or mismatch
+  rng_state_ = static_cast<std::uint32_t>(values[0]);
+  for (std::size_t i = 0; i < specs_.size(); ++i) {
+    // Keep the smaller budget, reading -1 (unlimited) as infinity: a unit
+    // spent on either side stays spent, and unlimited stays unlimited.
+    const int theirs = static_cast<int>(values[i + 1]);
+    int& ours = specs_[i].budget;
+    if (ours < 0 || (theirs >= 0 && theirs < ours)) ours = theirs;
   }
 }
 

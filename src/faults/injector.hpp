@@ -125,8 +125,7 @@ class Injector {
   /// Faults fired by this process since configure() — includes external
   /// fires folded in via note_external_fire. Feeds the trace's
   /// "fault_fires" counter track. (Deliberately outside serialize_state:
-  /// that format is pinned by the v1 pipe protocol; workers report their
-  /// own counters instead.)
+  /// workers report their own counters instead.)
   [[nodiscard]] std::uint64_t fires() const { return fires_; }
 
   // ----- hooks (no-ops unless armed and inside a matching ScopedCell) -----
@@ -167,7 +166,13 @@ class Injector {
   [[nodiscard]] std::string serialize_state() const;
   /// Restore state captured by serialize_state(); a spec-count mismatch
   /// (different configure) is ignored rather than corrupting budgets.
+  /// Only for a worker adopting the state its job was dispatched with.
   void deserialize_state(const std::string& state);
+  /// Fold a worker's post-job state back into this (parent) injector:
+  /// take its rng state, but keep the per-spec minimum budget. A result
+  /// dispatched before a crash carries a budget note_external_fire has
+  /// since spent; overwriting would re-arm that fault.
+  void fold_result_state(const std::string& state);
   /// Record that a process-fatal fault of `kind` definitionally fired for
   /// `kernel` (the worker died that way and could not report): consume one
   /// budget unit from the first matching armed spec.

@@ -24,14 +24,13 @@
 #include <vector>
 
 #include "sandbox/protocol.hpp"
-#include "sandbox/ring.hpp"
 
 namespace rperf::sandbox {
 
 namespace {
 
 // Frame payloads are "<header line>\n<body>"; the header is space-separated
-// words ("job 17", "hello 2 12345", "hb 42"). Deliberately not JSON: the
+// words ("job 17", "hello 3 12345", "hb 42"). Deliberately not JSON: the
 // pool sits below the instrumentation layer and the client's payloads are
 // opaque bodies anyway.
 struct Record {
@@ -108,11 +107,6 @@ bool write_all(int fd, const char* p, std::size_t n) {
 std::mutex g_frame_write_mutex;
 std::atomic<bool> g_hb_suppress{false};
 std::atomic<bool> g_corrupt_next{false};
-// The calling worker's shm data plane (null => Json transport). Set in
-// the child between fork and worker_entry; only the worker main thread
-// touches the ring (the heartbeat thread writes pipe frames only).
-ShmRing* g_worker_ring = nullptr;
-Doorbell* g_worker_doorbell = nullptr;
 
 bool write_frame(int fd, const std::string& payload, bool corrupt = false) {
   const std::string frame = frame_encode(payload, corrupt);
@@ -189,7 +183,9 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
   // not sudden death, so the heartbeat thread can wind down.
   signal(SIGPIPE, SIG_IGN);
   Limits limits = cfg.limits;
-  limits.cpu_seconds = 0.0;  // cumulative RLIMIT_CPU misfires on pooled work
+  // RLIMIT_CPU is cumulative: it suits a worker that lives for one
+  // affinity key, but would misfire on a persistent one mid-sweep.
+  if (!cfg.disposable) limits.cpu_seconds = 0.0;
   apply_worker_limits(limits);
   install_worker_crash_handlers();
   g_hb_suppress.store(false);
@@ -197,13 +193,8 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
 
   if (client.on_worker_start) client.on_worker_start();
 
-  // The hello's version tells the supervisor which transport this worker
-  // speaks: v3 descriptors+ring when a ring was inherited, v2 inline
-  // payloads otherwise (ring setup failed for this slot).
   char hello[64];
-  std::snprintf(hello, sizeof(hello), "hello %d %d",
-                g_worker_ring != nullptr ? kProtocolVersionShm
-                                         : kProtocolVersionFramed,
+  std::snprintf(hello, sizeof(hello), "hello %d %d", kProtocolVersion,
                 static_cast<int>(getpid()));
   if (!write_frame(res_wr, hello)) _exit(1);
 
@@ -255,49 +246,18 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
       }
       if (rec.type == "job") {
         const std::string result = client.run_job(rec.body);
-        const bool corrupt = g_corrupt_next.exchange(false);
-        char header[48];
-        if (g_worker_ring != nullptr) {
-          // v3: publish the payload on the ring (release-ordered, so it
-          // is visible before the descriptor below can be read), then
-          // announce it with a payload-free descriptor frame.
-          if (corrupt) g_worker_ring->corrupt_next_chunk();
-          if (!g_worker_ring->write_message(result.data(), result.size(),
-                                            g_worker_doorbell)) {
-            exit_code = 1;
-            break;
-          }
-          std::snprintf(header, sizeof(header), "result %llu %llu",
-                        static_cast<unsigned long long>(rec.a),
-                        static_cast<unsigned long long>(result.size()));
-          if (!write_frame(res_wr, header)) {
-            exit_code = 1;
-            break;
-          }
-        } else {
-          std::snprintf(header, sizeof(header), "result %llu",
-                        static_cast<unsigned long long>(rec.a));
-          if (!write_frame(res_wr, record_encode(header, result), corrupt)) {
-            exit_code = 1;
-            break;
-          }
+        char header[32];
+        std::snprintf(header, sizeof(header), "result %llu",
+                      static_cast<unsigned long long>(rec.a));
+        if (!write_frame(res_wr, record_encode(header, result),
+                         g_corrupt_next.exchange(false))) {
+          exit_code = 1;
+          break;
         }
       } else if (rec.type == "drain") {
         std::string fin;
         if (client.final_payload) fin = client.final_payload();
-        if (!fin.empty()) {
-          if (g_worker_ring != nullptr) {
-            if (g_worker_ring->write_message(fin.data(), fin.size(),
-                                             g_worker_doorbell)) {
-              char fh[32];
-              std::snprintf(fh, sizeof(fh), "final %llu",
-                            static_cast<unsigned long long>(fin.size()));
-              write_frame(res_wr, fh);
-            }
-          } else {
-            write_frame(res_wr, record_encode("final", fin));
-          }
-        }
+        if (!fin.empty()) write_frame(res_wr, record_encode("final", fin));
         write_frame(res_wr, "bye");
         break;
       }
@@ -364,21 +324,9 @@ std::string JobFailure::describe() const {
   return "?";
 }
 
-std::string to_string(Transport t) {
-  switch (t) {
-    case Transport::Shm: return "shm";
-    case Transport::Json: return "json";
-  }
-  return "?";
-}
-
 void WorkerPool::suppress_heartbeats() { g_hb_suppress.store(true); }
 
 void WorkerPool::corrupt_next_frame() { g_corrupt_next.store(true); }
-
-Transport WorkerPool::current_transport() {
-  return g_worker_ring != nullptr ? Transport::Shm : Transport::Json;
-}
 
 namespace pool_testing {
 void fail_next_forks(int n) { g_fail_forks.store(n); }
@@ -420,13 +368,7 @@ PoolOutcome WorkerPool::run(
     bool sent_kill = false;
     int respawns = 0;
     double next_spawn_at = 0.0;
-    // v3 data plane (null => this incarnation speaks v2 inline payloads).
-    // A fresh ring per spawn: chunk sequence numbers restart at zero on
-    // both sides, so a respawned worker cannot trip the torn-write check.
-    std::unique_ptr<ShmRing> ring;
-    std::unique_ptr<Doorbell> doorbell;
-    std::string ring_partial;            // chunks of the in-flight message
-    std::deque<std::string> ring_msgs;   // completed, undelivered payloads
+    bool ran_job = false;                // this incarnation took a job
     std::uint64_t last_affinity = 0;     // survives recycling (warm dataset
                                          // keys die with the worker, but a
                                          // respawn refills fastest with the
@@ -507,21 +449,6 @@ PoolOutcome WorkerPool::run(
       close(res[1]);
       return false;
     }
-    // The data plane must exist before fork so the worker inherits the
-    // mapping. A fresh ring per incarnation keeps both sides' sequence
-    // counters in lockstep from zero. Failure is not fatal: the slot
-    // degrades to inline v2 payloads and says so in the stats.
-    std::unique_ptr<ShmRing> ring;
-    std::unique_ptr<Doorbell> doorbell;
-    if (cfg_.transport == Transport::Shm) {
-      ring = ShmRing::create(cfg_.ring_bytes);
-      if (ring) doorbell = Doorbell::create();
-      if (!ring || !doorbell) {
-        ring.reset();
-        doorbell.reset();
-        ++stats_.ring_fallbacks;
-      }
-    }
     fflush(nullptr);
     const pid_t pid = checked_fork();
     if (pid < 0) {
@@ -538,10 +465,6 @@ PoolOutcome WorkerPool::run(
       close(err[0]);
       if (g_sigchld_pipe[0] >= 0) close(g_sigchld_pipe[0]);
       if (g_sigchld_pipe[1] >= 0) close(g_sigchld_pipe[1]);
-      // worker_entry never returns, so these locals never destruct and
-      // the inherited mapping stays valid for the worker's life.
-      g_worker_ring = ring.get();
-      g_worker_doorbell = doorbell.get();
       worker_entry(cfg_, client_, ctl[0], res[1], err[1]);
     }
     // ----- supervisor -----
@@ -556,13 +479,10 @@ PoolOutcome WorkerPool::run(
     s.ctl_wr = ctl[1];
     s.res_rd = res[0];
     s.err_rd = err[0];
-    s.ring = std::move(ring);
-    s.doorbell = std::move(doorbell);
     s.last_affinity = kept_affinity;
     s.state = WorkerState::Spawning;
     s.last_beat = now_sec();
     ++stats_.spawns;
-    if (s.ring) ++stats_.shm_spawns;
     consecutive_fork_failures = 0;
     return true;
   };
@@ -614,49 +534,6 @@ PoolOutcome WorkerPool::run(
     fail_job(s, jf);
   };
 
-  /// Pull every published chunk out of a slot's ring: partial messages
-  /// accumulate in ring_partial (freeing ring space for a blocked
-  /// writer), completed ones queue in ring_msgs until their descriptor
-  /// frame claims them. A sequence/magic/length violation condemns the
-  /// worker exactly like a corrupt frame.
-  auto drain_ring = [&](Slot& s) {
-    if (!s.ring || s.ignore_frames) return;
-    for (;;) {
-      bool more = false;
-      const ShmRing::ReadStatus st = s.ring->read_chunk(s.ring_partial, more);
-      if (st == ShmRing::ReadStatus::None) break;
-      if (st == ShmRing::ReadStatus::Corrupt) {
-        ++stats_.corrupt_frames;
-        condemn(s, FailReason::ProtocolCorrupt);
-        return;
-      }
-      if (!more) {
-        ++stats_.ring_messages;
-        stats_.ring_payload_bytes += s.ring_partial.size();
-        s.ring_msgs.push_back(std::move(s.ring_partial));
-        s.ring_partial.clear();
-      }
-    }
-  };
-
-  /// Claim the ring payload a v3 descriptor frame announced. The worker
-  /// publishes the full message before writing the descriptor, so by the
-  /// time the descriptor is being handled every chunk is visible; an
-  /// empty queue or a size mismatch can only be corruption.
-  auto take_ring_payload = [&](Slot& s, std::uint64_t nbytes,
-                               std::string& out) -> bool {
-    drain_ring(s);
-    if (s.ignore_frames) return false;  // ring latched corrupt mid-drain
-    if (s.ring_msgs.empty() || s.ring_msgs.front().size() != nbytes) {
-      ++stats_.corrupt_frames;
-      condemn(s, FailReason::ProtocolCorrupt);
-      return false;
-    }
-    out = std::move(s.ring_msgs.front());
-    s.ring_msgs.pop_front();
-    return true;
-  };
-
   auto send_drain = [&](Slot& s) {
     s.state = WorkerState::Draining;
     s.drain_at = now_sec();
@@ -677,17 +554,17 @@ PoolOutcome WorkerPool::run(
       return;
     }
     if (rec.type == "hello") {
-      // The worker's claimed version must match the transport this slot
-      // actually set up (v3 with a ring, v2 without).
-      const int expected = s.ring ? kProtocolVersionShm
-                                  : kProtocolVersionFramed;
-      if (static_cast<int>(rec.a) != expected ||
+      if (static_cast<int>(rec.a) != kProtocolVersion ||
           s.state != WorkerState::Spawning) {
         ++stats_.corrupt_frames;
         condemn(s, FailReason::ProtocolCorrupt);
         return;
       }
       s.state = WorkerState::Idle;
+      // A disposable pool recycles by design, and the client's retries
+      // and quarantine already bound deaths per job, so only a worker
+      // that dies before hello counts against its respawn budget.
+      if (cfg_.disposable) s.respawns = 0;
     } else if (rec.type == "hb") {
       ++stats_.heartbeats;
     } else if (rec.type == "result") {
@@ -696,27 +573,17 @@ PoolOutcome WorkerPool::run(
         condemn(s, FailReason::ProtocolCorrupt);
         return;
       }
-      std::string body;
-      if (s.ring) {
-        if (!take_ring_payload(s, rec.b, body)) return;
-      } else {
-        body = std::move(rec.body);
-      }
+      stats_.ring_payload_bytes += rec.body.size();
       Job job = std::move(*s.job);
       s.job.reset();
       s.state = WorkerState::Idle;
       ++stats_.jobs_completed;
       Disposition d = Disposition::Done;
-      if (client_.on_result) d = client_.on_result(job, body);
+      if (client_.on_result) d = client_.on_result(job, rec.body);
       handle_disposition(d, std::move(job), /*retry_front=*/true);
     } else if (rec.type == "final") {
-      std::string body;
-      if (s.ring) {
-        if (!take_ring_payload(s, rec.a, body)) return;
-      } else {
-        body = std::move(rec.body);
-      }
-      if (client_.on_final) client_.on_final(body);
+      stats_.ring_payload_bytes += rec.body.size();
+      if (client_.on_final) client_.on_final(rec.body);
     } else if (rec.type == "bye") {
       // Clean shutdown acknowledged; reap finishes the slot.
     } else {
@@ -820,12 +687,6 @@ PoolOutcome WorkerPool::run(
       s.state = WorkerState::Dead;
       s.ignore_frames = false;
       s.expect_clean_exit = false;
-      // The data plane dies with the incarnation (read_slot above already
-      // claimed any final payloads that raced the exit).
-      s.ring.reset();
-      s.doorbell.reset();
-      s.ring_partial.clear();
-      s.ring_msgs.clear();
     }
   };
 
@@ -968,6 +829,7 @@ PoolOutcome WorkerPool::run(
         return false;
       }
       s.last_affinity = job.affinity;
+      s.ran_job = true;
       s.job = std::move(job);
       s.state = WorkerState::Busy;
       s.busy_since = now_sec();
@@ -1024,10 +886,15 @@ PoolOutcome WorkerPool::run(
         if (queue.empty() || cores_inflight >= budget) break;
         if (s.state != WorkerState::Idle) continue;
         for (auto it = queue.begin(); it != queue.end(); ++it) {
-          if (!claimed_elsewhere(it->affinity, s)) {
+          if (claimed_elsewhere(it->affinity, s)) continue;
+          // A disposable worker never runs a second key: recycle it, and
+          // its fresh successor takes the job.
+          if (cfg_.disposable && s.ran_job && it->affinity != s.last_affinity) {
+            send_drain(s);
+          } else {
             admit(s, it);
-            break;
           }
+          break;
         }
       }
     }
@@ -1055,14 +922,6 @@ PoolOutcome WorkerPool::run(
         fds.push_back({s.err_rd, POLLIN, 0});
         fd_owner.push_back(&s);
       }
-      // The ring doorbell: readable whenever the worker has published
-      // chunks since the last drain. Draining here — not just at
-      // descriptor time — is what unblocks a writer mid-message when a
-      // payload is larger than the ring.
-      if (s.doorbell && s.state != WorkerState::Dead) {
-        fds.push_back({s.doorbell->poll_fd(), POLLIN, 0});
-        fd_owner.push_back(&s);
-      }
     }
     const int rc = poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
     if (rc > 0) {
@@ -1073,9 +932,6 @@ PoolOutcome WorkerPool::run(
           char buf[64];
           while (read(g_sigchld_pipe[0], buf, sizeof(buf)) > 0) {
           }
-        } else if (s->doorbell && fds[i].fd == s->doorbell->poll_fd()) {
-          s->doorbell->drain();
-          drain_ring(*s);
         } else {
           read_slot(*s);
         }

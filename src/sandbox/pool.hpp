@@ -1,21 +1,18 @@
-// rperf::sandbox::WorkerPool — a supervised pool of persistent workers.
+// rperf::sandbox::WorkerPool — the one out-of-process execution path.
 //
-// run_worker() (sandbox.hpp) contains crashes by forking a disposable
-// child per batch, which is robust but pays a fork + cold warm-up per
-// cell and leaves orchestration (retry, deadlines, zombie reaping) to the
-// caller. The pool keeps N forked workers alive across many jobs and puts
-// one supervisor — the caller's thread, running a single-threaded poll()
-// event loop — in charge of every lifecycle decision:
+// Every sandboxed cell runs in a forked worker owned by a pool, and one
+// supervisor — the caller's thread, running a single-threaded poll()
+// event loop — makes every lifecycle decision:
 //
 //   * each worker walks the state machine
 //       Spawning -> Idle -> Busy -> (Idle ...) -> Draining -> Dead
-//     and everything the supervisor believes about it comes over the v2
-//     framed protocol (protocol.hpp): hello, heartbeats, results;
+//     and everything the supervisor believes about it comes over the
+//     CRC-framed pipe protocol (protocol.hpp): hello, heartbeats, results;
 //   * workers emit heartbeats from a dedicated thread; a worker that goes
 //     silent past the heartbeat timeout (wedged, suppressed, or dead
 //     without SIGCHLD delivery) is killed and recycled;
 //   * per-job wall deadlines are enforced centrally (SIGTERM, grace,
-//     SIGKILL) instead of per-fork;
+//     SIGKILL);
 //   * a worker that dies — crash, OOM, deadline, corrupt frame, lost
 //     heartbeat — is reaped by a SIGCHLD-aware waitpid loop (no zombies)
 //     and respawned with exponential backoff, up to a per-slot budget;
@@ -27,18 +24,22 @@
 //   * if no worker can ever be spawned (fork failure, respawn budget
 //     exhausted with work remaining) run() returns SpawnFailed and the
 //     caller degrades — e.g. to in-process execution — instead of
-//     aborting the sweep;
-//   * result and final payloads travel over a per-worker shared-memory
-//     ring by default (protocol v3, sandbox/ring.hpp): the worker
-//     publishes sequence-stamped chunks and announces them with a small
-//     descriptor frame, the supervisor drains rings from its poll loop
-//     via an eventfd doorbell, and a slot whose ring cannot be created
-//     falls back to inline v2 JSON-in-frame payloads transparently.
+//     aborting the sweep.
+//
+// Two recycling policies share this loop (PoolConfig::disposable). A
+// persistent worker runs job after job, and jobs sharing an affinity key
+// are steered to the worker that last ran that key, so warm state is
+// built once per pool. A disposable worker is drained and respawned
+// before it runs a job whose affinity key differs from its last job's,
+// so each key — one cell, or one kernel's cells — gets a fresh process.
 //
 // Workers are created by fork WITHOUT exec, inheriting the parent's warm
-// state; the same OpenMP caveat as run_worker applies (the parent must
-// not have run parallel regions before pool start). The supervisor itself
-// stays single-threaded, so respawn forks are safe at any point.
+// state (kernel registry, parsed parameters, armed fault injector, wire
+// dictionary) by memory copy, so no argv marshalling layer exists to
+// drift out of sync. The one obligation: the parent must not have run
+// OpenMP parallel regions before the pool starts (a forked copy of a live
+// libgomp thread pool deadlocks). The supervisor itself stays
+// single-threaded, so respawn forks are safe at any point.
 #pragma once
 
 #include <cstdint>
@@ -106,13 +107,6 @@ enum class Disposition {
   Abort,  ///< stop dispatching queued work; finish in-flight jobs, drain
 };
 
-/// How bulky worker->supervisor payloads travel (protocol.hpp: v3 vs v2).
-enum class Transport {
-  Shm,   ///< per-worker shared-memory ring + descriptor frames (v3)
-  Json,  ///< payloads inline in CRC-framed pipe records (v2)
-};
-[[nodiscard]] std::string to_string(Transport t);
-
 struct PoolConfig {
   int workers = 2;
   /// Bounded pending queue; 0 means 2 * workers. Backpressure: next_job
@@ -125,11 +119,12 @@ struct PoolConfig {
   int max_respawns = 8;              ///< per-slot respawn budget
   int respawn_backoff_ms = 25;       ///< doubles per respawn, capped at 2 s
   Limits limits;                     ///< rlimits applied to each worker.
-                                     ///< cpu_seconds is ignored: RLIMIT_CPU
-                                     ///< is cumulative and would fire on a
-                                     ///< long-lived worker regardless of
+                                     ///< cpu_seconds binds disposable
+                                     ///< workers only: RLIMIT_CPU is
+                                     ///< cumulative and would fire on a
+                                     ///< persistent worker regardless of
                                      ///< per-job behaviour; wall deadlines
-                                     ///< cover hangs instead.
+                                     ///< cover hangs there.
   /// Cores the pool may keep busy at once; 0 = the machine's hardware
   /// concurrency. A queued job is admitted only while the cores of the
   /// jobs in flight plus its own Job::cores fit the budget (or nothing is
@@ -139,12 +134,13 @@ struct PoolConfig {
   /// dataset-cache partitions (see Job::affinity) and crash-containment
   /// spares.
   int core_budget = 0;
-  /// Result/final payload transport. Shm falls back to Json per worker
-  /// when ring setup fails (counted in PoolStats::ring_fallbacks).
-  Transport transport = Transport::Shm;
-  /// Per-worker ring capacity in bytes (power of two, >= 4096). Larger
-  /// payloads stream through in chunks; see sandbox/ring.hpp.
-  std::size_t ring_bytes = 1u << 20;
+  /// Recycling policy. A disposable worker is drained and respawned
+  /// before it runs a job whose Job::affinity differs from its previous
+  /// job's; such clean recycles are not counted as PoolStats::recycles,
+  /// and a worker that reaches hello resets its slot's respawn budget
+  /// (job deaths are bounded by the client's retries instead). A
+  /// persistent worker runs jobs until it dies or the pool drains.
+  bool disposable = false;
 };
 
 struct PoolStats {
@@ -162,10 +158,11 @@ struct PoolStats {
   std::size_t affinity_hits = 0;     ///< dispatches to the job's warm worker
   int core_budget = 0;               ///< resolved PoolConfig::core_budget
   int peak_cores_inflight = 0;       ///< high water of admitted Job::cores
-  std::size_t shm_spawns = 0;        ///< spawns that got a shm ring
-  std::size_t ring_fallbacks = 0;    ///< spawns degraded to Json transport
-  std::uint64_t ring_messages = 0;   ///< payloads delivered over rings
-  std::uint64_t ring_payload_bytes = 0;
+  // bench/e2e reads the next two under these names until a change to the
+  // benchmark renames them.
+  std::size_t ring_fallbacks = 0;    ///< always 0: there is one transport
+  std::uint64_t ring_payload_bytes = 0;  ///< result/final payload bytes
+                                         ///< received over frames
   long peak_rss_kb = 0;              ///< max over reaped workers
   double child_user_sec = 0.0;       ///< summed over reaped workers
   double child_sys_sec = 0.0;
@@ -222,15 +219,10 @@ class WorkerPool {
   /// Stop the calling worker's heartbeat thread from beating. Models a
   /// live-but-silent worker; the supervisor must notice via timeout.
   static void suppress_heartbeats();
-  /// Corrupt the calling worker's next result: under the Json transport
-  /// the frame CRC is flipped; under Shm the next ring chunk's sequence
-  /// stamp is mangled (a simulated torn write). Either way the supervisor
-  /// must detect it and recycle the worker instead of mis-parsing.
+  /// Flip the CRC of the calling worker's next result frame. The
+  /// supervisor must detect it and recycle the worker instead of
+  /// mis-parsing.
   static void corrupt_next_frame();
-  /// Transport the calling worker actually uses (Json when ring setup
-  /// fell back, or in the parent process). Lets the worker-side client
-  /// pick the matching payload encoding.
-  [[nodiscard]] static Transport current_transport();
 
  private:
   PoolConfig cfg_;

@@ -1,47 +1,24 @@
-// Pipe-protocol constants shared by the sweep parent and its sandboxed
-// worker processes.
+// The pipe protocol between the worker pool's supervisor and its workers
+// (sandbox/pool.hpp).
 //
-// Two generations coexist:
-//
-// v1 (disposable workers, sandbox::run_worker): line-delimited JSON over
-// an anonymous pipe:
-//
-//   {"type":"hello","proto":1,"pid":12345}
-//   {"type":"cell", ...RunResult fields..., "profile":{...}}   (per cell)
-//   {"type":"trace","data":{...TraceData...}}     (only when tracing is on)
-//   {"type":"bye","injector":"<serialized injector state>"}
-//
-// The parent validates the hello's protocol version before trusting any
-// record, attributes a missing/partial stream to a worker crash at the
-// first unreported cell, and folds the bye's injector state back so fault
-// budgets and the seeded probability stream progress across workers the
-// same way they would in a single process.
-//
-// v2 (persistent worker pool, sandbox::WorkerPool): the same JSON records
-// travel as length-framed, CRC32-checked binary frames:
+// Every record travels as a length-framed, CRC32-checked binary frame:
 //
 //   [u32 magic][u32 payload length][u32 crc32(payload)][payload bytes]
 //
-// all little-endian. Framing exists because a *persistent* connection has
-// failure modes a one-shot pipe does not: a worker that keeps running
+// all little-endian. Framing exists because a worker that keeps running
 // after scribbling a torn or corrupted record would silently poison every
 // later cell. A bad magic, an implausible length, or a CRC mismatch is
 // detected at the frame boundary; the supervisor treats the worker as
 // compromised, kills it, and retries the in-flight cell on a fresh worker
-// instead of mis-parsing. Frame payloads are the v1 JSON records plus the
-// pool's own control/liveness types ("job", "result", "hb", "drain",
-// "final"); see sandbox/pool.hpp. Bump the matching version constant
-// whenever a record's schema changes incompatibly.
+// instead of mis-parsing.
 //
-// v3 (shm transport, the default): the framed pipe shrinks to a control
-// plane — hello/job/hb/drain plus result/final *descriptors* — while the
-// bulky payloads (binary wire-encoded cell results, profiles, trace
-// chunks; see sandbox/wire.hpp) travel over a per-worker shared-memory
-// ring (sandbox/ring.hpp) whose sequence-stamped chunks provide the
-// integrity check CRC provided for in-band payloads. When ring setup
-// fails the pool degrades per-slot to the v2 inline-JSON transport; the
-// two coexist on one pool, distinguished by descriptor vs. inline
-// records and by the payload's leading byte.
+// A frame payload is "<header line>\n<body>". Headers are space-separated
+// words: "hello <version> <pid>", "job <id>", "result <id>", "final",
+// "hb <seq>", "drain", "bye". Job, result and final bodies are opaque to
+// the pool; the executor fills them with rperf::wire records
+// (sandbox/wire.hpp): the dispatched cell, the cell's result with its
+// profile and post-job injector state, and the worker's trace chunk. Bump
+// kProtocolVersion whenever a record's schema changes incompatibly.
 #pragma once
 
 #include <cstdint>
@@ -54,23 +31,16 @@
 
 namespace rperf::sandbox {
 
-/// Version of the v1 (line-delimited) parent<->worker record schema.
-inline constexpr int kProtocolVersion = 1;
-
-/// Version of the v2 (framed) pool protocol carried in "hello" frames.
-inline constexpr int kProtocolVersionFramed = 2;
-
-/// Version of the v3 pool protocol (control-plane frames + shm-ring data
-/// plane, binary wire payloads) carried in "hello" frames.
-inline constexpr int kProtocolVersionShm = 3;
+/// Version of the pool protocol carried in "hello" frames.
+inline constexpr int kProtocolVersion = 3;
 
 /// Exit code a worker uses for "memory exhausted": either the injector's
 /// oom fault hit its allocation cap, or std::bad_alloc escaped the cell
 /// runner (e.g. RLIMIT_AS). Chosen outside the 0-63 range tools use.
 inline constexpr int kOomExitCode = 86;
 
-/// Leading magic word of every v2 frame ("RPF2" little-endian). A frame
-/// that does not start with it means the stream lost sync — fail closed.
+/// Leading magic word of every frame ("RPF2" little-endian). A frame that
+/// does not start with it means the stream lost sync — fail closed.
 inline constexpr std::uint32_t kFrameMagic = 0x32465052u;
 
 /// Upper bound on a single frame's payload (64 MiB). Real records are a
@@ -84,7 +54,7 @@ inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 using util::crc32;
 using util::crc32_bytewise;
 
-/// Encode one v2 frame around `payload`. With `corrupt_crc` the stored
+/// Encode one frame around `payload`. With `corrupt_crc` the stored
 /// checksum is deliberately flipped — used only by the protocol-corrupt
 /// fault to prove the receiver detects a bad frame instead of parsing it.
 [[nodiscard]] inline std::string frame_encode(const std::string& payload,
@@ -106,7 +76,7 @@ using util::crc32_bytewise;
   return out;
 }
 
-/// Incremental v2 frame decoder: feed() raw bytes, next() pops payloads.
+/// Incremental frame decoder: feed() raw bytes, next() pops payloads.
 /// Once a structural violation is seen (bad magic, oversize length, CRC
 /// mismatch) the reader latches Corrupt — a stream that lost sync cannot
 /// be trusted again, so there is deliberately no resync path.
@@ -149,8 +119,9 @@ class FrameReader {
   bool corrupt_ = false;
 };
 
-/// Exact long-double round-trip for checksums crossing the pipe: JSON
-/// numbers are doubles, so the wire carries a C99 hexfloat string too.
+/// Exact long-double round-trip for checksums written as JSON text
+/// (progress.jsonl): JSON numbers are doubles, so records carry a C99
+/// hexfloat string too.
 [[nodiscard]] inline std::string checksum_to_hex(long double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%La", v);

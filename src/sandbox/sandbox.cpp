@@ -1,43 +1,20 @@
 #include "sandbox/sandbox.hpp"
 
-#include <errno.h>
 #include <execinfo.h>
-#include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
 #include <string.h>
 #include <sys/resource.h>
-#include <sys/time.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
-#include <exception>
-#include <new>
-#include <stdexcept>
-
-#include "sandbox/protocol.hpp"
 
 namespace rperf::sandbox {
 
 namespace {
 
-// pid of the live worker, readable from the interrupt handler so it can
-// forward SIGTERM. 0 when no worker is running.
-volatile pid_t g_live_worker = 0;
 volatile sig_atomic_t g_interrupt = 0;
 
-/// Bytes of stderr retained per worker; older output is discarded so a
-/// chatty or looping worker cannot balloon the forensics record.
-constexpr std::size_t kStderrTailMax = 4096;
-
-void interrupt_handler(int sig) {
-  g_interrupt = sig;
-  const pid_t child = g_live_worker;
-  if (child > 0) kill(child, SIGTERM);  // async-signal-safe
-}
+void interrupt_handler(int sig) { g_interrupt = sig; }
 
 /// Crash handler installed in the worker: dump signal + backtrace to
 /// stderr (fd 2, already dup'ed onto the forensics pipe), then re-raise
@@ -55,25 +32,6 @@ void worker_crash_handler(int sig) {
   const int depth = backtrace(frames, 48);
   backtrace_symbols_fd(frames, depth, 2);
   raise(sig);  // SA_RESETHAND restored the default action
-}
-
-/// Append `buf[0..n)` to `tail`, keeping only the last kStderrTailMax bytes.
-void append_tail(std::string& tail, const char* buf, std::size_t n) {
-  tail.append(buf, n);
-  if (tail.size() > kStderrTailMax) {
-    tail.erase(0, tail.size() - kStderrTailMax);
-  }
-}
-
-double now_sec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void set_nonblocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
 }  // namespace
@@ -125,220 +83,6 @@ std::string signal_name(int sig) {
     case SIGTRAP: return "SIGTRAP";
     default: return "SIG" + std::to_string(sig);
   }
-}
-
-std::string WorkerReport::describe() const {
-  switch (exit) {
-    case WorkerExit::CleanExit:
-      return "exited cleanly";
-    case WorkerExit::NonzeroExit:
-      return "exited with code " + std::to_string(exit_code);
-    case WorkerExit::OomExit:
-      return "out of memory (exit code " + std::to_string(exit_code) + ")";
-    case WorkerExit::Signaled: {
-      const char* desc = strsignal(signal);
-      std::string s = "killed by " + signal_name(signal);
-      if (desc != nullptr) s += std::string(" (") + desc + ")";
-      return s;
-    }
-    case WorkerExit::DeadlineKilled:
-      return "killed by the parent past the wall-clock deadline";
-  }
-  return "?";
-}
-
-WorkerReport run_worker(const std::function<void(int out_fd)>& fn,
-                        const Limits& limits) {
-  int proto_fd[2];
-  int err_fd[2];
-  if (pipe(proto_fd) != 0) {
-    throw std::runtime_error(std::string("sandbox: pipe failed: ") +
-                             strerror(errno));
-  }
-  if (pipe(err_fd) != 0) {
-    close(proto_fd[0]);
-    close(proto_fd[1]);
-    throw std::runtime_error(std::string("sandbox: pipe failed: ") +
-                             strerror(errno));
-  }
-
-  // Flush stdio so buffered output is not duplicated into the child.
-  fflush(nullptr);
-
-  const pid_t pid = fork();
-  if (pid < 0) {
-    close(proto_fd[0]);
-    close(proto_fd[1]);
-    close(err_fd[0]);
-    close(err_fd[1]);
-    throw std::runtime_error(std::string("sandbox: fork failed: ") +
-                             strerror(errno));
-  }
-
-  if (pid == 0) {
-    // ----- worker -----
-    close(proto_fd[0]);
-    close(err_fd[0]);
-    dup2(err_fd[1], 2);
-    if (err_fd[1] != 2) close(err_fd[1]);
-    // The worker must not react to the parent's Ctrl-C handling: restore
-    // default dispositions so SIGTERM from the parent terminates it.
-    signal(SIGINT, SIG_DFL);
-    signal(SIGTERM, SIG_DFL);
-    apply_worker_limits(limits);
-    install_worker_crash_handlers();
-    try {
-      fn(proto_fd[1]);
-    } catch (const std::bad_alloc&) {
-      fprintf(stderr, "worker: std::bad_alloc escaped the cell runner\n");
-      fflush(nullptr);
-      _exit(kOomExitCode);
-    } catch (const std::exception& e) {
-      fprintf(stderr, "worker: unhandled exception: %s\n", e.what());
-      fflush(nullptr);
-      _exit(1);
-    } catch (...) {
-      fprintf(stderr, "worker: unhandled non-standard exception\n");
-      fflush(nullptr);
-      _exit(1);
-    }
-    fflush(nullptr);
-    _exit(0);
-  }
-
-  // ----- parent -----
-  close(proto_fd[1]);
-  close(err_fd[1]);
-  set_nonblocking(proto_fd[0]);
-  set_nonblocking(err_fd[0]);
-  g_live_worker = pid;
-
-  WorkerReport report;
-  std::string pending;  // partial protocol line
-  const double start = now_sec();
-  bool sent_term = false;
-  bool sent_kill = false;
-  double term_at = 0.0;
-  bool proto_open = true;
-  bool err_open = true;
-
-  while (proto_open || err_open) {
-    pollfd fds[2];
-    nfds_t nfds = 0;
-    int proto_idx = -1;
-    int err_idx = -1;
-    if (proto_open) {
-      proto_idx = static_cast<int>(nfds);
-      fds[nfds++] = {proto_fd[0], POLLIN, 0};
-    }
-    if (err_open) {
-      err_idx = static_cast<int>(nfds);
-      fds[nfds++] = {err_fd[0], POLLIN, 0};
-    }
-    const int rc = poll(fds, nfds, 100);
-    if (rc < 0 && errno != EINTR) break;
-
-    char buf[4096];
-    if (proto_idx >= 0 && (fds[proto_idx].revents & (POLLIN | POLLHUP))) {
-      for (;;) {
-        const ssize_t n = read(proto_fd[0], buf, sizeof(buf));
-        if (n > 0) {
-          pending.append(buf, static_cast<std::size_t>(n));
-          std::size_t nl;
-          while ((nl = pending.find('\n')) != std::string::npos) {
-            report.lines.push_back(pending.substr(0, nl));
-            pending.erase(0, nl + 1);
-          }
-          continue;
-        }
-        if (n == 0) proto_open = false;
-        if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-            errno != EINTR) {
-          proto_open = false;
-        }
-        break;
-      }
-    }
-    if (err_idx >= 0 && (fds[err_idx].revents & (POLLIN | POLLHUP))) {
-      for (;;) {
-        const ssize_t n = read(err_fd[0], buf, sizeof(buf));
-        if (n > 0) {
-          append_tail(report.stderr_tail, buf, static_cast<std::size_t>(n));
-          continue;
-        }
-        if (n == 0) err_open = false;
-        if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-            errno != EINTR) {
-          err_open = false;
-        }
-        break;
-      }
-    }
-
-    const double elapsed = now_sec() - start;
-    if (!sent_term && limits.wall_deadline_sec > 0.0 &&
-        elapsed > limits.wall_deadline_sec) {
-      kill(pid, SIGTERM);
-      sent_term = true;
-      term_at = now_sec();
-      report.exit = WorkerExit::DeadlineKilled;
-    }
-    if (sent_term && !sent_kill &&
-        (now_sec() - term_at) * 1000.0 >
-            static_cast<double>(limits.term_grace_ms)) {
-      kill(pid, SIGKILL);
-      sent_kill = true;
-    }
-    // An interrupt handler may have forwarded SIGTERM already; the pipes
-    // closing is what breaks this loop either way.
-  }
-
-  int status = 0;
-  rusage ru;
-  memset(&ru, 0, sizeof(ru));
-  // Both pipes are closed, so the worker has exited (or will imminently).
-  // If a deadline SIGTERM is being ignored somehow, escalate while waiting.
-  for (;;) {
-    const pid_t w = wait4(pid, &status, WNOHANG, &ru);
-    if (w == pid) break;
-    if (w < 0 && errno != EINTR) break;
-    if (sent_term && !sent_kill &&
-        (now_sec() - term_at) * 1000.0 >
-            static_cast<double>(limits.term_grace_ms)) {
-      kill(pid, SIGKILL);
-      sent_kill = true;
-    }
-    struct timespec ts = {0, 20 * 1000 * 1000};  // 20ms
-    nanosleep(&ts, nullptr);
-  }
-  g_live_worker = 0;
-  close(proto_fd[0]);
-  close(err_fd[0]);
-
-  report.wall_sec = now_sec() - start;
-  report.usage.max_rss_kb = ru.ru_maxrss;
-  report.usage.user_sec = static_cast<double>(ru.ru_utime.tv_sec) +
-                          static_cast<double>(ru.ru_utime.tv_usec) * 1e-6;
-  report.usage.sys_sec = static_cast<double>(ru.ru_stime.tv_sec) +
-                         static_cast<double>(ru.ru_stime.tv_usec) * 1e-6;
-
-  const bool deadline_killed = report.exit == WorkerExit::DeadlineKilled;
-  if (WIFEXITED(status)) {
-    report.exit_code = WEXITSTATUS(status);
-    if (!deadline_killed) {
-      if (report.exit_code == 0) {
-        report.exit = WorkerExit::CleanExit;
-      } else if (report.exit_code == kOomExitCode) {
-        report.exit = WorkerExit::OomExit;
-      } else {
-        report.exit = WorkerExit::NonzeroExit;
-      }
-    }
-  } else if (WIFSIGNALED(status)) {
-    report.signal = WTERMSIG(status);
-    if (!deadline_killed) report.exit = WorkerExit::Signaled;
-  }
-  return report;
 }
 
 void install_interrupt_handlers() {

@@ -1,41 +1,27 @@
-// rperf::sandbox — disposable worker processes for crash containment.
+// rperf::sandbox — process-level crash containment.
 //
-// PR-1's in-process isolation catches exceptions, corrupt checksums, and
+// In-process isolation catches exceptions, corrupt checksums, and
 // cooperative timeouts, but cannot survive the failure modes that actually
 // kill long sweeps: SIGSEGV, abort, stack overflow, OOM, and hangs no
-// watchdog thread can preempt. The fix — standard in production benchmark
-// harnesses (pSTL-Bench) and any serving stack that executes untrusted
-// work units — is to run each measurement in a disposable child process:
+// watchdog thread can preempt. Surviving those takes running each
+// measurement in another process. The supervised worker pool
+// (sandbox/pool.hpp) is that process boundary; this header holds what its
+// workers and drivers share with it:
 //
-//   * run_worker() forks a worker, hands it the write end of a pipe, and
-//     streams back line-delimited protocol records (sandbox/protocol.hpp)
-//     while capturing a bounded tail of the worker's stderr;
-//   * the worker runs under hard rlimits (RLIMIT_AS, RLIMIT_CPU, and
-//     RLIMIT_CORE=0) plus a parent-side wall-clock deadline enforced as
-//     SIGTERM, a grace period, then SIGKILL;
-//   * a crash handler installed in the worker writes the dying signal and
-//     a backtrace (backtrace_symbols_fd; symbol names resolve when the
-//     executable links with -rdynamic) to stderr before re-raising, so
-//     the parent's forensics record carries the evidence;
-//   * wait4() rusage (max RSS, user/sys time) is reported per worker.
-//
-// The worker is created by fork WITHOUT exec: the parent's warm kernel
-// registry, parsed parameters, and armed fault injector are inherited by
-// memory copy, so no argv marshalling layer exists to drift out of sync.
-// The one obligation this places on callers: the parent must not have
-// executed OpenMP parallel regions before forking (a forked copy of a
-// live libgomp thread pool deadlocks). The executor honours this by never
-// running cells in-process when isolation is enabled.
-//
-// Also here: process-wide interrupt bookkeeping. install_interrupt_handlers
-// converts SIGINT/SIGTERM into a sticky flag and forwards SIGTERM to the
-// live worker, so drivers can flush checkpoints and exit cleanly instead
-// of losing a multi-hour sweep to Ctrl-C.
+//   * the hard rlimits a worker runs under (RLIMIT_AS, RLIMIT_CPU, and
+//     RLIMIT_CORE=0);
+//   * a crash handler installed in the worker that writes the dying
+//     signal and a backtrace (backtrace_symbols_fd; symbol names resolve
+//     when the executable links with -rdynamic) to stderr before
+//     re-raising, so the supervisor's forensics record carries the
+//     evidence;
+//   * process-wide interrupt bookkeeping: install_interrupt_handlers
+//     converts SIGINT/SIGTERM into a sticky flag the pool and executor
+//     poll, so drivers can stop workers, flush checkpoints and exit
+//     cleanly instead of losing a multi-hour sweep to Ctrl-C.
 #pragma once
 
-#include <functional>
 #include <string>
-#include <vector>
 
 namespace rperf::sandbox {
 
@@ -43,17 +29,6 @@ namespace rperf::sandbox {
 struct Limits {
   std::size_t address_space_bytes = 0;  ///< RLIMIT_AS; 0 = inherit
   double cpu_seconds = 0.0;             ///< RLIMIT_CPU; 0 = inherit
-  double wall_deadline_sec = 0.0;       ///< parent-side kill; 0 = none
-  int term_grace_ms = 2000;             ///< SIGTERM -> SIGKILL grace
-};
-
-/// How a worker left the world.
-enum class WorkerExit {
-  CleanExit,       ///< _exit(0) after completing the protocol
-  NonzeroExit,     ///< exited with a nonzero code
-  OomExit,         ///< exited with protocol.hpp's kOomExitCode
-  Signaled,        ///< killed by a signal it raised (SIGSEGV, SIGABRT, ...)
-  DeadlineKilled,  ///< parent killed it past the wall-clock deadline
 };
 
 /// wait4() rusage extract for one worker.
@@ -63,45 +38,18 @@ struct WorkerUsage {
   double sys_sec = 0.0;
 };
 
-struct WorkerReport {
-  WorkerExit exit = WorkerExit::CleanExit;
-  int exit_code = 0;
-  int signal = 0;            ///< terminating signal when Signaled/killed
-  double wall_sec = 0.0;     ///< parent-observed lifetime
-  WorkerUsage usage;
-  std::vector<std::string> lines;  ///< complete protocol lines received
-  std::string stderr_tail;         ///< last bytes of the worker's stderr
-
-  [[nodiscard]] bool clean() const { return exit == WorkerExit::CleanExit; }
-  /// One-line human description ("killed by SIGSEGV (Segmentation fault)").
-  [[nodiscard]] std::string describe() const;
-};
-
-/// Fork a worker that runs `fn(out_fd)` and then _exit(0). The parent
-/// drains the protocol pipe and stderr, enforces `limits`, and reaps the
-/// worker. fn must write complete '\n'-terminated protocol lines to
-/// out_fd and must not return control to the caller's stack assumptions
-/// (it runs in the child). Escaped std::bad_alloc becomes kOomExitCode;
-/// any other escaped exception becomes _exit(1) with a stderr diagnostic.
-/// Throws std::runtime_error if the worker cannot be spawned.
-[[nodiscard]] WorkerReport run_worker(const std::function<void(int out_fd)>& fn,
-                                      const Limits& limits);
-
 /// Name for a signal number ("SIGSEGV"); falls back to "SIG<n>".
 [[nodiscard]] std::string signal_name(int sig);
 
-// ----- worker-side setup, shared by run_worker and the WorkerPool -----
-/// Apply RLIMIT_CORE=0 plus the rlimit fields of `limits` (wall-clock
-/// fields are parent-side policy and ignored here). Call in the child.
+// ----- worker-side setup (call in the forked child) -----
+/// Apply RLIMIT_CORE=0 plus the rlimit fields of `limits`.
 void apply_worker_limits(const Limits& limits);
 /// Install the fatal-signal handlers that dump a backtrace to stderr and
-/// re-raise. Call in the child after stderr is rerouted to the forensics
-/// pipe.
+/// re-raise. Call after stderr is rerouted to the forensics pipe.
 void install_worker_crash_handlers();
 
 // ----- graceful interruption (SIGINT/SIGTERM) -----
-/// Install process-wide handlers that latch the signal and forward
-/// SIGTERM to the currently live worker (if any). Idempotent.
+/// Install process-wide handlers that latch the signal. Idempotent.
 void install_interrupt_handlers();
 /// Signal latched by the handlers; 0 when none. Also settable by tests
 /// via request_interrupt().

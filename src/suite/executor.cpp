@@ -2,7 +2,6 @@
 
 #include <omp.h>
 #include <signal.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -75,91 +74,38 @@ const char* status_marker(RunStatus s) {
   return "?";
 }
 
-/// Write one '\n'-terminated protocol line to a pipe fd (worker side).
-/// Runs in the forked worker, so failures terminate abruptly via _exit.
-void write_json_line(int fd, json::Object obj) {
-  std::string line = json::Value(std::move(obj)).dump();
-  line.push_back('\n');
-  const char* p = line.data();
-  std::size_t n = line.size();
-  while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      ::_exit(3);  // parent gone; nothing sensible left to do
-    }
-    p += w;
-    n -= static_cast<std::size_t>(w);
-  }
-}
-
-/// Merge a cell's hardware-counter sample into a JSON cell record (worker
-/// pipe protocols v1/v2); no-op for cells without a sample, so records
-/// from --hwc-less runs are byte-identical to before.
-void hwc_to_json(const hwc::Sample& s, json::Object& o) {
-  if (s.empty()) return;
-  o["hwc_source"] = s.source;
-  o["hwc_enabled_ns"] = static_cast<std::int64_t>(s.time_enabled_ns);
-  o["hwc_running_ns"] = static_cast<std::int64_t>(s.time_running_ns);
-  o["hwc_overhead_sec"] = s.overhead_sec;
-  json::Object vals;
-  for (const auto& [name, value] : s.values) vals[name] = value;
-  o["hwc_values"] = std::move(vals);
-}
-
-hwc::Sample hwc_from_json(const json::Value& v) {
-  hwc::Sample s;
-  if (!v.contains("hwc_source")) return s;
-  s.source = v.at("hwc_source").as_string();
-  s.time_enabled_ns =
-      static_cast<std::uint64_t>(v.number_or("hwc_enabled_ns", 0.0));
-  s.time_running_ns =
-      static_cast<std::uint64_t>(v.number_or("hwc_running_ns", 0.0));
-  s.overhead_sec = v.number_or("hwc_overhead_sec", 0.0);
-  if (v.contains("hwc_values")) {
-    for (const auto& [name, value] : v.at("hwc_values").as_object()) {
-      s.values[name] = value.as_number();
-    }
-  }
-  return s;
-}
-
-/// Decode a worker "cell" record into the parent-side RunResult.
-void decode_cell_record(const json::Value& v, RunResult& r) {
-  r.status = run_status_from_string(v.at("status").as_string());
-  r.time_per_rep_sec = v.number_or("time_per_rep_sec", -1.0);
-  if (v.contains("checksum_hex")) {
-    r.checksum = sandbox::checksum_from_hex(v.at("checksum_hex").as_string());
-  } else {
-    r.checksum = static_cast<long double>(v.number_or("checksum", 0.0));
-  }
-  r.problem_size = static_cast<Index_type>(v.number_or("problem_size", 0.0));
-  r.reps = static_cast<Index_type>(v.number_or("reps", 0.0));
-  r.setup_ms = v.number_or("setup_ms", 0.0);
-  r.checksum_ms = v.number_or("checksum_ms", 0.0);
-  r.pool_hits = static_cast<std::uint64_t>(v.number_or("pool_hits", 0.0));
-  r.cache_hits = static_cast<std::uint64_t>(v.number_or("cache_hits", 0.0));
-  r.error = v.string_or("error", "");
-  r.hwc = hwc_from_json(v);
-}
-
-/// Stable dispatch-affinity key for a kernel name (FNV-1a, forced odd so
-/// 0 keeps meaning "no affinity").
-std::uint64_t affinity_key(const std::string& kernel) {
+/// Stable dispatch-affinity key for a kernel name or cell key (FNV-1a,
+/// forced odd so 0 keeps meaning "no affinity").
+std::uint64_t affinity_key(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : kernel) {
+  for (const unsigned char c : s) {
     h ^= c;
     h *= 1099511628211ull;
   }
   return h | 1ull;
 }
 
-/// Encode a worker cell record as a v3 wire blob — the binary counterpart
-/// of the JSON object worker_run_cell builds for the v2 transport. The
-/// checksum crosses as raw long-double bits (put_f80), not hexfloat text.
-std::string encode_cell_record_wire(const RunResult& r,
-                                    const std::string& injector_state,
-                                    const cali::Profile* profile) {
+/// Encode a dispatched cell as a wire blob: the cell, the OpenMP team the
+/// supervisor admitted it with, and the parent's injector state.
+std::string encode_job(const std::string& kernel, VariantID vid,
+                       std::size_t tuning, const std::string& tuning_name,
+                       int threads, const std::string& injector_state) {
+  wire::Writer w;
+  w.begin_blob();
+  w.put_bytes(kernel);
+  w.put_bytes(to_string(vid));
+  w.put_u64(tuning);
+  w.put_bytes(tuning_name);
+  w.put_u32(static_cast<std::uint32_t>(threads));
+  w.put_bytes(injector_state);
+  return w.take();
+}
+
+/// Encode a worker's cell result as a wire blob. The checksum crosses as
+/// raw long-double bits (put_f80), not hexfloat text.
+std::string encode_cell_record(const RunResult& r,
+                               const std::string& injector_state,
+                               const cali::Profile* profile) {
   wire::Writer w;
   w.begin_blob();
   w.put_str(to_string(r.status));
@@ -180,11 +126,11 @@ std::string encode_cell_record_wire(const RunResult& r,
   return w.take();
 }
 
-/// Decode a v3 wire cell record (throws wire::Error on corruption, which
-/// the caller maps to the malformed-record path like a JSON parse error).
-void decode_cell_record_wire(const std::string& blob, RunResult& r,
-                             std::string& injector_state,
-                             std::optional<cali::Profile>& profile) {
+/// Decode a worker's cell result (throws wire::Error on corruption, which
+/// the caller maps to a malformed-record crash).
+void decode_cell_record(const std::string& blob, RunResult& r,
+                        std::string& injector_state,
+                        std::optional<cali::Profile>& profile) {
   wire::Reader rd(blob);
   rd.expect_blob();
   r.status = run_status_from_string(rd.get_str());
@@ -202,52 +148,46 @@ void decode_cell_record_wire(const std::string& blob, RunResult& r,
   if (rd.get_u8() != 0) r.hwc = hwc::sample_from_wire(rd);
 }
 
-/// Classify a worker that terminated without completing the protocol.
-void decode_worker_failure(const sandbox::WorkerReport& rep,
-                           std::size_t sandbox_mem_mb, RunResult& r) {
-  switch (rep.exit) {
-    case sandbox::WorkerExit::DeadlineKilled:
-      r.status = RunStatus::Killed;
-      r.error = "worker killed past the wall-clock deadline";
-      return;
-    case sandbox::WorkerExit::OomExit:
-      r.status = RunStatus::OutOfMemory;
-      r.error = "worker " + rep.describe();
-      return;
-    case sandbox::WorkerExit::Signaled:
-      if (rep.signal == SIGXCPU) {
-        r.status = RunStatus::Killed;
-        r.error = "worker exceeded its CPU limit (SIGXCPU)";
-      } else if (rep.signal == SIGKILL && sandbox_mem_mb > 0) {
-        // The kernel OOM killer (or an unblockable kill under RLIMIT_AS
-        // pressure) leaves SIGKILL as the only evidence.
-        r.status = RunStatus::OutOfMemory;
-        r.error = "worker killed (SIGKILL) under a memory limit";
-      } else {
-        r.status = RunStatus::Crashed;
-        r.error = "worker " + rep.describe();
-      }
-      return;
-    case sandbox::WorkerExit::NonzeroExit:
-      r.status = RunStatus::Crashed;
-      r.error = "worker " + rep.describe();
-      return;
-    case sandbox::WorkerExit::CleanExit:
-      r.status = RunStatus::Crashed;
-      r.error = "worker exited before completing the pipe protocol";
-      return;
+/// Classify a job whose worker died before sending its result.
+void decode_job_failure(const sandbox::JobFailure& f,
+                        std::size_t sandbox_mem_mb, RunResult& r) {
+  r.error = f.describe();
+  if (f.reason == sandbox::FailReason::DeadlineKilled) {
+    r.status = RunStatus::Killed;
+  } else if (f.reason != sandbox::FailReason::WorkerDied) {
+    r.status = RunStatus::Crashed;  // heartbeat lost or corrupt frame
+  } else if (f.exited) {
+    r.status = f.exit_code == sandbox::kOomExitCode ? RunStatus::OutOfMemory
+                                                    : RunStatus::Crashed;
+  } else if (f.signal == SIGXCPU) {
+    r.status = RunStatus::Killed;
+    r.error = "worker exceeded its CPU limit (SIGXCPU)";
+  } else if (f.signal == SIGKILL && sandbox_mem_mb > 0) {
+    // The kernel OOM killer (or an unblockable kill under RLIMIT_AS
+    // pressure) leaves SIGKILL as the only evidence.
+    r.status = RunStatus::OutOfMemory;
+    r.error = "worker killed (SIGKILL) under a memory limit";
+  } else {
+    r.status = RunStatus::Crashed;
   }
 }
 
-/// Fault kind a dead worker's status implies, for budget fold-back.
-std::optional<faults::FaultKind> implied_fault_kind(const RunResult& r,
-                                                    int signal) {
-  switch (r.status) {
+/// Fault kind a failed job definitionally fired, for budget fold-back:
+/// the wire kinds imply themselves; process deaths imply
+/// segv/abort/oom/hang.
+std::optional<faults::FaultKind> implied_fault_kind(
+    const sandbox::JobFailure& f, RunStatus status) {
+  if (f.reason == sandbox::FailReason::HeartbeatTimeout) {
+    return faults::FaultKind::HeartbeatDrop;
+  }
+  if (f.reason == sandbox::FailReason::ProtocolCorrupt) {
+    return faults::FaultKind::ProtocolCorrupt;
+  }
+  switch (status) {
     case RunStatus::Crashed:
-      if (signal == SIGSEGV) return faults::FaultKind::Segv;
-      if (signal == SIGABRT) return faults::FaultKind::Abort;
       // ASan converts fatal signals into exit(1); attribute by best guess.
-      return faults::FaultKind::Segv;
+      return f.signal == SIGABRT ? faults::FaultKind::Abort
+                                 : faults::FaultKind::Segv;
     case RunStatus::OutOfMemory:
       return faults::FaultKind::Oom;
     case RunStatus::Killed:
@@ -279,9 +219,9 @@ RunStatus Executor::run_cell_once(const Cell& cell, cali::Channel& channel,
   // Counter service scoped to this cell: attach is fail-open (perf
   // unavailable leaves the service inactive and the channel untouched)
   // and the destructor detaches on every exit path below. Because this
-  // runs wherever the cell runs, sandboxed and pooled workers open their
-  // event groups post-fork in the worker process — per-thread counters
-  // measure the worker, not the supervisor.
+  // runs wherever the cell runs, pooled workers open their event groups
+  // post-fork in the worker process — per-thread counters measure the
+  // worker, not the supervisor.
   hwc::RegionCounterService hwc_service;
   if (params_.hwc) (void)hwc_service.attach(channel);
   try {
@@ -561,7 +501,7 @@ void Executor::run() {
   results_.clear();
   channels_.clear();
   crash_counts_.clear();
-  sandbox_stats_ = SandboxStats{};
+  stopped_ = false;
   pool_stats_ = sandbox::PoolStats{};
   degraded_ = false;
   main_trace_ = cali::TraceData{};
@@ -653,10 +593,8 @@ void Executor::run() {
     cali::TraceSpan sweep_span("sweep");
     if (params_.isolate == IsolationMode::None) {
       run_in_process(cells, prior);
-    } else if (params_.workers > 0) {
-      run_pooled(cells, prior);
     } else {
-      run_sandboxed(cells, prior);
+      run_pooled(cells, prior);
     }
   }
 
@@ -746,11 +684,13 @@ void Executor::run() {
       // every slice).
       channel.set_metadata("isolate", to_string(params_.isolate));
       channel.set_metadata("sandbox_children",
-                           std::to_string(sandbox_stats_.children));
+                           std::to_string(pool_stats_.spawns));
       channel.set_metadata("sandbox_peak_child_rss_kb",
-                           std::to_string(sandbox_stats_.peak_rss_kb));
-      channel.set_metadata("sandbox_child_user_sec", sandbox_stats_.user_sec);
-      channel.set_metadata("sandbox_child_sys_sec", sandbox_stats_.sys_sec);
+                           std::to_string(pool_stats_.peak_rss_kb));
+      channel.set_metadata("sandbox_child_user_sec",
+                           pool_stats_.child_user_sec);
+      channel.set_metadata("sandbox_child_sys_sec", pool_stats_.child_sys_sec);
+      channel.set_metadata("sandbox_degraded", degraded_ ? "true" : "false");
       if (params_.workers > 0) {
         // Worker-pool supervision summary (process-wide, same in every
         // slice): how many workers were spawned/recycled and why, so a
@@ -769,23 +709,8 @@ void Executor::run() {
                              std::to_string(pool_stats_.corrupt_frames));
         channel.set_metadata("pool_peak_queue_depth",
                              std::to_string(pool_stats_.peak_queue_depth));
-        channel.set_metadata("sandbox_degraded", degraded_ ? "true" : "false");
-        // Effective payload transport: "shm" only when every spawned
-        // worker actually got a ring; a partial ring failure is "mixed",
-        // a total one (or --transport json) is "json".
-        const char* transport = "json";
-        if (params_.shm_transport && pool_stats_.shm_spawns > 0) {
-          transport = pool_stats_.ring_fallbacks > 0 ? "mixed" : "shm";
-        }
-        channel.set_metadata("sandbox_transport", transport);
         channel.set_metadata("pool_affinity_hits",
                              std::to_string(pool_stats_.affinity_hits));
-        channel.set_metadata("pool_ring_messages",
-                             std::to_string(pool_stats_.ring_messages));
-        channel.set_metadata("pool_ring_payload_bytes",
-                             std::to_string(pool_stats_.ring_payload_bytes));
-        channel.set_metadata("pool_ring_fallbacks",
-                             std::to_string(pool_stats_.ring_fallbacks));
       }
     }
     // Memory-subsystem summary: how much memory the sweep reserved and how
@@ -861,451 +786,144 @@ std::string Executor::hwc_source() const {
   return "";
 }
 
-void Executor::run_in_process(const std::vector<Cell>& cells,
-                              const std::map<std::string, RunResult>& prior) {
-  bool stopped = false;
-  for (const Cell& cell : cells) {
-    RunResult r;
-    r.kernel = cell.kernel->name();
-    r.group = cell.kernel->group();
-    r.variant = cell.vid;
-    r.tuning = cell.tuning;
-    r.tuning_name = cell.tuning_name;
-
-    if (stopped) {
-      r.status = RunStatus::Skipped;
-      r.error = "sweep stopped by --no-keep-going after an earlier failure";
-      results_.push_back(r);
-      append_progress(r);
-      continue;
-    }
-    if (const int isig = sandbox::interrupt_signal(); isig != 0) {
-      r.status = RunStatus::Skipped;
-      r.error = "interrupted by " + sandbox::signal_name(isig) +
-                "; checkpoint flushed";
-      results_.push_back(r);
-      append_progress(r);
-      continue;
-    }
-
-    const auto it = prior.find(cell_key(r.kernel, r.variant, r.tuning_name));
-    if (it != prior.end() && it->second.status == RunStatus::Passed) {
-      r = it->second;
-      r.group = cell.kernel->group();
-      r.tuning = cell.tuning;
-      r.restored = true;
-      cell.kernel->restore_result(cell.vid, cell.tuning, r.time_per_rep_sec,
-                                  r.checksum);
-      results_.push_back(r);
-      append_progress(r);
-      continue;
-    }
-
-    // Guarded execution with retry-with-backoff. The cell runs into a
-    // scratch channel committed to the per-variant profile only on a pass,
-    // so failed cells never leave partial regions in the output.
-    for (int attempt = 0; attempt <= params_.retries; ++attempt) {
-      if (attempt > 0 && params_.retry_backoff_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            params_.retry_backoff_ms << (attempt - 1)));
-      }
-      cali::Channel scratch;
-      r.attempts = attempt + 1;
-      {
-        cali::TraceSpan cell_span(
-            cell_span_name(r.kernel, cell.vid, cell.tuning_name));
-        r.status = run_cell_once(cell, scratch, r);
-      }
-      if (r.status == RunStatus::Passed) {
-        channels_[{cell.vid, cell.tuning_name}].merge(scratch);
-        break;
-      }
-      // A budget violation is deterministic; retrying only doubles the
-      // damage. Failures and corrupt checksums may be transient.
-      if (r.status == RunStatus::TimedOut) break;
-    }
-    sample_trace_counters();
-    results_.push_back(r);
-    append_progress(r);
-    if (r.status != RunStatus::Passed && !params_.keep_going) stopped = true;
+void Executor::finalize(const RunResult& r) {
+  sample_trace_counters();
+  results_.push_back(r);
+  append_progress(r);
+  if (r.status != RunStatus::Passed && r.status != RunStatus::Skipped &&
+      !params_.keep_going) {
+    stopped_ = true;
   }
 }
 
-void Executor::worker_main(int fd, const std::vector<const Cell*>& batch) {
-  // The fork inherited the parent's buffers and epoch; drop the records
-  // (the parent reports them) and re-zero onto a local clock, keeping the
-  // fork-time offset so the parent can splice this chunk onto its timeline.
-  cali::TraceSink& sink = cali::TraceSink::instance();
-  if (sink.enabled()) sink.rezero_after_fork("rperf-worker");
-  {
-    json::Object hello;
-    hello["type"] = "hello";
-    hello["proto"] = sandbox::kProtocolVersion;
-    hello["pid"] = static_cast<std::int64_t>(::getpid());
-    write_json_line(fd, std::move(hello));
+std::string Executor::skip_reason() const {
+  if (stopped_) {
+    return "sweep stopped by --no-keep-going after an earlier failure";
   }
-  for (const Cell* cell : batch) {
-    RunResult r;
-    r.kernel = cell->kernel->name();
-    r.variant = cell->vid;
-    r.tuning = cell->tuning;
-    r.tuning_name = cell->tuning_name;
-    cali::Channel scratch;
-    {
-      cali::TraceSpan cell_span(
-          cell_span_name(r.kernel, cell->vid, cell->tuning_name));
-      r.status = run_cell_once(*cell, scratch, r);
-    }
-    sample_trace_counters();
+  if (const int isig = sandbox::interrupt_signal(); isig != 0) {
+    return "interrupted by " + sandbox::signal_name(isig) +
+           "; checkpoint flushed";
+  }
+  return "";
+}
 
+void Executor::retry_backoff(int consumed) const {
+  if (params_.retry_backoff_ms > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        params_.retry_backoff_ms << (consumed - 1)));
+  }
+}
+
+void Executor::append_crash_line(json::Object o) const {
+  const std::string path = crashes_path();
+  if (path.empty()) return;
+  o["t_ms"] = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - run_start_)
+                  .count();
+  std::ofstream os(path, std::ios::app);
+  if (!os) return;  // forensics are best-effort; the sweep continues
+  std::string line = json::Value(std::move(o)).dump();
+  line.push_back('\n');
+  os.write(line.data(), static_cast<std::streamsize>(line.size()));
+}
+
+bool Executor::skip_or_restore(const Cell& cell,
+                               const std::map<std::string, RunResult>& prior,
+                               RunResult& r) {
+  r.kernel = cell.kernel->name();
+  r.group = cell.kernel->group();
+  r.variant = cell.vid;
+  r.tuning = cell.tuning;
+  r.tuning_name = cell.tuning_name;
+  const std::string key = cell_key(r.kernel, r.variant, r.tuning_name);
+  const auto restored = prior.find(key);
+  const auto crashes = crash_counts_.find(key);
+  if (std::string why = skip_reason(); !why.empty()) {
+    r.status = RunStatus::Skipped;
+    r.error = std::move(why);
+  } else if (restored != prior.end() &&
+             restored->second.status == RunStatus::Passed) {
+    r = restored->second;
+    r.group = cell.kernel->group();
+    r.tuning = cell.tuning;
+    r.restored = true;
+    cell.kernel->restore_result(cell.vid, cell.tuning, r.time_per_rep_sec,
+                                r.checksum);
+  } else if (crashes != crash_counts_.end() &&
+             crashes->second >= params_.quarantine_after) {
+    r.status = RunStatus::Skipped;
+    r.error = "quarantined after " + std::to_string(crashes->second) +
+              " crashes; see crashes.jsonl";
     json::Object o;
-    o["type"] = "cell";
+    o["kind"] = "quarantine-skip";
     o["kernel"] = r.kernel;
     o["variant"] = to_string(r.variant);
     o["tuning"] = r.tuning_name;
-    o["status"] = to_string(r.status);
-    o["time_per_rep_sec"] = r.time_per_rep_sec;
-    o["checksum"] = static_cast<double>(r.checksum);
-    o["checksum_hex"] = sandbox::checksum_to_hex(r.checksum);
-    o["problem_size"] = static_cast<std::int64_t>(r.problem_size);
-    o["reps"] = static_cast<std::int64_t>(r.reps);
-    o["setup_ms"] = r.setup_ms;
-    o["checksum_ms"] = r.checksum_ms;
-    o["pool_hits"] = static_cast<std::int64_t>(r.pool_hits);
-    o["cache_hits"] = static_cast<std::int64_t>(r.cache_hits);
-    hwc_to_json(r.hwc, o);
-    if (!r.error.empty()) o["error"] = r.error;
-    if (r.status == RunStatus::Passed) {
-      // The parent only commits passing cells' regions, so only those
-      // cross the pipe.
-      o["profile"] = cali::profile_to_value(cali::to_profile(scratch));
+    o["crashes"] = crashes->second;
+    append_crash_line(std::move(o));
+  } else {
+    return false;
+  }
+  finalize(r);
+  return true;
+}
+
+void Executor::run_cell_in_process(const Cell& cell, int consumed,
+                                   RunResult& r) {
+  // Guarded execution with retry-with-backoff. The cell runs into a
+  // scratch channel committed to the per-variant profile only on a pass,
+  // so failed cells never leave partial regions in the output.
+  for (int attempt = consumed; attempt <= params_.retries; ++attempt) {
+    if (attempt > 0) retry_backoff(attempt);
+    cali::Channel scratch;
+    r.attempts = attempt + 1;
+    {
+      cali::TraceSpan cell_span(
+          cell_span_name(r.kernel, cell.vid, cell.tuning_name));
+      r.status = run_cell_once(cell, scratch, r);
     }
-    write_json_line(fd, std::move(o));
-  }
-  if (sink.enabled()) {
-    // Stream this worker's trace chunk before bye. Parents predating the
-    // "trace" record type ignore unknown types, so the protocol version
-    // holds at v1.
-    json::Object tr;
-    tr["type"] = "trace";
-    tr["data"] = sink.flush().to_value();
-    write_json_line(fd, std::move(tr));
-  }
-  {
-    json::Object bye;
-    bye["type"] = "bye";
-    bye["injector"] = faults::injector().serialize_state();
-    write_json_line(fd, std::move(bye));
+    if (r.status == RunStatus::Passed) {
+      channels_[{cell.vid, cell.tuning_name}].merge(scratch);
+      return;
+    }
+    // A budget violation is deterministic; retrying only doubles the
+    // damage. Failures and corrupt checksums may be transient.
+    if (r.status == RunStatus::TimedOut) return;
   }
 }
 
-void Executor::run_sandboxed(const std::vector<Cell>& cells,
-                             const std::map<std::string, RunResult>& prior) {
-  // Worker granularity: one group of cells per worker. Cells are generated
-  // kernel-major, so Kernel mode groups consecutive cells per kernel.
-  std::vector<std::pair<std::size_t, std::size_t>> groups;
-  for (std::size_t b = 0; b < cells.size();) {
-    std::size_t e = b + 1;
-    if (params_.isolate == IsolationMode::Kernel) {
-      while (e < cells.size() && cells[e].kernel == cells[b].kernel) ++e;
-    }
-    groups.emplace_back(b, e);
-    b = e;
-  }
-
-  struct Pending {
-    const Cell* cell = nullptr;
+void Executor::run_in_process(const std::vector<Cell>& cells,
+                              const std::map<std::string, RunResult>& prior) {
+  for (const Cell& cell : cells) {
     RunResult r;
-    int attempts = 0;  // executions consumed (parent-authoritative)
-  };
-
-  bool stopped = false;
-  auto finalize = [&](RunResult& r) {
-    sample_trace_counters();
-    results_.push_back(r);
-    append_progress(r);
-    if (r.status != RunStatus::Passed && r.status != RunStatus::Skipped &&
-        !params_.keep_going) {
-      stopped = true;
-    }
-  };
-  auto append_crash_line = [&](json::Object o) {
-    const std::string path = crashes_path();
-    if (path.empty()) return;
-    o["t_ms"] = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - run_start_)
-                    .count();
-    std::ofstream os(path, std::ios::app);
-    if (!os) return;  // forensics are best-effort; the sweep continues
-    std::string line = json::Value(std::move(o)).dump();
-    line.push_back('\n');
-    os.write(line.data(), static_cast<std::streamsize>(line.size()));
-  };
-
-  for (const auto& [gb, ge] : groups) {
-    // Resolve restores, quarantine, and stop/interrupt skips in the parent;
-    // what remains is this group's worklist.
-    std::vector<Pending> work;
-    for (std::size_t i = gb; i < ge; ++i) {
-      const Cell& cell = cells[i];
-      RunResult r;
-      r.kernel = cell.kernel->name();
-      r.group = cell.kernel->group();
-      r.variant = cell.vid;
-      r.tuning = cell.tuning;
-      r.tuning_name = cell.tuning_name;
-
-      if (stopped) {
-        r.status = RunStatus::Skipped;
-        r.error = "sweep stopped by --no-keep-going after an earlier failure";
-        finalize(r);
-        continue;
-      }
-      if (const int isig = sandbox::interrupt_signal(); isig != 0) {
-        r.status = RunStatus::Skipped;
-        r.error = "interrupted by " + sandbox::signal_name(isig) +
-                  "; checkpoint flushed";
-        finalize(r);
-        continue;
-      }
-      const std::string key = cell_key(r.kernel, r.variant, r.tuning_name);
-      const auto it = prior.find(key);
-      if (it != prior.end() && it->second.status == RunStatus::Passed) {
-        r = it->second;
-        r.group = cell.kernel->group();
-        r.tuning = cell.tuning;
-        r.restored = true;
-        cell.kernel->restore_result(cell.vid, cell.tuning,
-                                    r.time_per_rep_sec, r.checksum);
-        finalize(r);
-        continue;
-      }
-      const auto qc = crash_counts_.find(key);
-      if (qc != crash_counts_.end() &&
-          qc->second >= params_.quarantine_after) {
-        r.status = RunStatus::Skipped;
-        r.error = "quarantined after " + std::to_string(qc->second) +
-                  " crashes; see crashes.jsonl";
-        json::Object o;
-        o["kind"] = "quarantine-skip";
-        o["kernel"] = r.kernel;
-        o["variant"] = to_string(r.variant);
-        o["tuning"] = r.tuning_name;
-        o["crashes"] = qc->second;
-        append_crash_line(std::move(o));
-        finalize(r);
-        continue;
-      }
-      Pending p;
-      p.cell = &cell;
-      p.r = std::move(r);
-      work.push_back(std::move(p));
-    }
-
-    // Spawn workers until the worklist drains. Each pass re-runs what the
-    // previous worker did not finish (crash) plus any retry-eligible cells.
-    while (!work.empty()) {
-      if (stopped || sandbox::interrupt_signal() != 0) {
-        const int isig = sandbox::interrupt_signal();
-        for (auto& p : work) {
-          p.r.status = RunStatus::Skipped;
-          p.r.error =
-              stopped
-                  ? "sweep stopped by --no-keep-going after an earlier failure"
-                  : "interrupted by " + sandbox::signal_name(isig) +
-                        "; checkpoint flushed";
-          finalize(p.r);
-        }
-        break;
-      }
-
-      sandbox::Limits limits;
-      limits.address_space_bytes = params_.sandbox_mem_mb << 20;
-      limits.cpu_seconds = params_.sandbox_cpu_seconds;
-      if (params_.max_cell_seconds > 0.0) {
-        limits.wall_deadline_sec =
-            params_.max_cell_seconds * static_cast<double>(work.size());
-      }
-
-      std::vector<const Cell*> batch;
-      batch.reserve(work.size());
-      for (const auto& p : work) batch.push_back(p.cell);
-
-      const sandbox::WorkerReport rep = [&] {
-        // Parent-side span covering the worker's whole lifetime, so the
-        // timeline shows fork/wait cost around the worker's own spans.
-        cali::TraceSpan worker_span("worker");
-        return sandbox::run_worker([&](int fd) { worker_main(fd, batch); },
-                                   limits);
-      }();
-      ++sandbox_stats_.children;
-      sandbox_stats_.peak_rss_kb =
-          std::max(sandbox_stats_.peak_rss_kb, rep.usage.max_rss_kb);
-      sandbox_stats_.user_sec += rep.usage.user_sec;
-      sandbox_stats_.sys_sec += rep.usage.sys_sec;
-#ifdef RPERF_SANDBOX_DIAG
-      std::fprintf(stderr,
-                   "[sandbox] worker done: cells=%zu %s rss=%ldkb "
-                   "user=%.3fs sys=%.3fs wall=%.3fs\n",
-                   batch.size(), rep.describe().c_str(), rep.usage.max_rss_kb,
-                   rep.usage.user_sec, rep.usage.sys_sec, rep.wall_sec);
-#endif
-
-      // Fold the worker's records back, in worklist order.
-      std::size_t idx = 0;
-      bool proto_ok = true;
-      std::vector<Pending> requeue;
-      for (const std::string& line : rep.lines) {
-        json::Value v;
-        try {
-          v = json::Value::parse(line);
-        } catch (const json::JsonError&) {
-          continue;  // torn line right at the crash point
-        }
-        const std::string type = v.string_or("type", "");
-        if (type == "hello") {
-          if (static_cast<int>(v.number_or("proto", 0.0)) !=
-              sandbox::kProtocolVersion) {
-            proto_ok = false;
-            break;
-          }
-        } else if (type == "cell" && idx < work.size()) {
-          Pending& p = work[idx++];
-          ++p.attempts;
-          try {
-            decode_cell_record(v, p.r);
-          } catch (const std::exception& e) {
-            p.r.status = RunStatus::Crashed;
-            p.r.error = std::string("malformed worker record: ") + e.what();
-          }
-          p.r.attempts = p.attempts;
-          if (p.r.status == RunStatus::Passed) {
-            if (v.contains("profile")) {
-              const cali::Channel scratch = cali::channel_from_profile(
-                  cali::profile_from_value(v.at("profile")));
-              channels_[{p.cell->vid, p.cell->tuning_name}].merge(scratch);
-            }
-            p.cell->kernel->restore_result(p.cell->vid, p.cell->tuning,
-                                           p.r.time_per_rep_sec, p.r.checksum);
-            finalize(p.r);
-          } else if ((p.r.status == RunStatus::Failed ||
-                      p.r.status == RunStatus::ChecksumInvalid) &&
-                     p.attempts <= params_.retries && !stopped) {
-            if (params_.retry_backoff_ms > 0) {
-              std::this_thread::sleep_for(std::chrono::milliseconds(
-                  params_.retry_backoff_ms << (p.attempts - 1)));
-            }
-            requeue.push_back(std::move(p));
-          } else {
-            finalize(p.r);
-          }
-        } else if (type == "trace") {
-          try {
-            worker_traces_.push_back(
-                cali::TraceData::from_value(v.at("data")));
-          } catch (const std::exception&) {
-            // Malformed chunk: the timeline loses one worker's spans; the
-            // sweep's results are unaffected.
-          }
-        } else if (type == "bye") {
-          // Fold the worker's fault-budget consumption and rng progress
-          // back, so the sweep's fault schedule is worker-count invariant.
-          faults::injector().deserialize_state(v.string_or("injector", ""));
-        }
-      }
-
-      // A worker that terminated with cells unreported died on the first
-      // one: decode its death into that cell's status and record forensics.
-      const bool worker_failed =
-          !rep.clean() || !proto_ok || idx < work.size();
-      if (worker_failed && idx < work.size()) {
-        Pending& p = work[idx++];
-        ++p.attempts;
-        p.r.attempts = p.attempts;
-        if (proto_ok) {
-          decode_worker_failure(rep, params_.sandbox_mem_mb, p.r);
-        } else {
-          p.r.status = RunStatus::Crashed;
-          p.r.error = "worker spoke an unknown protocol version";
-        }
-        const std::string key =
-            cell_key(p.r.kernel, p.r.variant, p.r.tuning_name);
-        const int crashes = ++crash_counts_[key];
-        const bool quarantined = crashes >= params_.quarantine_after;
-
-        json::Object o;
-        o["kind"] = "crash";
-        o["kernel"] = p.r.kernel;
-        o["variant"] = to_string(p.r.variant);
-        o["tuning"] = p.r.tuning_name;
-        o["status"] = to_string(p.r.status);
-        o["crashes"] = crashes;
-        o["attempts"] = p.attempts;
-        o["exit_code"] = rep.exit_code;
-        o["deadline_killed"] =
-            rep.exit == sandbox::WorkerExit::DeadlineKilled;
-        if (rep.signal != 0) {
-          o["signal"] = rep.signal;
-          o["signal_name"] = sandbox::signal_name(rep.signal);
-        }
-        o["error"] = p.r.error;
-        if (!rep.stderr_tail.empty()) o["stderr_tail"] = rep.stderr_tail;
-        o["max_rss_kb"] = static_cast<std::int64_t>(rep.usage.max_rss_kb);
-        o["user_sec"] = rep.usage.user_sec;
-        o["sys_sec"] = rep.usage.sys_sec;
-        o["wall_sec"] = rep.wall_sec;
-        o["quarantined"] = quarantined;
-        append_crash_line(std::move(o));
-
-        // The worker died before reporting, so its injector state is lost;
-        // consume the budget the fatal fault definitionally spent.
-        if (faults::injector().active()) {
-          if (const auto kind = implied_fault_kind(p.r, rep.signal)) {
-            faults::injector().note_external_fire(*kind, p.r.kernel);
-          }
-        }
-
-        const bool retryable = p.r.status == RunStatus::Crashed ||
-                               p.r.status == RunStatus::OutOfMemory;
-        if (retryable && !quarantined && p.attempts <= params_.retries &&
-            !stopped) {
-          if (params_.retry_backoff_ms > 0) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                params_.retry_backoff_ms << (p.attempts - 1)));
-          }
-          requeue.push_back(std::move(p));
-        } else {
-          finalize(p.r);
-        }
-      }
-
-      // Cells the dead worker never reached go back on the worklist
-      // without consuming an attempt.
-      for (std::size_t j = idx; j < work.size(); ++j) {
-        requeue.push_back(std::move(work[j]));
-      }
-      work = std::move(requeue);
-    }
+    if (skip_or_restore(cell, prior, r)) continue;
+    run_cell_in_process(cell, 0, r);
+    finalize(r);
   }
 }
 
 std::string Executor::worker_run_cell(const std::string& payload) {
-  const json::Value v = json::Value::parse(payload);
-  const std::string kname = v.at("kernel").as_string();
-  // The job carries the parent's injector state as of dispatch time, so a
-  // retried cell sees spent budgets instead of re-firing the fault that
-  // killed its first worker.
-  faults::injector().deserialize_state(v.string_or("injector", ""));
+  wire::Reader rd(payload);
+  rd.expect_blob();
+  RunResult r;
+  r.kernel = rd.get_bytes();
+  r.variant = variant_from_string(rd.get_bytes());
+  r.tuning = static_cast<std::size_t>(rd.get_u64());
+  r.tuning_name = rd.get_bytes();
   // Run with the team the supervisor admitted: one thread for a Seq cell
   // (its setUp fills and checksums go serial, bit-identically), the
   // in-process team for an OpenMP cell, which runs alone.
-  const int team = static_cast<int>(v.number_or("threads", 0.0));
+  const int team = static_cast<int>(rd.get_u32());
   if (team > 0) omp_set_num_threads(team);
+  // The job carries the parent's injector state as of dispatch time, so a
+  // retried cell sees spent budgets instead of re-firing the fault that
+  // killed its first worker.
+  faults::injector().deserialize_state(rd.get_bytes());
 
   // Wire fault: go silent. The heartbeat thread stops beating and the job
   // never completes — from the supervisor's seat, a wedged worker.
   if (faults::injector().fire_wire_fault(faults::FaultKind::HeartbeatDrop,
-                                         kname)) {
+                                         r.kernel)) {
     sandbox::WorkerPool::suppress_heartbeats();
     for (int i = 0; i < 6000; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -1313,17 +931,11 @@ std::string Executor::worker_run_cell(const std::string& payload) {
     std::_Exit(1);  // safety valve; the supervisor kills us long before
   }
 
-  RunResult r;
-  r.kernel = kname;
-  r.variant = variant_from_string(v.at("variant").as_string());
-  r.tuning = static_cast<std::size_t>(v.number_or("tuning_index", 0.0));
-  r.tuning_name = v.string_or("tuning", "default");
-
   std::optional<cali::Profile> profile;
-  KernelBase* kernel = find_kernel(kname);
+  KernelBase* kernel = find_kernel(r.kernel);
   if (kernel == nullptr) {
     r.status = RunStatus::Failed;
-    r.error = "unknown kernel in job payload: " + kname;
+    r.error = "unknown kernel in job payload: " + r.kernel;
   } else {
     const Cell cell{kernel, r.variant, r.tuning, r.tuning_name};
     cali::Channel scratch;
@@ -1339,46 +951,22 @@ std::string Executor::worker_run_cell(const std::string& payload) {
   }
 
   // Post-job injector state rides back on every result so the parent's
-  // fault schedule stays worker-count invariant (same fold as v1 "bye",
-  // but per job since this worker may die before any orderly goodbye).
+  // fault schedule stays worker-count invariant.
   const std::string injector_state = faults::injector().serialize_state();
 
-  // Wire fault: torn result. Under the Json transport the frame goes out
-  // with a bad CRC; under Shm the next ring chunk's sequence stamp is
-  // mangled. Either way the supervisor must reject the record and recycle
-  // this worker rather than mis-parse it.
+  // Wire fault: torn result. The frame goes out with a bad CRC; the
+  // supervisor must reject the record and recycle this worker rather than
+  // mis-parse it.
   if (faults::injector().fire_wire_fault(faults::FaultKind::ProtocolCorrupt,
-                                         kname)) {
+                                         r.kernel)) {
     sandbox::WorkerPool::corrupt_next_frame();
   }
-
-  if (sandbox::WorkerPool::current_transport() == sandbox::Transport::Shm) {
-    return encode_cell_record_wire(r, injector_state,
-                                   profile ? &*profile : nullptr);
-  }
-
-  json::Object o;
-  if (profile) o["profile"] = cali::profile_to_value(*profile);
-  o["status"] = to_string(r.status);
-  o["time_per_rep_sec"] = r.time_per_rep_sec;
-  o["checksum"] = static_cast<double>(r.checksum);
-  o["checksum_hex"] = sandbox::checksum_to_hex(r.checksum);
-  o["problem_size"] = static_cast<std::int64_t>(r.problem_size);
-  o["reps"] = static_cast<std::int64_t>(r.reps);
-  o["setup_ms"] = r.setup_ms;
-  o["checksum_ms"] = r.checksum_ms;
-  o["pool_hits"] = static_cast<std::int64_t>(r.pool_hits);
-  o["cache_hits"] = static_cast<std::int64_t>(r.cache_hits);
-  hwc_to_json(r.hwc, o);
-  if (!r.error.empty()) o["error"] = r.error;
-  o["injector"] = injector_state;
-  return json::Value(std::move(o)).dump();
+  return encode_cell_record(r, injector_state,
+                            profile ? &*profile : nullptr);
 }
 
 void Executor::run_pooled(const std::vector<Cell>& cells,
                           const std::map<std::string, RunResult>& prior) {
-  // Pooled dispatch is always per-cell: one job per (kernel, variant,
-  // tuning), pulled by the supervisor as queue room opens up.
   struct PooledJob {
     const Cell* cell = nullptr;
     RunResult r;
@@ -1386,79 +974,23 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
     bool done = false;
   };
 
-  bool stopped = false;
-  auto finalize = [&](RunResult& r) {
-    sample_trace_counters();
-    results_.push_back(r);
-    append_progress(r);
-    if (r.status != RunStatus::Passed && r.status != RunStatus::Skipped &&
-        !params_.keep_going) {
-      stopped = true;
-    }
-  };
-  auto append_crash_line = [&](json::Object o) {
-    const std::string path = crashes_path();
-    if (path.empty()) return;
-    o["t_ms"] = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - run_start_)
-                    .count();
-    std::ofstream os(path, std::ios::app);
-    if (!os) return;  // forensics are best-effort; the sweep continues
-    std::string line = json::Value(std::move(o)).dump();
-    line.push_back('\n');
-    os.write(line.data(), static_cast<std::streamsize>(line.size()));
-  };
-
   // Resolve restores, quarantine, and interrupt skips up front; what
   // remains becomes the pool's job list.
   std::vector<PooledJob> jobs;
   for (const Cell& cell : cells) {
-    RunResult r;
-    r.kernel = cell.kernel->name();
-    r.group = cell.kernel->group();
-    r.variant = cell.vid;
-    r.tuning = cell.tuning;
-    r.tuning_name = cell.tuning_name;
-
-    if (const int isig = sandbox::interrupt_signal(); isig != 0) {
-      r.status = RunStatus::Skipped;
-      r.error = "interrupted by " + sandbox::signal_name(isig) +
-                "; checkpoint flushed";
-      finalize(r);
-      continue;
-    }
-    const std::string key = cell_key(r.kernel, r.variant, r.tuning_name);
-    const auto it = prior.find(key);
-    if (it != prior.end() && it->second.status == RunStatus::Passed) {
-      r = it->second;
-      r.group = cell.kernel->group();
-      r.tuning = cell.tuning;
-      r.restored = true;
-      cell.kernel->restore_result(cell.vid, cell.tuning, r.time_per_rep_sec,
-                                  r.checksum);
-      finalize(r);
-      continue;
-    }
-    const auto qc = crash_counts_.find(key);
-    if (qc != crash_counts_.end() && qc->second >= params_.quarantine_after) {
-      r.status = RunStatus::Skipped;
-      r.error = "quarantined after " + std::to_string(qc->second) +
-                " crashes; see crashes.jsonl";
-      json::Object o;
-      o["kind"] = "quarantine-skip";
-      o["kernel"] = r.kernel;
-      o["variant"] = to_string(r.variant);
-      o["tuning"] = r.tuning_name;
-      o["crashes"] = qc->second;
-      append_crash_line(std::move(o));
-      finalize(r);
-      continue;
-    }
     PooledJob p;
+    if (skip_or_restore(cell, prior, p.r)) continue;
     p.cell = &cell;
-    p.r = std::move(r);
     jobs.push_back(std::move(p));
   }
+
+  // --workers N keeps N workers across cells. Without it, --isolate
+  // cell|kernel is one disposable worker, replaced whenever the affinity
+  // key changes: keyed per cell, every cell gets a fresh process; keyed
+  // per kernel, every kernel does.
+  const bool disposable = params_.workers == 0;
+  const bool key_per_cell =
+      disposable && params_.isolate == IsolationMode::Cell;
 
   // Measured kernel loops must not preempt each other, so the pool admits
   // cells against a budget of the machine's cores: a Seq cell runs on one
@@ -1471,10 +1003,21 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
     return is_openmp_variant(v) ? omp_team : 1;
   };
 
+  // A job came back: requeue it while it has retries left, else settle it.
+  auto settle = [&](PooledJob& p, bool retryable) {
+    if (retryable && p.attempts <= params_.retries && !stopped_) {
+      retry_backoff(p.attempts);
+      return sandbox::Disposition::Retry;
+    }
+    finalize(p.r);
+    p.done = true;
+    return stopped_ ? sandbox::Disposition::Abort : sandbox::Disposition::Done;
+  };
+
   sandbox::PoolClient client;
   client.on_worker_start = [] {
     cali::TraceSink& sink = cali::TraceSink::instance();
-    if (sink.enabled()) sink.rezero_after_fork("rperf-pool-worker");
+    if (sink.enabled()) sink.rezero_after_fork("rperf-worker");
   };
   client.run_job = [this](const std::string& payload) {
     return worker_run_cell(payload);
@@ -1482,30 +1025,16 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
   client.final_payload = [] {
     cali::TraceSink& sink = cali::TraceSink::instance();
     if (!sink.enabled()) return std::string();
-    if (sandbox::WorkerPool::current_transport() ==
-        sandbox::Transport::Shm) {
-      wire::Writer w;
-      w.begin_blob();
-      cali::trace_to_wire(sink.flush(), w);
-      return w.take();
-    }
-    json::Object o;
-    o["trace"] = sink.flush().to_value();
-    return json::Value(std::move(o)).dump();
+    wire::Writer w;
+    w.begin_blob();
+    cali::trace_to_wire(sink.flush(), w);
+    return w.take();
   };
   client.on_final = [this](const std::string& payload) {
-    if (payload.empty()) return;
     try {
-      if (wire::is_wire_blob(payload)) {
-        wire::Reader rd(payload);
-        rd.expect_blob();
-        worker_traces_.push_back(cali::trace_from_wire(rd));
-        return;
-      }
-      const json::Value v = json::Value::parse(payload);
-      if (v.contains("trace")) {
-        worker_traces_.push_back(cali::TraceData::from_value(v.at("trace")));
-      }
+      wire::Reader rd(payload);
+      rd.expect_blob();
+      worker_traces_.push_back(cali::trace_from_wire(rd));
     } catch (const std::exception&) {
       // Malformed chunk: the timeline loses one worker's spans; the
       // sweep's results are unaffected.
@@ -1513,38 +1042,23 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
   };
   client.before_dispatch = [&](sandbox::Job& job) {
     const PooledJob& p = jobs[job.id];
-    json::Object o;
-    o["kernel"] = p.r.kernel;
-    o["variant"] = to_string(p.r.variant);
-    o["tuning_index"] = static_cast<std::int64_t>(p.cell->tuning);
-    o["tuning"] = p.r.tuning_name;
-    o["threads"] = team_of(p.cell->vid);
-    // Current state, captured at dispatch — not enqueue — time, so a retry
-    // after a fatal fire carries the decremented budget.
-    o["injector"] = faults::injector().serialize_state();
-    job.payload = json::Value(std::move(o)).dump();
+    // Current injector state, captured at dispatch — not enqueue — time,
+    // so a retry after a fatal fire carries the decremented budget.
+    job.payload = encode_job(p.r.kernel, p.cell->vid, p.cell->tuning,
+                             p.r.tuning_name, team_of(p.cell->vid),
+                             faults::injector().serialize_state());
   };
   client.on_result = [&](const sandbox::Job& job,
                          const std::string& result) -> sandbox::Disposition {
     PooledJob& p = jobs[job.id];
-    ++p.attempts;
-    p.r.attempts = p.attempts;
+    p.r.attempts = ++p.attempts;
     try {
+      std::string injector_state;
       std::optional<cali::Profile> profile;
-      if (wire::is_wire_blob(result)) {
-        // v3 binary record: fixed-width fields, checksum as raw
-        // long-double bits, profile merged without a JSON round-trip.
-        std::string injector_state;
-        decode_cell_record_wire(result, p.r, injector_state, profile);
-        faults::injector().deserialize_state(injector_state);
-      } else {
-        const json::Value v = json::Value::parse(result);
-        decode_cell_record(v, p.r);
-        faults::injector().deserialize_state(v.string_or("injector", ""));
-        if (v.contains("profile")) {
-          profile = cali::profile_from_value(v.at("profile"));
-        }
-      }
+      decode_cell_record(result, p.r, injector_state, profile);
+      // Fold, not overwrite: this job may have been dispatched before
+      // another worker's crash spent a budget it still carries.
+      faults::injector().fold_result_state(injector_state);
       if (p.r.status == RunStatus::Passed) {
         if (profile) {
           const cali::Channel scratch = cali::channel_from_profile(*profile);
@@ -1557,54 +1071,15 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
       p.r.status = RunStatus::Crashed;
       p.r.error = std::string("malformed worker record: ") + e.what();
     }
-    if ((p.r.status == RunStatus::Failed ||
-         p.r.status == RunStatus::ChecksumInvalid) &&
-        p.attempts <= params_.retries && !stopped) {
-      if (params_.retry_backoff_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            params_.retry_backoff_ms << (p.attempts - 1)));
-      }
-      return sandbox::Disposition::Retry;
-    }
-    finalize(p.r);
-    p.done = true;
-    return stopped ? sandbox::Disposition::Abort : sandbox::Disposition::Done;
+    return settle(p, p.r.status == RunStatus::Failed ||
+                         p.r.status == RunStatus::ChecksumInvalid);
   };
   client.on_failure = [&](const sandbox::Job& job,
                           const sandbox::JobFailure& f)
       -> sandbox::Disposition {
     PooledJob& p = jobs[job.id];
-    ++p.attempts;
-    p.r.attempts = p.attempts;
-    switch (f.reason) {
-      case sandbox::FailReason::DeadlineKilled:
-        p.r.status = RunStatus::Killed;
-        p.r.error = "worker killed past the per-cell wall deadline";
-        break;
-      case sandbox::FailReason::HeartbeatTimeout:
-      case sandbox::FailReason::ProtocolCorrupt:
-        p.r.status = RunStatus::Crashed;
-        p.r.error = f.describe();
-        break;
-      case sandbox::FailReason::WorkerDied: {
-        // Reuse the fork-per-batch classifier by reconstructing its report.
-        sandbox::WorkerReport rep;
-        if (f.exited) {
-          rep.exit_code = f.exit_code;
-          rep.exit = f.exit_code == sandbox::kOomExitCode
-                         ? sandbox::WorkerExit::OomExit
-                         : f.exit_code == 0 ? sandbox::WorkerExit::CleanExit
-                                            : sandbox::WorkerExit::NonzeroExit;
-        } else {
-          rep.exit = sandbox::WorkerExit::Signaled;
-          rep.signal = f.signal;
-        }
-        rep.usage = f.usage;
-        rep.stderr_tail = f.stderr_tail;
-        decode_worker_failure(rep, params_.sandbox_mem_mb, p.r);
-        break;
-      }
-    }
+    p.r.attempts = ++p.attempts;
+    decode_job_failure(f, params_.sandbox_mem_mb, p.r);
 
     const std::string key = cell_key(p.r.kernel, p.r.variant, p.r.tuning_name);
     const int crashes = ++crash_counts_[key];
@@ -1634,88 +1109,63 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
     append_crash_line(std::move(o));
 
     // The worker died before reporting, so its injector state is lost;
-    // consume the budget the fatal fault definitionally spent. The wire
-    // kinds imply themselves; process deaths imply segv/abort/oom/hang.
+    // consume the budget the fatal fault definitionally spent.
     if (faults::injector().active()) {
-      if (f.reason == sandbox::FailReason::HeartbeatTimeout) {
-        faults::injector().note_external_fire(faults::FaultKind::HeartbeatDrop,
-                                              p.r.kernel);
-      } else if (f.reason == sandbox::FailReason::ProtocolCorrupt) {
-        faults::injector().note_external_fire(
-            faults::FaultKind::ProtocolCorrupt, p.r.kernel);
-      } else if (const auto kind = implied_fault_kind(p.r, f.signal)) {
+      if (const auto kind = implied_fault_kind(f, p.r.status)) {
         faults::injector().note_external_fire(*kind, p.r.kernel);
       }
     }
-
-    const bool retryable = p.r.status == RunStatus::Crashed ||
-                           p.r.status == RunStatus::OutOfMemory;
-    if (retryable && !quarantined && p.attempts <= params_.retries &&
-        !stopped) {
-      if (params_.retry_backoff_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            params_.retry_backoff_ms << (p.attempts - 1)));
-      }
-      return sandbox::Disposition::Retry;
-    }
-    finalize(p.r);
-    p.done = true;
-    return stopped ? sandbox::Disposition::Abort : sandbox::Disposition::Done;
+    return settle(p, !quarantined && (p.r.status == RunStatus::Crashed ||
+                                      p.r.status == RunStatus::OutOfMemory));
   };
 
   sandbox::PoolConfig cfg;
-  cfg.workers = params_.workers;
+  cfg.workers = disposable ? 1 : params_.workers;
+  cfg.disposable = disposable;
   cfg.heartbeat_interval_ms = params_.heartbeat_interval_ms;
   cfg.heartbeat_timeout_ms = params_.heartbeat_timeout_ms;
   cfg.job_deadline_sec = params_.max_cell_seconds;
   cfg.limits.address_space_bytes = params_.sandbox_mem_mb << 20;
-  // cfg.limits.cpu_seconds stays 0: RLIMIT_CPU accrues across a pooled
-  // worker's whole life and would misfire mid-sweep (see PoolConfig).
-  cfg.transport = params_.shm_transport ? sandbox::Transport::Shm
-                                        : sandbox::Transport::Json;
+  cfg.limits.cpu_seconds = params_.sandbox_cpu_seconds;
   // Affinity dispatch scans the pending queue for unclaimed keys, so give
   // it a window wider than the default 2x workers: enough to see past one
   // kernel's contiguous (variant, tuning) cells to the next kernel.
-  cfg.queue_capacity = static_cast<std::size_t>(params_.workers) * 8;
+  cfg.queue_capacity = static_cast<std::size_t>(cfg.workers) * 8;
 
   // Seed the wire dictionary before the pool forks: every worker inherits
   // the sweep's vocabulary (statuses, kernel/region names, metric keys) by
-  // memory image, so v3 records encode them as fixed-width refs with no
-  // per-blob definitions — Caliper's "attributes established at hello
+  // memory image, so result records encode them as fixed-width refs with
+  // no per-blob definitions — Caliper's "attributes established at hello
   // time", done by fork inheritance instead of a handshake.
-  if (params_.shm_transport) {
-    wire::Dictionary& d = wire::dict();
-    for (const RunStatus s :
-         {RunStatus::Passed, RunStatus::Failed, RunStatus::ChecksumInvalid,
-          RunStatus::TimedOut, RunStatus::Skipped, RunStatus::Crashed,
-          RunStatus::OutOfMemory, RunStatus::Killed}) {
-      d.intern(to_string(s));
-    }
-    for (const char* metric :
-         {"reps", "bytes_read", "bytes_written", "flops", "problem_size"}) {
-      d.intern(metric);
-    }
-    if (params_.hwc) {
-      for (const std::string& name : hwc::papi_event_names()) d.intern(name);
-      d.intern("measured");
-      d.intern("simulated");
-    }
-    for (const PooledJob& p : jobs) {
-      d.intern(p.r.kernel);
-      d.intern(to_string(p.cell->vid));
-      d.intern(p.r.tuning_name);
-    }
+  wire::Dictionary& d = wire::dict();
+  for (const RunStatus s : all_run_statuses()) d.intern(to_string(s));
+  for (const char* metric :
+       {"reps", "bytes_read", "bytes_written", "flops", "problem_size"}) {
+    d.intern(metric);
+  }
+  if (params_.hwc) {
+    for (const std::string& name : hwc::papi_event_names()) d.intern(name);
+    d.intern("measured");
+    d.intern("simulated");
+  }
+  for (const PooledJob& p : jobs) {
+    d.intern(p.r.kernel);
+    d.intern(to_string(p.cell->vid));
+    d.intern(p.r.tuning_name);
   }
 
   std::size_t next = 0;
   const auto source = [&]() -> std::optional<sandbox::Job> {
-    if (stopped) return std::nullopt;
-    if (next >= jobs.size()) return std::nullopt;
+    if (stopped_ || next >= jobs.size()) return std::nullopt;
+    const PooledJob& p = jobs[next];
     sandbox::Job job;
-    // Cells of one kernel share a dispatch-affinity key, steering them to
-    // the worker whose dataset cache that kernel already warmed.
-    job.affinity = affinity_key(jobs[next].r.kernel);
-    job.cores = team_of(jobs[next].cell->vid);
+    // Cells of one kernel share a key, steering them to the worker whose
+    // dataset cache that kernel already warmed; a disposable pool keyed
+    // per cell gives every cell a worker of its own.
+    job.affinity = affinity_key(
+        key_per_cell ? cell_key(p.r.kernel, p.r.variant, p.r.tuning_name)
+                     : p.r.kernel);
+    job.cores = team_of(p.cell->vid);
     job.id = next++;
     return job;  // payload is filled by before_dispatch
   };
@@ -1727,22 +1177,19 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
     outcome = pool.run(source);
   }
   pool_stats_ = pool.stats();
-  sandbox_stats_.children = pool_stats_.spawns;
-  sandbox_stats_.peak_rss_kb = pool_stats_.peak_rss_kb;
-  sandbox_stats_.user_sec = pool_stats_.child_user_sec;
-  sandbox_stats_.sys_sec = pool_stats_.child_sys_sec;
 #ifdef RPERF_SANDBOX_DIAG
   std::fprintf(stderr,
                "[sandbox] pool done: spawns=%zu recycles=%zu hb_timeouts=%zu "
-               "deadline_kills=%zu corrupt=%zu jobs=%zu/%zu\n",
+               "deadline_kills=%zu corrupt=%zu jobs=%zu/%zu rss=%ldkb "
+               "user=%.3fs sys=%.3fs\n",
                pool_stats_.spawns, pool_stats_.recycles,
                pool_stats_.heartbeat_timeouts, pool_stats_.deadline_kills,
                pool_stats_.corrupt_frames, pool_stats_.jobs_completed,
-               pool_stats_.jobs_dispatched);
+               pool_stats_.jobs_dispatched, pool_stats_.peak_rss_kb,
+               pool_stats_.child_user_sec, pool_stats_.child_sys_sec);
 #endif
 
-  if (outcome == sandbox::PoolOutcome::SpawnFailed && !stopped &&
-      sandbox::interrupt_signal() == 0) {
+  if (outcome == sandbox::PoolOutcome::SpawnFailed && skip_reason().empty()) {
     // Graceful degradation: the pool could not keep a single worker alive
     // (fork failure, respawn budgets exhausted). Finish the sweep
     // in-process rather than losing it. Safe with respect to the OpenMP
@@ -1756,29 +1203,8 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
                  "crash containment disabled for the rest of this sweep\n";
     for (PooledJob& p : jobs) {
       if (p.done) continue;
-      if (stopped || sandbox::interrupt_signal() != 0) break;
-      for (; p.attempts <= params_.retries; ) {
-        if (p.attempts > 0 && params_.retry_backoff_ms > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              params_.retry_backoff_ms << (p.attempts - 1)));
-        }
-        cali::Channel scratch;
-        p.r.attempts = ++p.attempts;
-        {
-          cali::TraceSpan cell_span(
-              cell_span_name(p.r.kernel, p.cell->vid, p.cell->tuning_name));
-          p.r.status = run_cell_once(*p.cell, scratch, p.r);
-        }
-        if (p.r.status == RunStatus::Passed) {
-          channels_[{p.cell->vid, p.cell->tuning_name}].merge(scratch);
-          break;
-        }
-        if (p.r.status == RunStatus::TimedOut) break;
-        if (p.r.status != RunStatus::Failed &&
-            p.r.status != RunStatus::ChecksumInvalid) {
-          break;
-        }
-      }
+      if (!skip_reason().empty()) break;
+      run_cell_in_process(*p.cell, p.attempts, p.r);
       finalize(p.r);
       p.done = true;
     }
@@ -1787,20 +1213,12 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
   // Anything still unresolved (interrupt, --no-keep-going abort, pool
   // failure mid-degradation) is recorded as skipped so every planned cell
   // has a terminal record.
-  const int isig = sandbox::interrupt_signal();
   for (PooledJob& p : jobs) {
     if (p.done) continue;
     p.r.status = RunStatus::Skipped;
-    if (stopped) {
-      p.r.error = "sweep stopped by --no-keep-going after an earlier failure";
-    } else if (isig != 0) {
-      p.r.error = "interrupted by " + sandbox::signal_name(isig) +
-                  "; checkpoint flushed";
-    } else {
-      p.r.error = "not executed: worker pool unavailable";
-    }
+    p.r.error = skip_reason();
+    if (p.r.error.empty()) p.r.error = "not executed: worker pool unavailable";
     finalize(p.r);
-    p.done = true;
   }
 }
 

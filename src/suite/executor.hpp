@@ -16,21 +16,23 @@
 // Passed there instead of re-running them — an interrupted multi-hour sweep
 // loses at most one kernel.
 //
-// With RunParams::isolate != None, cells execute in disposable worker
-// processes (rperf::sandbox) instead of in-process: a crash, OOM, or hang
-// is contained to the worker and decoded into RunStatus::Crashed /
+// With RunParams::isolate != None, cells execute in worker processes
+// supervised by a sandbox::WorkerPool instead of in-process: a crash, OOM,
+// or hang is contained to the worker and decoded into RunStatus::Crashed /
 // OutOfMemory / Killed, forensics (signal, stderr tail, backtrace, rusage)
 // are appended to <output_dir>/crashes.jsonl, and a cell that crashes
 // RunParams::quarantine_after times is quarantined — skipped with a
-// recorded reason, including across --resume runs. Workers stream results
-// back over a versioned pipe protocol and the parent folds them into the
-// same channels, checkpoint, and reports as in-process execution, so the
-// two modes produce identical outputs for passing sweeps.
+// recorded reason, including across --resume runs. --workers N runs N
+// persistent workers; without it, one disposable worker is replaced per
+// cell (--isolate cell) or per kernel (--isolate kernel). Workers send
+// each result back as an rperf::wire record and the parent folds it into
+// the same channels, checkpoint, and reports as in-process execution, so
+// the two modes produce identical outputs for passing sweeps.
 //
 // With RunParams::trace, the process-wide TraceSink records the whole
 // sweep — a "sweep" span, one span per cell, per-thread spans from traced
 // OpenMP foralls, and counter tracks — including sandboxed workers, which
-// stream their trace chunk back over the pipe protocol with a fork-time
+// send their trace chunk back over the pool protocol with a fork-time
 // clock offset. write_trace() merges every chunk into one Chrome/Perfetto
 // timeline, and the sink's self-accounted cost lands in the
 // "trace_overhead_pct" run metadata.
@@ -169,8 +171,8 @@ class Executor {
   /// --hwc is off), gated < 5% by the perf_hwc_overhead smoke test.
   [[nodiscard]] double hwc_overhead_pct() const { return hwc_overhead_pct_; }
 
-  // ----- worker pool (RunParams::workers > 0) -----
-  /// Supervisor statistics of the last pooled run (zeroed otherwise).
+  // ----- worker pool (RunParams::isolate != None) -----
+  /// Supervisor statistics of the last sandboxed run (zeroed otherwise).
   [[nodiscard]] const sandbox::PoolStats& pool_stats() const {
     return pool_stats_;
   }
@@ -187,36 +189,40 @@ class Executor {
     std::string tuning_name;
   };
 
-  /// Aggregate worker accounting for one sandboxed sweep, folded into the
-  /// run metadata (and stderr diagnostics under RPERF_SANDBOX_DIAG).
-  struct SandboxStats {
-    std::size_t children = 0;
-    long peak_rss_kb = 0;
-    double user_sec = 0.0;
-    double sys_sec = 0.0;
-  };
-
   /// Execute one cell (single attempt) into `channel`, classifying the
   /// outcome; fills time/checksum fields of `r` on success.
   RunStatus run_cell_once(const Cell& cell, cali::Channel& channel,
                           RunResult& r);
-  /// The classic path: every cell runs in this process.
+  /// Run `cell` in this process until it passes or its retries run out,
+  /// merging a passing attempt into its variant's profile. `consumed`
+  /// counts attempts already spent elsewhere (a pool that degraded).
+  void run_cell_in_process(const Cell& cell, int consumed, RunResult& r);
+  /// Start `r` for `cell`. When the cell must not run — the sweep stopped
+  /// or was interrupted, --resume restores it, or crashes quarantined it
+  /// — finalize it and return true.
+  bool skip_or_restore(const Cell& cell,
+                       const std::map<std::string, RunResult>& prior,
+                       RunResult& r);
+  /// Why unstarted cells are skipped; "" while the sweep runs on.
+  [[nodiscard]] std::string skip_reason() const;
+  /// Record a terminal cell (results, checkpoint, store, trace counters);
+  /// latches stopped_ on a failure under --no-keep-going.
+  void finalize(const RunResult& r);
+  /// Sleep the retry backoff that follows `consumed` attempts.
+  void retry_backoff(int consumed) const;
+  /// Append one forensics record to crashes.jsonl (best-effort).
+  void append_crash_line(json::Object o) const;
+  /// Every cell runs in this process.
   void run_in_process(const std::vector<Cell>& cells,
                       const std::map<std::string, RunResult>& prior);
-  /// The sandboxed path: cells run in forked workers (isolate=kernel|cell).
-  void run_sandboxed(const std::vector<Cell>& cells,
-                     const std::map<std::string, RunResult>& prior);
-  /// The pooled path (RunParams::workers > 0): cells are dispatched as a
-  /// work queue to N persistent supervised workers (sandbox::WorkerPool);
-  /// falls back to in-process execution when no worker can be spawned.
+  /// Cells run in sandbox::WorkerPool workers: N persistent ones under
+  /// --workers N, otherwise one disposable worker per cell or kernel.
+  /// Falls back to in-process execution when no worker can be spawned.
   void run_pooled(const std::vector<Cell>& cells,
                   const std::map<std::string, RunResult>& prior);
   /// Body executed inside a pooled worker for one job payload; returns
-  /// the result payload (the v1 "cell" record plus injector state).
+  /// the wire-encoded cell result with the post-job injector state.
   std::string worker_run_cell(const std::string& payload);
-  /// Body executed inside a forked worker: stream hello / per-cell records /
-  /// bye over `fd` for every cell in `batch` (sandbox/protocol.hpp).
-  void worker_main(int fd, const std::vector<const Cell*>& batch);
   void append_progress(const RunResult& r);
   /// Land one terminal cell in the profile store (no-op when off); a
   /// StoreError latches the store disabled with a warning — durability
@@ -236,6 +242,8 @@ class Executor {
   std::map<std::pair<VariantID, std::string>, cali::Channel> channels_;
   std::vector<RunResult> results_;
   std::map<std::string, int> crash_counts_;
+  /// A failure under --no-keep-going stopped the sweep.
+  bool stopped_ = false;
   /// Full checkpoint contents, rewritten crash-atomically per cell
   /// (tmp + fsync + rename) so the file on disk is always a complete
   /// prefix of terminal cells — never a torn final line.
@@ -243,7 +251,6 @@ class Executor {
   std::unique_ptr<store::StoreWriter> store_writer_;
   std::string store_run_id_;
   std::string store_error_;
-  SandboxStats sandbox_stats_;
   sandbox::PoolStats pool_stats_;
   bool degraded_ = false;
   std::string hwc_reason_;

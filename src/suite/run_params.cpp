@@ -134,16 +134,6 @@ RunParams RunParams::parse(int argc, const char* const* argv) {
     } else if (arg == "--heartbeat-timeout-ms") {
       p.heartbeat_timeout_ms = std::stoi(need_value(i, arg));
       ++i;
-    } else if (arg == "--transport") {
-      const std::string v = need_value(i, arg);
-      if (v == "shm") {
-        p.shm_transport = true;
-      } else if (v == "json") {
-        p.shm_transport = false;
-      } else {
-        throw std::invalid_argument("--transport must be shm or json");
-      }
-      ++i;
     } else {
       throw std::invalid_argument("unknown argument: " + arg);
     }
@@ -209,25 +199,22 @@ std::string RunParams::usage() {
          "  --faults SPEC     inject faults, e.g.\n"
          "                    'throw@Basic_DAXPY,slow@Lcals_HYDRO_2D:50ms'\n"
          "  --fault-seed N    seed for probabilistic fault decisions\n"
-         "  --isolate MODE    run cells in disposable worker processes:\n"
-         "                    none (in-process, default), kernel (one\n"
-         "                    worker per kernel), cell (one per cell)\n"
+         "  --isolate MODE    run cells in supervised worker processes:\n"
+         "                    none (in-process, default), kernel (a fresh\n"
+         "                    disposable worker per kernel), cell (a fresh\n"
+         "                    disposable worker per cell)\n"
          "  --quarantine-after N  skip a cell after N worker crashes\n"
          "                    (default 3; counts persist across --resume)\n"
          "  --max-cell-seconds S  per-cell wall deadline for workers\n"
          "                    (SIGTERM, then SIGKILL after a grace period)\n"
          "  --sandbox-mem-mb N    RLIMIT_AS for workers, in MiB\n"
-         "  --sandbox-cpu-seconds S  RLIMIT_CPU for workers\n"
-         "  --workers N       dispatch isolated cells to N persistent,\n"
-         "                    supervised sandbox workers (heartbeats,\n"
-         "                    crash recycling, central deadlines); implies\n"
-         "                    --isolate cell; 0 = fork-per-cell (default)\n"
-         "  --heartbeat-interval-ms N  pooled worker beat period\n"
-         "  --heartbeat-timeout-ms N   recycle a pooled worker silent for\n"
-         "                    this long (default 2000)\n"
-         "  --transport T     pooled payload transport: shm (default;\n"
-         "                    binary records over per-worker shared-memory\n"
-         "                    rings) or json (v2 JSON-in-frame pipe)\n";
+         "  --sandbox-cpu-seconds S  RLIMIT_CPU for disposable workers\n"
+         "  --workers N       run isolated cells on N persistent workers\n"
+         "                    instead of disposable ones; implies\n"
+         "                    --isolate cell when isolation is off\n"
+         "  --heartbeat-interval-ms N  worker heartbeat period\n"
+         "  --heartbeat-timeout-ms N   recycle a worker silent for this\n"
+         "                    long (default 2000)\n";
 }
 
 }  // namespace rperf::suite

@@ -79,44 +79,37 @@ struct RunParams {
 
   // ----- sandboxed execution (rperf::sandbox) -----
   /// Process isolation granularity: None runs cells in-process (as before);
-  /// Kernel forks one worker per kernel (all its variant/tuning cells);
-  /// Cell forks one worker per cell. Isolated modes contain SIGSEGV/abort/
+  /// otherwise cells run in supervised workers (rperf::sandbox::WorkerPool)
+  /// — without --workers, one disposable worker replaced per kernel
+  /// (Kernel) or per cell (Cell). Isolated modes contain SIGSEGV/abort/
   /// OOM/hangs to the worker and record forensics in <outdir>/crashes.jsonl.
   IsolationMode isolate = IsolationMode::None;
   /// A cell that crashes its worker this many times is quarantined: skipped
   /// with a recorded reason instead of re-attempted. Counts persist in
   /// crashes.jsonl across --resume runs.
   int quarantine_after = 3;
-  /// Wall-clock budget per cell enforced by the parent (SIGTERM then
-  /// SIGKILL); a worker running N cells gets N times this. <= 0 disables.
+  /// Wall-clock budget per cell enforced by the supervisor (SIGTERM then
+  /// SIGKILL). <= 0 disables.
   double max_cell_seconds = 0.0;
   /// RLIMIT_AS for workers, in MiB; 0 = inherit the parent's limit.
   std::size_t sandbox_mem_mb = 0;
-  /// RLIMIT_CPU for workers, in seconds; <= 0 = inherit. Applies to the
-  /// disposable (fork-per-cell) workers only: a pooled worker's CPU time
-  /// accrues across cells, so the pool relies on wall deadlines instead.
+  /// RLIMIT_CPU for workers, in seconds; <= 0 = inherit. Applies to
+  /// disposable workers only: a persistent worker's CPU time accrues
+  /// across cells, so it relies on wall deadlines instead.
   double sandbox_cpu_seconds = 0.0;
 
-  // ----- persistent worker pool (rperf::sandbox::WorkerPool) -----
-  /// Number of persistent sandbox workers; 0 (the default) keeps the
-  /// disposable fork-per-batch path. With N >= 1, isolated cells are
-  /// dispatched as a work queue to N supervised long-lived workers
-  /// (heartbeats, crash recycling, central deadlines, backpressure).
-  /// --workers with --isolate none implies --isolate cell, and pooled
-  /// dispatch is always per-cell regardless of kernel/cell granularity.
+  // ----- persistent workers (rperf::sandbox::WorkerPool) -----
+  /// Number of persistent sandbox workers; 0 (the default) runs isolated
+  /// cells on one disposable worker. With N >= 1, isolated cells are
+  /// dispatched as a work queue to N long-lived workers. --workers with
+  /// --isolate none implies --isolate cell, and persistent dispatch keys
+  /// cells per kernel regardless of kernel/cell granularity.
   int workers = 0;
   /// Worker heartbeat period (worker-side) in milliseconds.
   int heartbeat_interval_ms = 100;
   /// Supervisor-side silence budget: a worker that produces no frame for
   /// this long is killed and recycled; its cell is retried elsewhere.
   int heartbeat_timeout_ms = 2000;
-  /// Pooled result/profile transport: true (default, --transport shm)
-  /// carries binary wire-encoded payloads over per-worker shared-memory
-  /// rings (pool protocol v3); false (--transport json) forces the v2
-  /// JSON-in-frame pipe path. Shm falls back to json per worker when ring
-  /// setup fails; the effective choice is recorded in the
-  /// "sandbox_transport" profile metadata.
-  bool shm_transport = true;
 
   [[nodiscard]] bool wants_kernel(const std::string& name) const {
     if (kernel_filter.empty()) return true;

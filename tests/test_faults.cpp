@@ -100,6 +100,23 @@ TEST_F(FaultsTest, ThrowFaultFiresOnlyForMatchingKernelAndBudget) {
   EXPECT_NO_THROW(inj.on_lifecycle("Stream_TRIAD"));
 }
 
+TEST_F(FaultsTest, StaleResultStateCannotReArmASpentBudget) {
+  auto& inj = faults::injector();
+  inj.configure("segv@K:1,throw@L:5,slow@M:10ms", 42u);
+  // A worker's post-job state: its job fired throw@L once, and it was
+  // dispatched while segv@K still had its one unit.
+  EXPECT_THROW(inj.on_lifecycle("L"), faults::InjectedFault);
+  const std::string worker_state = inj.serialize_state();
+
+  // Meanwhile the parent saw another worker die of segv@K and spent it.
+  inj.configure("segv@K:1,throw@L:5,slow@M:10ms", 42u);
+  inj.note_external_fire(faults::FaultKind::Segv, "K");
+  inj.fold_result_state(worker_state);
+  EXPECT_EQ(inj.specs()[0].budget, 0);   // stays spent
+  EXPECT_EQ(inj.specs()[1].budget, 4);   // the worker's own fire folds in
+  EXPECT_EQ(inj.specs()[2].budget, -1);  // unlimited stays unlimited
+}
+
 TEST_F(FaultsTest, AllocFaultRequiresACellScope) {
   auto& inj = faults::injector();
   inj.configure("alloc@*");

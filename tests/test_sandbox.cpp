@@ -1,7 +1,8 @@
 // Tests for rperf::sandbox and the executor's sandboxed execution path:
-// crash containment for every process-fatal fault kind, worker-exit
-// decoding, forensics + quarantine, retry across workers, and parity of
-// sandboxed vs in-process results for passing sweeps.
+// crash containment for every process-fatal fault kind, the disposable
+// worker policies behind --isolate cell|kernel, forensics + quarantine,
+// retry across workers, and parity of sandboxed vs in-process results for
+// passing sweeps.
 //
 // OpenMP note: these tests fork the test process. A forked copy of a live
 // libgomp thread pool deadlocks, so the fixture pins OpenMP to one thread
@@ -11,15 +12,20 @@
 // parity tests would otherwise warm the pool first.
 #include <gtest/gtest.h>
 #include <omp.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "faults/injector.hpp"
 #include "instrument/json.hpp"
 #include "instrument/profile.hpp"
+#include "sandbox/pool.hpp"
 #include "sandbox/protocol.hpp"
 #include "sandbox/sandbox.hpp"
 #include "suite/executor.hpp"
@@ -164,63 +170,133 @@ TEST_F(SandboxTest, JsonBoolOrAndProfileValueRoundTrip) {
   EXPECT_EQ(rebuilt.metadata().at("variant"), "Base_Seq");
 }
 
-// ------------------------------------------------------- run_worker basics
+// ------------------------------------------- disposable worker policies
 
-TEST_F(SandboxTest, RunWorkerStreamsLinesAndReportsUsage) {
-  sandbox::Limits limits;
-  const auto rep = sandbox::run_worker(
-      [](int fd) {
-        const char* lines = "one\ntwo\n";
-        ssize_t ignored = write(fd, lines, 8);
-        (void)ignored;
-      },
-      limits);
-  EXPECT_TRUE(rep.clean());
-  ASSERT_EQ(rep.lines.size(), 2u);
-  EXPECT_EQ(rep.lines[0], "one");
-  EXPECT_EQ(rep.lines[1], "two");
-  EXPECT_GT(rep.usage.max_rss_kb, 0);
-  EXPECT_GE(rep.wall_sec, 0.0);
+/// One job per affinity key, in order, on a one-worker pool. Each result
+/// is "<worker pid> <RLIMIT_CPU soft limit>".
+std::vector<std::string> run_keyed_jobs(bool disposable,
+                                        const std::vector<std::uint64_t>& keys,
+                                        double cpu_seconds,
+                                        sandbox::PoolStats& stats) {
+  sandbox::PoolConfig cfg;
+  cfg.workers = 1;
+  cfg.disposable = disposable;
+  cfg.limits.cpu_seconds = cpu_seconds;
+  sandbox::PoolClient client;
+  client.run_job = [](const std::string&) {
+    rlimit rl{};
+    getrlimit(RLIMIT_CPU, &rl);
+    return std::to_string(getpid()) + " " + std::to_string(rl.rlim_cur);
+  };
+  std::vector<std::string> results(keys.size());
+  client.on_result = [&](const sandbox::Job& job, const std::string& r) {
+    results[job.id] = r;
+    return sandbox::Disposition::Done;
+  };
+  client.on_failure = [](const sandbox::Job&, const sandbox::JobFailure& f) {
+    ADD_FAILURE() << "unexpected failure: " << f.describe();
+    return sandbox::Disposition::Done;
+  };
+  std::size_t next = 0;
+  sandbox::WorkerPool pool(cfg, client);
+  EXPECT_EQ(pool.run([&]() -> std::optional<sandbox::Job> {
+              if (next >= keys.size()) return std::nullopt;
+              sandbox::Job j;
+              j.id = next;
+              j.affinity = keys[next++];
+              return j;
+            }),
+            sandbox::PoolOutcome::Completed);
+  stats = pool.stats();
+  return results;
 }
 
-TEST_F(SandboxTest, RunWorkerContainsACrashAndKeepsEarlierLines) {
-  sandbox::Limits limits;
-  const auto rep = sandbox::run_worker(
-      [](int fd) {
-        ssize_t ignored = write(fd, "before\n", 7);
-        (void)ignored;
-        volatile int* p = nullptr;
-        *p = 1;  // SIGSEGV (ASan converts this to a nonzero exit)
-      },
-      limits);
-  EXPECT_FALSE(rep.clean());
-  ASSERT_EQ(rep.lines.size(), 1u);
-  EXPECT_EQ(rep.lines[0], "before");
-  // Either a real signal death or a sanitizer-mediated nonzero exit.
-  EXPECT_TRUE(rep.exit == sandbox::WorkerExit::Signaled ||
-              rep.exit == sandbox::WorkerExit::NonzeroExit)
-      << rep.describe();
+std::string pid_of(const std::string& result) {
+  return result.substr(0, result.find(' '));
 }
 
-TEST_F(SandboxTest, RunWorkerEnforcesTheWallDeadline) {
-  sandbox::Limits limits;
-  limits.wall_deadline_sec = 0.2;
-  limits.term_grace_ms = 500;
-  const auto rep = sandbox::run_worker(
-      [](int) {
-        for (;;) pause();
-      },
-      limits);
-  EXPECT_EQ(rep.exit, sandbox::WorkerExit::DeadlineKilled);
-  EXPECT_LT(rep.wall_sec, 5.0);
+std::string cpu_limit_of(const std::string& result) {
+  return result.substr(result.find(' ') + 1);
 }
 
-TEST_F(SandboxTest, RunWorkerMapsEscapedBadAllocToOomExit) {
-  sandbox::Limits limits;
-  const auto rep =
-      sandbox::run_worker([](int) { throw std::bad_alloc(); }, limits);
-  EXPECT_EQ(rep.exit, sandbox::WorkerExit::OomExit);
-  EXPECT_EQ(rep.exit_code, sandbox::kOomExitCode);
+TEST_F(SandboxTest, IsolateCellRunsEachCellInAFreshCpuLimitedWorker) {
+  // Four keys on a disposable pool: four worker processes, each under
+  // RLIMIT_CPU, each reaped with its rusage accounted.
+  sandbox::PoolStats st;
+  const auto out = run_keyed_jobs(true, {1, 3, 5, 7}, 30.0, st);
+  std::set<std::string> pids;
+  for (const std::string& r : out) {
+    pids.insert(pid_of(r));
+    EXPECT_EQ(cpu_limit_of(r), "30") << r;
+  }
+  EXPECT_EQ(pids.size(), 4u);
+  EXPECT_EQ(st.spawns, 4u);
+  EXPECT_EQ(st.recycles, 0u) << "policy recycles are not deaths";
+  EXPECT_GT(st.peak_rss_kb, 0);
+
+  // A persistent worker runs every key and never takes RLIMIT_CPU: its
+  // CPU time accrues across jobs.
+  rlimit own{};
+  getrlimit(RLIMIT_CPU, &own);
+  const auto kept = run_keyed_jobs(false, {1, 3}, 30.0, st);
+  EXPECT_EQ(pid_of(kept[0]), pid_of(kept[1]));
+  EXPECT_EQ(cpu_limit_of(kept[0]), std::to_string(own.rlim_cur));
+
+  // --isolate cell keys the executor's jobs per cell: a worker per cell.
+  RunParams p = sandbox_params();
+  p.sandbox_cpu_seconds = 30.0;
+  Executor exec(p);
+  exec.run();
+  EXPECT_TRUE(exec.all_passed());
+  EXPECT_EQ(exec.pool_stats().spawns, 4u);
+}
+
+TEST_F(SandboxTest, IsolateKernelSharesOneWorkerPerKernel) {
+  sandbox::PoolStats st;
+  const auto out = run_keyed_jobs(true, {1, 1, 3, 3}, 0.0, st);
+  EXPECT_EQ(pid_of(out[0]), pid_of(out[1]));
+  EXPECT_EQ(pid_of(out[2]), pid_of(out[3]));
+  EXPECT_NE(pid_of(out[0]), pid_of(out[2]));
+  EXPECT_EQ(st.spawns, 2u);
+
+  // --isolate kernel keys them per kernel: two kernels, two workers.
+  RunParams p = sandbox_params();
+  p.isolate = IsolationMode::Kernel;
+  Executor exec(p);
+  exec.run();
+  EXPECT_TRUE(exec.all_passed());
+  EXPECT_EQ(exec.pool_stats().spawns, 2u);
+}
+
+TEST_F(SandboxTest, WorkerMapsEscapedBadAllocToOomExit) {
+  sandbox::PoolConfig cfg;
+  cfg.workers = 1;
+  cfg.disposable = true;
+  sandbox::PoolClient client;
+  client.run_job = [](const std::string&) -> std::string {
+    throw std::bad_alloc();
+  };
+  std::optional<sandbox::JobFailure> failure;
+  client.on_result = [](const sandbox::Job&, const std::string&) {
+    ADD_FAILURE() << "a job that threw bad_alloc produced a result";
+    return sandbox::Disposition::Done;
+  };
+  client.on_failure = [&](const sandbox::Job&, const sandbox::JobFailure& f) {
+    failure = f;
+    return sandbox::Disposition::Done;
+  };
+  bool pulled = false;
+  sandbox::WorkerPool pool(cfg, client);
+  EXPECT_EQ(pool.run([&]() -> std::optional<sandbox::Job> {
+              if (pulled) return std::nullopt;
+              pulled = true;
+              return sandbox::Job{};
+            }),
+            sandbox::PoolOutcome::Completed);
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_EQ(failure->reason, sandbox::FailReason::WorkerDied);
+  EXPECT_TRUE(failure->exited);
+  EXPECT_EQ(failure->exit_code, sandbox::kOomExitCode);
 }
 
 TEST_F(SandboxTest, SignalNamesAreReadable) {

@@ -56,34 +56,6 @@ if(NOT out2 MATCHES "restored from checkpoint")
   message(FATAL_ERROR "resume run restored nothing:\n${out2}")
 endif()
 
-# The same containment contract must hold over the v2 JSON fallback
-# transport (--transport json): crashes contained, segv retried, hang
-# deadline-killed, and the profiles' metadata recording the degraded
-# transport.
-execute_process(
-  COMMAND "${RAJAPERF}" --kernels Basic_DAXPY,Stream_TRIAD,Stream_ADD
-          --variants Base_Seq,Lambda_Seq --size-factor 0.01
-          --isolate cell --workers 4 --retries 1 --transport json
-          --faults segv@Basic_DAXPY:1,hang@Stream_ADD:1
-          --max-cell-seconds 3 --outdir "${WORKDIR}/json"
-  OUTPUT_VARIABLE outj
-  RESULT_VARIABLE rcj)
-if(NOT rcj EQUAL 4)
-  message(FATAL_ERROR "json-transport fault run: want exit 4, got ${rcj}:\n${outj}")
-endif()
-if(NOT outj MATCHES "Killed Stream_ADD")
-  message(FATAL_ERROR "json transport: hang was not deadline-killed:\n${outj}")
-endif()
-if(outj MATCHES "Crashed Basic_DAXPY")
-  message(FATAL_ERROR "json transport: segv cell was not recovered:\n${outj}")
-endif()
-file(GLOB json_profiles "${WORKDIR}/json/*.cali.json")
-list(GET json_profiles 0 json_profile)
-file(READ "${json_profile}" json_meta)
-if(NOT json_meta MATCHES "\"sandbox_transport\": \"json\"")
-  message(FATAL_ERROR "profile metadata does not record the json transport:\n${json_meta}")
-endif()
-
 # rperf-report shows the pool supervision summary alongside the crash
 # history (exit 4 keeps CI honest about contained crashes).
 execute_process(
