@@ -1,15 +1,16 @@
-// sweep_throughput — end-to-end sweep throughput, before vs. after the
-// rperf::mem subsystem (BENCH_sweep.json).
+// sweep_throughput — end-to-end sweep throughput of the suite harness on
+// each execution path (BENCH_sweep.json).
 //
-// Runs the same (kernel, variant, tuning) sweep three times in one process:
+// Runs the same (kernel, variant, tuning) sweep once per leg in one
+// process, each leg starting from an empty memory pool and dataset cache:
 //
-//   legacy    — serial LCG fills, serial element-at-a-time checksum, pool
-//               and dataset cache disabled: the pre-PR setup path.
-//   optimized — pooled arena allocations, jump-ahead blocked fills, dataset
-//               cache, blocked 4-lane checksum: the current path.
-//   traced    — the optimized path with the TraceSink recording, cross-
-//               checking the tracer's self-accounted overhead figure
-//               against the measured wall-time delta.
+//   optimized    — in-process: pooled arena allocations, jump-ahead
+//                  blocked fills, dataset cache, blocked 4-lane checksum.
+//   store_append — the optimized leg with every cell landing in the
+//                  crash-consistent profile store (--store).
+//   traced       — the optimized leg with the TraceSink recording, cross-
+//                  checking the tracer's self-accounted overhead figure
+//                  against the measured wall-time delta.
 //
 // Plus two sandboxed legs quantifying the cost of crash containment
 // (these run FIRST: they fork workers, and a fork after the in-process
@@ -23,23 +24,21 @@
 //               whose dataset cache is already warm. The pooled-vs-fork
 //               speedup is the persistent pool's reason to exist.
 //
-// Only setup machinery differs; the measured kernel loops are identical.
-// The benchmark reports wall time and cells/second for both modes, checks
-// that every cell's checksum agrees across modes (the fills are bit-
-// identical, so only checksum summation-order rounding may differ), and
-// verifies a sample of optimized fills byte-for-byte against the serial
-// LCG reference.
+// Only the executing process differs between legs; the measured kernel
+// loops are identical. The benchmark reports wall time and cells/second
+// per leg, checks that every sandboxed cell's checksum is bit-identical
+// to the in-process one, and verifies a sample of optimized fills
+// byte-for-byte against an inline serial LCG reference.
 //
 // Arrays stay at their default (size-factor 1.0) extents so fills, pool
 // traffic, and checksums are full-sized, but the measured rep loops run on
 // a small budget (--reps-factor, default 0.1): this is a benchmark of the
 // *harness* — how many sweep cells per second the suite can set up,
-// validate, and tear down — not of the kernels, whose timing the mem
-// subsystem deliberately leaves untouched.
+// validate, and tear down — not of the kernels.
 //
 // For the same reason, compute-bound outlier kernels whose irreducible
 // per-rep work swamps every harness cost (currently Basic_MAT_MAT_SHARED:
-// O(n^3) flops that measure identically in both modes and only dilute the
+// O(n^3) flops that measure identically on every leg and only dilute the
 // comparison) are excluded by default; the exclusion is recorded in the
 // JSON and can be disabled with --exclude none.
 //
@@ -64,7 +63,6 @@
 #include "mem/cache.hpp"
 #include "mem/fill.hpp"
 #include "mem/pool.hpp"
-#include "suite/data_utils.hpp"
 #include "suite/executor.hpp"
 #include "suite/registry.hpp"
 
@@ -80,13 +78,9 @@ struct ModeResult {
   std::map<std::string, long double> checksums;
 };
 
-ModeResult run_mode(bool legacy, bool traced,
-                    const rperf::suite::RunParams& params) {
+ModeResult run_mode(bool traced, const rperf::suite::RunParams& params) {
   using namespace rperf;
 
-  suite::set_legacy_setup(legacy);
-  mem::pool().set_enabled(!legacy);
-  mem::data_cache().set_enabled(!legacy);
   mem::pool().release();
   mem::data_cache().clear();
 
@@ -202,16 +196,14 @@ int main(int argc, char** argv) {
   // while this process has never entered an OpenMP parallel region.
   suite::RunParams sand = params;
   sand.isolate = suite::IsolationMode::Cell;
-  const ModeResult forkcell = run_mode(/*legacy=*/false, /*traced=*/false,
-                                       sand);
+  const ModeResult forkcell = run_mode(/*traced=*/false, sand);
   std::printf("  forkcell:  %.3f s wall, %zu/%zu cells passed "
               "(%.1f cells/s; a disposable worker per cell)\n",
               forkcell.wall_sec, forkcell.passed, forkcell.cells,
               static_cast<double>(forkcell.passed) / forkcell.wall_sec);
 
   sand.workers = 4;
-  const ModeResult pooled = run_mode(/*legacy=*/false, /*traced=*/false,
-                                     sand);
+  const ModeResult pooled = run_mode(/*traced=*/false, sand);
   const double pooled_speedup = forkcell.wall_sec / pooled.wall_sec;
   std::printf("  pooled:    %.3f s wall, %zu/%zu cells passed "
               "(%.1f cells/s; 4 pooled workers, %.2fx vs fork-per-cell)\n",
@@ -219,17 +211,7 @@ int main(int argc, char** argv) {
               static_cast<double>(pooled.passed) / pooled.wall_sec,
               pooled_speedup);
 
-  // Legacy first so the optimized run cannot inherit warmed pool chunks the
-  // legacy run would not have; each mode starts from an empty pool/cache.
-  const ModeResult legacy = run_mode(/*legacy=*/true, /*traced=*/false,
-                                     params);
-  std::printf("  legacy:    %.3f s wall, %zu/%zu cells passed "
-              "(%.1f cells/s; setup %.0f ms, checksum %.0f ms)\n",
-              legacy.wall_sec, legacy.passed, legacy.cells,
-              static_cast<double>(legacy.passed) / legacy.wall_sec,
-              legacy.setup_ms, legacy.checksum_ms);
-
-  const ModeResult opt = run_mode(/*legacy=*/false, /*traced=*/false, params);
+  const ModeResult opt = run_mode(/*traced=*/false, params);
   std::printf("  optimized: %.3f s wall, %zu/%zu cells passed "
               "(%.1f cells/s; setup %.0f ms, checksum %.0f ms)\n",
               opt.wall_sec, opt.passed, opt.cells,
@@ -243,7 +225,7 @@ int main(int argc, char** argv) {
   suite::RunParams stp = params;
   stp.store_dir = json_path + ".store";
   std::filesystem::remove_all(stp.store_dir);
-  const ModeResult stored = run_mode(/*legacy=*/false, /*traced=*/false, stp);
+  const ModeResult stored = run_mode(/*traced=*/false, stp);
   const double store_overhead_pct =
       (stored.wall_sec / opt.wall_sec - 1.0) * 100.0;
   // Every terminal cell must have durably landed as a committed record
@@ -268,31 +250,13 @@ int main(int argc, char** argv) {
   // the wall-time delta it actually causes. The measured delta is noisy
   // at smoke sizes (it can even come out negative), so it is recorded,
   // not gated on.
-  const ModeResult traced = run_mode(/*legacy=*/false, /*traced=*/true,
-                                     params);
+  const ModeResult traced = run_mode(/*traced=*/true, params);
   const double traced_delta_pct =
       (traced.wall_sec / opt.wall_sec - 1.0) * 100.0;
   std::printf("  traced:    %.3f s wall (%+.1f%% vs optimized; "
               "self-accounted overhead %.2f%%)\n",
               traced.wall_sec, traced_delta_pct, traced.trace_overhead_pct);
 
-  // Restore defaults for anything running after us in this process.
-  suite::set_legacy_setup(false);
-
-  // Cross-mode checksum agreement. Inputs are bit-identical; the checksum
-  // fold order changed, so allow only summation-rounding slack.
-  std::size_t compared = 0;
-  std::size_t mismatched = 0;
-  for (const auto& [key, legacy_sum] : legacy.checksums) {
-    const auto it = opt.checksums.find(key);
-    if (it == opt.checksums.end()) continue;
-    ++compared;
-    if (!suite::checksums_match(legacy_sum, it->second, 1e-10)) {
-      ++mismatched;
-      std::fprintf(stderr, "  checksum mismatch %s: legacy=%.17Lg opt=%.17Lg\n",
-                   key.c_str(), legacy_sum, it->second);
-    }
-  }
   // Sandboxed results must be bit-identical to in-process ones: same code,
   // same deterministic fills, only the executing process differs. Exact
   // == (not memcmp: x86 long double carries uninitialized padding bytes).
@@ -310,13 +274,8 @@ int main(int argc, char** argv) {
     }
   }
   const bool bit_identical = fills_bit_identical();
-
-  const double reduction_pct =
-      (1.0 - opt.wall_sec / legacy.wall_sec) * 100.0;
-  std::printf("  wall-time reduction: %.1f%% (%zu checksums compared, "
-              "%zu mismatched; fills bit-identical: %s)\n",
-              reduction_pct, compared, mismatched,
-              bit_identical ? "yes" : "NO");
+  std::printf("  %zu sandbox checksums mismatched; fills bit-identical: %s\n",
+              sandbox_mismatched, bit_identical ? "yes" : "NO");
 
   json::Object o;
   o["groups"] = groups;
@@ -324,14 +283,6 @@ int main(int argc, char** argv) {
   o["reps_factor"] = std::stod(reps_factor);
   o["npasses"] = std::stod(npasses);
   o["excluded_kernels"] = exclude;
-  json::Object lg;
-  lg["wall_sec"] = legacy.wall_sec;
-  lg["cells"] = static_cast<std::int64_t>(legacy.cells);
-  lg["cells_passed"] = static_cast<std::int64_t>(legacy.passed);
-  lg["cells_per_sec"] = static_cast<double>(legacy.passed) / legacy.wall_sec;
-  lg["setup_ms"] = legacy.setup_ms;
-  lg["checksum_ms"] = legacy.checksum_ms;
-  o["legacy"] = std::move(lg);
   json::Object op;
   op["wall_sec"] = opt.wall_sec;
   op["cells"] = static_cast<std::int64_t>(opt.cells);
@@ -368,17 +319,14 @@ int main(int argc, char** argv) {
   o["pooled_vs_fork_speedup"] = pooled_speedup;
   o["sandbox_checksums_mismatched"] =
       static_cast<std::int64_t>(sandbox_mismatched);
-  o["wall_time_reduction_pct"] = reduction_pct;
-  o["checksums_compared"] = static_cast<std::int64_t>(compared);
-  o["checksums_mismatched"] = static_cast<std::int64_t>(mismatched);
   o["fills_bit_identical"] = bit_identical;
 
   std::ofstream os(json_path);
   os << json::Value(std::move(o)).dump(2) << '\n';
   std::printf("  wrote %s\n", json_path.c_str());
 
-  if (mismatched > 0 || sandbox_mismatched > 0 || !bit_identical) return 1;
-  if (legacy.passed != opt.passed || legacy.passed == 0) return 1;
+  if (sandbox_mismatched > 0 || !bit_identical) return 1;
+  if (opt.passed == 0) return 1;
   if (traced.passed != opt.passed) return 1;
   // The store leg gates both function (every cell committed to one
   // complete run) and cost (< 5% of the suite's wall time).

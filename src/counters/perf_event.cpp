@@ -6,18 +6,14 @@
 #include <fstream>
 #include <sstream>
 
-#ifdef RPERF_HWC_ENABLED
 #include <linux/perf_event.h>
 #include <sys/ioctl.h>
 #include <sys/syscall.h>
 #include <unistd.h>
-#endif
 
 namespace rperf::hwc {
 
 namespace {
-
-#ifdef RPERF_HWC_ENABLED
 
 /// The measured event group, leader first. Cache events use the
 /// PERF_TYPE_HW_CACHE triple encoding (cache | (op << 8) | (result << 16)).
@@ -71,8 +67,6 @@ perf_event_attr make_attr(const EventSpec& spec, bool leader) {
   return attr;
 }
 
-#endif  // RPERF_HWC_ENABLED
-
 }  // namespace
 
 Probe probe(const std::string& paranoid_path) {
@@ -86,11 +80,6 @@ Probe probe(const std::string& paranoid_path) {
     int level = 0;
     if (is >> level) p.paranoid = level;
   }
-#ifndef RPERF_HWC_ENABLED
-  p.available = false;
-  p.reason = "hardware counters compiled out (RPERF_HWC=OFF)";
-  return p;
-#else
   perf_event_attr attr = make_attr(kEvents[0], /*leader=*/true);
   const int fd = perf_event_open(&attr, 0, -1, -1, 0);
   if (fd >= 0) {
@@ -113,7 +102,6 @@ Probe probe(const std::string& paranoid_path) {
   }
   p.reason = os.str();
   return p;
-#endif
 }
 
 const Probe& cached_probe() {
@@ -164,8 +152,6 @@ Sample sample_from_wire(wire::Reader& r) {
 }
 
 PerfEventGroup::~PerfEventGroup() { close(); }
-
-#ifdef RPERF_HWC_ENABLED
 
 bool PerfEventGroup::open(std::string* error) {
   close();
@@ -253,21 +239,6 @@ void PerfEventGroup::close() {
   names_.clear();
   leader_fd_ = -1;
 }
-
-#else  // !RPERF_HWC_ENABLED
-
-bool PerfEventGroup::open(std::string* error) {
-  if (error != nullptr) {
-    *error = "hardware counters compiled out (RPERF_HWC=OFF)";
-  }
-  return false;
-}
-
-bool PerfEventGroup::read(Reading*) { return false; }
-
-void PerfEventGroup::close() { leader_fd_ = -1; }
-
-#endif  // RPERF_HWC_ENABLED
 
 machine::TMAFractions measured_tma(const counters::PAPICounters& c) {
   const auto get = [&c](const char* name) {

@@ -93,11 +93,6 @@ void Channel::remove_event_hook(int id) {
   }
 }
 
-void Channel::set_event_hook(EventHook hook) {
-  hooks_.clear();
-  if (hook) add_event_hook(std::move(hook));
-}
-
 void Channel::attribute_metric(const std::string& name, double value) {
   if (stack_.size() <= 1) {
     throw AnnotationError("attribute_metric('" + name +

@@ -103,9 +103,10 @@ class Channel {
 
   /// Observer invoked on every begin (is_begin=true) and end event with
   /// the region name and seconds since channel creation. Used by the
-  /// event-trace service. Multiple observers may be registered; they are
-  /// invoked in registration order, so independent traces can watch one
-  /// channel without clobbering each other's interval pairing.
+  /// region counter service (hwc::RegionCounterService). Multiple
+  /// observers may be registered; they are invoked in registration order,
+  /// so independent observers can watch one channel without clobbering
+  /// each other's begin/end pairing.
   using EventHook =
       std::function<void(const std::string& region, bool is_begin,
                          double elapsed_sec)>;
@@ -114,9 +115,6 @@ class Channel {
   int add_event_hook(EventHook hook);
   /// Remove a previously registered observer; unknown handles are ignored.
   void remove_event_hook(int id);
-  /// Legacy single-observer interface: replaces ALL registered hooks with
-  /// `hook` (or removes all when nullptr). Prefer add/remove_event_hook.
-  void set_event_hook(EventHook hook);
   [[nodiscard]] std::size_t event_hook_count() const { return hooks_.size(); }
 
  private:

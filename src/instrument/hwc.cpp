@@ -2,10 +2,6 @@
 
 #include <chrono>
 
-#ifdef RPERF_HWC_DIAG
-#include <cstdio>
-#endif
-
 namespace rperf::hwc {
 
 namespace {
@@ -50,7 +46,7 @@ bool RegionCounterService::attach(cali::Channel& channel) {
 }
 
 void RegionCounterService::detach(cali::Channel& channel) {
-  if (attached_ == nullptr) return;  // no-op, same as EventTrace
+  if (attached_ == nullptr) return;  // detaching an unattached service
   if (attached_ != &channel) {
     throw cali::AnnotationError(
         "RegionCounterService::detach: service is attached to a different "
@@ -106,14 +102,6 @@ void RegionCounterService::on_event(const std::string& region,
         sample_.time_running_ns += d_running;
         sample_.source = "measured";
         ++regions_;
-#ifdef RPERF_HWC_DIAG
-        std::fprintf(stderr,
-                     "[hwc] %s: enabled=%llu ns running=%llu ns%s\n",
-                     region.c_str(),
-                     static_cast<unsigned long long>(d_enabled),
-                     static_cast<unsigned long long>(d_running),
-                     d_running < d_enabled ? " (multiplexed)" : "");
-#endif
       }
     }
   }

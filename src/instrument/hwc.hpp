@@ -1,8 +1,8 @@
 // Region counter service — the Caliper papi-service substitute, measured.
 //
-// Attaches to a Channel the way EventTrace does (multi-observer event
-// hooks) and reads a per-thread perf event group at every region begin and
-// end. At the end of each OUTERMOST region the raw deltas are scaled for
+// Attaches to a Channel as one of its event-hook observers
+// (Channel::add_event_hook) and reads a per-thread perf event group at
+// every region begin and end. At the end of each OUTERMOST region the raw deltas are scaled for
 // multiplexing (time_enabled / time_running) and attributed to the region
 // as metrics under the PAPI preset names, so profiles carry measured
 // counters through exactly the plumbing the simulator uses.
@@ -17,8 +17,8 @@
 // group cannot open) attach() leaves the service inactive and returns
 // false — the channel keeps working untouched, reason() says why, and the
 // caller is expected to fall back to the simulator. Attaching an
-// already-attached service throws AnnotationError (same double-attach
-// discipline as EventTrace).
+// already-attached service throws AnnotationError instead of silently
+// registering a second hook.
 #pragma once
 
 #include <cstdint>

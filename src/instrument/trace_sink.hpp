@@ -2,9 +2,8 @@
 // `rajaperf --trace` (the Caliper event-trace + timeline services
 // substitute).
 //
-// Where `Channel` aggregates region visits into a tree and `EventTrace`
-// records an ordered event log for one single-threaded channel, the sink
-// records *fixed-size span records over an interned region-name table in
+// Where `Channel` aggregates region visits into a tree, the sink records
+// *fixed-size span records over an interned region-name table in
 // per-thread buffers*, so OpenMP worker threads inside a `port::forall`
 // parallel region can each record their own span without contending on a
 // shared log. Records are appended complete (merged begin/end) at region

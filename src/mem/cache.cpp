@@ -11,7 +11,7 @@ bool DataCache::lookup_or_fill(const Key& key, T* dst, std::int64_t n,
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!enabled_ || n < kMinElems) {
+    if (n < kMinElems) {
       ++stats_.skipped;
     } else if (auto it = entries_.find(key); it != entries_.end()) {
       ++stats_.hits;
@@ -25,7 +25,6 @@ bool DataCache::lookup_or_fill(const Key& key, T* dst, std::int64_t n,
   if (n < kMinElems) return false;
 
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!enabled_) return false;
   ++stats_.misses;
   if (entries_.count(key) != 0) return false;  // raced-in by another thread
   if (stats_.stored_bytes + bytes > capacity_bytes_) {
@@ -83,21 +82,6 @@ void DataCache::clear() {
   entries_.clear();
   stats_.stored_bytes = 0;
   stats_.entries = 0;
-}
-
-void DataCache::set_enabled(bool on) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  enabled_ = on;
-  if (!on) {
-    entries_.clear();
-    stats_.stored_bytes = 0;
-    stats_.entries = 0;
-  }
-}
-
-bool DataCache::enabled() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return enabled_;
 }
 
 void DataCache::set_capacity_bytes(std::size_t bytes) {

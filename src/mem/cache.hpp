@@ -48,9 +48,6 @@ class DataCache {
   /// Drop every master copy (returns their chunks to the pool).
   void clear();
 
-  void set_enabled(bool on);
-  [[nodiscard]] bool enabled() const;
-
   void set_capacity_bytes(std::size_t bytes);
 
  private:
@@ -74,7 +71,6 @@ class DataCache {
                       Generate&& generate);
 
   mutable std::mutex mutex_;
-  bool enabled_ = true;
   std::size_t capacity_bytes_ = kDefaultCapacityBytes;
   std::map<Key, std::vector<std::byte, PoolAllocator<std::byte>>> entries_;
   CacheStats stats_;

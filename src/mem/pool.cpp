@@ -1,7 +1,6 @@
 #include "mem/pool.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "faults/injector.hpp"
 
@@ -10,13 +9,12 @@ namespace rperf::mem {
 namespace {
 
 constexpr std::size_t kHeaderBytes = 64;  // keeps the user pointer 64-aligned
-static_assert(kHeaderBytes >= sizeof(std::uint64_t) + sizeof(std::size_t));
-static_assert(kHeaderBytes % Pool::kAlignment == 0);
 
 struct RawHeader {
-  std::uint64_t magic;
-  std::size_t chunk_bytes;
+  std::size_t chunk_bytes;  ///< rounded (size-class) payload bytes
 };
+static_assert(kHeaderBytes >= sizeof(RawHeader));
+static_assert(kHeaderBytes % Pool::kAlignment == 0);
 
 RawHeader* header_of(void* user) {
   return reinterpret_cast<RawHeader*>(static_cast<char*>(user) - kHeaderBytes);
@@ -24,19 +22,7 @@ RawHeader* header_of(void* user) {
 
 }  // namespace
 
-Pool::~Pool() {
-#ifdef RPERF_MEM_DIAG
-  const PoolStats s = stats();
-  std::fprintf(stderr,
-               "[rperf::mem] pool high-water %zu bytes, reserved %zu bytes, "
-               "%llu allocs (%llu reused, %llu from OS)\n",
-               s.high_water_bytes, s.bytes_reserved(),
-               static_cast<unsigned long long>(s.alloc_calls),
-               static_cast<unsigned long long>(s.reuse_hits),
-               static_cast<unsigned long long>(s.os_allocs));
-#endif
-  release();
-}
+Pool::~Pool() { release(); }
 
 std::size_t Pool::size_class_bytes(std::size_t bytes) {
   std::size_t c = kMinClassBytes;
@@ -50,12 +36,10 @@ std::size_t Pool::class_index(std::size_t class_bytes) {
   return idx;
 }
 
-void* Pool::os_allocate(std::size_t class_bytes, std::uint64_t magic) {
+void* Pool::os_allocate(std::size_t class_bytes) {
   void* raw = ::operator new(kHeaderBytes + class_bytes,
                              std::align_val_t{kAlignment});
-  auto* h = static_cast<RawHeader*>(raw);
-  h->magic = magic;
-  h->chunk_bytes = class_bytes;
+  static_cast<RawHeader*>(raw)->chunk_bytes = class_bytes;
   return static_cast<char*>(raw) + kHeaderBytes;
 }
 
@@ -72,22 +56,19 @@ void* Pool::allocate(std::size_t bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.alloc_calls;
 
-  if (enabled_) {
-    const std::size_t idx = class_index(class_bytes);
-    if (idx < free_lists_.size() && !free_lists_[idx].empty()) {
-      void* raw = free_lists_[idx].back();
-      free_lists_[idx].pop_back();
-      ++stats_.reuse_hits;
-      stats_.bytes_free -= class_bytes;
-      stats_.bytes_in_use += class_bytes;
-      stats_.high_water_bytes =
-          std::max(stats_.high_water_bytes, stats_.bytes_in_use);
-      return static_cast<char*>(raw) + kHeaderBytes;
-    }
+  const std::size_t idx = class_index(class_bytes);
+  if (idx < free_lists_.size() && !free_lists_[idx].empty()) {
+    void* raw = free_lists_[idx].back();
+    free_lists_[idx].pop_back();
+    ++stats_.reuse_hits;
+    stats_.bytes_free -= class_bytes;
+    stats_.bytes_in_use += class_bytes;
+    stats_.high_water_bytes =
+        std::max(stats_.high_water_bytes, stats_.bytes_in_use);
+    return static_cast<char*>(raw) + kHeaderBytes;
   }
 
-  void* user = os_allocate(class_bytes,
-                           enabled_ ? kMagicPooled : kMagicPassthrough);
+  void* user = os_allocate(class_bytes);
   ++stats_.os_allocs;
   stats_.bytes_in_use += class_bytes;
   stats_.high_water_bytes =
@@ -103,14 +84,6 @@ void Pool::deallocate(void* p, std::size_t /*bytes*/) noexcept {
 
   std::lock_guard<std::mutex> lock(mutex_);
   stats_.bytes_in_use -= class_bytes;
-
-  // Chunks born on the passthrough path — or any chunk when the pool is
-  // currently disabled — go straight back to the OS.
-  if (h->magic != kMagicPooled || !enabled_) {
-    os_free(raw);
-    return;
-  }
-
   const std::size_t idx = class_index(class_bytes);
   if (free_lists_.size() <= idx) free_lists_.resize(idx + 1);
   free_lists_[idx].push_back(raw);
@@ -137,21 +110,6 @@ void Pool::reset_stats() {
   stats_.alloc_calls = 0;
   stats_.reuse_hits = 0;
   stats_.os_allocs = 0;
-}
-
-void Pool::set_enabled(bool on) {
-  bool drop = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    drop = enabled_ && !on;
-    enabled_ = on;
-  }
-  if (drop) release();  // disabled pool should hold no cached memory
-}
-
-bool Pool::enabled() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return enabled_;
 }
 
 Pool& pool() {

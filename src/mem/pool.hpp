@@ -17,11 +17,9 @@
 //   * the PR-1 fault injector's `alloc@KERNEL` hook is routed through
 //     `Pool::allocate`, so injected allocation failures keep firing on the
 //     exact same code path real ones would take;
-//   * `set_enabled(false)` degrades to plain aligned new/delete (the
-//     pre-pool behavior) — used by bench/sweep_throughput to measure the
-//     pooled-vs-legacy delta. Each chunk carries a header naming the path
-//     that produced it, so flipping the mode mid-process never mismatches
-//     allocate/deallocate pairs.
+//   * each chunk carries a header recording its size class, so
+//     `deallocate` files it on the right free list whatever byte count
+//     the caller passes back.
 #pragma once
 
 #include <cstddef>
@@ -70,8 +68,7 @@ class Pool {
   /// here), then serves from the matching free list when possible.
   void* allocate(std::size_t bytes);
 
-  /// Return a chunk. Pooled chunks go back on their free list; chunks
-  /// allocated while the pool was disabled are freed to the OS.
+  /// Return a chunk to its size class's free list.
   void deallocate(void* p, std::size_t bytes) noexcept;
 
   /// Trim: free every cached (free-list) chunk to the OS. Live chunks are
@@ -82,27 +79,12 @@ class Pool {
   /// Zero the counters; high-water restarts from the current in-use bytes.
   void reset_stats();
 
-  /// Disabled = plain aligned new/delete per call (legacy behavior); the
-  /// fault hook and stats still fire. Chunks already on free lists are
-  /// released.
-  void set_enabled(bool on);
-  [[nodiscard]] bool enabled() const;
-
  private:
-  struct Header {
-    std::uint64_t magic = 0;
-    std::size_t chunk_bytes = 0;  ///< rounded (size-class) payload bytes
-  };
-  static constexpr std::uint64_t kMagicPooled = 0x52504D454D504Cull;
-  static constexpr std::uint64_t kMagicPassthrough = 0x52504D454D5054ull;
-
   [[nodiscard]] static std::size_t class_index(std::size_t class_bytes);
-  [[nodiscard]] static void* os_allocate(std::size_t class_bytes,
-                                         std::uint64_t magic);
+  [[nodiscard]] static void* os_allocate(std::size_t class_bytes);
   static void os_free(void* raw) noexcept;
 
   mutable std::mutex mutex_;
-  bool enabled_ = true;
   std::vector<std::vector<void*>> free_lists_;  ///< raw (header) pointers
   PoolStats stats_;
 };

@@ -24,10 +24,8 @@
 // Every get_* bounds-checks and throws wire::Error on violation: a
 // corrupted blob fails decode loudly instead of yielding garbage.
 //
-// Blobs start with [kBlobMagic][kBlobVersion]; kBlobMagic is distinct
-// from '{', so a receiver can sniff binary vs. legacy-JSON payloads and
-// the shm and JSON transports can coexist on one pool (per-slot ring
-// fallback, mixed-version replays).
+// Blobs start with [kBlobMagic][kBlobVersion]; Reader::expect_blob
+// rejects anything else.
 #pragma once
 
 #include <cstdint>
@@ -263,12 +261,5 @@ class Reader {
   const char* end_;
   std::vector<std::string> locals_;
 };
-
-/// True when `payload` starts with the wire blob magic (vs. legacy JSON,
-/// whose first byte is '{').
-[[nodiscard]] inline bool is_wire_blob(const std::string& payload) {
-  return !payload.empty() &&
-         static_cast<unsigned char>(payload[0]) == kBlobMagic;
-}
 
 }  // namespace rperf::wire

@@ -6,6 +6,7 @@
 #include "sandbox/wire.hpp"
 #include "store/io.hpp"
 #include "util/crc32.hpp"
+#include "util/fnv1a.hpp"
 
 namespace rperf::store {
 
@@ -33,15 +34,6 @@ void append_u64(std::string& out, std::uint64_t v) {
   char b[8];
   std::memcpy(b, &v, 8);
   out.append(b, 8);
-}
-
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 void put_footer_run(wire::Writer& w, const FooterRun& run) {
@@ -138,7 +130,7 @@ BloomFilter BloomFilter::sized_for(std::size_t elements) {
 
 void BloomFilter::add(std::string_view key) {
   if (bits.empty()) return;
-  const std::uint64_t h = fnv1a64(key);
+  const std::uint64_t h = util::fnv1a64(key);
   const std::uint64_t m = bits.size() * 8;
   std::uint64_t h1 = h & 0xFFFFFFFFu;
   const std::uint64_t h2 = (h >> 32) | 1u;  // odd stride
@@ -151,7 +143,7 @@ void BloomFilter::add(std::string_view key) {
 
 bool BloomFilter::maybe_contains(std::string_view key) const {
   if (bits.empty()) return true;  // unusable filter: never exclude
-  const std::uint64_t h = fnv1a64(key);
+  const std::uint64_t h = util::fnv1a64(key);
   const std::uint64_t m = bits.size() * 8;
   std::uint64_t h1 = h & 0xFFFFFFFFu;
   const std::uint64_t h2 = (h >> 32) | 1u;

@@ -17,6 +17,7 @@
 #include "store/index.hpp"
 #include "store/scan.hpp"
 #include "util/crc32.hpp"
+#include "util/fnv1a.hpp"
 
 namespace rperf::store {
 
@@ -152,18 +153,12 @@ std::string footer_mismatch(const SegmentScan& seg) {
 // Encoding
 
 std::string run_config_id(const std::map<std::string, std::string>& config) {
-  std::uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](const char* s, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= static_cast<unsigned char>(s[i]);
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = util::kFnv1a64Offset;
   for (const auto& [key, value] : config) {
-    mix(key.data(), key.size());
-    mix("=", 1);
-    mix(value.data(), value.size());
-    mix("\n", 1);
+    h = util::fnv1a64(key, h);
+    h = util::fnv1a64("=", h);
+    h = util::fnv1a64(value, h);
+    h = util::fnv1a64("\n", h);
   }
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",

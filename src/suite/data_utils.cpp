@@ -1,38 +1,16 @@
 #include "suite/data_utils.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include <omp.h>
 
-#include "mem/cache.hpp"
 #include "mem/fill.hpp"
 #include "port/blocked.hpp"
 
 namespace rperf::suite {
 
 namespace {
-
-std::atomic<bool> g_legacy_setup{false};
-
-/// The original serial LCG (numerical recipes constants). Kept only for
-/// legacy-setup mode; the optimized fills in mem::fill_* reproduce this
-/// stream bit-for-bit via jump-ahead.
-class Lcg {
- public:
-  explicit Lcg(std::uint32_t seed) : state_(seed ? seed : 1u) {}
-  std::uint32_t next() {
-    state_ = state_ * 1664525u + 1013904223u;
-    return state_;
-  }
-  double next_unit() {
-    return (static_cast<double>(next() >> 8) + 0.5) / 16777216.0;
-  }
-
- private:
-  std::uint32_t state_;
-};
 
 constexpr Index_type kBlock = mem::kFillBlockElems;
 
@@ -93,76 +71,14 @@ long double checksum_blocked(const T* data, Index_type n) {
   return sum;
 }
 
-/// Pre-PR element-at-a-time checksum (legacy-setup mode only).
-template <typename T>
-long double checksum_legacy(const T* data, Index_type n) {
-  long double sum = 0.0L;
-  for (Index_type i = 0; i < n; ++i) {
-    sum += static_cast<long double>(data[i]) *
-           static_cast<long double>((i % 7) + 1);
-  }
-  return sum;
-}
-
 }  // namespace
 
-void set_legacy_setup(bool on) {
-  g_legacy_setup.store(on, std::memory_order_relaxed);
-}
-
-bool legacy_setup() { return g_legacy_setup.load(std::memory_order_relaxed); }
-
-namespace detail {
-
-void fill_random_dispatch(double* dst, Index_type n, std::uint32_t seed) {
-  if (legacy_setup()) {
-    Lcg rng(seed);
-    for (Index_type i = 0; i < n; ++i) dst[i] = rng.next_unit();
-    return;
-  }
-  mem::data_cache().fill_random(dst, n, seed);
-}
-
-void fill_const_dispatch(double* dst, Index_type n, double value) {
-  if (legacy_setup()) {
-    std::fill(dst, dst + n, value);
-    return;
-  }
-  mem::fill_const(dst, n, value);
-}
-
-void fill_ramp_dispatch(double* dst, Index_type n, double lo, double hi) {
-  const double step = n > 0 ? (hi - lo) / static_cast<double>(n) : 0.0;
-  if (legacy_setup()) {
-    for (Index_type i = 0; i < n; ++i) {
-      dst[i] = lo + static_cast<double>(i) * step;
-    }
-    return;
-  }
-  mem::fill_ramp(dst, n, lo, step);
-}
-
-void fill_int_random_dispatch(int* dst, Index_type n, int lo, int hi,
-                              std::uint32_t seed) {
-  if (legacy_setup()) {
-    Lcg rng(seed);
-    const std::uint32_t span = static_cast<std::uint32_t>(hi - lo) + 1u;
-    for (Index_type i = 0; i < n; ++i) {
-      dst[i] = lo + static_cast<int>(rng.next() % span);
-    }
-    return;
-  }
-  mem::data_cache().fill_int_random(dst, n, lo, hi, seed);
-}
-
-}  // namespace detail
-
 long double calc_checksum(const double* data, Index_type n) {
-  return legacy_setup() ? checksum_legacy(data, n) : checksum_blocked(data, n);
+  return checksum_blocked(data, n);
 }
 
 long double calc_checksum(const int* data, Index_type n) {
-  return legacy_setup() ? checksum_legacy(data, n) : checksum_blocked(data, n);
+  return checksum_blocked(data, n);
 }
 
 bool checksums_match(long double a, long double b, double rel_tol) {

@@ -4,15 +4,12 @@
 // checksums can be compared; initialization therefore uses a fixed-seed
 // linear congruential generator rather than std::random_device.
 //
-// Since the rperf::mem subsystem landed, kernel working sets live in
-// Real_vec / Int_vec — std::vectors backed by the pooled arena allocator —
-// and the fills run blocked (optionally in parallel) via mem::fill_* with
-// jump-ahead, producing streams bit-identical to the original serial LCG
-// for any thread count. Random datasets are additionally memoized by
-// mem::data_cache() so repeated variants of a kernel copy rather than
-// regenerate their inputs. `set_legacy_setup(true)` restores the original
-// serial fill and checksum implementations; bench/sweep_throughput uses it
-// (together with disabling the pool and cache) as the pre-PR baseline.
+// Kernel working sets live in Real_vec / Int_vec — std::vectors backed by
+// the pooled arena allocator — and the fills run blocked (optionally in
+// parallel) via mem::fill_* with jump-ahead, producing streams
+// bit-identical to a serial LCG for any thread count. Random datasets are
+// additionally memoized by mem::data_cache() so repeated variants of a
+// kernel copy rather than regenerate their inputs.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +17,8 @@
 #include <vector>
 
 #include "faults/injector.hpp"
+#include "mem/cache.hpp"
+#include "mem/fill.hpp"
 #include "mem/pool.hpp"
 #include "suite/types.hpp"
 
@@ -31,19 +30,7 @@ namespace rperf::suite {
 using Real_vec = std::vector<double, mem::PoolAllocator<double>>;
 using Int_vec = std::vector<int, mem::PoolAllocator<int>>;
 
-/// Legacy-setup mode: route fills and checksums through the original
-/// serial implementations (single LCG chain, element-at-a-time long double
-/// checksum). Only bench/sweep_throughput should turn this on.
-void set_legacy_setup(bool on);
-[[nodiscard]] bool legacy_setup();
-
 namespace detail {
-
-void fill_random_dispatch(double* dst, Index_type n, std::uint32_t seed);
-void fill_const_dispatch(double* dst, Index_type n, double value);
-void fill_ramp_dispatch(double* dst, Index_type n, double lo, double hi);
-void fill_int_random_dispatch(int* dst, Index_type n, int lo, int hi,
-                              std::uint32_t seed);
 
 template <typename T, typename Alloc>
 void prepare(std::vector<T, Alloc>& v, Index_type n) {
@@ -63,7 +50,7 @@ template <typename Alloc>
 void init_data(std::vector<double, Alloc>& v, Index_type n,
                std::uint32_t seed = 7u) {
   detail::prepare(v, n);
-  detail::fill_random_dispatch(v.data(), n, seed);
+  mem::data_cache().fill_random(v.data(), n, seed);
 }
 
 /// Fill with a constant.
@@ -71,7 +58,7 @@ template <typename Alloc>
 void init_data_const(std::vector<double, Alloc>& v, Index_type n,
                      double value) {
   detail::prepare(v, n);
-  detail::fill_const_dispatch(v.data(), n, value);
+  mem::fill_const(v.data(), n, value);
 }
 
 /// Linear ramp: v[i] = lo + i * (hi - lo) / n.
@@ -79,7 +66,8 @@ template <typename Alloc>
 void init_data_ramp(std::vector<double, Alloc>& v, Index_type n, double lo,
                     double hi) {
   detail::prepare(v, n);
-  detail::fill_ramp_dispatch(v.data(), n, lo, hi);
+  mem::fill_ramp(v.data(), n, lo,
+                 n > 0 ? (hi - lo) / static_cast<double>(n) : 0.0);
 }
 
 /// Deterministic uniform integers in [lo, hi].
@@ -87,7 +75,7 @@ template <typename Alloc>
 void init_int_data(std::vector<int, Alloc>& v, Index_type n, int lo, int hi,
                    std::uint32_t seed = 7u) {
   detail::prepare(v, n);
-  detail::fill_int_random_dispatch(v.data(), n, lo, hi, seed);
+  mem::data_cache().fill_int_random(v.data(), n, lo, hi, seed);
 }
 
 /// Order-stable weighted checksum: sum of data[i] * w(i) with w(i) =

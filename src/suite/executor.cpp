@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -28,6 +27,7 @@
 #include "sandbox/sandbox.hpp"
 #include "sandbox/wire.hpp"
 #include "suite/data_utils.hpp"
+#include "util/fnv1a.hpp"
 
 namespace rperf::suite {
 
@@ -77,12 +77,26 @@ const char* status_marker(RunStatus s) {
 /// Stable dispatch-affinity key for a kernel name or cell key (FNV-1a,
 /// forced odd so 0 keeps meaning "no affinity").
 std::uint64_t affinity_key(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
+  return util::fnv1a64(s) | 1ull;
+}
+
+/// Counter provenance of the results `counted` selects: "measured" or
+/// "simulated" when every sample agrees, "mixed" when both occur, and ""
+/// when none carries a sample (cells that failed before completing).
+template <typename Pred>
+std::string vote_hwc_source(const std::vector<RunResult>& results,
+                            Pred counted) {
+  bool any_measured = false;
+  bool any_simulated = false;
+  for (const RunResult& r : results) {
+    if (!counted(r)) continue;
+    if (r.hwc.source == "measured") any_measured = true;
+    if (r.hwc.source == "simulated") any_simulated = true;
   }
-  return h | 1ull;
+  if (any_measured && any_simulated) return "mixed";
+  if (any_measured) return "measured";
+  if (any_simulated) return "simulated";
+  return "";
 }
 
 /// Encode a dispatched cell as a wire blob: the cell, the OpenMP team the
@@ -632,22 +646,14 @@ void Executor::run() {
       channel.set_metadata("trace_overhead_pct", trace_overhead_pct_);
     }
     if (params_.hwc) {
-      // Slice-level source: every cell measured -> "measured", every cell
-      // simulated -> "simulated", a mix (e.g. a mid-run PMU failure)
-      // -> "mixed". Cells without a sample (failed before completing)
-      // don't vote; an empty slice reports what the probe would give it.
-      bool any_measured = false;
-      bool any_simulated = false;
-      for (const RunResult& r : results_) {
-        if (r.variant != key.first || r.tuning_name != key.second) continue;
-        if (r.hwc.source == "measured") any_measured = true;
-        if (r.hwc.source == "simulated") any_simulated = true;
-      }
-      const char* source = "measured";
-      if (any_measured && any_simulated) {
-        source = "mixed";
-      } else if (any_simulated || (!any_measured && !hwc_reason_.empty())) {
-        source = "simulated";
+      // Slice-level source (a mix means e.g. a mid-run PMU failure); a
+      // slice with no sample reports what the probe would give it.
+      std::string source =
+          vote_hwc_source(results_, [&key](const RunResult& r) {
+            return r.variant == key.first && r.tuning_name == key.second;
+          });
+      if (source.empty()) {
+        source = hwc_reason_.empty() ? "measured" : "simulated";
       }
       channel.set_metadata("hwc_source", source);
       if (!hwc_reason_.empty()) {
@@ -774,16 +780,7 @@ void Executor::run() {
 }
 
 std::string Executor::hwc_source() const {
-  bool any_measured = false;
-  bool any_simulated = false;
-  for (const RunResult& r : results_) {
-    if (r.hwc.source == "measured") any_measured = true;
-    if (r.hwc.source == "simulated") any_simulated = true;
-  }
-  if (any_measured && any_simulated) return "mixed";
-  if (any_measured) return "measured";
-  if (any_simulated) return "simulated";
-  return "";
+  return vote_hwc_source(results_, [](const RunResult&) { return true; });
 }
 
 void Executor::finalize(const RunResult& r) {
@@ -1177,17 +1174,6 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
     outcome = pool.run(source);
   }
   pool_stats_ = pool.stats();
-#ifdef RPERF_SANDBOX_DIAG
-  std::fprintf(stderr,
-               "[sandbox] pool done: spawns=%zu recycles=%zu hb_timeouts=%zu "
-               "deadline_kills=%zu corrupt=%zu jobs=%zu/%zu rss=%ldkb "
-               "user=%.3fs sys=%.3fs\n",
-               pool_stats_.spawns, pool_stats_.recycles,
-               pool_stats_.heartbeat_timeouts, pool_stats_.deadline_kills,
-               pool_stats_.corrupt_frames, pool_stats_.jobs_completed,
-               pool_stats_.jobs_dispatched, pool_stats_.peak_rss_kb,
-               pool_stats_.child_user_sec, pool_stats_.child_sys_sec);
-#endif
 
   if (outcome == sandbox::PoolOutcome::SpawnFailed && skip_reason().empty()) {
     // Graceful degradation: the pool could not keep a single worker alive
@@ -1263,49 +1249,6 @@ std::vector<cali::Profile> Executor::profiles() const {
   return out;
 }
 
-namespace {
-
-void merge_profile_node(cali::ProfileNode& dst, const cali::ProfileNode& src) {
-  dst.time_sec += src.time_sec;
-  dst.visit_count += src.visit_count;
-  for (const auto& [k, v] : src.metrics) dst.metrics[k] += v;
-  for (const auto& child : src.children) {
-    cali::ProfileNode* match = nullptr;
-    for (auto& c : dst.children) {
-      if (c.name == child.name) {
-        match = &c;
-        break;
-      }
-    }
-    if (match != nullptr) {
-      merge_profile_node(*match, child);
-    } else {
-      dst.children.push_back(child);
-    }
-  }
-}
-
-/// Fold `extra`'s regions into `prof` (metadata: prof wins on conflicts).
-void merge_profile(cali::Profile& prof, const cali::Profile& extra) {
-  for (const auto& root : extra.roots) {
-    cali::ProfileNode* match = nullptr;
-    for (auto& r : prof.roots) {
-      if (r.name == root.name) {
-        match = &r;
-        break;
-      }
-    }
-    if (match != nullptr) {
-      merge_profile_node(*match, root);
-    } else {
-      prof.roots.push_back(root);
-    }
-  }
-  for (const auto& [k, v] : extra.metadata) prof.metadata.emplace(k, v);
-}
-
-}  // namespace
-
 void Executor::write_profiles() const {
   if (params_.output_dir.empty()) return;
   std::filesystem::create_directories(params_.output_dir);
@@ -1313,14 +1256,18 @@ void Executor::write_profiles() const {
     const std::string path = params_.output_dir + "/" +
                              to_string(key.first) + "." + key.second +
                              ".cali.json";
-    cali::Profile prof = cali::to_profile(channel);
     // Under --resume the channel holds only the cells that re-ran; the
     // on-disk profile holds exactly the restored (previously passed) cells,
-    // so folding the two keeps per-variant profiles complete.
+    // so folding the channel into it keeps per-variant profiles complete.
+    // Merging in that order lets this run's metadata win.
     if (params_.resume && std::filesystem::exists(path)) {
-      merge_profile(prof, cali::read_profile(path));
+      cali::Channel merged =
+          cali::channel_from_profile(cali::read_profile(path));
+      merged.merge(channel);
+      cali::write_profile(merged, path);
+    } else {
+      cali::write_profile(channel, path);
     }
-    cali::write_profile(prof, path);
   }
 }
 

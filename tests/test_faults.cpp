@@ -370,11 +370,13 @@ TEST_F(FaultsTest, ResumeSkipsPassedCellsAndRerunsFailedOnes) {
   EXPECT_TRUE(exec.checksums_consistent(&details)) << details;
   EXPECT_EQ(exec.timing_report().find("FAILED"), std::string::npos);
 
-  // Re-written profiles fold the re-run cells into the restored ones.
+  // Re-written profiles fold the re-run cells into the restored ones, and
+  // this run's metadata wins over the faulted run's.
   const auto prof =
       cali::read_profile((dir / "Base_Seq.default.cali.json").string());
   EXPECT_NE(prof.find("Stream_TRIAD"), nullptr);
   EXPECT_NE(prof.find("Basic_DAXPY"), nullptr);
+  EXPECT_EQ(prof.metadata.at("cells_passed"), "2");
 
   std::filesystem::remove_all(dir);
 }

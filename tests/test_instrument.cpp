@@ -12,7 +12,6 @@
 #include "instrument/json.hpp"
 #include "instrument/profile.hpp"
 #include "instrument/report.hpp"
-#include "instrument/trace.hpp"
 #include "suite/data_utils.hpp"
 
 namespace {
@@ -279,91 +278,6 @@ TEST(RuntimeReport, MetricColumnsWhenRequested) {
   const std::string report = cali::runtime_report(ch, opts);
   EXPECT_NE(report.find("flops"), std::string::npos);
   EXPECT_NE(report.find("1.000e+06"), std::string::npos);
-}
-
-// ------------------------------------------------------------- event trace
-
-TEST(EventTrace, RecordsBeginEndPairsInOrder) {
-  cali::Channel ch;
-  cali::EventTrace trace;
-  trace.attach(ch);
-  ch.begin("a");
-  ch.begin("b");
-  ch.end("b");
-  ch.end("a");
-  trace.detach(ch);
-  ch.begin("untraced");
-  ch.end("untraced");
-
-  ASSERT_EQ(trace.size(), 4u);
-  EXPECT_EQ(trace.events()[0].region, "a");
-  EXPECT_EQ(trace.events()[0].kind, cali::TraceEvent::Kind::Begin);
-  EXPECT_EQ(trace.events()[1].region, "b");
-  EXPECT_EQ(trace.events()[2].kind, cali::TraceEvent::Kind::End);
-  EXPECT_EQ(trace.events()[3].region, "a");
-  // Timestamps are monotone.
-  for (std::size_t i = 1; i < trace.size(); ++i) {
-    EXPECT_LE(trace.events()[i - 1].timestamp_sec,
-              trace.events()[i].timestamp_sec);
-  }
-}
-
-TEST(EventTrace, IntervalsPairAndNest) {
-  cali::Channel ch;
-  cali::EventTrace trace;
-  trace.attach(ch);
-  ch.begin("outer");
-  ch.begin("inner");
-  ch.end("inner");
-  ch.end("outer");
-  ch.begin("second");
-  ch.end("second");
-  const auto ivs = trace.intervals();
-  ASSERT_EQ(ivs.size(), 3u);
-  EXPECT_EQ(ivs[0].region, "inner");
-  EXPECT_EQ(ivs[0].depth, 1);
-  EXPECT_EQ(ivs[1].region, "outer");
-  EXPECT_EQ(ivs[1].depth, 0);
-  EXPECT_LE(ivs[1].begin_sec, ivs[0].begin_sec);
-  EXPECT_GE(ivs[1].end_sec, ivs[0].end_sec);
-  EXPECT_GE(ivs[2].begin_sec, ivs[1].end_sec);
-  for (const auto& iv : ivs) EXPECT_GE(iv.duration_sec(), 0.0);
-}
-
-TEST(EventTrace, UnbalancedStreamThrows) {
-  cali::EventTrace trace;
-  cali::Channel ch;
-  trace.attach(ch);
-  ch.begin("open");
-  EXPECT_THROW((void)trace.intervals(), cali::AnnotationError);
-  ch.end("open");
-  EXPECT_NO_THROW((void)trace.intervals());
-}
-
-TEST(EventTrace, JsonRoundTrip) {
-  cali::Channel ch;
-  cali::EventTrace trace;
-  trace.attach(ch);
-  ch.begin("k1");
-  ch.end("k1");
-  const auto restored = cali::EventTrace::from_json(trace.to_json());
-  ASSERT_EQ(restored.size(), 2u);
-  EXPECT_EQ(restored.events()[0].region, "k1");
-  EXPECT_DOUBLE_EQ(restored.events()[0].timestamp_sec,
-                   trace.events()[0].timestamp_sec);
-}
-
-TEST(EventTrace, FileRoundTrip) {
-  cali::Channel ch;
-  cali::EventTrace trace;
-  trace.attach(ch);
-  ch.begin("k");
-  ch.end("k");
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rperf_trace.json").string();
-  trace.write(path);
-  EXPECT_EQ(cali::EventTrace::read(path).size(), 2u);
-  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------------ config

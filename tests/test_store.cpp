@@ -28,6 +28,7 @@
 #include "instrument/profile.hpp"
 #include "sandbox/wire.hpp"
 #include "store/store.hpp"
+#include "util/fnv1a.hpp"
 
 namespace {
 
@@ -144,6 +145,31 @@ TEST_F(StoreTest, RunConfigIdIsContentAddress) {
   auto cfg = small_config("a");
   cfg["extra"] = "1";
   EXPECT_NE(id1, store::run_config_id(cfg));
+}
+
+// Run ids are on-disk content addresses: a store written by an earlier
+// build must keep resolving its runs, so the id of a fixed config is
+// pinned to the value the format has always produced.
+TEST_F(StoreTest, RunConfigIdIsStableAcrossBuilds) {
+  const std::map<std::string, std::string> cfg = {
+      {"groups", "Stream,Basic"},
+      {"isolate", "none"},
+      {"size_factor", "0.01"},
+      {"suite", "rajaperf-repro"},
+      {"variants", "Base_Seq,RAJA_OpenMP"}};
+  EXPECT_EQ(store::run_config_id(cfg), "9d57e1d34a4a8c28");
+  EXPECT_EQ(store::run_config_id({}), "cbf29ce484222325");
+}
+
+// The shared hash behind run ids, bloom filters and affinity keys matches
+// the published FNV-1a-64 test vectors.
+TEST(Fnv1a64, MatchesReferenceVectors) {
+  EXPECT_EQ(util::fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(util::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(util::fnv1a64("foobar"), 0x85944171f73967e8ull);
+  // Chaining hashes the concatenation.
+  EXPECT_EQ(util::fnv1a64("bar", util::fnv1a64("foo")),
+            util::fnv1a64("foobar"));
 }
 
 // ---------------------------------------------------------------------------

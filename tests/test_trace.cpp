@@ -1,7 +1,6 @@
 // Tests for the TraceSink tracing service, the traced OpenMP forall path,
-// the Chrome/Perfetto exporter, and the EventTrace observer chaining.
+// the Chrome/Perfetto exporter, and Channel event-hook observer chaining.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #if defined(_OPENMP)
 #include <omp.h>
@@ -14,17 +13,14 @@
 #include <vector>
 
 #include "instrument/channel.hpp"
-#include "instrument/trace.hpp"
 #include "instrument/trace_export.hpp"
 #include "instrument/trace_sink.hpp"
 #include "port/forall.hpp"
 
 namespace {
 
-using rperf::cali::AnnotationError;
 using rperf::cali::Channel;
 using rperf::cali::ChromeTrace;
-using rperf::cali::EventTrace;
 using rperf::cali::RegionNode;
 using rperf::cali::TraceData;
 using rperf::cali::TraceRecord;
@@ -271,12 +267,17 @@ TEST(ChromeExportTest, FoldStacksComputesExclusiveTime) {
   EXPECT_DOUBLE_EQ(top[1].exclusive_us, 30.0);
 }
 
-TEST(EventTraceTest, ObserversChainWithoutClobbering) {
+TEST(EventHookTest, ObserversChainWithoutClobbering) {
   Channel ch;
-  EventTrace a;
-  EventTrace b;
-  a.attach(ch);
-  b.attach(ch);
+  std::vector<std::string> a;
+  std::vector<std::string> b;
+  const auto record = [](std::vector<std::string>& log) {
+    return [&log](const std::string& region, bool is_begin, double) {
+      log.push_back((is_begin ? "B:" : "E:") + region);
+    };
+  };
+  const int ida = ch.add_event_hook(record(a));
+  const int idb = ch.add_event_hook(record(b));
   EXPECT_EQ(ch.event_hook_count(), 2u);
   {
     rperf::cali::ScopedRegion r(ch, "both");
@@ -284,71 +285,17 @@ TEST(EventTraceTest, ObserversChainWithoutClobbering) {
   EXPECT_EQ(a.size(), 2u);
   EXPECT_EQ(b.size(), 2u);
 
-  // Detaching one observer leaves the other recording.
-  a.detach(ch);
+  // Removing one observer leaves the other recording.
+  ch.remove_event_hook(ida);
   EXPECT_EQ(ch.event_hook_count(), 1u);
   {
     rperf::cali::ScopedRegion r(ch, "only-b");
   }
   EXPECT_EQ(a.size(), 2u);
   EXPECT_EQ(b.size(), 4u);
-  b.detach(ch);
-}
-
-TEST(EventTraceTest, DoubleAttachThrowsInsteadOfClobbering) {
-  Channel ch1;
-  Channel ch2;
-  EventTrace t;
-  t.attach(ch1);
-  EXPECT_TRUE(t.attached());
-  EXPECT_THROW(t.attach(ch1), AnnotationError);
-  EXPECT_THROW(t.attach(ch2), AnnotationError);
-  // Detach from the wrong channel throws; from the right one works.
-  EXPECT_THROW(t.detach(ch2), AnnotationError);
-  t.detach(ch1);
-  EXPECT_FALSE(t.attached());
-  // Detaching an unattached trace is a no-op.
-  t.detach(ch1);
-  // And the channel is genuinely observer-free afterwards.
-  EXPECT_EQ(ch1.event_hook_count(), 0u);
-}
-
-TEST(EventTraceTest, JsonRoundTripCarriesTidAndPid) {
-  Channel ch;
-  EventTrace t;
-  t.attach(ch);
-  {
-    rperf::cali::ScopedRegion r(ch, "outer");
-    rperf::cali::ScopedRegion s(ch, "inner");
-  }
-  t.detach(ch);
-  ASSERT_EQ(t.size(), 4u);
-  for (const auto& e : t.events()) {
-    EXPECT_EQ(e.pid, static_cast<int>(::getpid()));
-  }
-
-  const EventTrace back = EventTrace::from_json(t.to_json());
-  ASSERT_EQ(back.size(), t.size());
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    EXPECT_EQ(back.events()[i].kind, t.events()[i].kind);
-    EXPECT_EQ(back.events()[i].region, t.events()[i].region);
-    EXPECT_DOUBLE_EQ(back.events()[i].timestamp_sec,
-                     t.events()[i].timestamp_sec);
-    EXPECT_EQ(back.events()[i].tid, t.events()[i].tid);
-    EXPECT_EQ(back.events()[i].pid, t.events()[i].pid);
-  }
-
-  // Legacy files without tid/pid still load, defaulting both to 0.
-  const EventTrace legacy = EventTrace::from_json(
-      R"({"format":"rperf-trace-1","events":[)"
-      R"({"kind":"B","region":"r","t":0.5},)"
-      R"({"kind":"E","region":"r","t":1.0}]})");
-  ASSERT_EQ(legacy.size(), 2u);
-  EXPECT_EQ(legacy.events()[0].tid, 0);
-  EXPECT_EQ(legacy.events()[0].pid, 0);
-  const auto ivs = legacy.intervals();
-  ASSERT_EQ(ivs.size(), 1u);
-  EXPECT_DOUBLE_EQ(ivs[0].duration_sec(), 0.5);
+  EXPECT_EQ(b.back(), "E:only-b");
+  ch.remove_event_hook(idb);
+  EXPECT_EQ(ch.event_hook_count(), 0u);
 }
 
 TEST(TraceSinkTest, CountersLandInFlushedData) {

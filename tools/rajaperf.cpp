@@ -157,17 +157,20 @@ int main(int argc, char** argv) {
     }
 
     // Worker-pool supervision summary (--workers): what keeping the sweep
-    // alive cost in respawned and recycled workers.
+    // alive cost in respawned and recycled workers, and what the workers
+    // consumed.
     if (params.workers > 0) {
       const auto& ws = exec.pool_stats();
       std::printf("workers: %d pooled, %zu spawned, %zu recycled "
                   "(%zu heartbeat timeouts, %zu deadline kills, "
-                  "%zu corrupt frames), peak queue %zu, "
-                  "peak cores %d of %d\n",
+                  "%zu corrupt frames), %zu/%zu jobs completed, "
+                  "peak queue %zu, peak cores %d of %d; worker rusage: "
+                  "peak rss %ld KiB, user %.3f s, sys %.3f s\n",
                   params.workers, ws.spawns, ws.recycles,
                   ws.heartbeat_timeouts, ws.deadline_kills, ws.corrupt_frames,
-                  ws.peak_queue_depth, ws.peak_cores_inflight,
-                  ws.core_budget);
+                  ws.jobs_completed, ws.jobs_dispatched, ws.peak_queue_depth,
+                  ws.peak_cores_inflight, ws.core_budget, ws.peak_rss_kb,
+                  ws.child_user_sec, ws.child_sys_sec);
       if (exec.degraded()) {
         std::printf("WARNING: pool unavailable (%zu spawn failures); "
                     "sweep degraded to in-process execution\n",
