@@ -1,9 +1,10 @@
 // Query-engine benchmark for the .rps profile store (BENCH_sweep.json,
 // "store_query" section).
 //
-// Builds a synthetic ledger of --runs complete runs (one sealed,
-// footer-indexed segment each; --cells committed cells per run) through
-// the real StoreWriter, then measures the three claims the index makes:
+// Builds a synthetic ledger of --runs complete runs (one sealed segment
+// each, catalogued in MANIFEST.rps; --cells committed cells per run)
+// through the real StoreWriter, then measures the three claims the index
+// makes:
 //
 //   point lookup   — StoreQuery with the index (manifest catalog + one
 //                    mmap'd segment) vs. --no-index (full-ledger decode)

@@ -83,11 +83,11 @@ enum class FaultKind {
   FsyncFail,
   TornSeg,
   // 'idxcorrupt' (target class "index") scribbles a byte inside the
-  // footer index of the segment being sealed and leaves the manifest
-  // stale. The *records* stay intact, so this must never surface as an
-  // error: readers are required to detect the damaged index, warn, and
-  // fall back to a full scan (the index fail-open contract). Not
-  // process-fatal; the seal itself succeeds.
+  // MANIFEST.rps the seal just saved. The *records* stay intact, so this
+  // must never surface as an error: readers are required to detect the
+  // damaged index, warn, and fall back to a full scan (the index
+  // fail-open contract), and the next writer open rewrites the manifest.
+  // Not process-fatal; the seal itself succeeds.
   IndexCorrupt,
 };
 

@@ -49,7 +49,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x32465052u;
 inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
 // The CRC-32 implementation lives in util/crc32.hpp so the profile
-// store's record/footer framing shares the exact tables this protocol
+// store's record and manifest framing shares the exact tables this protocol
 // uses; the aliases keep the sandbox-facing spelling stable.
 using util::crc32;
 using util::crc32_bytewise;

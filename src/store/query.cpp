@@ -5,8 +5,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "store/io.hpp"
-#include "store/mapped.hpp"
 #include "store/scan.hpp"
 
 namespace rperf::store {
@@ -35,6 +33,35 @@ std::string ambiguity_message(const std::string& prefix,
 
 }  // namespace
 
+std::optional<StoredRun> read_run(const MappedFile& segment,
+                                  const RunEntry& entry, std::string* why) {
+  auto fail = [why](std::string what) {
+    if (why != nullptr) *why = std::move(what);
+    return std::nullopt;
+  };
+  const std::string_view data = segment.view();
+  if (entry.min_seq == 0 || entry.max_seq < entry.min_seq) {
+    return fail("manifest entry has an implausible seq range");
+  }
+  if (entry.first_offset < kHeaderBytes || entry.first_offset >= data.size()) {
+    return fail("manifest entry offset is outside the segment");
+  }
+  // Decode from the run's first frame, stopping right after its final
+  // committed marker — frames of other runs are never touched.
+  RecordsScan rec = scan_records(
+      data, entry.first_offset, data.size(), entry.min_seq - 1,
+      fs::path(segment.path()).filename().string(), entry.max_seq);
+  if (!rec.clean) return fail("record decode stopped: " + rec.why);
+  if (rec.runs.size() != 1) {
+    return fail("expected exactly one run at the manifest offset, got " +
+                std::to_string(rec.runs.size()));
+  }
+  if (rec.index[0].entry != entry) {
+    return fail("decoded run does not match the manifest's claims");
+  }
+  return std::move(rec.runs[0]);
+}
+
 AmbiguousRunPrefix::AmbiguousRunPrefix(const std::string& prefix,
                                        std::vector<std::string> matches)
     : StoreError(ambiguity_message(prefix, matches)),
@@ -61,12 +88,14 @@ void StoreQuery::build_catalog() {
   bool any_files = !names.empty();
 
   std::optional<Manifest> manifest;
-  if (opt_.use_index) {
+  if (opt_.use_index && !names.empty()) {
     std::string why;
     manifest = load_manifest(dir_, &why);
-    if (!manifest && fs::exists(dir_ + "/" + kManifestName)) {
-      warn("unreadable manifest (" + why +
-           "); falling back to segment footers");
+    if (!manifest) {
+      warn((fs::exists(dir_ + "/" + kManifestName)
+                ? "unreadable manifest (" + why + ")"
+                : std::string("no manifest")) +
+           "; falling back to full scan of every segment");
     }
   }
 
@@ -76,52 +105,26 @@ void StoreQuery::build_catalog() {
     SegmentInfo info;
     info.name = name;
     info.first_entry = catalog_.size();
-    bool served = false;
 
-    // Source 1: a manifest entry that still matches the file on disk.
-    const ManifestSegment* m =
-        manifest ? manifest->segment(name) : nullptr;
-    if (m != nullptr) {
-      std::error_code ec;
-      const auto size = fs::file_size(path, ec);
-      if (!ec && size == m->file_size) {
-        for (const auto& r : m->runs) catalog_.push_back({r, name, -1});
-        info.indexed = true;
-        info.bloom_valid = true;
-        info.kernels = m->kernels;
-        if (!m->runs.empty()) prev_seq = m->last_seq;
-        served = true;
-      } else {
-        warn("stale manifest entry for " + name + "; probing its footer");
+    // A manifest entry that still matches the file on disk serves the
+    // segment without opening it.
+    const ManifestSegment* m = manifest ? manifest->segment(name) : nullptr;
+    std::error_code ec;
+    const bool fresh =
+        m != nullptr && fs::file_size(path, ec) == m->file_size && !ec;
+    if (fresh) {
+      for (const auto& r : m->runs) catalog_.push_back({r, name, -1});
+      info.indexed = true;
+      info.kernels = m->kernels;
+      if (!m->runs.empty()) prev_seq = m->last_seq;
+    } else {
+      if (manifest) {
+        warn((m != nullptr ? "stale manifest entry for " + name
+                           : name + " is not in the manifest") +
+             "; falling back to full scan");
       }
-    }
-
-    // Source 2: the segment's own footer.
-    if (!served && opt_.use_index) {
-      try {
-        MappedSegment seg(path, name);
-        if (seg.footer().status == FooterProbe::Status::Valid) {
-          const SegmentFooter& f = seg.footer().footer;
-          for (const auto& r : f.runs) catalog_.push_back({r, name, -1});
-          info.indexed = true;
-          info.bloom_valid = true;
-          info.kernels = f.kernels;
-          if (!f.runs.empty()) prev_seq = f.last_seq();
-          served = true;
-        } else if (seg.footer().status == FooterProbe::Status::Unreadable) {
-          warn("unreadable footer in " + name + " (" + seg.footer().why +
-               "); falling back to full scan");
-        }
-        // Absent: a pre-index segment — full scan, no noise.
-      } catch (const IoError& e) {
-        warn("cannot map " + name + " (" + e.what() +
-             "); falling back to full scan");
-      }
-    }
-
-    // Source 3: full record decode. Index damage got us here for free,
-    // but record damage stays fail-closed.
-    if (!served) {
+      // Full record decode: index trouble got us here for free, but
+      // record damage stays fail-closed.
       MappedFile map(path);
       SegmentScan s = scan_segment_image(map.view(), name);
       if (s.data_clean && s.rec.first_seq != 0 &&
@@ -173,9 +176,9 @@ std::optional<StoredRun> StoreQuery::run(const std::string& prefix) {
 
     // Indexed point lookup: mmap the one segment, decode the one run.
     try {
-      MappedSegment seg(dir_ + "/" + it->file, it->file);
+      const MappedFile seg(dir_ + "/" + it->file);
       std::string why;
-      if (auto found = seg.read_run(it->meta, &why)) return found;
+      if (auto found = read_run(seg, it->meta, &why)) return found;
       warn("point lookup for run " + it->meta.run_id + " in " + it->file +
            " failed (" + why + "); falling back to full scan");
     } catch (const IoError& e) {
@@ -254,8 +257,7 @@ std::vector<StoredRun> StoreQuery::runs_with_kernel(
   std::vector<StoredRun> out;
   for (const auto& seg : segments_) {
     if (seg.indexed) {
-      if (seg.bloom_valid && !seg.kernels.empty() &&
-          !seg.kernels.maybe_contains(kernel)) {
+      if (!seg.kernels.maybe_contains(kernel)) {
         ++last_bloom_pruned_;
         continue;
       }

@@ -1,19 +1,14 @@
 // StoreQuery — the index-driven query planner over a .rps store.
 //
-// Construction builds a run catalog in one ledger pass, consulting the
-// cheapest trustworthy source per sealed segment:
-//
-//   1. MANIFEST.rps entry whose recorded file size still matches the
-//      file on disk — the segment is never even opened;
-//   2. the segment's own footer (one mmap + an EOF probe);
-//   3. full record decode (pre-index segment, or a damaged index).
-//
-// The journal is always fully scanned: it is the one mutable file, so
-// no cached index can describe it. Index damage anywhere degrades to
-// the full scan with a warning (fail open); record damage still throws
-// CorruptError (fail closed) — the index can cost speed, never
-// correctness. Point lookups mmap one segment and decode only the
-// requested run's frames, verifying the footer's claims against the
+// Construction builds a run catalog in one ledger pass. A sealed segment
+// that MANIFEST.rps lists with its current file size is served from the
+// manifest and never opened; any other segment (unlisted, stale, or all
+// of them when the manifest is missing or unreadable) is decoded in full,
+// with a warning. The journal is always fully scanned: it is the one
+// mutable file, so no cached index can describe it. Index damage costs
+// speed, never correctness; record damage still throws CorruptError
+// (fail closed). Point lookups mmap one segment and decode only the
+// requested run's frames, verifying the manifest's claims against the
 // decoded records.
 #pragma once
 
@@ -23,6 +18,7 @@
 #include <vector>
 
 #include "store/index.hpp"
+#include "store/io.hpp"
 #include "store/store.hpp"
 
 namespace rperf::store {
@@ -30,8 +26,8 @@ namespace rperf::store {
 struct QueryOptions {
   /// Thread count for full-ledger scans (0 = min(4, hardware)).
   unsigned threads = 0;
-  /// false disables manifest/footer use entirely (--no-index): every
-  /// query takes the full-scan path. For benchmarks and fallback tests.
+  /// false disables the manifest entirely (--no-index): every query
+  /// takes the full-scan path. For benchmarks and fallback tests.
   bool use_index = true;
 };
 
@@ -49,9 +45,20 @@ class AmbiguousRunPrefix : public StoreError {
   std::vector<std::string> matches_;
 };
 
+/// Point lookup in a mapped sealed segment: decode exactly the run
+/// `entry` describes, from its first frame to its last commit marker,
+/// touching no other run's frames. Returns nullopt (with `why`) when the
+/// entry's claims (run id, seq range, record counts) do not survive
+/// verification against the decoded records — a lying index can
+/// redirect a query only into a detectable mismatch, never into a wrong
+/// answer.
+[[nodiscard]] std::optional<StoredRun> read_run(const MappedFile& segment,
+                                                const RunEntry& entry,
+                                                std::string* why);
+
 /// One catalogued run: enough to list it and to seek to it.
 struct CatalogEntry {
-  FooterRun meta;     ///< id, offsets, seq range, record counts
+  RunEntry meta;      ///< id, offsets, seq range, record counts
   std::string file;   ///< segment name or "journal.rps"
   int decoded = -1;   ///< index into decoded runs, -1 = index-only
 };
@@ -67,15 +74,16 @@ class StoreQuery {
     return catalog_;
   }
   [[nodiscard]] std::size_t segment_count() const { return segment_count_; }
-  /// Segments served purely from manifest/footer (no record decode).
+  /// Segments served purely from the manifest (no record decode).
   [[nodiscard]] std::size_t indexed_segments() const {
     return indexed_segments_;
   }
   [[nodiscard]] std::uint64_t journal_tail_bytes() const {
     return tail_bytes_;
   }
-  /// Index degradations observed so far (unreadable footer, stale
-  /// manifest, failed point lookup ...). Each is a complete sentence.
+  /// Index degradations observed so far (missing or unreadable
+  /// manifest, stale or unlisted segment, failed point lookup ...).
+  /// Each is a complete sentence.
   [[nodiscard]] const std::vector<std::string>& warnings() const {
     return warnings_;
   }
@@ -108,9 +116,8 @@ class StoreQuery {
  private:
   struct SegmentInfo {
     std::string name;
-    bool indexed = false;       ///< catalog came from manifest/footer
-    bool bloom_valid = false;
-    BloomFilter kernels;
+    bool indexed = false;       ///< catalog came from the manifest
+    BloomFilter kernels;        ///< indexed only
     std::size_t first_entry = 0;  ///< range into catalog_
     std::size_t entry_count = 0;
   };

@@ -30,6 +30,27 @@ std::uint64_t load_u64(const char* p) {
   return v;
 }
 
+// Segments sealed by builds that appended a per-segment footer end in
+//   "RPIX" u32 body_len body u32 crc32 u32 total_len u64 "1RPSIDX1"
+// right after their last commit marker. Nothing reads those bytes; the
+// sealed-segment scan only recognises them so such segments stay
+// readable.
+constexpr std::uint32_t kLegacyFooterMagic = 0x58495052u;  // "RPIX"
+constexpr std::uint64_t kLegacyFooterEndMagic =
+    0x3158444953505231ull;  // "1RPSIDX1"
+/// The fixed fields alone: magic, body_len, crc32, total_len, end magic.
+constexpr std::size_t kLegacyFooterMinBytes = 24;
+
+/// True when a sealed segment's records stop, all committed, at a legacy
+/// footer that runs to EOF.
+bool ends_in_legacy_footer(std::string_view data, const RecordsScan& rec) {
+  const std::size_t pos = rec.stop_pos;
+  return pos == rec.committed_end &&
+         data.size() - pos >= kLegacyFooterMinBytes &&
+         load_u32(data.data() + pos) == kLegacyFooterMagic &&
+         load_u64(data.data() + data.size() - 8) == kLegacyFooterEndMagic;
+}
+
 /// A decoded-but-uncommitted record, parked until a valid marker.
 struct PendingOp {
   RecordType type = RecordType::RunHeader;
@@ -166,9 +187,9 @@ bool consume_record(ScanState& st, RecordType type, std::string_view payload,
               st.runs[st.open_run].profiles.push_back(std::move(op.profile));
               break;
             case RecordType::CounterSet:
-              // Deliberately not indexed: the footer entry layout predates
-              // counter records and stays fixed; queries reach counters
-              // through their run.
+              // Deliberately not indexed: the manifest entry layout
+              // predates counter records and stays fixed; queries reach
+              // counters through their run.
               st.runs[st.open_run].counters.push_back(std::move(op.counters));
               break;
             case RecordType::TraceSummary:
@@ -293,30 +314,15 @@ SegmentScan scan_segment_image(std::string_view data,
   if (data.size() < kHeaderBytes ||
       std::memcmp(data.data(), kFileMagic, kHeaderBytes) != 0) {
     seg.problem = name + ": bad file header";
-    seg.footer.records_end = data.size();
     return seg;
   }
-  seg.footer = probe_footer(data);
-  seg.rec = scan_records(data, kHeaderBytes, seg.footer.records_end, 0, name);
-  if (!seg.rec.clean && seg.footer.records_end == data.size()) {
-    // The EOF trailer was unusable, so the scan ran to EOF — it may have
-    // stopped at a footer whose trailer is damaged or cut short. If all
-    // records before the stop are committed, the segment's *data* is
-    // intact and only the index is lost (fail open).
-    const FooterProbe at_stop = classify_footer_stop(data, seg.rec.stop_pos);
-    if (at_stop.status == FooterProbe::Status::Unreadable &&
-        seg.rec.committed_end == seg.rec.stop_pos) {
-      seg.footer = at_stop;
-      seg.rec.clean = true;
-      seg.rec.why.clear();
-    }
+  seg.rec = scan_records(data, kHeaderBytes, data.size(), 0, name);
+  if (!seg.rec.clean && ends_in_legacy_footer(data, seg.rec)) {
+    seg.rec.clean = true;
+    seg.rec.why.clear();
   }
   seg.data_clean = seg.rec.clean;
-  if (!seg.data_clean) {
-    seg.problem = name + ": " +
-                  (seg.rec.why.empty() ? "uncommitted trailing records"
-                                       : seg.rec.why);
-  }
+  if (!seg.data_clean) seg.problem = name + ": " + seg.rec.why;
   return seg;
 }
 

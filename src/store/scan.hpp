@@ -1,5 +1,5 @@
 // The store's one record-reassembly routine, shared by writer recovery,
-// the reader, fsck, the seal-time footer builder, and the query
+// the reader, fsck, the seal-time manifest entry, and the query
 // planner's point lookups — so every consumer agrees byte-for-byte on
 // what "committed" means.
 //
@@ -27,10 +27,10 @@
 
 namespace rperf::store {
 
-/// Per-run index info gathered during a scan: the footer entry the run
-/// would get, plus its committed cells' kernel names (bloom input).
+/// Per-run index info gathered during a scan: the manifest entry the run
+/// gets, plus its committed cells' kernel names (bloom input).
 struct RunIndexInfo {
-  FooterRun entry;
+  RunEntry entry;
   std::vector<std::string> kernels;
 };
 
@@ -60,26 +60,27 @@ struct RecordsScan {
                                        const std::string& file,
                                        std::uint64_t stop_after_seq = 0);
 
-/// One sealed segment, scanned: footer probe + full record decode.
-/// `data_clean` covers the *records* only — an unreadable footer leaves
-/// it true (index fail-open), while record damage or trailing garbage
-/// behind a complete footer makes it false (data fail-closed).
+/// One sealed segment, scanned: a full record decode. `data_clean` is
+/// false on any record damage or trailing bytes (fail closed).
 struct SegmentScan {
   std::string name;  ///< file name (e.g. "seg-000001.rps")
   std::uint64_t size = 0;
-  FooterProbe footer;
   RecordsScan rec;
   bool data_clean = false;
   std::string problem;  ///< "name: why" when !data_clean
 };
 
-/// Scan a full segment image (header + records + optional footer).
+/// Scan a full segment image. Its records must run to EOF, except that a
+/// segment sealed by a build that still appended per-segment footers may
+/// end in one: when the records stop, fully committed, at the footer's
+/// "RPIX" magic and the file ends in the footer's end magic, the footer
+/// bytes are ignored. Records stopping anywhere else fail closed.
 [[nodiscard]] SegmentScan scan_segment_image(std::string_view data,
                                              const std::string& name);
 
-/// Scan a journal image: records run to EOF, and any footer bytes left
-/// behind by a crash between footer append and seal rename are ordinary
-/// torn tail. `prev_seq` seeds the cross-file sequence check.
+/// Scan a journal image: records run to EOF, and anything behind the
+/// last commit marker is torn tail. `prev_seq` seeds the cross-file
+/// sequence check.
 [[nodiscard]] RecordsScan scan_journal_image(std::string_view data,
                                              std::uint64_t prev_seq);
 

@@ -37,10 +37,10 @@ void scribble_at(const std::string& path, std::uint64_t at) {
   ::close(fd);
 }
 
-// The tornseg@segment fault: flip a bit in the middle of the *records*
-// region of a sealed file (damage to committed data, which must read as
-// beyond-repair corruption — never in the footer, whose damage is the
-// separate, fail-open idxcorrupt fault).
+// The tornseg@segment fault: flip a bit in the middle of the records of
+// a sealed file (damage to committed data, which must read as
+// beyond-repair corruption — unlike the fail-open idxcorrupt fault,
+// which damages the manifest).
 void scribble_records(const std::string& path, std::uint64_t records_end) {
   if (records_end > kHeaderBytes) {
     scribble_at(path, kHeaderBytes + (records_end - kHeaderBytes) / 2);
@@ -76,75 +76,66 @@ std::string quarantine_tail(const std::string& dir, const std::string& tail) {
   return path;
 }
 
-/// Fold the just-sealed segment's footer into MANIFEST.rps. The manifest
-/// is a pure cache, so nothing here may fail the seal: any error is
-/// recorded in `info` and the next seal (or fsck --repair) catches up.
-void update_manifest_at_seal(const std::string& dir, const std::string& name,
-                             const SegmentFooter& footer, SealInfo& info) {
-  try {
-    std::string why;
-    Manifest m = load_manifest(dir, &why).value_or(Manifest{});
-    const auto gone = std::remove_if(
-        m.segments.begin(), m.segments.end(),
-        [&](const ManifestSegment& s) {
-          return s.name == name || !fs::exists(dir + "/" + s.name);
-        });
-    m.segments.erase(gone, m.segments.end());
-    ManifestSegment seg;
-    seg.name = name;
-    seg.file_size = fs::file_size(dir + "/" + name);
-    seg.last_seq = footer.last_seq();
-    seg.runs = footer.runs;
-    seg.kernels = footer.kernels;
-    m.segments.push_back(std::move(seg));
-    std::sort(m.segments.begin(), m.segments.end(),
-              [](const ManifestSegment& a, const ManifestSegment& b) {
-                return a.name < b.name;
-              });
-    save_manifest(dir, m);
-    info.manifest_ok = true;
-    info.manifest_runs = 0;
-    for (const auto& s : m.segments) info.manifest_runs += s.runs.size();
-  } catch (const std::exception& e) {
-    info.manifest_ok = false;
-    if (info.index_error.empty()) {
-      info.index_error = std::string("manifest update failed: ") + e.what();
-    }
+/// The manifest entry for a segment of `size` bytes whose records
+/// scanned to `rec`.
+ManifestSegment manifest_entry(const std::string& name, std::uint64_t size,
+                               const RecordsScan& rec) {
+  ManifestSegment seg;
+  seg.name = name;
+  seg.file_size = size;
+  seg.last_seq = rec.committed_seq;
+  std::size_t kernel_count = 0;
+  for (const auto& ri : rec.index) kernel_count += ri.kernels.size();
+  seg.kernels = BloomFilter::sized_for(kernel_count);
+  for (const auto& ri : rec.index) {
+    seg.runs.push_back(ri.entry);
+    for (const auto& k : ri.kernels) seg.kernels.add(k);
   }
+  return seg;
 }
 
-/// First contradiction between a CRC-valid footer and the full record
-/// decode, empty when they agree. The footer is built from the same scan
-/// core, so any disagreement means the bytes changed after sealing —
-/// real corruption, not a version skew.
-std::string footer_mismatch(const SegmentScan& seg) {
-  const SegmentFooter& f = seg.footer.footer;
-  if (f.runs.size() != seg.rec.index.size()) {
-    return "footer lists " + std::to_string(f.runs.size()) +
-           " run(s) but records hold " + std::to_string(seg.rec.index.size());
-  }
-  for (std::size_t i = 0; i < f.runs.size(); ++i) {
-    const FooterRun& a = f.runs[i];
-    const FooterRun& b = seg.rec.index[i].entry;
-    if (a.run_id != b.run_id) {
-      return "run " + std::to_string(i) + " id " + a.run_id +
-             " != " + b.run_id;
-    }
-    if (a.first_offset != b.first_offset || a.min_seq != b.min_seq ||
-        a.max_seq != b.max_seq) {
-      return "run " + a.run_id + " offset/seq range disagrees with records";
-    }
-    if (a.cells != b.cells || a.profiles != b.profiles ||
-        a.summaries != b.summaries || a.complete != b.complete) {
-      return "run " + a.run_id + " record counts disagree with records";
-    }
-    for (const auto& kernel : seg.rec.index[i].kernels) {
-      if (!f.kernels.maybe_contains(kernel)) {
-        return "bloom filter denies committed kernel '" + kernel + "'";
-      }
+/// The catalog of every clean sealed segment in `scan`, in ledger order.
+Manifest manifest_from_scan(const LedgerScan& scan) {
+  Manifest m;
+  for (const SegmentScan& seg : scan.segments) {
+    if (seg.data_clean) {
+      m.segments.push_back(manifest_entry(seg.name, seg.size, seg.rec));
     }
   }
-  return {};
+  return m;
+}
+
+/// How DIR/MANIFEST.rps differs from `want`, one sentence per finding;
+/// empty when it matches. A missing file matches an empty catalog.
+std::vector<std::string> manifest_drift(const std::string& dir,
+                                        const Manifest& want) {
+  if (!fs::exists(dir + "/" + kManifestName)) {
+    if (want.segments.empty()) return {};
+    return {"manifest missing (queries decode every segment in full)"};
+  }
+  std::string why;
+  const std::optional<Manifest> have = load_manifest(dir, &why);
+  if (!have) {
+    return {"unreadable manifest (" + why +
+            "; queries decode every segment in full)"};
+  }
+  if (have->segments == want.segments) return {};
+  std::vector<std::string> drift;
+  for (const auto& seg : want.segments) {
+    const ManifestSegment* listed = have->segment(seg.name);
+    if (listed == nullptr) {
+      drift.push_back("manifest does not list " + seg.name);
+    } else if (*listed != seg) {
+      drift.push_back("stale manifest entry: " + seg.name);
+    }
+  }
+  for (const auto& seg : have->segments) {
+    if (want.segment(seg.name) == nullptr) {
+      drift.push_back("manifest lists " + seg.name +
+                      ", which is not a clean sealed segment");
+    }
+  }
+  return drift;
 }
 
 }  // namespace
@@ -301,13 +292,23 @@ void StoreWriter::recover_journal() {
   next_segment_ = scan.segments.empty() ? 0 : scan.max_segment_index + 1;
   next_seq_ = scan.final_committed_seq + 1;
 
+  // The writer owns the manifest: build it from this scan and rewrite the
+  // file only when the one on disk differs (missing, garbled or stale). A
+  // failed rewrite costs queries speed only, and every seal saves the
+  // whole catalog again.
+  manifest_ = manifest_from_scan(scan);
+  if (!manifest_drift(dir_, manifest_).empty()) {
+    try {
+      save_manifest(dir_, manifest_);
+    } catch (const IoError&) {
+    }
+  }
+
   const std::string journal_path = dir_ + "/journal.rps";
   const std::uint64_t tail = scan.tail_bytes();
   if (tail > 0) {
     // Quarantine before truncating: the torn tail is preserved evidence,
-    // never silently dropped. (A footer left in the journal by a crash
-    // between footer append and seal rename lands here too — it indexes
-    // nothing once the file stays a journal.)
+    // never silently dropped.
     const std::string data = read_file(journal_path);
     recovery_.quarantine_file =
         quarantine_tail(dir_, data.substr(scan.journal_committed_end));
@@ -454,21 +455,20 @@ void StoreWriter::finish_run() {
 
 void StoreWriter::seal() {
   // The journal is durable (finish_run's barrier); publish it as an
-  // immutable segment: footer index append, rename + directory fsync,
-  // manifest update, then start fresh. This publication path is the
-  // 'segment' class of the I/O fault grammar: enospc/shortwrite fail it
-  // before any footer byte lands (the run stays in the journal),
-  // fsyncfail fails the directory barrier after the rename, tornseg
-  // scribbles a byte inside the freshly sealed records — simulated media
-  // damage to an immutable segment — and idxcorrupt (class 'index')
-  // scribbles the footer instead, which readers must survive.
+  // immutable segment: rename + directory fsync, manifest update, then
+  // start fresh. This publication path is the 'segment' class of the I/O
+  // fault grammar: enospc/shortwrite fail it before the rename (the run
+  // stays in the journal), fsyncfail fails the directory barrier after
+  // the rename, tornseg scribbles a byte inside the freshly sealed
+  // records — simulated media damage to an immutable segment — and
+  // idxcorrupt (class 'index') scribbles the saved manifest instead,
+  // which readers must survive.
   char name[32];
   std::snprintf(name, sizeof(name), "seg-%06llu.rps",
                 static_cast<unsigned long long>(next_segment_));
   SealInfo info;
   info.segment = name;
-  std::uint64_t records_end = 0;
-  SegmentFooter footer;
+  std::optional<ManifestSegment> entry;
   auto& inj = faults::injector();
   try {
     if (inj.fire_io_fault(faults::FaultKind::Enospc, "segment") ||
@@ -476,41 +476,23 @@ void StoreWriter::seal() {
       throw IoError("store: injected failure publishing " +
                     std::string(name));
     }
-    records_end = journal_.size();
-    if (opt_.write_index) {
-      // Build the footer by re-scanning the just-fsynced journal with
-      // the same scan core recovery uses — a valid footer is therefore
-      // definitionally consistent with a full decode. The index is
-      // fail-open: any failure here (including an injected journal
-      // fault) is recorded and the segment seals footerless; a partial
-      // footer append reads as a truncated footer, which readers also
-      // survive.
-      try {
-        const std::string data = read_file(journal_.path());
-        const RecordsScan rec =
-            scan_records(data, kHeaderBytes, data.size(), 0, name);
-        if (!rec.clean) {
-          info.index_error = "journal not clean at seal: " + rec.why;
-        } else {
-          footer.records_end = data.size();
-          std::size_t kernel_count = 0;
-          for (const auto& ri : rec.index) kernel_count += ri.kernels.size();
-          footer.kernels = BloomFilter::sized_for(kernel_count);
-          for (const auto& ri : rec.index) {
-            footer.runs.push_back(ri.entry);
-            for (const auto& k : ri.kernels) footer.kernels.add(k);
-          }
-          const std::string bytes = encode_footer(footer);
-          journal_.append(bytes.data(), bytes.size());
-          journal_.sync();
-          info.footer_ok = true;
-          info.footer_bytes = bytes.size();
-          info.runs_indexed = footer.runs.size();
-        }
-      } catch (const std::exception& e) {
-        info.footer_ok = false;
-        info.index_error = e.what();
+    const std::uint64_t records_end = journal_.size();
+    // Build the manifest entry by re-scanning the just-fsynced journal
+    // with the same scan core recovery uses, so the entry is consistent
+    // with a full decode by construction. The index is fail-open: on any
+    // failure here the segment seals unlisted, queries decode it in full,
+    // and the next writer open lists it.
+    try {
+      const std::string data = read_file(journal_.path());
+      const RecordsScan rec =
+          scan_records(data, kHeaderBytes, data.size(), 0, name);
+      if (rec.clean) {
+        entry = manifest_entry(name, data.size(), rec);
+      } else {
+        info.index_error = "journal not clean at seal: " + rec.why;
       }
+    } catch (const std::exception& e) {
+      info.index_error = e.what();
     }
     journal_.close();
     atomic_rename(dir_ + "/journal.rps", dir_ + "/" + name);
@@ -524,17 +506,10 @@ void StoreWriter::seal() {
       scribble_records(dir_ + "/" + name, records_end);
       throw IoError("store: injected media damage in " + std::string(name));
     }
-    if (info.footer_ok &&
-        inj.fire_io_fault(faults::FaultKind::IndexCorrupt, "index")) {
-      // Damage the footer body and leave the manifest stale, so queries
-      // are forced through the corrupt footer and must demonstrate the
-      // fail-open fallback. The records are untouched: the seal still
-      // succeeds and nothing may report an error beyond a warning.
-      scribble_at(dir_ + "/" + name, records_end + kFooterHeadBytes);
-      info.footer_ok = false;
-      info.index_error = "injected index corruption in " + std::string(name);
-    } else if (info.footer_ok) {
-      update_manifest_at_seal(dir_, name, footer, info);
+    if (entry) {
+      info.runs_indexed = entry->runs.size();
+      manifest_.segments.push_back(std::move(*entry));
+      publish_manifest(info);
     }
     journal_.open(dir_ + "/journal.rps", "journal");
     journal_.append(kFileMagic, kHeaderBytes);
@@ -544,6 +519,34 @@ void StoreWriter::seal() {
     throw StoreError(e.what());
   }
   seal_info_ = std::move(info);
+}
+
+void StoreWriter::publish_manifest(SealInfo& info) {
+  // The manifest is a pure cache, so nothing here may fail the seal: an
+  // error is recorded in `info` and the next seal (or writer open) saves
+  // the catalog again.
+  const std::string path = dir_ + "/" + kManifestName;
+  try {
+    save_manifest(dir_, manifest_);
+  } catch (const IoError& e) {
+    info.index_error = std::string("manifest update failed: ") + e.what();
+    return;
+  }
+  if (faults::injector().fire_io_fault(faults::FaultKind::IndexCorrupt,
+                                       "index")) {
+    // Damage the saved manifest so queries must demonstrate the fail-open
+    // fallback. The records are untouched: the seal still succeeds and
+    // nothing may report an error beyond a warning.
+    std::error_code ec;
+    const std::uint64_t size = fs::file_size(path, ec);
+    if (!ec) scribble_at(path, size / 2);
+    info.index_error = "injected index corruption in " + path;
+    return;
+  }
+  info.manifest_ok = true;
+  for (const auto& seg : manifest_.segments) {
+    info.manifest_runs += seg.runs.size();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -587,61 +590,17 @@ FsckReport fsck(const std::string& dir, bool repair, unsigned threads) {
   }
   report.tail_bytes = scan.tail_bytes();
 
-  // Cross-check every healthy segment's footer against the full decode.
-  // Absent/unreadable footers cost queries speed, not correctness, so
-  // they are notes only; a CRC-valid footer that lies about the records
-  // means the sealed bytes changed — that is data corruption.
-  std::vector<std::size_t> lying;  // indices into scan.segments
-  for (std::size_t i = 0; i < scan.segments.size(); ++i) {
-    const SegmentScan& seg = scan.segments[i];
-    if (!seg.data_clean) continue;
-    switch (seg.footer.status) {
-      case FooterProbe::Status::Absent:
-        report.notes.push_back("pre-index segment (no footer): " + seg.name);
-        break;
-      case FooterProbe::Status::Unreadable:
-        report.notes.push_back("unreadable footer (queries fall back to "
-                               "full scan): " + seg.name + " (" +
-                               seg.footer.why + ")");
-        break;
-      case FooterProbe::Status::Valid: {
-        const std::string mismatch = footer_mismatch(seg);
-        if (!mismatch.empty()) {
-          lying.push_back(i);
-          report.notes.push_back("footer contradicts records: " + seg.name +
-                                 " (" + mismatch + ")");
-        }
-        break;
-      }
-    }
-  }
-
-  // The manifest is a pure cache — staleness is a note, never an error.
-  std::string manifest_why;
-  const bool manifest_exists = fs::exists(dir + "/" + kManifestName);
-  std::optional<Manifest> manifest;
-  if (manifest_exists) {
-    manifest = load_manifest(dir, &manifest_why);
-    if (!manifest) {
-      report.notes.push_back("unreadable manifest (queries fall back to "
-                             "footers): " + manifest_why);
-    } else {
-      for (const auto& entry : manifest->segments) {
-        const std::string path = dir + "/" + entry.name;
-        if (!fs::exists(path) || fs::file_size(path) != entry.file_size) {
-          report.notes.push_back("stale manifest entry: " + entry.name);
-        }
-      }
-    }
-  }
+  // The manifest is a pure cache: drift from the catalog this scan
+  // builds is a note, never a status change.
+  const Manifest catalog = manifest_from_scan(scan);
+  const std::vector<std::string> drift = manifest_drift(dir, catalog);
+  report.notes.insert(report.notes.end(), drift.begin(), drift.end());
 
   if (!scan.damaged.empty()) {
     report.status = FsckStatus::Corrupt;
     for (const auto& problem : scan.segment_problems) {
       report.notes.push_back("corrupt sealed segment: " + problem);
     }
-  } else if (!lying.empty()) {
-    report.status = FsckStatus::Corrupt;
   } else if (report.tail_bytes > 0) {
     report.status = FsckStatus::Recoverable;
     report.notes.push_back(
@@ -650,7 +609,7 @@ FsckReport fsck(const std::string& dir, bool repair, unsigned threads) {
         (scan.journal_why.empty() ? "" : " (" + scan.journal_why + ")"));
   }
 
-  if (repair && report.status != FsckStatus::Clean) {
+  if (repair && (report.status != FsckStatus::Clean || !drift.empty())) {
     // Refuse to repair under a live writer: take the same flock.
     const std::string lock_path = dir + "/store.lock";
     const int lock_fd =
@@ -660,30 +619,13 @@ FsckReport fsck(const std::string& dir, bool repair, unsigned threads) {
       throw StoreError("store: cannot repair '" + dir +
                        "': a writer holds the lock");
     }
-    std::vector<bool> removed(scan.segments.size(), false);
-    std::vector<bool> stripped(scan.segments.size(), false);
     for (const std::size_t i : scan.damaged) {
       const std::string seg_path = dir + "/" + scan.segments[i].name;
       const std::string dest =
           dir + "/quarantine/" + scan.segments[i].name;
       fs::create_directories(dir + "/quarantine");
       atomic_rename(seg_path, dest);
-      removed[i] = true;
       report.notes.push_back("quarantined damaged segment -> " + dest);
-      report.repaired = true;
-    }
-    for (const std::size_t i : lying) {
-      // Strip the lying footer: truncate to the records region, turning
-      // the segment back into a readable pre-index segment. The records
-      // themselves were proven intact by the full decode.
-      const SegmentScan& seg = scan.segments[i];
-      AppendFile file;
-      file.open(dir + "/" + seg.name, "segment");
-      file.truncate(seg.footer.footer.records_end);
-      file.close();
-      stripped[i] = true;
-      report.notes.push_back("stripped contradicting footer from " +
-                             seg.name);
       report.repaired = true;
     }
     if (report.tail_bytes > 0) {
@@ -698,29 +640,16 @@ FsckReport fsck(const std::string& dir, bool repair, unsigned threads) {
       report.notes.push_back("quarantined torn journal tail -> " + qpath);
       report.repaired = true;
     }
-    if (report.repaired && (manifest_exists || !manifest_why.empty())) {
-      // Rebuild the manifest from the surviving, trustworthy footers so
-      // the cache never outlives the files it described.
-      Manifest m;
-      for (std::size_t i = 0; i < scan.segments.size(); ++i) {
-        const SegmentScan& seg = scan.segments[i];
-        if (removed[i] || stripped[i] || !seg.data_clean) continue;
-        if (seg.footer.status != FooterProbe::Status::Valid) continue;
-        ManifestSegment entry;
-        entry.name = seg.name;
-        entry.file_size = seg.size;
-        entry.last_seq = seg.footer.footer.last_seq();
-        entry.runs = seg.footer.footer.runs;
-        entry.kernels = seg.footer.footer.kernels;
-        m.segments.push_back(std::move(entry));
-      }
+    if (!drift.empty()) {
+      // The catalog lists exactly the surviving (clean) segments.
       try {
-        save_manifest(dir, m);
-        report.notes.push_back("rebuilt manifest (" +
-                               std::to_string(m.segments.size()) +
+        save_manifest(dir, catalog);
+        report.notes.push_back("rewrote manifest (" +
+                               std::to_string(catalog.segments.size()) +
                                " segment(s))");
-      } catch (const std::exception& e) {
-        report.notes.push_back(std::string("manifest rebuild failed: ") +
+        report.repaired = true;
+      } catch (const IoError& e) {
+        report.notes.push_back(std::string("manifest rewrite failed: ") +
                                e.what());
       }
     }

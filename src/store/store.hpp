@@ -56,17 +56,17 @@
 // fsync barriers (group commit every few markers, always at run finish)
 // bound only the durability window, not consistency.
 //
-// Sealing: finish_run fsyncs the journal, appends a footer index (run
-// directory + bloom filter over kernel names; see store/index.hpp),
-// atomic-renames it to the next seg-NNNNNN.rps, fsyncs the directory,
-// updates the MANIFEST.rps catalog crash-atomically, and starts a fresh
-// journal. Sealed segments are immutable and their *records* must scan
+// Sealing: finish_run fsyncs the journal, atomic-renames it to the next
+// seg-NNNNNN.rps, fsyncs the directory, appends the segment's entry (run
+// directory + bloom filter over kernel names; see store/index.hpp) to
+// the writer's MANIFEST.rps catalog, saves that crash-atomically, and
+// starts a fresh journal. A sealed segment ends at its last commit
+// marker. Sealed segments are immutable and their records must scan
 // perfectly end-to-end; damage there is real disk corruption — readers
 // throw CorruptError ("beyond repair"; fsck --repair quarantines the
-// segment). The footer and manifest are pure indexes and strictly
-// fail-open: unreadable or missing index data degrades reads to a full
-// scan, never to an error, and segments sealed before footers existed
-// stay readable unchanged.
+// segment). The manifest is a pure index and strictly fail-open: a
+// missing, unreadable or stale manifest degrades reads to a full scan,
+// never to an error, and the next writer open rebuilds it.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +78,7 @@
 #include <vector>
 
 #include "instrument/profile.hpp"
+#include "store/index.hpp"
 #include "store/io.hpp"
 
 namespace rperf::store {
@@ -186,10 +187,6 @@ struct WriterOptions {
   /// fsync the journal after this many commit markers (group commit).
   /// Consistency never depends on this — only the durability window.
   std::size_t sync_every_commits = 8;
-  /// Append a footer index to each sealed segment and maintain the
-  /// MANIFEST.rps catalog. Off produces pre-index segments (the format
-  /// every reader must keep accepting; tests use this).
-  bool write_index = true;
 };
 
 /// What opening the writer had to recover.
@@ -201,19 +198,18 @@ struct RecoveryInfo {
 /// What the most recent seal published (for the executor's log line).
 struct SealInfo {
   std::string segment;            ///< empty until the first seal
-  std::size_t runs_indexed = 0;   ///< footer directory entries written
-  std::uint64_t footer_bytes = 0; ///< 0 when no footer was written
-  bool footer_ok = false;
+  std::size_t runs_indexed = 0;   ///< runs in this segment's entry
   std::size_t manifest_runs = 0;  ///< total runs catalogued after update
   bool manifest_ok = false;
-  std::string index_error;        ///< why footer/manifest was skipped
+  std::string index_error;        ///< why the manifest was not updated
 };
 
 /// Single-writer append handle. Opening recovers the journal (quarantine
-/// + truncate the torn tail) and refuses a store whose sealed segments
-/// are damaged. All mutation throws StoreError after the first I/O
-/// failure (the writer latches failed: the file's tail state is unknown
-/// until the next recovery scan).
+/// + truncate the torn tail), refuses a store whose sealed segments are
+/// damaged, and rewrites MANIFEST.rps when it does not match the sealed
+/// segments. All mutation throws StoreError after the first I/O failure
+/// (the writer latches failed: the file's tail state is unknown until
+/// the next recovery scan).
 class StoreWriter {
  public:
   explicit StoreWriter(std::string dir, WriterOptions opt = {});
@@ -249,9 +245,11 @@ class StoreWriter {
   void barrier();
   void seal();
   void recover_journal();
+  void publish_manifest(SealInfo& info);
 
   std::string dir_;
   WriterOptions opt_;
+  Manifest manifest_;  ///< every sealed segment; saved at open and seal
   AppendFile journal_;
   int lock_fd_ = -1;
   RecoveryInfo recovery_;
@@ -306,16 +304,14 @@ struct FsckReport {
   std::vector<std::string> notes; ///< human-readable findings
 };
 
-/// Scan every file in the store and classify it. Footers are
-/// cross-checked against the full decode: a missing or unreadable
-/// footer is only a note (index fail-open), but a CRC-valid footer
-/// that *contradicts* the records marks the store Corrupt. With
-/// `repair`, quarantine+truncate a torn journal tail, quarantine
-/// damaged sealed segments (the committed runs in healthy files
-/// survive), strip lying/unreadable footers (the segment reverts to a
-/// readable pre-index segment), and rebuild the manifest. `threads`
-/// parallelizes the segment scans (0 = min(4, hardware)). Throws
-/// StoreError when DIR holds no store at all.
+/// Scan every file in the store and classify it. MANIFEST.rps is
+/// compared with the catalog built from the scan; any difference is a
+/// note and leaves the status unchanged (the index is a cache). With
+/// `repair`, quarantine+truncate a torn journal tail, quarantine damaged
+/// sealed segments (the committed runs in healthy files survive), and
+/// rewrite a manifest that differs from the surviving segments.
+/// `threads` parallelizes the segment scans (0 = min(4, hardware)).
+/// Throws StoreError when DIR holds no store at all.
 [[nodiscard]] FsckReport fsck(const std::string& dir, bool repair,
                               unsigned threads = 0);
 

@@ -605,10 +605,11 @@ void Executor::run() {
 
   {
     cali::TraceSpan sweep_span("sweep");
+    const std::vector<const Cell*> pending = settle_unexecuted(cells, prior);
     if (params_.isolate == IsolationMode::None) {
-      run_in_process(cells, prior);
+      run_in_process(pending);
     } else {
-      run_pooled(cells, prior);
+      run_pooled(pending);
     }
   }
 
@@ -756,16 +757,15 @@ void Executor::run() {
       store_writer_->add_trace_summary(summary);
       store_writer_->finish_run();
       // Seal summary on stderr: which segment the run landed in and
-      // whether its query index (footer + manifest) made it to disk.
-      // Index failures are fail-open — queries fall back to full scans
-      // — so this is a warning, never a disabled store.
+      // whether its query index (the manifest) made it to disk. Index
+      // failures are fail-open — queries fall back to full scans — so
+      // this is a warning, never a disabled store.
       const store::SealInfo& seal = store_writer_->last_seal();
       if (!seal.segment.empty()) {
         std::cerr << "rperf-store: sealed " << seal.segment << " ("
-                  << seal.runs_indexed << " run(s) indexed, footer "
-                  << seal.footer_bytes << " bytes, manifest "
+                  << seal.runs_indexed << " run(s) indexed, manifest "
                   << seal.manifest_runs << " run(s))\n";
-        if (!seal.footer_ok || !seal.manifest_ok) {
+        if (!seal.manifest_ok) {
           std::cerr << "warning: store index degraded (queries fall back "
                        "to full scans): "
                     << seal.index_error << "\n";
@@ -824,45 +824,52 @@ void Executor::append_crash_line(json::Object o) const {
   os.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
-bool Executor::skip_or_restore(const Cell& cell,
-                               const std::map<std::string, RunResult>& prior,
-                               RunResult& r) {
+RunResult Executor::start_result(const Cell& cell) {
+  RunResult r;
   r.kernel = cell.kernel->name();
   r.group = cell.kernel->group();
   r.variant = cell.vid;
   r.tuning = cell.tuning;
   r.tuning_name = cell.tuning_name;
-  const std::string key = cell_key(r.kernel, r.variant, r.tuning_name);
-  const auto restored = prior.find(key);
-  const auto crashes = crash_counts_.find(key);
-  if (std::string why = skip_reason(); !why.empty()) {
-    r.status = RunStatus::Skipped;
-    r.error = std::move(why);
-  } else if (restored != prior.end() &&
-             restored->second.status == RunStatus::Passed) {
-    r = restored->second;
-    r.group = cell.kernel->group();
-    r.tuning = cell.tuning;
-    r.restored = true;
-    cell.kernel->restore_result(cell.vid, cell.tuning, r.time_per_rep_sec,
-                                r.checksum);
-  } else if (crashes != crash_counts_.end() &&
-             crashes->second >= params_.quarantine_after) {
-    r.status = RunStatus::Skipped;
-    r.error = "quarantined after " + std::to_string(crashes->second) +
-              " crashes; see crashes.jsonl";
-    json::Object o;
-    o["kind"] = "quarantine-skip";
-    o["kernel"] = r.kernel;
-    o["variant"] = to_string(r.variant);
-    o["tuning"] = r.tuning_name;
-    o["crashes"] = crashes->second;
-    append_crash_line(std::move(o));
-  } else {
-    return false;
+  return r;
+}
+
+std::vector<const Executor::Cell*> Executor::settle_unexecuted(
+    const std::vector<Cell>& cells,
+    const std::map<std::string, RunResult>& prior) {
+  std::vector<const Cell*> pending;
+  for (const Cell& cell : cells) {
+    RunResult r = start_result(cell);
+    const std::string key = cell_key(r.kernel, r.variant, r.tuning_name);
+    const auto restored = prior.find(key);
+    const auto crashes = crash_counts_.find(key);
+    if (restored != prior.end() &&
+        restored->second.status == RunStatus::Passed) {
+      r = restored->second;
+      r.group = cell.kernel->group();
+      r.tuning = cell.tuning;
+      r.restored = true;
+      cell.kernel->restore_result(cell.vid, cell.tuning, r.time_per_rep_sec,
+                                  r.checksum);
+    } else if (crashes != crash_counts_.end() &&
+               crashes->second >= params_.quarantine_after) {
+      r.status = RunStatus::Skipped;
+      r.error = "quarantined after " + std::to_string(crashes->second) +
+                " crashes; see crashes.jsonl";
+      json::Object o;
+      o["kind"] = "quarantine-skip";
+      o["kernel"] = r.kernel;
+      o["variant"] = to_string(r.variant);
+      o["tuning"] = r.tuning_name;
+      o["crashes"] = crashes->second;
+      append_crash_line(std::move(o));
+    } else {
+      pending.push_back(&cell);
+      continue;
+    }
+    finalize(r);
   }
-  finalize(r);
-  return true;
+  return pending;
 }
 
 void Executor::run_cell_in_process(const Cell& cell, int consumed,
@@ -889,12 +896,15 @@ void Executor::run_cell_in_process(const Cell& cell, int consumed,
   }
 }
 
-void Executor::run_in_process(const std::vector<Cell>& cells,
-                              const std::map<std::string, RunResult>& prior) {
-  for (const Cell& cell : cells) {
-    RunResult r;
-    if (skip_or_restore(cell, prior, r)) continue;
-    run_cell_in_process(cell, 0, r);
+void Executor::run_in_process(const std::vector<const Cell*>& cells) {
+  for (const Cell* cell : cells) {
+    RunResult r = start_result(*cell);
+    if (std::string why = skip_reason(); !why.empty()) {
+      r.status = RunStatus::Skipped;
+      r.error = std::move(why);
+    } else {
+      run_cell_in_process(*cell, 0, r);
+    }
     finalize(r);
   }
 }
@@ -962,8 +972,7 @@ std::string Executor::worker_run_cell(const std::string& payload) {
                             profile ? &*profile : nullptr);
 }
 
-void Executor::run_pooled(const std::vector<Cell>& cells,
-                          const std::map<std::string, RunResult>& prior) {
+void Executor::run_pooled(const std::vector<const Cell*>& cells) {
   struct PooledJob {
     const Cell* cell = nullptr;
     RunResult r;
@@ -971,15 +980,9 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
     bool done = false;
   };
 
-  // Resolve restores, quarantine, and interrupt skips up front; what
-  // remains becomes the pool's job list.
   std::vector<PooledJob> jobs;
-  for (const Cell& cell : cells) {
-    PooledJob p;
-    if (skip_or_restore(cell, prior, p.r)) continue;
-    p.cell = &cell;
-    jobs.push_back(std::move(p));
-  }
+  jobs.reserve(cells.size());
+  for (const Cell* cell : cells) jobs.push_back({cell, start_result(*cell)});
 
   // --workers N keeps N workers across cells. Without it, --isolate
   // cell|kernel is one disposable worker, replaced whenever the affinity
@@ -1169,7 +1172,7 @@ void Executor::run_pooled(const std::vector<Cell>& cells,
 
   sandbox::PoolOutcome outcome = sandbox::PoolOutcome::Completed;
   sandbox::WorkerPool pool(cfg, client);
-  if (!jobs.empty()) {
+  if (!jobs.empty() && skip_reason().empty()) {
     cali::TraceSpan pool_span("worker-pool");
     outcome = pool.run(source);
   }

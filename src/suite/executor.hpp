@@ -197,12 +197,16 @@ class Executor {
   /// merging a passing attempt into its variant's profile. `consumed`
   /// counts attempts already spent elsewhere (a pool that degraded).
   void run_cell_in_process(const Cell& cell, int consumed, RunResult& r);
-  /// Start `r` for `cell`. When the cell must not run — the sweep stopped
-  /// or was interrupted, --resume restores it, or crashes quarantined it
-  /// — finalize it and return true.
-  bool skip_or_restore(const Cell& cell,
-                       const std::map<std::string, RunResult>& prior,
-                       RunResult& r);
+  /// A result for `cell` with only its identity fields filled in.
+  [[nodiscard]] static RunResult start_result(const Cell& cell);
+  /// Finalize every cell that must not execute — --resume restores it,
+  /// or crashes quarantined it — and return the rest in sweep order.
+  /// Runs once before either execution path, so the checkpoint holds
+  /// every restored cell before the first cell executes, and a stop or
+  /// interrupt can only skip cells that never passed.
+  std::vector<const Cell*> settle_unexecuted(
+      const std::vector<Cell>& cells,
+      const std::map<std::string, RunResult>& prior);
   /// Why unstarted cells are skipped; "" while the sweep runs on.
   [[nodiscard]] std::string skip_reason() const;
   /// Record a terminal cell (results, checkpoint, store, trace counters);
@@ -213,13 +217,11 @@ class Executor {
   /// Append one forensics record to crashes.jsonl (best-effort).
   void append_crash_line(json::Object o) const;
   /// Every cell runs in this process.
-  void run_in_process(const std::vector<Cell>& cells,
-                      const std::map<std::string, RunResult>& prior);
+  void run_in_process(const std::vector<const Cell*>& cells);
   /// Cells run in sandbox::WorkerPool workers: N persistent ones under
   /// --workers N, otherwise one disposable worker per cell or kernel.
   /// Falls back to in-process execution when no worker can be spawned.
-  void run_pooled(const std::vector<Cell>& cells,
-                  const std::map<std::string, RunResult>& prior);
+  void run_pooled(const std::vector<const Cell*>& cells);
   /// Body executed inside a pooled worker for one job payload; returns
   /// the wire-encoded cell result with the post-job injector state.
   std::string worker_run_cell(const std::string& payload);

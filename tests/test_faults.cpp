@@ -381,6 +381,58 @@ TEST_F(FaultsTest, ResumeSkipsPassedCellsAndRerunsFailedOnes) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(FaultsTest, ResumeKeepsRestoredCellsWhenTheSweepStopsEarly) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "rperf_resume_stop";
+  std::filesystem::remove_all(dir);
+
+  RunParams p = small_params();
+  p.kernel_filter = {"Basic_DAXPY", "Stream_TRIAD"};
+  p.variant_filter = {VariantID::Base_Seq, VariantID::Lambda_Seq};
+  p.output_dir = dir.string();
+  p.fault_spec = "throw@Basic_DAXPY";
+  {
+    Executor exec(p);
+    exec.run();
+    EXPECT_EQ(exec.status_counts().at(RunStatus::Passed), 2u);
+  }
+
+  // A resumed run that stops at its first failure must still restore the
+  // cells that passed before, in its results and in its checkpoint.
+  p.resume = true;
+  p.keep_going = false;
+  {
+    Executor exec(p);
+    exec.run();
+    const auto counts = exec.status_counts();
+    EXPECT_EQ(counts.at(RunStatus::Passed), 2u);
+    EXPECT_EQ(counts.at(RunStatus::Failed), 1u);
+    EXPECT_EQ(counts.at(RunStatus::Skipped), 1u);
+    ASSERT_EQ(exec.results().size(), 4u);
+    for (std::size_t i = 0; i < 2; ++i) {  // restored cells come first
+      EXPECT_EQ(exec.results()[i].kernel, "Stream_TRIAD");
+      EXPECT_TRUE(exec.results()[i].restored);
+    }
+  }
+
+  // So a third run restores them again instead of re-running them.
+  p.fault_spec.clear();
+  p.keep_going = true;
+  Executor exec(p);
+  exec.run();
+  EXPECT_TRUE(exec.all_passed());
+  std::size_t restored = 0;
+  for (const auto& r : exec.results()) {
+    if (r.restored) {
+      EXPECT_EQ(r.kernel, "Stream_TRIAD");
+      ++restored;
+    }
+  }
+  EXPECT_EQ(restored, 2u);
+
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------- channel merge
 
 TEST_F(FaultsTest, ChannelMergeSumsRegionsAndMetrics) {

@@ -1,14 +1,15 @@
 // Tests for the store's query index and planner: the shared slice-by-8
-// CRC agreeing with the byte-at-a-time reference, seal-time footers and
-// the MANIFEST.rps catalog, the StoreQuery planner (manifest -> footer
-// -> full scan), mmap'd point lookups returning bit-identical runs,
-// every index fail-open path (pre-index segments, truncated footer,
-// corrupt footer, stale/unreadable manifest, the idxcorrupt fault
-// kind), the fail-closed path (a CRC-valid footer contradicting the
-// records is corruption; --repair strips it), ambiguous --diff prefix
-// resolution, bloom-filter pruning with no false negatives, and
-// parallel cold scans being identical to serial ones.
+// CRC agreeing with the byte-at-a-time reference, the writer-owned
+// MANIFEST.rps catalog (published at each seal, rebuilt at writer open),
+// the StoreQuery planner (manifest -> full scan), mmap'd point lookups
+// returning bit-identical runs, every index fail-open path (missing,
+// stale, unreadable or unlisted manifest, the idxcorrupt fault kind, a
+// lying entry caught by point-lookup verification), segments sealed with
+// the older per-segment footer staying readable, ambiguous --diff prefix
+// resolution, bloom-filter pruning with no false negatives, and parallel
+// cold scans being identical to serial ones.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdint>
 #include <cstring>
@@ -20,8 +21,8 @@
 #include <vector>
 
 #include "faults/injector.hpp"
+#include "sandbox/wire.hpp"
 #include "store/index.hpp"
-#include "store/mapped.hpp"
 #include "store/query.hpp"
 #include "store/scan.hpp"
 #include "store/store.hpp"
@@ -69,6 +70,52 @@ void spit(const std::string& path, const std::string& data) {
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
+void append_le(std::string& out, std::uint64_t v, std::size_t bytes) {
+  for (std::size_t i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+/// The per-segment footer that earlier builds appended behind a sealed
+/// segment's last commit marker, byte for byte:
+///   "RPIX" u32 body_len body u32 crc32(magic..body) u32 total_len
+///   u64 "1RPSIDX1"
+/// where body holds the segment's run directory and bloom filter.
+std::string legacy_footer(const store::ManifestSegment& seg,
+                          std::uint64_t records_end) {
+  wire::Writer w;
+  w.set_self_contained(true);
+  w.put_u32(1);  // footer version
+  w.put_u64(records_end);
+  w.put_u32(static_cast<std::uint32_t>(seg.runs.size()));
+  for (const auto& run : seg.runs) {
+    w.put_bytes(run.run_id);
+    w.put_u64(run.first_offset);
+    w.put_u64(run.min_seq);
+    w.put_u64(run.max_seq);
+    w.put_u32(run.cells);
+    w.put_u32(run.profiles);
+    w.put_u32(run.summaries);
+    w.put_u8(run.complete ? 1 : 0);
+  }
+  w.put_u32(seg.kernels.hashes);
+  w.put_bytes(seg.kernels.bits);
+  const std::string body = w.take();
+  std::string out;
+  append_le(out, 0x58495052u, 4);  // "RPIX"
+  append_le(out, body.size(), 4);
+  out += body;
+  append_le(out, util::crc32(out.data(), out.size()), 4);
+  append_le(out, body.size() + 24, 4);
+  append_le(out, 0x3158444953505231ull, 8);  // "1RPSIDX1"
+  return out;
+}
+
+ino_t inode_of(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+}
+
 class StoreQueryTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -88,11 +135,8 @@ class StoreQueryTest : public ::testing::Test {
   /// One complete run (own sealed segment) holding one committed cell
   /// per kernel name. Returns the run's content address.
   std::string write_run(const std::string& tag,
-                        const std::vector<std::string>& kernels,
-                        bool write_index = true) {
-    store::WriterOptions opt;
-    opt.write_index = write_index;
-    store::StoreWriter w(base_, opt);
+                        const std::vector<std::string>& kernels) {
+    store::StoreWriter w(base_);
     const std::string id = w.begin_run(
         {{"suite", "query-test"}, {"tag", tag}, {"size_factor", "0.01"}});
     std::size_t i = 0;
@@ -114,6 +158,17 @@ class StoreQueryTest : public ::testing::Test {
     return id;
   }
 
+  [[nodiscard]] std::string manifest_path() const {
+    return base_ + "/" + store::kManifestName;
+  }
+
+  [[nodiscard]] store::Manifest manifest() const {
+    std::string why;
+    auto m = store::load_manifest(base_, &why);
+    EXPECT_TRUE(m.has_value()) << why;
+    return m.value_or(store::Manifest{});
+  }
+
   [[nodiscard]] std::string latest_segment() const {
     std::string latest;
     for (const auto& e : fs::directory_iterator(base_)) {
@@ -127,7 +182,7 @@ class StoreQueryTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Shared CRC32 (satellite: one slice-by-8 implementation for rings and
+// Shared CRC32 (one slice-by-8 implementation for the pipe protocol and
 // store framing, parity-checked against the byte-at-a-time reference)
 
 TEST_F(StoreQueryTest, SliceBy8Crc32MatchesBytewiseReference) {
@@ -144,26 +199,7 @@ TEST_F(StoreQueryTest, SliceBy8Crc32MatchesBytewiseReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Seal-time footers and the manifest
-
-TEST_F(StoreQueryTest, SealAppendsValidFooterWithRunDirectoryAndBloom) {
-  const std::string id = write_run("a", {"Stream_TRIAD", "Basic_DAXPY"});
-  const std::string seg = latest_segment();
-  ASSERT_FALSE(seg.empty());
-  const std::string data = slurp(base_ + "/" + seg);
-  const store::FooterProbe probe = store::probe_footer(data);
-  ASSERT_EQ(probe.status, store::FooterProbe::Status::Valid) << probe.why;
-  EXPECT_LT(probe.records_end, data.size());
-  ASSERT_EQ(probe.footer.runs.size(), 1u);
-  const store::FooterRun& entry = probe.footer.runs[0];
-  EXPECT_EQ(entry.run_id, id);
-  EXPECT_EQ(entry.cells, 2u);
-  EXPECT_EQ(entry.summaries, 1u);
-  EXPECT_TRUE(entry.complete);
-  EXPECT_GE(entry.first_offset, store::kHeaderBytes);
-  EXPECT_TRUE(probe.footer.kernels.maybe_contains("Stream_TRIAD"));
-  EXPECT_TRUE(probe.footer.kernels.maybe_contains("Basic_DAXPY"));
-}
+// The writer-owned manifest
 
 TEST_F(StoreQueryTest, ManifestCataloguesEverySealInLedgerOrder) {
   const std::string a = write_run("a", {"Stream_TRIAD"});
@@ -182,25 +218,77 @@ TEST_F(StoreQueryTest, ManifestCataloguesEverySealInLedgerOrder) {
   }
 }
 
-TEST_F(StoreQueryTest, SealInfoReportsFooterAndManifestPublication) {
+TEST_F(StoreQueryTest, SealInfoReportsManifestPublication) {
   store::StoreWriter w(base_);
   EXPECT_TRUE(w.last_seal().segment.empty());
-  w.begin_run({{"tag", "s"}});
+  const std::string id = w.begin_run({{"tag", "s"}});
   store::CellRecord c;
   c.kernel = "K";
   c.variant = "Base_Seq";
   c.status = "Passed";
   w.add_cell(c);
   w.commit();
+  w.add_trace_summary({{"wall_sec", 0.5}});
   w.finish_run();
   const store::SealInfo& seal = w.last_seal();
   EXPECT_EQ(seal.segment, "seg-000000.rps");
-  EXPECT_TRUE(seal.footer_ok);
   EXPECT_TRUE(seal.manifest_ok);
   EXPECT_EQ(seal.runs_indexed, 1u);
   EXPECT_EQ(seal.manifest_runs, 1u);
-  EXPECT_GT(seal.footer_bytes, 0u);
   EXPECT_TRUE(seal.index_error.empty());
+
+  // The sealed segment ends at its last commit marker, and its manifest
+  // entry is the run directory a full decode yields.
+  const std::string data = slurp(base_ + "/" + seal.segment);
+  const store::SegmentScan full =
+      store::scan_segment_image(data, seal.segment);
+  ASSERT_TRUE(full.data_clean) << full.problem;
+  EXPECT_EQ(full.rec.committed_end, data.size());
+  const store::Manifest m = manifest();
+  ASSERT_EQ(m.segments.size(), 1u);
+  EXPECT_EQ(m.segments[0].file_size, data.size());
+  ASSERT_EQ(m.segments[0].runs.size(), 1u);
+  const store::RunEntry& entry = m.segments[0].runs[0];
+  EXPECT_EQ(entry, full.rec.index[0].entry);
+  EXPECT_EQ(entry.run_id, id);
+  EXPECT_EQ(entry.cells, 1u);
+  EXPECT_EQ(entry.summaries, 1u);
+  EXPECT_TRUE(entry.complete);
+  EXPECT_TRUE(m.segments[0].kernels.maybe_contains("K"));
+}
+
+TEST_F(StoreQueryTest, WriterOpenRebuildsAMissingTruncatedOrGarbledManifest) {
+  write_run("a", {"Stream_TRIAD"});
+  write_run("b", {"Basic_DAXPY"});
+  const std::string path = manifest_path();
+  const std::string good = slurp(path);
+  // A manifest that already matches the segments is left alone.
+  const ino_t inode = inode_of(path);
+  { store::StoreWriter w(base_); }
+  EXPECT_EQ(inode_of(path), inode);
+
+  for (int damage = 0; damage < 3; ++damage) {
+    SCOPED_TRACE("damage=" + std::to_string(damage));
+    if (damage == 0) {
+      fs::remove(path);
+    } else if (damage == 1) {
+      spit(path, good.substr(0, good.size() / 2));
+    } else {
+      std::string garbled = good;
+      garbled[garbled.size() / 2] ^= 0x01;
+      spit(path, garbled);
+    }
+    {
+      store::StoreQuery q(base_);
+      EXPECT_FALSE(q.warnings().empty());
+      EXPECT_EQ(q.indexed_segments(), 0u);
+    }
+    { store::StoreWriter w(base_); }
+    store::StoreQuery q(base_);
+    EXPECT_EQ(q.indexed_segments(), q.segment_count());
+    EXPECT_TRUE(q.warnings().empty());
+    EXPECT_EQ(slurp(path), good);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -241,27 +329,28 @@ TEST_F(StoreQueryTest, PointLookupIsBitIdenticalToFullScan) {
   EXPECT_TRUE(indexed.warnings().empty());
 }
 
-TEST_F(StoreQueryTest, MappedSegmentDecodesExactlyTheRequestedRun) {
+TEST_F(StoreQueryTest, PointLookupDecodesExactlyTheRequestedRun) {
   write_run("a", {"Stream_TRIAD", "Basic_DAXPY"});
   const std::string seg = latest_segment();
-  store::MappedSegment mapped(base_ + "/" + seg, seg);
-  ASSERT_EQ(mapped.footer().status, store::FooterProbe::Status::Valid);
-  const store::FooterRun& entry = mapped.footer().footer.runs[0];
+  const store::MappedFile mapped(base_ + "/" + seg);
+  const store::Manifest m = manifest();
+  ASSERT_EQ(m.segments.size(), 1u);
+  const store::RunEntry& entry = m.segments[0].runs[0];
   std::string why;
-  const auto run = mapped.read_run(entry, &why);
+  const auto run = store::read_run(mapped, entry, &why);
   ASSERT_TRUE(run.has_value()) << why;
-  const store::SegmentScan full = mapped.scan_all();
+  const store::SegmentScan full = store::scan_segment_image(mapped.view(), seg);
   ASSERT_EQ(full.rec.runs.size(), 1u);
   expect_runs_equal(*run, full.rec.runs[0], "point lookup vs full scan");
 
   // A tampered directory entry must fail verification, not mis-decode.
-  store::FooterRun lying = entry;
+  store::RunEntry lying = entry;
   lying.cells += 1;
-  EXPECT_FALSE(mapped.read_run(lying, &why).has_value());
+  EXPECT_FALSE(store::read_run(mapped, lying, &why).has_value());
   EXPECT_FALSE(why.empty());
-  store::FooterRun shifted = entry;
+  store::RunEntry shifted = entry;
   shifted.min_seq += 1;
-  EXPECT_FALSE(mapped.read_run(shifted, &why).has_value());
+  EXPECT_FALSE(store::read_run(mapped, shifted, &why).has_value());
 }
 
 TEST_F(StoreQueryTest, ResolveAnswersBothDiffSidesFromOneCatalogPass) {
@@ -309,12 +398,10 @@ TEST_F(StoreQueryTest, AmbiguousDiffPrefixThrowsWithTheCandidateList) {
 // Index fail-open paths
 
 TEST_F(StoreQueryTest, PreIndexSegmentsStayFullyReadable) {
-  const std::string a = write_run("a", {"Stream_TRIAD"}, false);
-  const std::string b = write_run("b", {"Basic_DAXPY"}, false);
-  const std::string seg = latest_segment();
-  const store::FooterProbe probe = store::probe_footer(slurp(base_ + "/" + seg));
-  EXPECT_EQ(probe.status, store::FooterProbe::Status::Absent);
-  EXPECT_FALSE(fs::exists(base_ + "/" + store::kManifestName));
+  const std::string a = write_run("a", {"Stream_TRIAD"});
+  const std::string b = write_run("b", {"Basic_DAXPY"});
+  fs::remove(manifest_path());
+  EXPECT_FALSE(fs::exists(manifest_path()));
 
   store::StoreQuery q(base_);
   EXPECT_EQ(q.indexed_segments(), 0u);
@@ -328,8 +415,11 @@ TEST_F(StoreQueryTest, PreIndexSegmentsStayFullyReadable) {
 }
 
 TEST_F(StoreQueryTest, MixedPreIndexAndIndexedSegmentsCompose) {
-  const std::string old = write_run("old", {"Stream_TRIAD"}, false);
-  const std::string fresh = write_run("fresh", {"Basic_DAXPY"}, true);
+  const std::string old = write_run("old", {"Stream_TRIAD"});
+  const std::string fresh = write_run("fresh", {"Basic_DAXPY"});
+  store::Manifest m = manifest();
+  m.segments.erase(m.segments.begin());  // "old" predates the index
+  store::save_manifest(base_, m);
   store::StoreQuery q(base_);
   EXPECT_EQ(q.segment_count(), 2u);
   EXPECT_EQ(q.indexed_segments(), 1u);
@@ -338,79 +428,29 @@ TEST_F(StoreQueryTest, MixedPreIndexAndIndexedSegmentsCompose) {
   ASSERT_EQ(q.all_runs().size(), 2u);
 }
 
-TEST_F(StoreQueryTest, TruncatedFooterFailsOpenToFullScan) {
+TEST_F(StoreQueryTest, StaleManifestEntryFallsBackToFullScan) {
   const std::string id = write_run("a", {"Stream_TRIAD"});
-  const std::string seg = latest_segment();
-  const std::string path = base_ + "/" + seg;
-  std::string data = slurp(path);
-  const store::FooterProbe probe = store::probe_footer(data);
-  ASSERT_EQ(probe.status, store::FooterProbe::Status::Valid);
-  // Cut mid-footer: the records survive whole, the index does not.
-  data.resize(probe.records_end + store::kFooterHeadBytes + 3);
-  spit(path, data);
-
-  store::StoreQuery q(base_);
-  EXPECT_FALSE(q.warnings().empty());
-  const auto run = q.run(id.substr(0, 8));
-  ASSERT_TRUE(run.has_value());
-  EXPECT_EQ(run->run_id, id);
-  EXPECT_EQ(run->cells.size(), 1u);
-
-  const store::FsckReport report = store::fsck(base_, false);
-  EXPECT_EQ(report.status, store::FsckStatus::Clean);
-}
-
-TEST_F(StoreQueryTest, CorruptFooterByteFailsOpenToFullScan) {
-  const std::string id = write_run("a", {"Stream_TRIAD"});
-  const std::string seg = latest_segment();
-  const std::string path = base_ + "/" + seg;
-  std::string data = slurp(path);
-  const store::FooterProbe probe = store::probe_footer(data);
-  ASSERT_EQ(probe.status, store::FooterProbe::Status::Valid);
-  data[probe.records_end + store::kFooterHeadBytes] ^= 0x40;
-  spit(path, data);
-  // Same-size damage keeps the manifest "fresh", so drop it to make the
-  // catalog probe the footer itself.
-  fs::remove(base_ + "/" + store::kManifestName);
-
-  store::StoreQuery q(base_);
-  ASSERT_FALSE(q.warnings().empty());
-  EXPECT_NE(q.warnings()[0].find("falling back to full scan"),
-            std::string::npos);
-  EXPECT_EQ(q.indexed_segments(), 0u);
-  const auto run = q.run(id.substr(0, 8));
-  ASSERT_TRUE(run.has_value());
-  EXPECT_EQ(run->run_id, id);
-
-  const store::FsckReport report = store::fsck(base_, false);
-  EXPECT_EQ(report.status, store::FsckStatus::Clean);
-}
-
-TEST_F(StoreQueryTest, StaleManifestFallsBackToTheSegmentFooter) {
-  const std::string id = write_run("a", {"Stream_TRIAD"});
-  std::string why;
-  auto manifest = store::load_manifest(base_, &why);
-  ASSERT_TRUE(manifest.has_value()) << why;
-  manifest->segments[0].file_size += 1;  // no longer matches the dir
-  store::save_manifest(base_, *manifest);
+  store::Manifest m = manifest();
+  m.segments[0].file_size += 1;  // no longer matches the dir
+  store::save_manifest(base_, m);
 
   store::StoreQuery q(base_);
   ASSERT_FALSE(q.warnings().empty());
   EXPECT_NE(q.warnings()[0].find("stale manifest"), std::string::npos);
-  EXPECT_EQ(q.indexed_segments(), 1u);  // footer still serves the catalog
+  EXPECT_EQ(q.indexed_segments(), 0u);
   EXPECT_TRUE(q.run(id.substr(0, 8)).has_value());
 }
 
-TEST_F(StoreQueryTest, UnreadableManifestFallsBackToFooters) {
+TEST_F(StoreQueryTest, UnreadableManifestFallsBackToFullScan) {
   const std::string id = write_run("a", {"Stream_TRIAD"});
-  std::string garbage = slurp(base_ + "/" + store::kManifestName);
+  std::string garbage = slurp(manifest_path());
   garbage[garbage.size() / 2] ^= 0x01;
-  spit(base_ + "/" + store::kManifestName, garbage);
+  spit(manifest_path(), garbage);
 
   store::StoreQuery q(base_);
   ASSERT_FALSE(q.warnings().empty());
   EXPECT_NE(q.warnings()[0].find("manifest"), std::string::npos);
-  EXPECT_EQ(q.indexed_segments(), 1u);
+  EXPECT_EQ(q.indexed_segments(), 0u);
   EXPECT_TRUE(q.run(id.substr(0, 8)).has_value());
 }
 
@@ -432,55 +472,109 @@ TEST_F(StoreQueryTest, IdxCorruptFaultDegradesIndexButCommitsTheRun) {
   }();
   faults::injector().reset();
 
-  store::StoreQuery q(base_);
-  ASSERT_FALSE(q.warnings().empty());
-  EXPECT_NE(q.warnings().back().find("falling back to full scan"),
-            std::string::npos);
-  const auto run = q.run(id.substr(0, 8));
-  ASSERT_TRUE(run.has_value());
-  EXPECT_EQ(run->cells.size(), 1u);
-  EXPECT_TRUE(run->complete);
+  {
+    store::StoreQuery q(base_);
+    ASSERT_FALSE(q.warnings().empty());
+    EXPECT_NE(q.warnings().back().find("falling back to full scan"),
+              std::string::npos);
+    const auto run = q.run(id.substr(0, 8));
+    ASSERT_TRUE(run.has_value());
+    EXPECT_EQ(run->cells.size(), 1u);
+    EXPECT_TRUE(run->complete);
+  }
   EXPECT_EQ(store::fsck(base_, false).status, store::FsckStatus::Clean);
+
+  // The next writer open rewrites the manifest.
+  { store::StoreWriter w(base_); }
+  store::StoreQuery q(base_);
+  EXPECT_TRUE(q.warnings().empty());
+  EXPECT_EQ(q.indexed_segments(), 1u);
 }
 
 // ---------------------------------------------------------------------------
-// Fail-closed: a valid footer that lies about the records
+// A manifest entry that lies about the records
 
-TEST_F(StoreQueryTest, LyingFooterIsCorruptionAndRepairStripsIt) {
+TEST_F(StoreQueryTest, LyingManifestEntryIsCaughtByPointLookupAndRepaired) {
   const std::string id = write_run("a", {"Stream_TRIAD"});
-  const std::string seg = latest_segment();
-  const std::string path = base_ + "/" + seg;
-  std::string data = slurp(path);
-  store::FooterProbe probe = store::probe_footer(data);
-  ASSERT_EQ(probe.status, store::FooterProbe::Status::Valid);
-  // Re-encode a CRC-valid footer whose directory contradicts the
-  // records: this is indistinguishable from silent index corruption and
-  // must surface as real damage, not as a wrong answer.
-  probe.footer.runs[0].cells += 2;
-  data.resize(probe.records_end);
-  data += store::encode_footer(probe.footer);
-  spit(path, data);
+  const store::Manifest good = manifest();
+  store::Manifest lying = good;
+  lying.segments[0].runs[0].cells += 2;  // same file size: still "fresh"
+  store::save_manifest(base_, lying);
 
-  store::FsckReport report = store::fsck(base_, false);
-  EXPECT_EQ(report.status, store::FsckStatus::Corrupt);
-  bool noted = false;
-  for (const auto& note : report.notes) {
-    noted = noted || note.find("footer contradicts records") !=
-                         std::string::npos;
-  }
-  EXPECT_TRUE(noted);
-
-  // --repair strips the lying footer; the records themselves were fine,
-  // so the segment reverts to a readable pre-index segment.
-  report = store::fsck(base_, true);
-  EXPECT_TRUE(report.repaired);
-  EXPECT_EQ(store::fsck(base_, false).status, store::FsckStatus::Clean);
-  EXPECT_EQ(store::probe_footer(slurp(path)).status,
-            store::FooterProbe::Status::Absent);
   store::StoreQuery q(base_);
+  EXPECT_EQ(q.indexed_segments(), 1u);
+  EXPECT_TRUE(q.warnings().empty());
   const auto run = q.run(id.substr(0, 8));
   ASSERT_TRUE(run.has_value());
-  EXPECT_EQ(run->cells.size(), 1u);
+  EXPECT_EQ(run->cells.size(), 1u);  // the full scan's answer
+  ASSERT_FALSE(q.warnings().empty());
+  EXPECT_NE(q.warnings().back().find("point lookup"), std::string::npos);
+
+  // fsck notes the drift without changing the status (the index is a
+  // cache), and --repair rewrites the manifest from the segments.
+  store::FsckReport report = store::fsck(base_, false);
+  EXPECT_EQ(report.status, store::FsckStatus::Clean);
+  bool noted = false;
+  for (const auto& note : report.notes) {
+    noted = noted || note.find("stale manifest entry") != std::string::npos;
+  }
+  EXPECT_TRUE(noted);
+  report = store::fsck(base_, true);
+  EXPECT_TRUE(report.repaired);
+  EXPECT_EQ(manifest().segments, good.segments);
+  report = store::fsck(base_, false);
+  EXPECT_EQ(report.status, store::FsckStatus::Clean);
+  EXPECT_TRUE(report.notes.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Segments sealed with the older per-segment footer
+
+TEST_F(StoreQueryTest, LegacyFooterSegmentReadsCleanAndBitIdentical) {
+  const std::string id = write_run("a", {"Stream_TRIAD", "Basic_DAXPY"});
+  const std::string path = base_ + "/" + latest_segment();
+  const store::StoreReader before(base_);
+  // Append the footer as the older layout did, and record the grown file
+  // size in the manifest, as that build's seal did.
+  store::Manifest m = manifest();
+  std::string data = slurp(path);
+  data += legacy_footer(m.segments[0], data.size());
+  spit(path, data);
+  m.segments[0].file_size = data.size();
+  store::save_manifest(base_, m);
+
+  const store::StoreReader reader(base_);
+  ASSERT_EQ(reader.runs().size(), 1u);
+  expect_runs_equal(reader.runs()[0], before.runs()[0], "reader");
+
+  store::StoreQuery indexed(base_);
+  EXPECT_EQ(indexed.indexed_segments(), 1u);
+  store::QueryOptions no_index;
+  no_index.use_index = false;
+  store::StoreQuery scanned(base_, no_index);
+  const auto via_index = indexed.run(id.substr(0, 8));
+  const auto via_scan = scanned.run(id.substr(0, 8));
+  ASSERT_TRUE(via_index.has_value());
+  ASSERT_TRUE(via_scan.has_value());
+  expect_runs_equal(*via_index, *via_scan, "point lookup vs full scan");
+  expect_runs_equal(*via_scan, before.runs()[0], "full scan vs original");
+  EXPECT_TRUE(indexed.warnings().empty());
+
+  const store::FsckReport report = store::fsck(base_, false);
+  EXPECT_EQ(report.status, store::FsckStatus::Clean);
+  EXPECT_TRUE(report.notes.empty());
+}
+
+TEST_F(StoreQueryTest, BytesAfterALegacyFooterStayCorrupt) {
+  write_run("a", {"Stream_TRIAD"});
+  const std::string path = base_ + "/" + latest_segment();
+  std::string data = slurp(path);
+  data += legacy_footer(manifest().segments[0], data.size()) + "x";
+  spit(path, data);
+
+  EXPECT_THROW(store::StoreReader r(base_), store::CorruptError);
+  EXPECT_THROW(store::StoreQuery q(base_), store::CorruptError);
+  EXPECT_EQ(store::fsck(base_, false).status, store::FsckStatus::Corrupt);
 }
 
 // ---------------------------------------------------------------------------

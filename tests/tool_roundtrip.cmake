@@ -21,6 +21,30 @@ foreach(needle "Stream_TRIAD" "Basic_DAXPY" "RAJA_OpenMP")
   endif()
 endforeach()
 
+# A non-numeric value for a numeric option is a usage error (exit 2)
+# that names the option, in every mode that takes one.
+foreach(case
+        "--top|--trace;${WORKDIR}/trace.json;--top;ten"
+        "--top|--store;${WORKDIR}/store;--top;ten"
+        "--topn|--store;${WORKDIR}/store;--topn;ten"
+        "--threads|--store;${WORKDIR}/store;--threads;four"
+        "--threshold|${WORKDIR}/profiles;--compare;${WORKDIR}/profiles;--threshold;high")
+  string(REPLACE "|" ";" parts "${case}")
+  list(POP_FRONT parts flag)
+  execute_process(
+    COMMAND "${REPORT}" ${parts}
+    OUTPUT_VARIABLE out_bad
+    ERROR_VARIABLE err_bad
+    RESULT_VARIABLE rc_bad)
+  if(NOT rc_bad EQUAL 2)
+    message(FATAL_ERROR
+      "non-numeric ${flag}: want exit 2, got ${rc_bad}:\n${out_bad}\n${err_bad}")
+  endif()
+  if(NOT err_bad MATCHES "${flag} wants a number")
+    message(FATAL_ERROR "non-numeric ${flag}: message names no flag:\n${err_bad}")
+  endif()
+endforeach()
+
 # A profile corrupted beyond repair (unparseable JSON) must map to the
 # documented exit 5 — distinct from exit 1 (read error) and exit 4
 # (crash records) — so CI can tell data loss from ordinary failures.

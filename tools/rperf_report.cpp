@@ -41,15 +41,17 @@
 // journal, reports, and optionally quarantines damage.
 //
 // Queries are planned through the store's index: the MANIFEST.rps
-// catalog and per-segment footers answer listings and point lookups
-// without decoding record payloads, bloom filters prune --kernel
-// scans, and cold full scans fan out across --threads N workers. A
-// missing or damaged index degrades to the full scan with a warning on
-// stderr (fail open); damaged records still exit 5 (fail closed).
+// catalog answers listings and point lookups without decoding record
+// payloads, its bloom filters prune --kernel scans, and cold full scans
+// fan out across --threads N workers. A missing, damaged or stale
+// manifest degrades to the full scan with a warning on stderr (fail
+// open); damaged records still exit 5 (fail closed). fsck notes a
+// manifest that differs from the segments and --repair rewrites it.
 // --no-index forces the full-scan path everywhere.
 //
 // Exit codes: 0 ok; 1 read/analysis error; 2 usage error (including an
-// ambiguous --diff run prefix); 3 regressions flagged by --compare;
+// ambiguous --diff run prefix or a non-numeric value for --top, --topn,
+// --threads or --threshold); 3 regressions flagged by --compare;
 // 4 crash records present in DIR (summary printed — the sweep
 // "completed" only by containing worker crashes, so CI should look at
 // the crash summary rather than trust the tables alone) or store fsck
@@ -57,6 +59,7 @@
 // beyond repair (sealed segment damage, unparseable profile data);
 // 70 unknown (non-std::exception) error.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -76,6 +79,17 @@
 #include "store/store.hpp"
 
 namespace {
+
+/// Parse the value of numeric option `flag`. False, after a usage message
+/// naming the flag, unless all of `text` is one number of type T.
+template <typename T>
+bool parse_value(const char* flag, const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  if (ec == std::errc() && ptr == end && ptr != text) return true;
+  std::fprintf(stderr, "%s wants a number (got '%s')\n", flag, text);
+  return false;
+}
 
 /// Derived per-kernel counter row shared by the profile-dir and --store
 /// --hwc views: rates a reader compares across kernels, not raw totals.
@@ -238,7 +252,7 @@ int trace_mode(int argc, char** argv) {
   bool flamegraph = false;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      top_n = static_cast<std::size_t>(std::stoul(argv[++i]));
+      if (!parse_value("--top", argv[++i], top_n)) return 2;
     } else if (std::strcmp(argv[i], "--flamegraph") == 0) {
       flamegraph = true;
     } else {
@@ -320,20 +334,20 @@ int store_mode(int argc, char** argv) {
       run_prefix = argv[++i];
       show_run = true;
     } else if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      top_n = static_cast<std::size_t>(std::stoul(argv[++i]));
+      if (!parse_value("--top", argv[++i], top_n)) return 2;
       show_run = true;
     } else if (std::strcmp(argv[i], "--diff") == 0 && i + 2 < argc) {
       diff_a = argv[++i];
       diff_b = argv[++i];
     } else if (std::strcmp(argv[i], "--topn") == 0 && i + 1 < argc) {
-      topn = static_cast<std::size_t>(std::stoul(argv[++i]));
+      if (!parse_value("--topn", argv[++i], topn)) return 2;
       do_topn = true;
     } else if (std::strcmp(argv[i], "--groupby") == 0 && i + 1 < argc) {
       groupby = argv[++i];
     } else if (std::strcmp(argv[i], "--kernel") == 0 && i + 1 < argc) {
       kernel = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::stoul(argv[++i]));
+      if (!parse_value("--threads", argv[++i], threads)) return 2;
     } else if (std::strcmp(argv[i], "--hwc") == 0) {
       do_hwc = true;
     } else if (std::strcmp(argv[i], "--no-index") == 0) {
@@ -357,9 +371,9 @@ int store_mode(int argc, char** argv) {
 
   if (do_fsck) {
     // Exit code is the state *found*: 0 clean, 4 recoverable (torn
-    // journal tail), 5 corrupt beyond repair (sealed segment damage or
-    // a valid footer contradicting the records). With --repair the
-    // damage is quarantined, so a rerun reports clean.
+    // journal tail), 5 corrupt beyond repair (sealed segment damage).
+    // Manifest drift is only a note. With --repair the damage is
+    // quarantined and the manifest rewritten, so a rerun reports clean.
     const store::FsckReport report = store::fsck(dir, repair, threads);
     const char* status = report.status == store::FsckStatus::Clean
                              ? "clean"
@@ -385,8 +399,8 @@ int store_mode(int argc, char** argv) {
   }
 
   store::StoreQuery query(dir, {threads, use_index});
-  // Index degradations (unreadable footer, stale manifest, failed point
-  // lookup) are warnings: the answer is still correct, just slower.
+  // Index degradations (missing, unreadable or stale manifest, failed
+  // point lookup) are warnings: the answer is still correct, just slower.
   std::size_t warned = 0;
   auto flush_warnings = [&query, &warned] {
     for (; warned < query.warnings().size(); ++warned) {
@@ -649,6 +663,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: rperf-report DIR [--metric M] [--label KEY] "
                  "[--stats NODE METRIC] [--groupby KEY] [--hwc]\n"
+                 "                    [--compare DIR2 [--threshold T]]\n"
                  "       rperf-report --trace FILE [--top N] "
                  "[--flamegraph]\n"
                  "       rperf-report --store DIR [--run ID] [--top N] "
@@ -658,8 +673,10 @@ int main(int argc, char** argv) {
                  "                    [--threads N] [--no-index]\n"
                  "       rperf-report --store DIR --fsck [--repair] "
                  "[--threads N]\n"
+                 "                    (--repair quarantines damage and "
+                 "rewrites a stale MANIFEST.rps)\n"
                  "exit codes: 0 ok, 1 read error, 2 usage (incl. ambiguous "
-                 "--diff prefix), 3 regressions,\n"
+                 "--diff prefix, non-numeric N or T), 3 regressions,\n"
                  "  4 crash records present in DIR / store recoverable "
                  "(torn journal tail),\n"
                  "  5 store or profile corrupt beyond repair, "
@@ -739,7 +756,7 @@ int main(int argc, char** argv) {
       } else if (std::strcmp(argv[i], "--compare") == 0 && i + 1 < argc) {
         compare_dir = argv[++i];
       } else if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-        threshold = std::stod(argv[++i]);
+        if (!parse_value("--threshold", argv[++i], threshold)) return 2;
       } else if (std::strcmp(argv[i], "--groupby") == 0 && i + 1 < argc) {
         const std::string key = argv[i + 1];
         for (const auto& [value, sub] : tk.groupby(key)) {
