@@ -27,7 +27,6 @@ FaultKind kind_from_string(const std::string& s) {
   if (s == "abort") return FaultKind::Abort;
   if (s == "oom") return FaultKind::Oom;
   if (s == "hang") return FaultKind::Hang;
-  if (s == "hbdrop") return FaultKind::HeartbeatDrop;
   if (s == "protocorrupt") return FaultKind::ProtocolCorrupt;
   if (s == "shortwrite") return FaultKind::ShortWrite;
   if (s == "enospc") return FaultKind::Enospc;
@@ -36,8 +35,8 @@ FaultKind kind_from_string(const std::string& s) {
   if (s == "idxcorrupt") return FaultKind::IndexCorrupt;
   throw std::invalid_argument(
       "faults: unknown fault kind '" + s +
-      "' (want alloc|throw|slow|corrupt|segv|abort|oom|hang|hbdrop|"
-      "protocorrupt|shortwrite|enospc|fsyncfail|tornseg|idxcorrupt)");
+      "' (want alloc|throw|slow|corrupt|segv|abort|oom|hang|protocorrupt|"
+      "shortwrite|enospc|fsyncfail|tornseg|idxcorrupt)");
 }
 
 /// Exhaust memory the way a runaway kernel would: allocate and touch
@@ -123,7 +122,6 @@ std::string to_string(FaultKind k) {
     case FaultKind::Abort: return "abort";
     case FaultKind::Oom: return "oom";
     case FaultKind::Hang: return "hang";
-    case FaultKind::HeartbeatDrop: return "hbdrop";
     case FaultKind::ProtocolCorrupt: return "protocorrupt";
     case FaultKind::ShortWrite: return "shortwrite";
     case FaultKind::Enospc: return "enospc";
@@ -137,7 +135,7 @@ std::string to_string(FaultKind k) {
 bool is_process_fatal(FaultKind k) {
   return k == FaultKind::Segv || k == FaultKind::Abort ||
          k == FaultKind::Oom || k == FaultKind::Hang ||
-         k == FaultKind::HeartbeatDrop || k == FaultKind::ProtocolCorrupt;
+         k == FaultKind::ProtocolCorrupt;
 }
 
 std::vector<FaultSpec> Injector::parse(const std::string& spec) {
@@ -262,9 +260,7 @@ long double Injector::corrupt_checksum(const std::string& kernel,
 }
 
 bool Injector::fire_wire_fault(FaultKind kind, const std::string& kernel) {
-  if (kind != FaultKind::HeartbeatDrop && kind != FaultKind::ProtocolCorrupt) {
-    return false;
-  }
+  if (kind != FaultKind::ProtocolCorrupt) return false;
   for (auto& spec : specs_) {
     if (spec.kind == kind && matches(spec, kernel) && fire(spec)) {
       return true;

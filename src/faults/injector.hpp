@@ -14,7 +14,7 @@
 //   entry  := kind '@' kernel [':' arg]
 //   kind   := 'alloc' | 'throw' | 'slow' | 'corrupt'
 //           | 'segv' | 'abort' | 'oom' | 'hang'
-//           | 'hbdrop' | 'protocorrupt'   (worker-pool wire faults)
+//           | 'protocorrupt'              (worker-pool wire fault)
 //           | 'shortwrite' | 'enospc' | 'fsyncfail' | 'tornseg'
 //           | 'idxcorrupt'                 (profile-store I/O faults)
 //   kernel := full kernel name (e.g. Stream_TRIAD) or '*' for any;
@@ -59,15 +59,13 @@ enum class FaultKind {
   Abort,
   Oom,
   Hang,
-  // Wire-level kinds (worker-pool coverage): queried explicitly by the
-  // pooled worker loop via fire_wire_fault, never by on_lifecycle, so
-  // they are inert outside --workers mode. 'hbdrop' silences the worker's
-  // heartbeats and wedges it (the supervisor must detect the lost
-  // liveness); 'protocorrupt' corrupts the CRC of the worker's next
-  // result frame (the supervisor must detect the torn record instead of
-  // mis-parsing it). Both leave the worker doomed, so they count as
-  // process-fatal.
-  HeartbeatDrop,
+  // Wire-level kind (worker-pool coverage): queried explicitly by the
+  // pooled worker loop via fire_wire_fault, never by on_lifecycle, so it
+  // is inert outside isolated runs. 'protocorrupt' corrupts the CRC of
+  // the worker's next result frame (the supervisor must detect the torn
+  // record instead of mis-parsing it). It leaves the worker doomed, so it
+  // counts as process-fatal. A wedged worker needs no wire fault of its
+  // own: 'hang' is one, and the supervisor's wall deadline reclaims it.
   ProtocolCorrupt,
   // Store-I/O kinds (rperf::store coverage): queried explicitly by the
   // profile store's file layer via fire_io_fault, beneath the record
@@ -141,11 +139,11 @@ class Injector {
   /// otherwise returns `checksum` unchanged.
   [[nodiscard]] long double corrupt_checksum(const std::string& kernel,
                                              long double checksum);
-  /// Explicit query for the wire-level kinds (HeartbeatDrop /
-  /// ProtocolCorrupt): true when an armed spec of `kind` fires for
-  /// `kernel`. Called by the pooled worker loop around each job; the act
-  /// of sabotaging the wire is the caller's job (WorkerPool exposes the
-  /// controls), keeping the injector free of transport knowledge.
+  /// Explicit query for the wire-level kind (ProtocolCorrupt): true when
+  /// an armed spec of `kind` fires for `kernel`. Called by the pooled
+  /// worker loop around each job; the act of sabotaging the wire is the
+  /// caller's job (WorkerPool exposes the control), keeping the injector
+  /// free of transport knowledge.
   [[nodiscard]] bool fire_wire_fault(FaultKind kind,
                                      const std::string& kernel);
   /// Explicit query for the store-I/O kinds (ShortWrite / Enospc /

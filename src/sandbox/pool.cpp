@@ -13,14 +13,14 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <exception>
-#include <mutex>
+#include <limits>
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sandbox/protocol.hpp"
@@ -30,12 +30,12 @@ namespace rperf::sandbox {
 namespace {
 
 // Frame payloads are "<header line>\n<body>"; the header is space-separated
-// words ("job 17", "hello 3 12345", "hb 42"). Deliberately not JSON: the
+// words ("job 17", "hello 3 12345", "result 17"). Deliberately not JSON: the
 // pool sits below the instrumentation layer and the client's payloads are
 // opaque bodies anyway.
 struct Record {
   std::string type;
-  std::uint64_t a = 0;  // id / proto / seq, depending on type
+  std::uint64_t a = 0;  // id / proto, depending on type
   std::uint64_t b = 0;  // pid for hello
   std::string body;
 };
@@ -64,7 +64,14 @@ bool record_decode(const std::string& payload, Record& rec) {
 }
 
 constexpr std::size_t kStderrTailMax = 4096;
+/// How long the supervisor waits for hello after fork, for bye after a
+/// drain, and for exit after SIGTERM before it sends SIGKILL.
+constexpr double kGraceSec = 2.0;
+/// Per-slot respawn budget, and its backoff: doubles per respawn, capped.
+constexpr int kMaxRespawns = 8;
+constexpr int kRespawnBackoffMs = 25;
 constexpr int kRespawnBackoffCapMs = 2000;
+constexpr double kNever = std::numeric_limits<double>::infinity();
 /// Consecutive fork() failures with zero live workers before giving up.
 constexpr int kForkFailuresBeforeDegrade = 3;
 
@@ -99,18 +106,11 @@ bool write_all(int fd, const char* p, std::size_t n) {
   return true;
 }
 
-// ----- worker-side process globals -----
-// Valid only inside a forked worker. The write mutex serializes the main
-// thread's result frames against the heartbeat thread's beats: a frame
-// larger than PIPE_BUF is not written atomically by the kernel, so
-// unsynchronized writers would interleave bytes and corrupt the stream.
-std::mutex g_frame_write_mutex;
-std::atomic<bool> g_hb_suppress{false};
-std::atomic<bool> g_corrupt_next{false};
+// Worker-side only: set by corrupt_next_frame() inside a forked worker.
+bool g_corrupt_next = false;
 
 bool write_frame(int fd, const std::string& payload, bool corrupt = false) {
   const std::string frame = frame_encode(payload, corrupt);
-  std::lock_guard<std::mutex> lock(g_frame_write_mutex);
   return write_all(fd, frame.data(), frame.size());
 }
 
@@ -171,7 +171,7 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
   }
 }
 
-/// The worker process: heartbeat thread + job loop. Never returns.
+/// The worker process: hello, then the job loop. Never returns.
 [[noreturn]] void worker_entry(const PoolConfig& cfg, const PoolClient& client,
                                int ctl_rd, int res_wr, int err_wr) {
   dup2(err_wr, 2);
@@ -179,17 +179,12 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
   signal(SIGINT, SIG_DFL);
   signal(SIGTERM, SIG_DFL);
   signal(SIGCHLD, SIG_DFL);
-  // The parent may die or close our result pipe mid-write; we want EPIPE,
-  // not sudden death, so the heartbeat thread can wind down.
+  // The parent may die or close our result pipe mid-write; we want EPIPE
+  // and an orderly exit, not sudden death.
   signal(SIGPIPE, SIG_IGN);
-  Limits limits = cfg.limits;
-  // RLIMIT_CPU is cumulative: it suits a worker that lives for one
-  // affinity key, but would misfire on a persistent one mid-sweep.
-  if (!cfg.disposable) limits.cpu_seconds = 0.0;
-  apply_worker_limits(limits);
+  apply_worker_limits(cfg.address_space_bytes);
   install_worker_crash_handlers();
-  g_hb_suppress.store(false);
-  g_corrupt_next.store(false);
+  g_corrupt_next = false;
 
   if (client.on_worker_start) client.on_worker_start();
 
@@ -197,34 +192,6 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
   std::snprintf(hello, sizeof(hello), "hello %d %d", kProtocolVersion,
                 static_cast<int>(getpid()));
   if (!write_frame(res_wr, hello)) _exit(1);
-
-  // Heartbeat thread: one beat per interval until told to stop. The
-  // condition variable makes shutdown prompt (no multi-interval lag).
-  std::mutex hb_mutex;
-  std::condition_variable hb_cv;
-  bool hb_stop = false;
-  std::thread hb_thread([&] {
-    std::uint64_t seq = 0;
-    std::unique_lock<std::mutex> lock(hb_mutex);
-    for (;;) {
-      hb_cv.wait_for(lock,
-                     std::chrono::milliseconds(cfg.heartbeat_interval_ms));
-      if (hb_stop) return;
-      if (g_hb_suppress.load()) continue;
-      char beat[32];
-      std::snprintf(beat, sizeof(beat), "hb %llu",
-                    static_cast<unsigned long long>(++seq));
-      if (!write_frame(res_wr, beat)) return;  // parent gone
-    }
-  });
-  auto stop_heartbeats = [&] {
-    {
-      std::lock_guard<std::mutex> lock(hb_mutex);
-      hb_stop = true;
-    }
-    hb_cv.notify_all();
-    hb_thread.join();
-  };
 
   FrameReader reader;
   std::string payload;
@@ -249,8 +216,8 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
         char header[32];
         std::snprintf(header, sizeof(header), "result %llu",
                       static_cast<unsigned long long>(rec.a));
-        if (!write_frame(res_wr, record_encode(header, result),
-                         g_corrupt_next.exchange(false))) {
+        const bool corrupt = std::exchange(g_corrupt_next, false);
+        if (!write_frame(res_wr, record_encode(header, result), corrupt)) {
           exit_code = 1;
           break;
         }
@@ -275,7 +242,6 @@ FrameRead read_frame_blocking(int fd, FrameReader& reader,
     fflush(nullptr);
     _exit(1);
   }
-  stop_heartbeats();
   fflush(nullptr);
   _exit(exit_code);
 }
@@ -296,7 +262,6 @@ std::string to_string(WorkerState s) {
 std::string to_string(FailReason r) {
   switch (r) {
     case FailReason::WorkerDied: return "worker-died";
-    case FailReason::HeartbeatTimeout: return "heartbeat-timeout";
     case FailReason::DeadlineKilled: return "deadline";
     case FailReason::ProtocolCorrupt: return "protocol-corrupt";
   }
@@ -314,8 +279,6 @@ std::string JobFailure::describe() const {
         return "worker exited with code " + std::to_string(exit_code);
       }
       return "worker killed by " + signal_name(signal);
-    case FailReason::HeartbeatTimeout:
-      return "worker heartbeat lost (silent past the timeout)";
     case FailReason::DeadlineKilled:
       return "worker killed past the per-job wall deadline";
     case FailReason::ProtocolCorrupt:
@@ -324,9 +287,7 @@ std::string JobFailure::describe() const {
   return "?";
 }
 
-void WorkerPool::suppress_heartbeats() { g_hb_suppress.store(true); }
-
-void WorkerPool::corrupt_next_frame() { g_corrupt_next.store(true); }
+void WorkerPool::corrupt_next_frame() { g_corrupt_next = true; }
 
 namespace pool_testing {
 void fail_next_forks(int n) { g_fail_forks.store(n); }
@@ -352,19 +313,18 @@ PoolOutcome WorkerPool::run(
   struct Slot {
     pid_t pid = -1;
     int ctl_wr = -1;   // parent -> worker control frames
-    int res_rd = -1;   // worker -> parent result/heartbeat frames
+    int res_rd = -1;   // worker -> parent hello/result/bye frames
     int err_rd = -1;   // worker stderr (forensics tail)
     WorkerState state = WorkerState::Dead;
     FrameReader reader;
     std::string stderr_tail;
     std::optional<Job> job;
-    double last_beat = 0.0;   // any frame counts as liveness
-    double busy_since = 0.0;
-    double drain_at = 0.0;    // when Draining started (drain stall guard)
+    // When the supervisor's current wait on this worker ends: hello while
+    // Spawning, the result while Busy, bye or exit while Draining. Idle
+    // workers are not waited on.
+    double due = kNever;
     bool ignore_frames = false;  // stream condemned (kill pending)
     bool expect_clean_exit = false;
-    bool sent_term = false;
-    double term_at = 0.0;
     bool sent_kill = false;
     int respawns = 0;
     double next_spawn_at = 0.0;
@@ -382,7 +342,6 @@ PoolOutcome WorkerPool::run(
   bool source_done = false;
   bool aborting = false;
   bool interrupted = false;
-  double interrupt_term_at = 0.0;
   int consecutive_fork_failures = 0;
 
   // Scoped signal plumbing: SIGCHLD self-pipe wakeup, SIGPIPE ignored (a
@@ -481,7 +440,7 @@ PoolOutcome WorkerPool::run(
     s.err_rd = err[0];
     s.last_affinity = kept_affinity;
     s.state = WorkerState::Spawning;
-    s.last_beat = now_sec();
+    s.due = now_sec() + kGraceSec;
     ++stats_.spawns;
     consecutive_fork_failures = 0;
     return true;
@@ -490,7 +449,7 @@ PoolOutcome WorkerPool::run(
   auto schedule_respawn = [&](Slot& s) {
     ++s.respawns;
     const int shift = s.respawns > 6 ? 6 : s.respawns - 1;
-    const int backoff = cfg_.respawn_backoff_ms << shift;
+    const int backoff = kRespawnBackoffMs << shift;
     s.next_spawn_at =
         now_sec() +
         (backoff > kRespawnBackoffCapMs ? kRespawnBackoffCapMs : backoff) /
@@ -527,7 +486,6 @@ PoolOutcome WorkerPool::run(
     if (s.pid > 0) kill(s.pid, SIGKILL);
     s.ignore_frames = true;
     s.state = WorkerState::Draining;
-    s.drain_at = now_sec();
     s.sent_kill = true;
     JobFailure jf;
     jf.reason = reason;
@@ -536,7 +494,7 @@ PoolOutcome WorkerPool::run(
 
   auto send_drain = [&](Slot& s) {
     s.state = WorkerState::Draining;
-    s.drain_at = now_sec();
+    s.due = now_sec() + kGraceSec;
     s.expect_clean_exit = true;
     const std::string frame = frame_encode("drain");
     if (!write_all(s.ctl_wr, frame.data(), frame.size())) {
@@ -545,7 +503,6 @@ PoolOutcome WorkerPool::run(
   };
 
   auto handle_frame = [&](Slot& s, const std::string& payload) {
-    s.last_beat = now_sec();
     if (s.ignore_frames) return;
     Record rec;
     if (!record_decode(payload, rec)) {
@@ -561,12 +518,11 @@ PoolOutcome WorkerPool::run(
         return;
       }
       s.state = WorkerState::Idle;
+      s.due = kNever;
       // A disposable pool recycles by design, and the client's retries
       // and quarantine already bound deaths per job, so only a worker
       // that dies before hello counts against its respawn budget.
       if (cfg_.disposable) s.respawns = 0;
-    } else if (rec.type == "hb") {
-      ++stats_.heartbeats;
     } else if (rec.type == "result") {
       if (s.state != WorkerState::Busy || !s.job || s.job->id != rec.a) {
         ++stats_.corrupt_frames;
@@ -577,6 +533,7 @@ PoolOutcome WorkerPool::run(
       Job job = std::move(*s.job);
       s.job.reset();
       s.state = WorkerState::Idle;
+      s.due = kNever;
       ++stats_.jobs_completed;
       Disposition d = Disposition::Done;
       if (client_.on_result) d = client_.on_result(job, rec.body);
@@ -703,30 +660,20 @@ PoolOutcome WorkerPool::run(
 
   for (;;) {
     // Interrupt: stop everything; in-flight jobs go unresolved (the
-    // caller marks them skipped), workers get SIGTERM then SIGKILL.
+    // caller marks them skipped), workers get SIGTERM then, past the
+    // grace, SIGKILL from the deadline sweep below.
     if (!interrupted && interrupt_signal() != 0) {
       interrupted = true;
       aborting = true;
       queue.clear();
-      interrupt_term_at = now_sec();
+      const double now = now_sec();
       for (Slot& s : slots) {
         if (s.pid > 0) kill(s.pid, SIGTERM);
         s.ignore_frames = true;
         s.job.reset();
         if (s.state != WorkerState::Dead) {
           s.state = WorkerState::Draining;
-          s.drain_at = interrupt_term_at;
-        }
-      }
-    }
-    if (interrupted) {
-      const double waited_ms = (now_sec() - interrupt_term_at) * 1000.0;
-      if (waited_ms > static_cast<double>(cfg_.term_grace_ms)) {
-        for (Slot& s : slots) {
-          if (s.pid > 0 && !s.sent_kill) {
-            kill(s.pid, SIGKILL);
-            s.sent_kill = true;
-          }
+          s.due = now + kGraceSec;
         }
       }
     }
@@ -767,7 +714,7 @@ PoolOutcome WorkerPool::run(
       for (Slot& s : slots) {
         if (s.state != WorkerState::Dead) continue;
         if (ready >= queue.size()) break;
-        if (s.respawns > cfg_.max_respawns) continue;
+        if (s.respawns > kMaxRespawns) continue;
         if (now < s.next_spawn_at) continue;
         const int saved_respawns = s.respawns;
         if (spawn(s)) {
@@ -789,7 +736,7 @@ PoolOutcome WorkerPool::run(
       if (live() == 0 && work_remaining()) {
         bool any_respawnable = false;
         for (const Slot& s : slots) {
-          if (s.respawns <= cfg_.max_respawns) {
+          if (s.respawns <= kMaxRespawns) {
             any_respawnable = true;
             break;
           }
@@ -825,14 +772,15 @@ PoolOutcome WorkerPool::run(
         // reap path recycle the slot.
         queue.push_front(std::move(job));
         s.state = WorkerState::Draining;
-        s.drain_at = now_sec();
+        s.due = now_sec() + kGraceSec;
         return false;
       }
       s.last_affinity = job.affinity;
       s.ran_job = true;
       s.job = std::move(job);
       s.state = WorkerState::Busy;
-      s.busy_since = now_sec();
+      s.due = cfg_.job_deadline_sec > 0.0 ? now_sec() + cfg_.job_deadline_sec
+                                          : kNever;
       ++stats_.jobs_dispatched;
       return true;
     };
@@ -939,50 +887,22 @@ PoolOutcome WorkerPool::run(
     }
     reap();
 
-    // Central liveness + deadline policy.
+    // Deadlines, the only liveness check. A Busy worker past its job's
+    // deadline gets SIGTERM and the grace to exit; its job is already
+    // decided. A worker that missed hello, bye or exit gets SIGKILL.
     const double now = now_sec();
     for (Slot& s : slots) {
-      if (s.state == WorkerState::Dead) continue;
-      if (s.state == WorkerState::Draining) {
-        // SIGTERM (deadline) escalates to SIGKILL after the grace period;
-        // a drain stall (worker that will not say goodbye within the
-        // heartbeat budget) is killed outright as well.
-        const bool grace_over =
-            s.sent_term && (now - s.term_at) * 1000.0 >
-                               static_cast<double>(cfg_.term_grace_ms);
-        const bool drain_stalled =
-            (now - s.drain_at) * 1000.0 >
-            static_cast<double>(cfg_.heartbeat_timeout_ms);
-        if (s.pid > 0 && !s.sent_kill && (grace_over || drain_stalled)) {
-          kill(s.pid, SIGKILL);
-          s.sent_kill = true;
-        }
-        continue;
-      }
-      if (cfg_.heartbeat_timeout_ms > 0 &&
-          (now - s.last_beat) * 1000.0 >
-              static_cast<double>(cfg_.heartbeat_timeout_ms)) {
-        ++stats_.heartbeat_timeouts;
-        condemn(s, FailReason::HeartbeatTimeout);
-        continue;
-      }
-      if (s.state == WorkerState::Busy && cfg_.job_deadline_sec > 0.0) {
-        if (!s.sent_term && now - s.busy_since > cfg_.job_deadline_sec) {
-          ++stats_.deadline_kills;
-          kill(s.pid, SIGTERM);
-          s.sent_term = true;
-          s.term_at = now;
-          s.ignore_frames = true;  // the job is already decided
-          s.state = WorkerState::Draining;
-          s.drain_at = now;
-          JobFailure jf;
-          jf.reason = FailReason::DeadlineKilled;
-          fail_job(s, jf);
-        }
-      }
-      if (s.sent_term && !s.sent_kill &&
-          (now - s.term_at) * 1000.0 >
-              static_cast<double>(cfg_.term_grace_ms)) {
+      if (s.pid <= 0 || s.sent_kill || now < s.due) continue;
+      if (s.state == WorkerState::Busy) {
+        ++stats_.deadline_kills;
+        kill(s.pid, SIGTERM);
+        s.ignore_frames = true;
+        s.state = WorkerState::Draining;
+        s.due = now + kGraceSec;
+        JobFailure jf;
+        jf.reason = FailReason::DeadlineKilled;
+        fail_job(s, jf);
+      } else {
         kill(s.pid, SIGKILL);
         s.sent_kill = true;
       }

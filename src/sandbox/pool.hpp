@@ -7,17 +7,18 @@
 //   * each worker walks the state machine
 //       Spawning -> Idle -> Busy -> (Idle ...) -> Draining -> Dead
 //     and everything the supervisor believes about it comes over the
-//     CRC-framed pipe protocol (protocol.hpp): hello, heartbeats, results;
-//   * workers emit heartbeats from a dedicated thread; a worker that goes
-//     silent past the heartbeat timeout (wedged, suppressed, or dead
-//     without SIGCHLD delivery) is killed and recycled;
-//   * per-job wall deadlines are enforced centrally (SIGTERM, grace,
-//     SIGKILL);
-//   * a worker that dies — crash, OOM, deadline, corrupt frame, lost
-//     heartbeat — is reaped by a SIGCHLD-aware waitpid loop (no zombies)
-//     and respawned with exponential backoff, up to a per-slot budget;
-//     the in-flight job is handed back to the client, which decides
-//     Retry (requeued at the front, dispatched to a fresh worker) or Done;
+//     CRC-framed pipe protocol (protocol.hpp): hello, results, bye;
+//   * liveness is a wall deadline on every wait the supervisor makes:
+//     hello is due within a 2 s grace after fork, a job's result within
+//     job_deadline_sec of dispatch (then SIGTERM, and SIGKILL after the
+//     grace), and bye or exit within the grace after a drain. A worker
+//     that is alive but stuck — wedged, stopped, spinning — misses its
+//     deadline like a dead one;
+//   * a worker that dies — crash, OOM, deadline, corrupt frame — is
+//     reaped by a SIGCHLD-aware waitpid loop (no zombies) and respawned
+//     with exponential backoff, up to a per-slot budget; the in-flight
+//     job is handed back to the client, which decides Retry (requeued at
+//     the front, dispatched to a fresh worker) or Done;
 //   * the job queue is pull-based: the pool asks the client's `next_job`
 //     source for work only when the bounded pending queue has room, so
 //     producer memory is bounded by construction (backpressure);
@@ -64,7 +65,6 @@ enum class WorkerState {
 /// Why an in-flight job came back without a result.
 enum class FailReason {
   WorkerDied,        ///< worker exited/crashed on its own mid-job
-  HeartbeatTimeout,  ///< no frame from the worker within the timeout
   DeadlineKilled,    ///< supervisor killed it past the per-job deadline
   ProtocolCorrupt,   ///< torn/corrupt frame on the result stream
 };
@@ -112,19 +112,10 @@ struct PoolConfig {
   /// Bounded pending queue; 0 means 2 * workers. Backpressure: next_job
   /// is only pulled when the queue has room.
   std::size_t queue_capacity = 0;
-  int heartbeat_interval_ms = 100;   ///< worker-side beat period
-  int heartbeat_timeout_ms = 2000;   ///< supervisor-side silence budget
-  double job_deadline_sec = 0.0;     ///< per-job wall deadline; 0 = none
-  int term_grace_ms = 2000;          ///< SIGTERM -> SIGKILL grace
-  int max_respawns = 8;              ///< per-slot respawn budget
-  int respawn_backoff_ms = 25;       ///< doubles per respawn, capped at 2 s
-  Limits limits;                     ///< rlimits applied to each worker.
-                                     ///< cpu_seconds binds disposable
-                                     ///< workers only: RLIMIT_CPU is
-                                     ///< cumulative and would fire on a
-                                     ///< persistent worker regardless of
-                                     ///< per-job behaviour; wall deadlines
-                                     ///< cover hangs there.
+  /// Per-job wall deadline in seconds; 0 = none (the job's result is
+  /// awaited indefinitely).
+  double job_deadline_sec = kDefaultJobDeadlineSec;
+  std::size_t address_space_bytes = 0;  ///< RLIMIT_AS per worker; 0 = inherit
   /// Cores the pool may keep busy at once; 0 = the machine's hardware
   /// concurrency. A queued job is admitted only while the cores of the
   /// jobs in flight plus its own Job::cores fit the budget (or nothing is
@@ -147,8 +138,6 @@ struct PoolStats {
   std::size_t spawns = 0;            ///< successful forks (incl. respawns)
   std::size_t spawn_failures = 0;    ///< fork() failures
   std::size_t recycles = 0;          ///< abnormal deaths that freed a slot
-  std::size_t heartbeats = 0;        ///< heartbeat frames received
-  std::size_t heartbeat_timeouts = 0;
   std::size_t deadline_kills = 0;
   std::size_t corrupt_frames = 0;    ///< streams dropped on framing errors
   std::size_t jobs_dispatched = 0;   ///< job frames sent (incl. retries)
@@ -216,9 +205,6 @@ class WorkerPool {
   [[nodiscard]] const PoolStats& stats() const { return stats_; }
 
   // ----- worker-side controls (fault injection; no-ops in the parent) --
-  /// Stop the calling worker's heartbeat thread from beating. Models a
-  /// live-but-silent worker; the supervisor must notice via timeout.
-  static void suppress_heartbeats();
   /// Flip the CRC of the calling worker's next result frame. The
   /// supervisor must detect it and recycle the worker instead of
   /// mis-parsing.

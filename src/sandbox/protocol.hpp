@@ -14,7 +14,7 @@
 //
 // A frame payload is "<header line>\n<body>". Headers are space-separated
 // words: "hello <version> <pid>", "job <id>", "result <id>", "final",
-// "hb <seq>", "drain", "bye". Job, result and final bodies are opaque to
+// "drain", "bye". Job, result and final bodies are opaque to
 // the pool; the executor fills them with rperf::wire records
 // (sandbox/wire.hpp): the dispatched cell, the cell's result with its
 // profile and post-job injector state, and the worker's trace chunk. Bump

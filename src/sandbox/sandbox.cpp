@@ -47,21 +47,15 @@ void install_worker_crash_handlers() {
   }
 }
 
-void apply_worker_limits(const Limits& limits) {
+void apply_worker_limits(std::size_t address_space_bytes) {
   rlimit rl;
   rl.rlim_cur = 0;  // no core files: the pipe forensics are the record
   rl.rlim_max = 0;
   setrlimit(RLIMIT_CORE, &rl);
-  if (limits.address_space_bytes > 0) {
-    rl.rlim_cur = limits.address_space_bytes;
-    rl.rlim_max = limits.address_space_bytes;
+  if (address_space_bytes > 0) {
+    rl.rlim_cur = address_space_bytes;
+    rl.rlim_max = address_space_bytes;
     setrlimit(RLIMIT_AS, &rl);
-  }
-  if (limits.cpu_seconds > 0.0) {
-    const auto secs = static_cast<rlim_t>(limits.cpu_seconds + 0.999);
-    rl.rlim_cur = secs;
-    rl.rlim_max = secs + 2;  // hard kill shortly after SIGXCPU
-    setrlimit(RLIMIT_CPU, &rl);
   }
 }
 

@@ -8,8 +8,8 @@
 // (sandbox/pool.hpp) is that process boundary; this header holds what its
 // workers and drivers share with it:
 //
-//   * the hard rlimits a worker runs under (RLIMIT_AS, RLIMIT_CPU, and
-//     RLIMIT_CORE=0);
+//   * the default wall deadline for a worker's job, and the hard rlimits
+//     a worker runs under (RLIMIT_AS and RLIMIT_CORE=0);
 //   * a crash handler installed in the worker that writes the dying
 //     signal and a backtrace (backtrace_symbols_fd; symbol names resolve
 //     when the executable links with -rdynamic) to stderr before
@@ -25,11 +25,13 @@
 
 namespace rperf::sandbox {
 
-/// Hard limits imposed on a worker process.
-struct Limits {
-  std::size_t address_space_bytes = 0;  ///< RLIMIT_AS; 0 = inherit
-  double cpu_seconds = 0.0;             ///< RLIMIT_CPU; 0 = inherit
-};
+/// Default wall deadline for one isolated cell (--max-cell-seconds), the
+/// pool's only liveness check. The longest passing cell of a default full
+/// in-process sweep (456 cells) is a Basic_MAT_MAT_SHARED Seq variant:
+/// 1.29 s in a 16.7 s sweep, and 2.5-2.8 s in 32-36 s sweeps on the same
+/// 4-core KVM guest when it was busier. 60 s leaves 21-46x headroom for
+/// slower hosts, and a hung cell costs a sweep one minute, not forever.
+inline constexpr double kDefaultJobDeadlineSec = 60.0;
 
 /// wait4() rusage extract for one worker.
 struct WorkerUsage {
@@ -42,8 +44,8 @@ struct WorkerUsage {
 [[nodiscard]] std::string signal_name(int sig);
 
 // ----- worker-side setup (call in the forked child) -----
-/// Apply RLIMIT_CORE=0 plus the rlimit fields of `limits`.
-void apply_worker_limits(const Limits& limits);
+/// Apply RLIMIT_CORE=0, and RLIMIT_AS when `address_space_bytes` > 0.
+void apply_worker_limits(std::size_t address_space_bytes);
 /// Install the fatal-signal handlers that dump a backtrace to stderr and
 /// re-raise. Call after stderr is rerouted to the forensics pipe.
 void install_worker_crash_handlers();

@@ -168,12 +168,14 @@ void decode_job_failure(const sandbox::JobFailure& f,
   r.error = f.describe();
   if (f.reason == sandbox::FailReason::DeadlineKilled) {
     r.status = RunStatus::Killed;
-  } else if (f.reason != sandbox::FailReason::WorkerDied) {
-    r.status = RunStatus::Crashed;  // heartbeat lost or corrupt frame
+  } else if (f.reason == sandbox::FailReason::ProtocolCorrupt) {
+    r.status = RunStatus::Crashed;
   } else if (f.exited) {
     r.status = f.exit_code == sandbox::kOomExitCode ? RunStatus::OutOfMemory
                                                     : RunStatus::Crashed;
   } else if (f.signal == SIGXCPU) {
+    // No pool sets RLIMIT_CPU, but one inherited from `ulimit -t` can
+    // still end a worker this way.
     r.status = RunStatus::Killed;
     r.error = "worker exceeded its CPU limit (SIGXCPU)";
   } else if (f.signal == SIGKILL && sandbox_mem_mb > 0) {
@@ -187,13 +189,10 @@ void decode_job_failure(const sandbox::JobFailure& f,
 }
 
 /// Fault kind a failed job definitionally fired, for budget fold-back:
-/// the wire kinds imply themselves; process deaths imply
+/// a corrupt frame implies protocorrupt; process deaths imply
 /// segv/abort/oom/hang.
 std::optional<faults::FaultKind> implied_fault_kind(
     const sandbox::JobFailure& f, RunStatus status) {
-  if (f.reason == sandbox::FailReason::HeartbeatTimeout) {
-    return faults::FaultKind::HeartbeatDrop;
-  }
   if (f.reason == sandbox::FailReason::ProtocolCorrupt) {
     return faults::FaultKind::ProtocolCorrupt;
   }
@@ -707,9 +706,6 @@ void Executor::run() {
                              std::to_string(pool_stats_.spawns));
         channel.set_metadata("pool_recycles",
                              std::to_string(pool_stats_.recycles));
-        channel.set_metadata(
-            "pool_heartbeat_timeouts",
-            std::to_string(pool_stats_.heartbeat_timeouts));
         channel.set_metadata("pool_deadline_kills",
                              std::to_string(pool_stats_.deadline_kills));
         channel.set_metadata("pool_corrupt_frames",
@@ -927,17 +923,6 @@ std::string Executor::worker_run_cell(const std::string& payload) {
   // killed its first worker.
   faults::injector().deserialize_state(rd.get_bytes());
 
-  // Wire fault: go silent. The heartbeat thread stops beating and the job
-  // never completes — from the supervisor's seat, a wedged worker.
-  if (faults::injector().fire_wire_fault(faults::FaultKind::HeartbeatDrop,
-                                         r.kernel)) {
-    sandbox::WorkerPool::suppress_heartbeats();
-    for (int i = 0; i < 6000; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    std::_Exit(1);  // safety valve; the supervisor kills us long before
-  }
-
   std::optional<cali::Profile> profile;
   KernelBase* kernel = find_kernel(r.kernel);
   if (kernel == nullptr) {
@@ -1122,11 +1107,8 @@ void Executor::run_pooled(const std::vector<const Cell*>& cells) {
   sandbox::PoolConfig cfg;
   cfg.workers = disposable ? 1 : params_.workers;
   cfg.disposable = disposable;
-  cfg.heartbeat_interval_ms = params_.heartbeat_interval_ms;
-  cfg.heartbeat_timeout_ms = params_.heartbeat_timeout_ms;
   cfg.job_deadline_sec = params_.max_cell_seconds;
-  cfg.limits.address_space_bytes = params_.sandbox_mem_mb << 20;
-  cfg.limits.cpu_seconds = params_.sandbox_cpu_seconds;
+  cfg.address_space_bytes = params_.sandbox_mem_mb << 20;
   // Affinity dispatch scans the pending queue for unclaimed keys, so give
   // it a window wider than the default 2x workers: enough to see past one
   // kernel's contiguous (variant, tuning) cells to the next kernel.

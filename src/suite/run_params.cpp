@@ -122,17 +122,8 @@ RunParams RunParams::parse(int argc, const char* const* argv) {
       p.sandbox_mem_mb =
           static_cast<std::size_t>(std::stoull(need_value(i, arg)));
       ++i;
-    } else if (arg == "--sandbox-cpu-seconds") {
-      p.sandbox_cpu_seconds = std::stod(need_value(i, arg));
-      ++i;
     } else if (arg == "--workers") {
       p.workers = std::stoi(need_value(i, arg));
-      ++i;
-    } else if (arg == "--heartbeat-interval-ms") {
-      p.heartbeat_interval_ms = std::stoi(need_value(i, arg));
-      ++i;
-    } else if (arg == "--heartbeat-timeout-ms") {
-      p.heartbeat_timeout_ms = std::stoi(need_value(i, arg));
       ++i;
     } else {
       throw std::invalid_argument("unknown argument: " + arg);
@@ -150,10 +141,6 @@ RunParams RunParams::parse(int argc, const char* const* argv) {
     throw std::invalid_argument("--quarantine-after must be >= 1");
   }
   if (p.workers < 0) throw std::invalid_argument("--workers must be >= 0");
-  if (p.heartbeat_interval_ms < 1 || p.heartbeat_timeout_ms < 1) {
-    throw std::invalid_argument(
-        "--heartbeat-interval-ms/--heartbeat-timeout-ms must be >= 1");
-  }
   // Asking for a worker pool is asking for isolation: imply cell mode so
   // "--workers 4" alone does the expected thing.
   if (p.workers > 0 && p.isolate == IsolationMode::None) {
@@ -206,15 +193,12 @@ std::string RunParams::usage() {
          "  --quarantine-after N  skip a cell after N worker crashes\n"
          "                    (default 3; counts persist across --resume)\n"
          "  --max-cell-seconds S  per-cell wall deadline for workers\n"
-         "                    (SIGTERM, then SIGKILL after a grace period)\n"
+         "                    (SIGTERM, then SIGKILL after a 2 s grace;\n"
+         "                    default 60, 0 = none)\n"
          "  --sandbox-mem-mb N    RLIMIT_AS for workers, in MiB\n"
-         "  --sandbox-cpu-seconds S  RLIMIT_CPU for disposable workers\n"
          "  --workers N       run isolated cells on N persistent workers\n"
          "                    instead of disposable ones; implies\n"
-         "                    --isolate cell when isolation is off\n"
-         "  --heartbeat-interval-ms N  worker heartbeat period\n"
-         "  --heartbeat-timeout-ms N   recycle a worker silent for this\n"
-         "                    long (default 2000)\n";
+         "                    --isolate cell when isolation is off\n";
 }
 
 }  // namespace rperf::suite

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "sandbox/sandbox.hpp"
 #include "suite/types.hpp"
 
 namespace rperf::suite {
@@ -88,15 +89,12 @@ struct RunParams {
   /// with a recorded reason instead of re-attempted. Counts persist in
   /// crashes.jsonl across --resume runs.
   int quarantine_after = 3;
-  /// Wall-clock budget per cell enforced by the supervisor (SIGTERM then
-  /// SIGKILL). <= 0 disables.
-  double max_cell_seconds = 0.0;
+  /// Wall-clock budget per isolated cell enforced by the supervisor
+  /// (SIGTERM, then SIGKILL after a grace). <= 0 disables it, and with it
+  /// the only check that a hung worker is ever reclaimed.
+  double max_cell_seconds = sandbox::kDefaultJobDeadlineSec;
   /// RLIMIT_AS for workers, in MiB; 0 = inherit the parent's limit.
   std::size_t sandbox_mem_mb = 0;
-  /// RLIMIT_CPU for workers, in seconds; <= 0 = inherit. Applies to
-  /// disposable workers only: a persistent worker's CPU time accrues
-  /// across cells, so it relies on wall deadlines instead.
-  double sandbox_cpu_seconds = 0.0;
 
   // ----- persistent workers (rperf::sandbox::WorkerPool) -----
   /// Number of persistent sandbox workers; 0 (the default) runs isolated
@@ -105,11 +103,6 @@ struct RunParams {
   /// --isolate none implies --isolate cell, and persistent dispatch keys
   /// cells per kernel regardless of kernel/cell granularity.
   int workers = 0;
-  /// Worker heartbeat period (worker-side) in milliseconds.
-  int heartbeat_interval_ms = 100;
-  /// Supervisor-side silence budget: a worker that produces no frame for
-  /// this long is killed and recycled; its cell is retried elsewhere.
-  int heartbeat_timeout_ms = 2000;
 
   [[nodiscard]] bool wants_kernel(const std::string& name) const {
     if (kernel_filter.empty()) return true;

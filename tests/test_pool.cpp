@@ -1,8 +1,9 @@
 // Tests for rperf::sandbox::WorkerPool and the executor's pooled execution
-// path (--workers): the v2 framed protocol, supervised crash recycling,
-// heartbeat-timeout detection, central deadlines, backpressure, crash-loop
-// quarantine, fork-failure degradation, and bit-identical parity of pooled
-// vs in-process results.
+// path (--workers): the framed protocol, supervised crash recycling, the
+// central deadlines that are the pool's only liveness check (a stopped
+// worker, a worker that never says hello, a hung job), backpressure,
+// crash-loop quarantine, fork-failure degradation, and bit-identical
+// parity of pooled vs in-process results.
 //
 // OpenMP note: pooled workers are forked from the test process, so the
 // fixture pins OpenMP to one thread and the sweeps stick to Seq variants
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -22,6 +24,7 @@
 #include <utility>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,7 +106,7 @@ TEST_F(PoolTest, Crc32MatchesKnownVector) {
 TEST_F(PoolTest, FrameRoundTripsThroughSplitFeeds) {
   const std::string payload = "result 42\n{\"status\":\"Passed\"}";
   const std::string wire = sandbox::frame_encode(payload) +
-                           sandbox::frame_encode("hb 7");
+                           sandbox::frame_encode("bye");
   FrameReader reader;
   // Byte-by-byte feeding must reassemble both frames intact.
   std::vector<std::string> out;
@@ -114,7 +117,7 @@ TEST_F(PoolTest, FrameRoundTripsThroughSplitFeeds) {
   }
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], payload);
-  EXPECT_EQ(out[1], "hb 7");
+  EXPECT_EQ(out[1], "bye");
   EXPECT_FALSE(reader.corrupt());
 }
 
@@ -159,7 +162,6 @@ TEST_F(PoolTest, BadMagicAndOversizeFramesAreCorrupt) {
 TEST_F(PoolTest, PoolRunsEveryJobAndLeavesNoZombies) {
   PoolConfig cfg;
   cfg.workers = 3;
-  cfg.heartbeat_interval_ms = 10;  // several beats land within the run
   PoolClient client;
   client.run_job = [](const std::string& payload) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -197,7 +199,6 @@ TEST_F(PoolTest, PoolRunsEveryJobAndLeavesNoZombies) {
   const auto& st = pool.stats();
   EXPECT_EQ(st.jobs_completed, 8u);
   EXPECT_EQ(st.recycles, 0u);
-  EXPECT_GE(st.heartbeats, 1u);
   expect_no_children();
 }
 
@@ -253,36 +254,32 @@ TEST_F(PoolTest, SigkilledBusyWorkerIsRecycledAndJobRetried) {
   expect_no_children();
 }
 
-TEST_F(PoolTest, HeartbeatSilenceIsDetectedAndWorkerRecycled) {
+TEST_F(PoolTest, StoppedBusyWorkerIsDeadlineKilledAndReplaced) {
+  // A stopped worker is alive but silent: no result, no exit, no SIGCHLD.
+  // Only the job's deadline notices, and since SIGTERM stays pending on a
+  // stopped process, only the SIGKILL after the grace reclaims it.
   PoolConfig cfg;
   cfg.workers = 1;
-  cfg.heartbeat_interval_ms = 20;
-  cfg.heartbeat_timeout_ms = 250;
+  cfg.job_deadline_sec = 0.3;
   PoolClient client;
   client.before_dispatch = [](Job& job) {
-    job.payload = job.id == 0 ? "wedge" : "ok";
+    job.payload = job.id == 0 ? "stop" : "ok";
   };
   client.run_job = [](const std::string& payload) -> std::string {
-    if (payload == "wedge") {
-      // Alive but silent: no heartbeats, no result. Only the supervisor's
-      // timeout can notice.
-      WorkerPool::suppress_heartbeats();
-      for (int i = 0; i < 6000; ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
-    }
+    if (payload == "stop") raise(SIGSTOP);
     return "done";
   };
   std::atomic<int> completed{0};
-  std::atomic<int> hb_failures{0};
-  client.on_result = [&](const Job&, const std::string&) {
+  std::atomic<int> deadline_failures{0};
+  client.on_result = [&](const Job& job, const std::string&) {
+    EXPECT_EQ(job.id, 1u);
     ++completed;
     return Disposition::Done;
   };
   client.on_failure = [&](const Job& job, const JobFailure& f) {
     EXPECT_EQ(job.id, 0u);
-    EXPECT_EQ(f.reason, FailReason::HeartbeatTimeout);
-    ++hb_failures;
+    EXPECT_EQ(f.reason, FailReason::DeadlineKilled);
+    ++deadline_failures;
     return Disposition::Done;
   };
 
@@ -296,10 +293,66 @@ TEST_F(PoolTest, HeartbeatSilenceIsDetectedAndWorkerRecycled) {
   });
 
   EXPECT_EQ(out, PoolOutcome::Completed);
-  EXPECT_EQ(hb_failures.load(), 1);
-  EXPECT_EQ(completed.load(), 1);  // the second job ran on the respawn
-  EXPECT_GE(pool.stats().heartbeat_timeouts, 1u);
+  EXPECT_EQ(deadline_failures.load(), 1);
+  EXPECT_EQ(completed.load(), 1);  // the second job ran on the replacement
+  EXPECT_EQ(pool.stats().deadline_kills, 1u);
+  EXPECT_EQ(pool.stats().recycles, 1u);
+  EXPECT_EQ(pool.stats().spawns, 2u);
   expect_no_children();
+}
+
+TEST_F(PoolTest, WorkerThatNeverSaysHelloIsKilledAndReplaced) {
+  // The first incarnation blocks before hello. The supervisor gives it the
+  // grace, kills it, and spawns a replacement that runs every job. Workers
+  // are forked, so the incarnation count lives in a shared mapping.
+  void* shared = mmap(nullptr, sizeof(std::atomic<int>),
+                      PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS, -1,
+                      0);
+  ASSERT_NE(shared, MAP_FAILED);
+  auto* starts = new (shared) std::atomic<int>(0);
+  PoolConfig cfg;
+  cfg.workers = 1;
+  PoolClient client;
+  client.on_worker_start = [starts] {
+    if (starts->fetch_add(1) == 0) {
+      for (;;) pause();
+    }
+  };
+  client.before_dispatch = [](Job& job) {
+    job.payload = std::to_string(job.id);
+  };
+  client.run_job = [](const std::string& payload) { return payload; };
+  std::vector<bool> done(3, false);
+  client.on_result = [&](const Job& job, const std::string& result) {
+    EXPECT_EQ(result, std::to_string(job.id));
+    done[job.id] = true;
+    return Disposition::Done;
+  };
+  client.on_failure = [&](const Job&, const JobFailure& f) {
+    ADD_FAILURE() << "unexpected failure: " << f.describe();
+    return Disposition::Done;
+  };
+
+  std::size_t next = 0;
+  WorkerPool pool(cfg, client);
+  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
+    if (next >= done.size()) return std::nullopt;
+    Job j;
+    j.id = next++;
+    return j;
+  });
+
+  EXPECT_EQ(out, PoolOutcome::Completed);
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    EXPECT_TRUE(done[i]) << "job " << i << " was lost";
+  }
+  EXPECT_EQ(starts->load(), 2);
+  EXPECT_EQ(pool.stats().spawns, 2u);
+  EXPECT_EQ(pool.stats().recycles, 1u);
+  // Nothing was dispatched to the silent worker.
+  EXPECT_EQ(pool.stats().jobs_dispatched, done.size());
+  expect_no_children();
+  munmap(shared, sizeof(std::atomic<int>));
 }
 
 TEST_F(PoolTest, CorruptResultFrameFailsTheJobAndRecyclesTheWorker) {
@@ -349,7 +402,6 @@ TEST_F(PoolTest, JobDeadlineIsEnforcedCentrally) {
   PoolConfig cfg;
   cfg.workers = 1;
   cfg.job_deadline_sec = 0.3;
-  cfg.term_grace_ms = 100;
   PoolClient client;
   client.before_dispatch = [](Job& job) { job.payload = "hang"; };
   client.run_job = [](const std::string&) -> std::string {
@@ -512,7 +564,6 @@ TEST_F(PoolTest, UnspawnablePoolReportsSpawnFailed) {
   sandbox::pool_testing::fail_next_forks(-1);  // every fork fails
   PoolConfig cfg;
   cfg.workers = 2;
-  cfg.respawn_backoff_ms = 1;
   PoolClient client;
   client.before_dispatch = [](Job& job) { job.payload = "x"; };
   client.run_job = [](const std::string& p) { return p; };
@@ -547,38 +598,43 @@ TEST_F(PoolTest, UnspawnablePoolReportsSpawnFailed) {
 // ----------------------------------------------- run params (CLI flags)
 
 TEST_F(PoolTest, RunParamsParsePoolFlags) {
-  const char* argv[] = {"prog", "--workers", "4",
-                        "--heartbeat-interval-ms", "50",
-                        "--heartbeat-timeout-ms", "900"};
-  const RunParams p = RunParams::parse(7, argv);
+  const char* argv[] = {"prog", "--workers", "4"};
+  const RunParams p = RunParams::parse(3, argv);
   EXPECT_EQ(p.workers, 4);
-  EXPECT_EQ(p.heartbeat_interval_ms, 50);
-  EXPECT_EQ(p.heartbeat_timeout_ms, 900);
   // --workers alone implies cell isolation.
   EXPECT_EQ(p.isolate, IsolationMode::Cell);
 
   const char* bad[] = {"prog", "--workers", "-1"};
   EXPECT_THROW(RunParams::parse(3, bad), std::invalid_argument);
-  const char* badhb[] = {"prog", "--heartbeat-timeout-ms", "0"};
-  EXPECT_THROW(RunParams::parse(3, badhb), std::invalid_argument);
+  // The heartbeat and RLIMIT_CPU knobs are gone; the wall deadline
+  // (--max-cell-seconds) is the pool's only liveness check.
+  for (const char* gone : {"--heartbeat-interval-ms", "--heartbeat-timeout-ms",
+                           "--sandbox-cpu-seconds"}) {
+    const char* args[] = {"prog", gone, "100"};
+    EXPECT_THROW(RunParams::parse(3, args), std::invalid_argument) << gone;
+  }
 }
 
 TEST_F(PoolTest, WireFaultKindsParseAndFire) {
-  const auto specs = faults::Injector::parse("hbdrop@K:1,protocorrupt@*");
-  ASSERT_EQ(specs.size(), 2u);
-  EXPECT_EQ(specs[0].kind, faults::FaultKind::HeartbeatDrop);
-  EXPECT_EQ(specs[1].kind, faults::FaultKind::ProtocolCorrupt);
-  EXPECT_TRUE(faults::is_process_fatal(faults::FaultKind::HeartbeatDrop));
+  const auto specs = faults::Injector::parse("protocorrupt@*");
+  ASSERT_EQ(specs.size(), 1u);
+  EXPECT_EQ(specs[0].kind, faults::FaultKind::ProtocolCorrupt);
   EXPECT_TRUE(faults::is_process_fatal(faults::FaultKind::ProtocolCorrupt));
+  // hbdrop went with the heartbeat; a wedged worker is 'hang'.
+  EXPECT_THROW((void)faults::Injector::parse("hbdrop@K:1"),
+               std::invalid_argument);
 
   auto& inj = faults::injector();
-  inj.configure("hbdrop@K:1", 7u);
+  inj.configure("protocorrupt@K:1", 7u);
   // Wire faults fire only via the explicit query, never via on_lifecycle.
   inj.on_lifecycle("K");
   EXPECT_EQ(inj.specs()[0].budget, 1);
-  EXPECT_TRUE(inj.fire_wire_fault(faults::FaultKind::HeartbeatDrop, "K"));
-  EXPECT_FALSE(inj.fire_wire_fault(faults::FaultKind::HeartbeatDrop, "K"));
+  EXPECT_TRUE(inj.fire_wire_fault(faults::FaultKind::ProtocolCorrupt, "K"));
   EXPECT_FALSE(inj.fire_wire_fault(faults::FaultKind::ProtocolCorrupt, "K"));
+  // Only the wire kind answers the wire query.
+  inj.configure("hang@K:1", 7u);
+  EXPECT_FALSE(inj.fire_wire_fault(faults::FaultKind::Hang, "K"));
+  EXPECT_EQ(inj.specs()[0].budget, 1);
 }
 
 // ------------------------------------------- executor: pooled execution
@@ -659,24 +715,6 @@ TEST_F(PoolTest, PooledSegvIsRecycledRetriedAndBitIdentical) {
 
   expect_no_children();
   std::filesystem::remove_all(dir);
-}
-
-TEST_F(PoolTest, PooledHeartbeatDropIsDetectedAndRetried) {
-  RunParams p = pooled_params();
-  p.kernel_filter = {"Stream_TRIAD"};
-  p.variant_filter = {VariantID::Base_Seq};
-  p.retries = 1;
-  p.fault_spec = "hbdrop@Stream_TRIAD:1";
-  p.heartbeat_interval_ms = 20;
-  p.heartbeat_timeout_ms = 300;
-  Executor exec(p);
-  exec.run();
-
-  EXPECT_TRUE(exec.all_passed());
-  ASSERT_EQ(exec.results().size(), 1u);
-  EXPECT_EQ(exec.results()[0].attempts, 2);
-  EXPECT_GE(exec.pool_stats().heartbeat_timeouts, 1u);
-  expect_no_children();
 }
 
 TEST_F(PoolTest, PooledProtocolCorruptionIsDetectedAndRetried) {

@@ -12,7 +12,6 @@
 // parity tests would otherwise warm the pool first.
 #include <gtest/gtest.h>
 #include <omp.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -88,14 +87,18 @@ TEST_F(SandboxTest, RunParamsParseSandboxFlags) {
                         "--isolate", "cell",
                         "--quarantine-after", "2",
                         "--max-cell-seconds", "1.5",
-                        "--sandbox-mem-mb", "512",
-                        "--sandbox-cpu-seconds", "30"};
-  const RunParams p = RunParams::parse(11, argv);
+                        "--sandbox-mem-mb", "512"};
+  const RunParams p = RunParams::parse(9, argv);
   EXPECT_EQ(p.isolate, IsolationMode::Cell);
   EXPECT_EQ(p.quarantine_after, 2);
   EXPECT_DOUBLE_EQ(p.max_cell_seconds, 1.5);
   EXPECT_EQ(p.sandbox_mem_mb, 512u);
-  EXPECT_DOUBLE_EQ(p.sandbox_cpu_seconds, 30.0);
+
+  // Every isolated cell has a wall deadline unless one opts out with 0.
+  const char* none[] = {"prog", "--isolate", "cell"};
+  EXPECT_DOUBLE_EQ(RunParams::parse(3, none).max_cell_seconds, 60.0);
+  const char* off[] = {"prog", "--max-cell-seconds", "0"};
+  EXPECT_DOUBLE_EQ(RunParams::parse(3, off).max_cell_seconds, 0.0);
 
   const char* bad[] = {"prog", "--quarantine-after", "0"};
   EXPECT_THROW(RunParams::parse(3, bad), std::invalid_argument);
@@ -173,21 +176,15 @@ TEST_F(SandboxTest, JsonBoolOrAndProfileValueRoundTrip) {
 // ------------------------------------------- disposable worker policies
 
 /// One job per affinity key, in order, on a one-worker pool. Each result
-/// is "<worker pid> <RLIMIT_CPU soft limit>".
+/// is the pid of the worker that ran it.
 std::vector<std::string> run_keyed_jobs(bool disposable,
                                         const std::vector<std::uint64_t>& keys,
-                                        double cpu_seconds,
                                         sandbox::PoolStats& stats) {
   sandbox::PoolConfig cfg;
   cfg.workers = 1;
   cfg.disposable = disposable;
-  cfg.limits.cpu_seconds = cpu_seconds;
   sandbox::PoolClient client;
-  client.run_job = [](const std::string&) {
-    rlimit rl{};
-    getrlimit(RLIMIT_CPU, &rl);
-    return std::to_string(getpid()) + " " + std::to_string(rl.rlim_cur);
-  };
+  client.run_job = [](const std::string&) { return std::to_string(getpid()); };
   std::vector<std::string> results(keys.size());
   client.on_result = [&](const sandbox::Job& job, const std::string& r) {
     results[job.id] = r;
@@ -211,40 +208,23 @@ std::vector<std::string> run_keyed_jobs(bool disposable,
   return results;
 }
 
-std::string pid_of(const std::string& result) {
-  return result.substr(0, result.find(' '));
-}
-
-std::string cpu_limit_of(const std::string& result) {
-  return result.substr(result.find(' ') + 1);
-}
-
-TEST_F(SandboxTest, IsolateCellRunsEachCellInAFreshCpuLimitedWorker) {
-  // Four keys on a disposable pool: four worker processes, each under
-  // RLIMIT_CPU, each reaped with its rusage accounted.
+TEST_F(SandboxTest, IsolateCellRunsEachCellInAFreshWorker) {
+  // Four keys on a disposable pool: four worker processes, each reaped
+  // with its rusage accounted.
   sandbox::PoolStats st;
-  const auto out = run_keyed_jobs(true, {1, 3, 5, 7}, 30.0, st);
-  std::set<std::string> pids;
-  for (const std::string& r : out) {
-    pids.insert(pid_of(r));
-    EXPECT_EQ(cpu_limit_of(r), "30") << r;
-  }
+  const auto out = run_keyed_jobs(true, {1, 3, 5, 7}, st);
+  const std::set<std::string> pids(out.begin(), out.end());
   EXPECT_EQ(pids.size(), 4u);
   EXPECT_EQ(st.spawns, 4u);
   EXPECT_EQ(st.recycles, 0u) << "policy recycles are not deaths";
   EXPECT_GT(st.peak_rss_kb, 0);
 
-  // A persistent worker runs every key and never takes RLIMIT_CPU: its
-  // CPU time accrues across jobs.
-  rlimit own{};
-  getrlimit(RLIMIT_CPU, &own);
-  const auto kept = run_keyed_jobs(false, {1, 3}, 30.0, st);
-  EXPECT_EQ(pid_of(kept[0]), pid_of(kept[1]));
-  EXPECT_EQ(cpu_limit_of(kept[0]), std::to_string(own.rlim_cur));
+  // A persistent worker runs every key.
+  const auto kept = run_keyed_jobs(false, {1, 3}, st);
+  EXPECT_EQ(kept[0], kept[1]);
 
   // --isolate cell keys the executor's jobs per cell: a worker per cell.
   RunParams p = sandbox_params();
-  p.sandbox_cpu_seconds = 30.0;
   Executor exec(p);
   exec.run();
   EXPECT_TRUE(exec.all_passed());
@@ -253,10 +233,10 @@ TEST_F(SandboxTest, IsolateCellRunsEachCellInAFreshCpuLimitedWorker) {
 
 TEST_F(SandboxTest, IsolateKernelSharesOneWorkerPerKernel) {
   sandbox::PoolStats st;
-  const auto out = run_keyed_jobs(true, {1, 1, 3, 3}, 0.0, st);
-  EXPECT_EQ(pid_of(out[0]), pid_of(out[1]));
-  EXPECT_EQ(pid_of(out[2]), pid_of(out[3]));
-  EXPECT_NE(pid_of(out[0]), pid_of(out[2]));
+  const auto out = run_keyed_jobs(true, {1, 1, 3, 3}, st);
+  EXPECT_EQ(out[0], out[1]);
+  EXPECT_EQ(out[2], out[3]);
+  EXPECT_NE(out[0], out[2]);
   EXPECT_EQ(st.spawns, 2u);
 
   // --isolate kernel keys them per kernel: two kernels, two workers.

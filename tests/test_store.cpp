@@ -512,27 +512,38 @@ TEST_F(StoreTest, ForkedWriterSurvivesSigkill) {
   for (int round = 0; round < 3; ++round) {
     SCOPED_TRACE("round=" + std::to_string(round));
     const std::string dir = base_ + "/kill" + std::to_string(round);
+    // The child reports its first commit over this pipe, so the kill
+    // lands after it however busy the host is.
+    int committed[2];
+    ASSERT_EQ(::pipe(committed), 0);
     const pid_t pid = fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
       // Child: commit cells until killed. _exit (never exit) so gtest
       // handlers don't run in the doomed copy.
+      ::close(committed[0]);
       try {
         store::StoreWriter w(dir);
         w.begin_run(small_config("kill"));
         for (std::size_t i = 0; i < 100000; ++i) {
           w.add_cell(make_cell(i));
           w.commit();
+          if (i == 0 && ::write(committed[1], "c", 1) != 1) ::_exit(1);
           ::usleep(200);
         }
       } catch (...) {
       }
       ::_exit(0);
     }
-    ::usleep(20000 + 17000 * round);
+    ::close(committed[1]);
+    char byte = 0;
+    const ssize_t got_byte = ::read(committed[0], &byte, 1);
+    ::close(committed[0]);
+    if (got_byte == 1) ::usleep(20000 + 17000 * round);
     ::kill(pid, SIGKILL);
     int wstatus = 0;
     ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+    ASSERT_EQ(got_byte, 1) << "child died before its first commit";
 
     // The flock died with the child, so a new writer opens immediately;
     // recovery leaves exactly a contiguous committed prefix.
@@ -541,6 +552,7 @@ TEST_F(StoreTest, ForkedWriterSurvivesSigkill) {
     ASSERT_EQ(r.runs().size(), 1u);
     EXPECT_FALSE(r.runs()[0].complete);
     const auto& got = r.runs()[0].cells;
+    EXPECT_GE(got.size(), 1u) << "the first commit was acknowledged";
     for (std::size_t i = 0; i < got.size(); ++i) {
       expect_cells_equal(make_cell(i), got[i], "cell " + std::to_string(i));
     }

@@ -156,19 +156,23 @@ int main(int argc, char** argv) {
                   static_cast<double>(cs.stored_bytes) / (1024.0 * 1024.0));
     }
 
-    // Worker-pool supervision summary (--workers): what keeping the sweep
-    // alive cost in respawned and recycled workers, and what the workers
-    // consumed.
+    // Worker-pool supervision summary (--workers): the deadline that keeps
+    // the sweep alive, what it cost in respawned and recycled workers, and
+    // what the workers consumed.
     if (params.workers > 0) {
       const auto& ws = exec.pool_stats();
-      std::printf("workers: %d pooled, %zu spawned, %zu recycled "
-                  "(%zu heartbeat timeouts, %zu deadline kills, "
-                  "%zu corrupt frames), %zu/%zu jobs completed, "
-                  "peak queue %zu, peak cores %d of %d; worker rusage: "
-                  "peak rss %ld KiB, user %.3f s, sys %.3f s\n",
-                  params.workers, ws.spawns, ws.recycles,
-                  ws.heartbeat_timeouts, ws.deadline_kills, ws.corrupt_frames,
-                  ws.jobs_completed, ws.jobs_dispatched, ws.peak_queue_depth,
+      char deadline[48] = "no deadline";
+      if (params.max_cell_seconds > 0.0) {
+        std::snprintf(deadline, sizeof(deadline), "deadline %g s",
+                      params.max_cell_seconds);
+      }
+      std::printf("workers: %d pooled, %s, %zu spawned, %zu recycled "
+                  "(%zu deadline kills, %zu corrupt frames), %zu/%zu jobs "
+                  "completed, peak queue %zu, peak cores %d of %d; worker "
+                  "rusage: peak rss %ld KiB, user %.3f s, sys %.3f s\n",
+                  params.workers, deadline, ws.spawns, ws.recycles,
+                  ws.deadline_kills, ws.corrupt_frames, ws.jobs_completed,
+                  ws.jobs_dispatched, ws.peak_queue_depth,
                   ws.peak_cores_inflight, ws.core_budget, ws.peak_rss_kb,
                   ws.child_user_sec, ws.child_sys_sec);
       if (exec.degraded()) {

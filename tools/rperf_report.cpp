@@ -821,11 +821,11 @@ int main(int argc, char** argv) {
       };
       const auto degraded = md.find("sandbox_degraded");
       std::printf("workers: %s pooled, %.0f spawned, %.0f recycled "
-                  "(%.0f heartbeat timeouts, %.0f deadline kills, "
-                  "%.0f corrupt frames), peak queue %.0f%s\n",
+                  "(%.0f deadline kills, %.0f corrupt frames), "
+                  "peak queue %.0f%s\n",
                   workers->second.c_str(), get("pool_spawns"),
-                  get("pool_recycles"), get("pool_heartbeat_timeouts"),
-                  get("pool_deadline_kills"), get("pool_corrupt_frames"),
+                  get("pool_recycles"), get("pool_deadline_kills"),
+                  get("pool_corrupt_frames"),
                   get("pool_peak_queue_depth"),
                   degraded != md.end() && degraded->second == "true"
                       ? " [DEGRADED to in-process]"
