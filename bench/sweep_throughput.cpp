@@ -2,10 +2,10 @@
 // each execution path (BENCH_sweep.json).
 //
 // Runs the same (kernel, variant, tuning) sweep once per leg in one
-// process, each leg starting from an empty memory pool and dataset cache:
+// process, each leg starting from an empty memory pool:
 //
 //   optimized    — in-process: pooled arena allocations, jump-ahead
-//                  blocked fills, dataset cache, blocked 4-lane checksum.
+//                  blocked fills, blocked 4-lane checksum.
 //   store_append — the optimized leg with every cell landing in the
 //                  crash-consistent profile store (--store).
 //   traced       — the optimized leg with the TraceSink recording, cross-
@@ -21,7 +21,7 @@
 //   pooled    — --workers 4: the supervised persistent worker pool, which
 //               amortizes the fork and warm-up over the whole sweep, with
 //               kernel-affinity dispatch keeping repeat cells on the worker
-//               whose dataset cache is already warm. The pooled-vs-fork
+//               whose allocator arenas are already warm. The pooled-vs-fork
 //               speedup is the persistent pool's reason to exist.
 //
 // Only the executing process differs between legs; the measured kernel
@@ -60,7 +60,6 @@
 
 #include "instrument/json.hpp"
 #include "store/store.hpp"
-#include "mem/cache.hpp"
 #include "mem/fill.hpp"
 #include "mem/pool.hpp"
 #include "suite/executor.hpp"
@@ -82,7 +81,6 @@ ModeResult run_mode(bool traced, const rperf::suite::RunParams& params) {
   using namespace rperf;
 
   mem::pool().release();
-  mem::data_cache().clear();
 
   suite::RunParams p = params;
   p.trace = traced;

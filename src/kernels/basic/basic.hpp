@@ -21,8 +21,7 @@ RPERF_DECLARE_KERNEL(INIT_VIEW1D);
 RPERF_DECLARE_KERNEL(INIT_VIEW1D_OFFSET);
 RPERF_DECLARE_KERNEL(MAT_MAT_SHARED, port::Index_type m_dim = 0;);
 RPERF_DECLARE_KERNEL(MULADDSUB);
-RPERF_DECLARE_KERNEL(MULTI_REDUCE, port::Index_type m_num_bins = 0;
-                     suite::Int_vec m_bins;);
+RPERF_DECLARE_KERNEL(MULTI_REDUCE);
 RPERF_DECLARE_KERNEL(NESTED_INIT, port::Index_type m_ni = 0, m_nj = 0,
                                   m_nk = 0;);
 RPERF_DECLARE_KERNEL(PI_ATOMIC);

@@ -19,7 +19,6 @@ MULTI_REDUCE::MULTI_REDUCE(const RunParams& params)
   add_feature(FeatureID::Atomic);
   add_all_variants();
 
-  m_num_bins = kNumBins;
   const double n = static_cast<double>(actual_prob_size());
   auto& t = traits_rw();
   t.bytes_read = 12.0 * n;  // value + bin index
@@ -41,7 +40,6 @@ void MULTI_REDUCE::setUp(VariantID) {
   suite::init_data(m_a, n, 421u);
   suite::init_int_data(m_ia, n, 0, static_cast<int>(kNumBins) - 1, 431u);
   suite::init_data_const(m_b, kNumBins, 0.0);
-  m_bins.assign(static_cast<std::size_t>(kNumBins), 0);
 }
 
 void MULTI_REDUCE::runVariant(VariantID vid) {

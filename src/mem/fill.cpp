@@ -1,7 +1,6 @@
 #include "mem/fill.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include <omp.h>
 
@@ -121,22 +120,6 @@ void fill_ramp(double* dst, std::int64_t n, double lo, double step) {
     for (std::int64_t i = begin; i < begin + len; ++i) {
       dst[i] = lo + static_cast<double>(i) * step;
     }
-  });
-}
-
-void copy_data(double* dst, const double* src, std::int64_t n) {
-  if (n <= 0) return;
-  for_each_block(n, [&](std::int64_t begin, std::int64_t len) {
-    std::memcpy(dst + begin, src + begin,
-                static_cast<std::size_t>(len) * sizeof(double));
-  });
-}
-
-void copy_data(int* dst, const int* src, std::int64_t n) {
-  if (n <= 0) return;
-  for_each_block(n, [&](std::int64_t begin, std::int64_t len) {
-    std::memcpy(dst + begin, src + begin,
-                static_cast<std::size_t>(len) * sizeof(int));
   });
 }
 

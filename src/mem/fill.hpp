@@ -15,8 +15,9 @@
 //     multiply chain into four independent ones the core can overlap.
 //
 // Because every element's value depends only on its index and the seed,
-// results are identical for any thread count, any block schedule, and for
-// cached vs freshly generated buffers.
+// results are identical for any thread count and any block schedule: a
+// serial worker and a four-thread in-process sweep regenerate the same
+// bytes, so no copy of an input needs to be kept between cells.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +50,5 @@ void fill_const(double* dst, std::int64_t n, double value);
 
 /// dst[i] = lo + i * step (same expression as the historical serial ramp).
 void fill_ramp(double* dst, std::int64_t n, double lo, double step);
-
-/// Blocked copy (parallel for large n); plain memcpy semantics.
-void copy_data(double* dst, const double* src, std::int64_t n);
-void copy_data(int* dst, const int* src, std::int64_t n);
 
 }  // namespace rperf::mem

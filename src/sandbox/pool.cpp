@@ -30,7 +30,7 @@ namespace rperf::sandbox {
 namespace {
 
 // Frame payloads are "<header line>\n<body>"; the header is space-separated
-// words ("job 17", "hello 3 12345", "result 17"). Deliberately not JSON: the
+// words ("job 17", "hello 4 12345", "result 17"). Deliberately not JSON: the
 // pool sits below the instrumentation layer and the client's payloads are
 // opaque bodies anyway.
 struct Record {

@@ -90,8 +90,9 @@ struct Job {
   /// Dispatch-affinity key (0 = none). Jobs sharing a nonzero key prefer
   /// the worker that last ran that key, and a key "claimed" by a live
   /// worker is not spread across others while that worker can take it —
-  /// so per-key warm state (dataset caches, allocator arenas) is built
-  /// once per pool instead of once per worker.
+  /// so per-key warm state is built once per pool instead of once per
+  /// worker. For suite cells that state is the allocator arenas' free
+  /// lists in the kernel's size classes; inputs are regenerated per cell.
   std::uint64_t affinity = 0;
   /// Cores the job occupies while it runs: 1 for a serial job, its thread
   /// team for a parallel one. Charged against PoolConfig::core_budget,
@@ -121,8 +122,8 @@ struct PoolConfig {
   /// jobs in flight plus its own Job::cores fit the budget (or nothing is
   /// in flight), so a parallel job's thread team never shares cores with
   /// other measured work, and serial jobs fill the cores it leaves free.
-  /// Idle workers beyond what the budget admits stay resident as warm
-  /// dataset-cache partitions (see Job::affinity) and crash-containment
+  /// Idle workers beyond what the budget admits stay resident with their
+  /// warm allocator arenas (see Job::affinity) and as crash-containment
   /// spares.
   int core_budget = 0;
   /// Recycling policy. A disposable worker is drained and respawned

@@ -5,11 +5,10 @@
 // linear congruential generator rather than std::random_device.
 //
 // Kernel working sets live in Real_vec / Int_vec — std::vectors backed by
-// the pooled arena allocator — and the fills run blocked (optionally in
-// parallel) via mem::fill_* with jump-ahead, producing streams
-// bit-identical to a serial LCG for any thread count. Random datasets are
-// additionally memoized by mem::data_cache() so repeated variants of a
-// kernel copy rather than regenerate their inputs.
+// the pooled arena allocator — and every init_* call regenerates its input
+// through mem::fill_*: blocked (parallel for large n) jump-ahead streams
+// bit-identical to a serial LCG for any thread count. Nothing is kept
+// between cells, so a cell's tearDown returns all of its memory.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "faults/injector.hpp"
-#include "mem/cache.hpp"
 #include "mem/fill.hpp"
 #include "mem/pool.hpp"
 #include "suite/types.hpp"
@@ -50,7 +48,7 @@ template <typename Alloc>
 void init_data(std::vector<double, Alloc>& v, Index_type n,
                std::uint32_t seed = 7u) {
   detail::prepare(v, n);
-  mem::data_cache().fill_random(v.data(), n, seed);
+  mem::fill_random(v.data(), n, seed);
 }
 
 /// Fill with a constant.
@@ -75,7 +73,7 @@ template <typename Alloc>
 void init_int_data(std::vector<int, Alloc>& v, Index_type n, int lo, int hi,
                    std::uint32_t seed = 7u) {
   detail::prepare(v, n);
-  mem::data_cache().fill_int_random(v.data(), n, lo, hi, seed);
+  mem::fill_int_random(v.data(), n, lo, hi, seed);
 }
 
 /// Order-stable weighted checksum: sum of data[i] * w(i) with w(i) =
@@ -87,7 +85,7 @@ void init_int_data(std::vector<int, Alloc>& v, Index_type n, int lo, int hi,
 /// block partials are folded in ascending block order into the result.
 /// Every quantity depends only on (data, n), never on the thread count or
 /// schedule, so the value is bit-identical for 1, 2, or 8 threads and for
-/// pooled, cached, or freshly allocated buffers.
+/// pooled or freshly allocated buffers.
 [[nodiscard]] long double calc_checksum(const double* data, Index_type n);
 [[nodiscard]] long double calc_checksum(const int* data, Index_type n);
 

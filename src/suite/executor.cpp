@@ -21,7 +21,6 @@
 #include "instrument/trace_sink.hpp"
 #include "instrument/wire_codec.hpp"
 #include "machine/machine.hpp"
-#include "mem/cache.hpp"
 #include "mem/pool.hpp"
 #include "sandbox/protocol.hpp"
 #include "sandbox/sandbox.hpp"
@@ -39,16 +38,14 @@ std::string cell_span_name(const std::string& kernel, VariantID vid,
   return kernel + " [" + to_string(vid) + "/" + tuning_name + "]";
 }
 
-/// Sample the counter tracks (cumulative pool/cache hits and injected
-/// faults) onto the trace timeline; called after each finished cell so
-/// the tracks step in sync with the spans.
+/// Sample the counter tracks (cumulative pool hits and injected faults)
+/// onto the trace timeline; called after each finished cell so the tracks
+/// step in sync with the spans.
 void sample_trace_counters() {
   cali::TraceSink& sink = cali::TraceSink::instance();
   if (!sink.enabled()) return;
   sink.counter(sink.intern("pool_hits"),
                static_cast<double>(mem::pool().stats().reuse_hits));
-  sink.counter(sink.intern("cache_hits"),
-               static_cast<double>(mem::data_cache().stats().hits));
   sink.counter(sink.intern("fault_fires"),
                static_cast<double>(faults::injector().fires()));
 }
@@ -130,7 +127,6 @@ std::string encode_cell_record(const RunResult& r,
   w.put_f64(r.setup_ms);
   w.put_f64(r.checksum_ms);
   w.put_u64(r.pool_hits);
-  w.put_u64(r.cache_hits);
   w.put_bytes(r.error);
   w.put_bytes(injector_state);
   w.put_u8(profile != nullptr ? 1 : 0);
@@ -155,7 +151,6 @@ void decode_cell_record(const std::string& blob, RunResult& r,
   r.setup_ms = rd.get_f64();
   r.checksum_ms = rd.get_f64();
   r.pool_hits = rd.get_u64();
-  r.cache_hits = rd.get_u64();
   r.error = rd.get_bytes();
   injector_state = rd.get_bytes();
   if (rd.get_u8() != 0) profile = cali::profile_from_wire(rd);
@@ -256,7 +251,6 @@ RunStatus Executor::run_cell_once(const Cell& cell, cali::Channel& channel,
   r.setup_ms = cell.kernel->last_setup_sec() * 1e3;
   r.checksum_ms = cell.kernel->last_checksum_sec() * 1e3;
   r.pool_hits = cell.kernel->last_pool_hits();
-  r.cache_hits = cell.kernel->last_cache_hits();
   if (params_.hwc) {
     if (hwc_service.regions_observed() > 0) {
       // Measured: the service already attributed multiplex-scaled PAPI
@@ -308,7 +302,6 @@ void Executor::append_progress(const RunResult& r) {
   o["setup_ms"] = r.setup_ms;
   o["checksum_ms"] = r.checksum_ms;
   o["pool_hits"] = static_cast<std::int64_t>(r.pool_hits);
-  o["cache_hits"] = static_cast<std::int64_t>(r.cache_hits);
   if (!r.hwc.empty()) {
     o["hwc_source"] = r.hwc.source;
     if (r.hwc.source != "measured" && !hwc_reason_.empty()) {
@@ -459,8 +452,6 @@ std::map<std::string, RunResult> Executor::load_progress() const {
       r.checksum_ms = v.number_or("checksum_ms", 0.0);
       r.pool_hits =
           static_cast<std::uint64_t>(v.number_or("pool_hits", 0.0));
-      r.cache_hits =
-          static_cast<std::uint64_t>(v.number_or("cache_hits", 0.0));
       r.error = v.string_or("error", "");
       // Source only: a restored cell's counters were not observed by this
       // process, so values stay empty (no counter record re-lands in the
@@ -549,7 +540,6 @@ void Executor::run() {
   // Fresh memory-subsystem counters so per-run metadata describes this
   // sweep only (the pool keeps its cached chunks — that reuse is the point).
   mem::pool().reset_stats();
-  mem::data_cache().reset_stats();
 
   // The sweep plan: every (kernel, variant, tuning) cell passing filters.
   std::vector<Cell> cells;
@@ -632,7 +622,6 @@ void Executor::run() {
   // Run-level metadata (the Adiak substitute), plus the failure taxonomy
   // of each (variant, tuning) slice of the sweep.
   const mem::PoolStats pool_stats = mem::pool().stats();
-  const mem::CacheStats cache_stats = mem::data_cache().stats();
   for (auto& [key, channel] : channels_) {
     channel.set_metadata("variant", to_string(key.first));
     channel.set_metadata("tuning", key.second);
@@ -726,10 +715,6 @@ void Executor::run() {
                          std::to_string(pool_stats.alloc_calls));
     channel.set_metadata("pool_reuse_hits",
                          std::to_string(pool_stats.reuse_hits));
-    channel.set_metadata("cache_hits", std::to_string(cache_stats.hits));
-    channel.set_metadata("cache_misses", std::to_string(cache_stats.misses));
-    channel.set_metadata("cache_stored_bytes",
-                         std::to_string(cache_stats.stored_bytes));
     for (const auto& [k, v] : params_.metadata) {
       channel.set_metadata(k, v);
     }
@@ -1142,8 +1127,8 @@ void Executor::run_pooled(const std::vector<const Cell*>& cells) {
     const PooledJob& p = jobs[next];
     sandbox::Job job;
     // Cells of one kernel share a key, steering them to the worker whose
-    // dataset cache that kernel already warmed; a disposable pool keyed
-    // per cell gives every cell a worker of its own.
+    // allocator arenas already hold that kernel's size classes; a
+    // disposable pool keyed per cell gives every cell a worker of its own.
     job.affinity = affinity_key(
         key_per_cell ? cell_key(p.r.kernel, p.r.variant, p.r.tuning_name)
                      : p.r.kernel);

@@ -72,12 +72,11 @@ struct RunResult {
   bool restored = false;  ///< true when taken from progress.jsonl (--resume)
 
   // Setup-cost observability (rperf::mem): milliseconds spent initializing
-  // data / computing checksums across all passes, and how much of the
-  // working set came from the pool free lists / dataset cache.
+  // data / computing checksums across all passes, and how many of the
+  // working set's allocations the pool free lists served.
   double setup_ms = 0.0;
   double checksum_ms = 0.0;
   std::uint64_t pool_hits = 0;
-  std::uint64_t cache_hits = 0;
 
   /// Hardware-counter totals for this cell (RunParams::hwc): measured via
   /// perf_event_open when available, simulated from the analytic model

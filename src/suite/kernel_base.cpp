@@ -8,7 +8,6 @@
 
 #include "faults/injector.hpp"
 #include "instrument/trace_sink.hpp"
-#include "mem/cache.hpp"
 #include "mem/pool.hpp"
 
 namespace rperf::suite {
@@ -100,7 +99,6 @@ void KernelBase::execute(VariantID vid, std::size_t tuning,
   last_setup_sec_ = 0.0;
   last_checksum_sec_ = 0.0;
   const mem::PoolStats pool_before = mem::pool().stats();
-  const mem::CacheStats cache_before = mem::data_cache().stats();
 
   // Per-thread span stats accumulate on the process-wide sink keyed by the
   // kernel's region name; deltas across this execute() give this cell's
@@ -180,10 +178,7 @@ void KernelBase::execute(VariantID vid, std::size_t tuning,
     }
   }
 
-  const mem::PoolStats pool_after = mem::pool().stats();
-  const mem::CacheStats cache_after = mem::data_cache().stats();
-  last_pool_hits_ = pool_after.reuse_hits - pool_before.reuse_hits;
-  last_cache_hits_ = cache_after.hits - cache_before.hits;
+  last_pool_hits_ = mem::pool().stats().reuse_hits - pool_before.reuse_hits;
 
   // Setup-cost observability: setup/checksum time sits outside the kernel
   // region's inclusive_time_sec, so recording it as region metrics never
@@ -193,8 +188,6 @@ void KernelBase::execute(VariantID vid, std::size_t tuning,
   channel.attribute_metric_at(name_, "checksum_ms", last_checksum_sec_ * 1e3);
   channel.attribute_metric_at(name_, "pool_hit",
                               static_cast<double>(last_pool_hits_));
-  channel.attribute_metric_at(name_, "cache_hit",
-                              static_cast<double>(last_cache_hits_));
 
   // Load-imbalance metrics from the traced OpenMP path. Max/mean thread
   // times are sums over parallel instances, so they stay meaningful when

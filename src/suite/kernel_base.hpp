@@ -109,11 +109,8 @@ class KernelBase {
   [[nodiscard]] double last_setup_sec() const { return last_setup_sec_; }
   /// Total seconds spent in computeChecksum across all passes.
   [[nodiscard]] double last_checksum_sec() const { return last_checksum_sec_; }
-  /// Pool free-list hits / dataset-cache hits during the last execute().
+  /// Pool free-list hits during the last execute().
   [[nodiscard]] std::uint64_t last_pool_hits() const { return last_pool_hits_; }
-  [[nodiscard]] std::uint64_t last_cache_hits() const {
-    return last_cache_hits_;
-  }
 
  protected:
   // ----- subclass lifecycle hooks -----
@@ -169,7 +166,6 @@ class KernelBase {
   double last_setup_sec_ = 0.0;
   double last_checksum_sec_ = 0.0;
   std::uint64_t last_pool_hits_ = 0;
-  std::uint64_t last_cache_hits_ = 0;
 };
 
 }  // namespace rperf::suite

@@ -1,11 +1,12 @@
 // Whole-suite parameterized tests: every Table I kernel is exercised for
-// metadata sanity, cross-variant checksum agreement, determinism, and
-// analytic-metric scaling.
+// metadata sanity, cross-variant checksum agreement, data that does not
+// outlive its cell, determinism, and analytic-metric scaling.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "instrument/channel.hpp"
+#include "mem/pool.hpp"
 #include "suite/data_utils.hpp"
 #include "suite/registry.hpp"
 
@@ -60,10 +61,15 @@ TEST_P(KernelSuiteTest, DeclaresUsableTraits) {
 TEST_P(KernelSuiteTest, AllVariantsAgreeOnChecksum) {
   const auto kernel = make_kernel(GetParam(), tiny_params());
   rperf::cali::Channel channel;
+  // Every cell hands all of its pooled data back in tearDown, so a sweep
+  // holds one cell's inputs at a time.
+  const std::size_t in_use = rperf::mem::pool().stats().bytes_in_use;
   long double reference = 0.0L;
   bool have_reference = false;
   for (VariantID v : kernel->variants()) {
     kernel->execute(v, channel);
+    EXPECT_EQ(rperf::mem::pool().stats().bytes_in_use, in_use)
+        << GetParam() << " " << to_string(v) << " left pooled data live";
     const long double cs = kernel->checksum(v);
     if (!have_reference) {
       reference = cs;

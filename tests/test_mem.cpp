@@ -1,5 +1,5 @@
-// Tests for the rperf::mem subsystem: size-class pool, dataset cache,
-// deterministic fills, and the blocked checksum's thread invariance.
+// Tests for the rperf::mem subsystem: size-class pool, deterministic
+// fills, and the blocked checksum's thread invariance.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,7 +9,6 @@
 #include <omp.h>
 
 #include "faults/injector.hpp"
-#include "mem/cache.hpp"
 #include "mem/fill.hpp"
 #include "mem/pool.hpp"
 #include "suite/data_utils.hpp"
@@ -92,33 +91,60 @@ TEST(MemPool, PoolAllocatorVectorsAreAligned) {
 
 // ---------------------------------------------------------------- fills
 
+/// Sets the OpenMP team size for a scope and restores the previous one,
+/// also when an assertion returns early.
+class ScopedTeam {
+ public:
+  explicit ScopedTeam(int threads) : saved_(omp_get_max_threads()) {
+    omp_set_num_threads(threads);
+  }
+  ~ScopedTeam() { omp_set_num_threads(saved_); }
+  ScopedTeam(const ScopedTeam&) = delete;
+  ScopedTeam& operator=(const ScopedTeam&) = delete;
+
+ private:
+  int saved_;
+};
+
+// Every team size must produce the same bytes: a pooled Seq cell fills its
+// inputs on a team of one, an in-process sweep on the machine's, and their
+// checksums are compared bit for bit. The largest n of each test is at
+// least kParallelFillThreshold, so teams above one take the parallel path.
 TEST(MemFill, RandomBitIdenticalToSerialLcg) {
-  for (std::int64_t n : {1, 5, 4095, 4096, 4097, 100000}) {
-    std::vector<double> fast(static_cast<std::size_t>(n));
-    mem::fill_random(fast.data(), n, 31u);
-    std::uint32_t state = 31u;
-    for (std::int64_t i = 0; i < n; ++i) {
-      state = state * 1664525u + 1013904223u;
-      const double ref =
-          (static_cast<double>(state >> 8) + 0.5) / 16777216.0;
-      ASSERT_EQ(0, std::memcmp(&fast[static_cast<std::size_t>(i)], &ref,
-                               sizeof(double)))
-          << "n=" << n << " i=" << i;
+  for (int team : {1, 2, 4}) {
+    const ScopedTeam scoped(team);
+    for (std::int64_t n : {1, 5, 4095, 4096, 4097, 100000}) {
+      std::vector<double> fast(static_cast<std::size_t>(n));
+      mem::fill_random(fast.data(), n, 31u);
+      std::uint32_t state = 31u;
+      for (std::int64_t i = 0; i < n; ++i) {
+        state = state * 1664525u + 1013904223u;
+        const double ref =
+            (static_cast<double>(state >> 8) + 0.5) / 16777216.0;
+        ASSERT_EQ(0, std::memcmp(&fast[static_cast<std::size_t>(i)], &ref,
+                                 sizeof(double)))
+            << "team=" << team << " n=" << n << " i=" << i;
+      }
     }
   }
 }
 
 TEST(MemFill, IntRandomBitIdenticalToSerialLcg) {
-  const std::int64_t n = 50000;
-  std::vector<int> fast(static_cast<std::size_t>(n));
-  mem::fill_int_random(fast.data(), n, -3, 11, 1201u);
-  std::uint32_t state = 1201u;
   const std::uint32_t span = static_cast<std::uint32_t>(11 - (-3)) + 1u;
-  for (std::int64_t i = 0; i < n; ++i) {
-    state = state * 1664525u + 1013904223u;
-    ASSERT_EQ(fast[static_cast<std::size_t>(i)],
-              -3 + static_cast<int>(state % span))
-        << i;
+  for (int team : {1, 2, 4}) {
+    const ScopedTeam scoped(team);
+    for (std::int64_t n :
+         {std::int64_t{50000}, mem::kParallelFillThreshold + 4097}) {
+      std::vector<int> fast(static_cast<std::size_t>(n));
+      mem::fill_int_random(fast.data(), n, -3, 11, 1201u);
+      std::uint32_t state = 1201u;
+      for (std::int64_t i = 0; i < n; ++i) {
+        state = state * 1664525u + 1013904223u;
+        ASSERT_EQ(fast[static_cast<std::size_t>(i)],
+                  -3 + static_cast<int>(state % span))
+            << "team=" << team << " n=" << n << " i=" << i;
+      }
+    }
   }
 }
 
@@ -135,70 +161,6 @@ TEST(MemFill, LcgSkipMatchesStepping) {
     EXPECT_EQ(mem::lcg_skip(7u, k), state) << k;
     state = state * 1664525u + 1013904223u;
   }
-}
-
-// ---------------------------------------------------------------- cache
-
-TEST(MemCache, HitOnSameKeyMissOnDifferentKey) {
-  mem::DataCache cache;
-  const std::int64_t n = 8192;  // above kMinElems
-  std::vector<double> a(static_cast<std::size_t>(n));
-  std::vector<double> b(static_cast<std::size_t>(n));
-
-  EXPECT_FALSE(cache.fill_random(a.data(), n, 31u));  // miss: generates
-  EXPECT_TRUE(cache.fill_random(b.data(), n, 31u));   // hit: copies
-  EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
-                           static_cast<std::size_t>(n) * sizeof(double)));
-
-  // Different seed, different n, different pattern: all distinct keys.
-  EXPECT_FALSE(cache.fill_random(a.data(), n, 37u));
-  EXPECT_FALSE(cache.fill_random(a.data(), n / 2, 31u));
-  std::vector<int> ints(static_cast<std::size_t>(n));
-  EXPECT_FALSE(cache.fill_int_random(ints.data(), n, 0, 9, 31u));
-  EXPECT_FALSE(cache.fill_int_random(ints.data(), n, 0, 10, 31u));  // range
-  EXPECT_TRUE(cache.fill_int_random(ints.data(), n, 0, 10, 31u));
-
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 2u);
-  EXPECT_GT(s.stored_bytes, 0u);
-}
-
-TEST(MemCache, SmallDatasetsAreNotCached) {
-  mem::DataCache cache;
-  const std::int64_t n = 64;  // below kMinElems
-  std::vector<double> a(static_cast<std::size_t>(n));
-  EXPECT_FALSE(cache.fill_random(a.data(), n, 31u));
-  EXPECT_FALSE(cache.fill_random(a.data(), n, 31u));  // still a generate
-  EXPECT_EQ(cache.stats().stored_bytes, 0u);
-}
-
-TEST(MemCache, CapacityBoundSkipsStores) {
-  mem::DataCache cache;
-  cache.set_capacity_bytes(16 * 1024);
-  const std::int64_t n = 8192;  // 64 KiB > capacity
-  std::vector<double> a(static_cast<std::size_t>(n));
-  EXPECT_FALSE(cache.fill_random(a.data(), n, 31u));
-  EXPECT_FALSE(cache.fill_random(a.data(), n, 31u));  // not stored -> miss
-  EXPECT_EQ(cache.stats().stored_bytes, 0u);
-
-  // Data is still correct even when the store is skipped.
-  std::uint32_t state = 31u;
-  state = state * 1664525u + 1013904223u;
-  EXPECT_EQ(a[0], (static_cast<double>(state >> 8) + 0.5) / 16777216.0);
-}
-
-TEST(MemCache, CachedAndFreshBuffersAreBitIdentical) {
-  mem::DataCache cache;
-  const std::int64_t n = 10000;
-  std::vector<double> fresh(static_cast<std::size_t>(n));
-  mem::fill_random(fresh.data(), n, 1409u);
-
-  std::vector<double> first(static_cast<std::size_t>(n));
-  std::vector<double> cached(static_cast<std::size_t>(n));
-  cache.fill_random(first.data(), n, 1409u);
-  ASSERT_TRUE(cache.fill_random(cached.data(), n, 1409u));
-  EXPECT_EQ(0, std::memcmp(fresh.data(), cached.data(),
-                           static_cast<std::size_t>(n) * sizeof(double)));
 }
 
 // ------------------------------------------------------------- checksum

@@ -501,8 +501,7 @@ TEST_F(SandboxTest, SandboxedSweepMatchesInProcessBitForBit) {
         // Wall-clock and pool-warmth metrics legitimately differ between
         // a fresh worker process and a warm in-process sweep; everything
         // analytic (flops, bytes, reps, problem_size) must agree exactly.
-        if (k == "setup_ms" || k == "checksum_ms" || k == "pool_hit" ||
-            k == "cache_hit") {
+        if (k == "setup_ms" || k == "checksum_ms" || k == "pool_hit") {
           EXPECT_TRUE(m->metrics.count(k)) << path << "/" << k;
           continue;
         }

@@ -5,7 +5,8 @@
 # the exit code flagging the contained failure (4). A --resume run without
 # faults re-runs only what did not pass under the default deadline, and
 # rperf-report surfaces both the pool summary and the crash history, also
-# for profiles written before the heartbeat was removed.
+# for profiles written before the heartbeat and the dataset cache were
+# removed.
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 
@@ -77,16 +78,20 @@ if(NOT out3 MATCHES "Crash summary")
   message(FATAL_ERROR "report printed no crash summary:\n${out3}")
 endif()
 
-# Profiles written before the heartbeat was removed carry a
-# pool_heartbeat_timeouts key; the report still renders them.
+# Profiles written before the heartbeat and the dataset cache were removed
+# carry pool_heartbeat_timeouts and cache_* keys; the report still renders
+# them and prints no cache summary.
 file(GLOB profiles "${WORKDIR}/out/*.cali.json")
 list(GET profiles 0 profile)
 file(READ "${profile}" text)
-string(REPLACE "\"pool_deadline_kills\""
-       "\"pool_heartbeat_timeouts\": \"1\", \"pool_deadline_kills\""
+string(CONCAT old_keys
+       "\"pool_heartbeat_timeouts\": \"1\", \"cache_hits\": \"5\", "
+       "\"cache_misses\": \"2\", \"cache_stored_bytes\": \"65536\", ")
+string(REPLACE "\"pool_deadline_kills\"" "${old_keys}\"pool_deadline_kills\""
        text "${text}")
-if(NOT text MATCHES "pool_heartbeat_timeouts")
-  message(FATAL_ERROR "could not plant the old metadata key in ${profile}")
+if(NOT text MATCHES "pool_heartbeat_timeouts" OR
+   NOT text MATCHES "cache_stored_bytes")
+  message(FATAL_ERROR "could not plant the old metadata keys in ${profile}")
 endif()
 file(WRITE "${profile}" "${text}")
 execute_process(
@@ -98,4 +103,8 @@ if(NOT rc4 EQUAL 4)
 endif()
 if(NOT out4 MATCHES "workers: 4 pooled, [0-9]+ spawned")
   message(FATAL_ERROR "old-profile report lacks the pool summary:\n${out4}")
+endif()
+if(NOT out4 MATCHES "pool: [0-9.]+ MiB reserved" OR out4 MATCHES "cache:")
+  message(FATAL_ERROR "old-profile report: want a pool line and no cache "
+                      "summary:\n${out4}")
 endif()

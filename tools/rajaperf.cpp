@@ -28,7 +28,6 @@
 #include "analysis/simulate.hpp"
 #include "instrument/config.hpp"
 #include "instrument/report.hpp"
-#include "mem/cache.hpp"
 #include "mem/pool.hpp"
 #include "sandbox/sandbox.hpp"
 #include "suite/executor.hpp"
@@ -143,17 +142,12 @@ int main(int argc, char** argv) {
     // Memory-subsystem summary: how well setup amortized across the sweep.
     {
       const auto ps = mem::pool().stats();
-      const auto cs = mem::data_cache().stats();
       std::printf("pool: %.1f MiB reserved (high water %.1f MiB), "
-                  "%llu allocs, %.0f%% reused; cache: %llu hits, %llu "
-                  "misses, %.1f MiB stored\n",
+                  "%llu allocs, %.0f%% reused\n",
                   static_cast<double>(ps.bytes_reserved()) / (1024.0 * 1024.0),
                   static_cast<double>(ps.high_water_bytes) / (1024.0 * 1024.0),
                   static_cast<unsigned long long>(ps.alloc_calls),
-                  ps.reuse_rate() * 100.0,
-                  static_cast<unsigned long long>(cs.hits),
-                  static_cast<unsigned long long>(cs.misses),
-                  static_cast<double>(cs.stored_bytes) / (1024.0 * 1024.0));
+                  ps.reuse_rate() * 100.0);
     }
 
     // Worker-pool supervision summary (--workers): the deadline that keeps

@@ -801,12 +801,10 @@ int main(int argc, char** argv) {
       const double allocs = get("pool_alloc_calls");
       const double hits = get("pool_reuse_hits");
       std::printf("\npool: %.1f MiB reserved (high water %.1f MiB), "
-                  "%.0f allocs, %.0f%% hit rate; cache: %.0f hits, "
-                  "%.0f misses\n",
+                  "%.0f allocs, %.0f%% hit rate\n",
                   std::stod(reserved->second) / (1024.0 * 1024.0),
                   get("pool_high_water_bytes") / (1024.0 * 1024.0), allocs,
-                  allocs > 0.0 ? hits / allocs * 100.0 : 0.0,
-                  get("cache_hits"), get("cache_misses"));
+                  allocs > 0.0 ? hits / allocs * 100.0 : 0.0);
       break;
     }
     // Worker-pool supervision summary (--workers runs): recycles and their
