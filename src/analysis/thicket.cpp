@@ -119,6 +119,23 @@ Thicket Thicket::filter_nodes(
   return from_profiles(std::move(out));
 }
 
+Thicket Thicket::top(const std::string& metric, std::size_t n) const {
+  std::vector<std::pair<double, std::string>> ranked;
+  for (const auto& node : nodes_) {
+    const Statistics s = stats(node, metric);
+    if (s.count > 0) ranked.emplace_back(s.mean, node);
+  }
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first > b.first;
+                   });
+  if (ranked.size() > n) ranked.resize(n);
+  Thicket out = *this;
+  out.nodes_.clear();
+  for (auto& [mean, node] : ranked) out.nodes_.push_back(std::move(node));
+  return out;
+}
+
 Statistics Thicket::stats(const std::string& node,
                           const std::string& metric) const {
   std::vector<double> values;
@@ -150,21 +167,25 @@ std::string Thicket::table(const std::string& metric,
                            const std::string& label_key) const {
   std::ostringstream os;
   os << std::left << std::setw(34) << "node";
+  // A column is 16 wide, or wider so its label keeps a leading space.
+  std::vector<int> widths;
   for (std::size_t p = 0; p < profiles_.size(); ++p) {
     auto it = profiles_[p].metadata.find(label_key);
-    os << std::right << std::setw(16)
-       << (it == profiles_[p].metadata.end() ? ("run" + std::to_string(p))
-                                             : it->second);
+    const std::string label = it == profiles_[p].metadata.end()
+                                  ? "run" + std::to_string(p)
+                                  : it->second;
+    widths.push_back(std::max(16, static_cast<int>(label.size()) + 1));
+    os << std::right << std::setw(widths[p]) << label;
   }
   os << '\n';
   for (const auto& node : nodes_) {
     os << std::left << std::setw(34) << node;
     for (std::size_t p = 0; p < profiles_.size(); ++p) {
       if (auto v = value(node, p, metric)) {
-        os << std::right << std::setw(16) << std::scientific
+        os << std::right << std::setw(widths[p]) << std::scientific
            << std::setprecision(3) << *v;
       } else {
-        os << std::right << std::setw(16) << "--";
+        os << std::right << std::setw(widths[p]) << "--";
       }
     }
     os << '\n';

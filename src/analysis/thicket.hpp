@@ -41,7 +41,8 @@ class Thicket {
   static Thicket concat(const std::vector<Thicket>& parts);
 
   [[nodiscard]] std::size_t num_profiles() const { return profiles_.size(); }
-  /// Union of region paths across profiles, in first-seen order.
+  /// Union of region paths across profiles, in first-seen order (top()
+  /// narrows and reorders it).
   [[nodiscard]] const std::vector<std::string>& nodes() const {
     return nodes_;
   }
@@ -71,6 +72,10 @@ class Thicket {
   /// Keep only nodes satisfying the predicate.
   [[nodiscard]] Thicket filter_nodes(
       const std::function<bool(const std::string&)>& pred) const;
+  /// Keep the `n` nodes with the largest mean `metric`, largest first
+  /// (ties in first-seen order); nodes without the metric are dropped.
+  /// Profiles are kept whole, so only views over nodes() change.
+  [[nodiscard]] Thicket top(const std::string& metric, std::size_t n) const;
 
   /// Aggregate a metric across profiles at one node.
   [[nodiscard]] Statistics stats(const std::string& node,

@@ -51,6 +51,13 @@ void write_profile(const Channel& channel, const std::string& path);
 /// Parse a profile previously written by write_profile.
 [[nodiscard]] Profile read_profile(const std::string& path);
 
+/// File name of one (variant, tuning) profile in an output directory.
+/// Thicket::from_directory reads a directory in the order of these names.
+[[nodiscard]] inline std::string profile_file_name(const std::string& variant,
+                                                   const std::string& tuning) {
+  return variant + "." + tuning + ".cali.json";
+}
+
 /// In-memory (de)serialization, used by tests and remote transports.
 [[nodiscard]] std::string profile_to_json(const Profile& profile);
 [[nodiscard]] Profile profile_from_json(const std::string& text);

@@ -31,8 +31,9 @@ struct QueryOptions {
   bool use_index = true;
 };
 
-/// A --diff prefix that names more than one run. Maps to a usage error
-/// (exit 2), listing the candidates — never a silent latest-wins pick.
+/// A resolve() prefix that names more than one run. rperf-report maps it
+/// to a usage error (exit 2), listing the candidates — never a silent
+/// latest-wins pick.
 class AmbiguousRunPrefix : public StoreError {
  public:
   AmbiguousRunPrefix(const std::string& prefix,
@@ -98,8 +99,8 @@ class StoreQuery {
   [[nodiscard]] std::optional<StoredRun> run(const std::string& prefix);
 
   /// Resolve several prefixes against the one catalog (single ledger
-  /// pass — this is what --diff uses). Each prefix must name exactly
-  /// one distinct run id; throws AmbiguousRunPrefix otherwise. A
+  /// pass — rperf-report's --run A --compare B). Each prefix must name
+  /// exactly one distinct run id; throws AmbiguousRunPrefix otherwise. A
   /// missing prefix yields nullopt at its position.
   [[nodiscard]] std::vector<std::optional<StoredRun>> resolve(
       const std::vector<std::string>& prefixes);

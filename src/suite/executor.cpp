@@ -566,6 +566,19 @@ void Executor::run() {
     if (params_.resume) {
       // Crash history survives resume so quarantine sticks.
       crash_counts_ = load_crash_counts();
+      // The on-disk profiles hold the restored cells' regions. Seeding
+      // each slice's channel with its profile lets the re-run cells fold
+      // in, so --outdir and --store both get the complete slice.
+      for (const Cell& cell : cells) {
+        const auto key = std::make_pair(cell.vid, cell.tuning_name);
+        const std::string path =
+            params_.output_dir + "/" +
+            cali::profile_file_name(to_string(cell.vid), cell.tuning_name);
+        if (channels_.count(key) == 0 && std::filesystem::exists(path)) {
+          channels_[key].merge(
+              cali::channel_from_profile(cali::read_profile(path)));
+        }
+      }
     } else if (std::filesystem::exists(crashes_path())) {
       std::filesystem::remove(crashes_path());
     }
@@ -1223,21 +1236,9 @@ void Executor::write_profiles() const {
   if (params_.output_dir.empty()) return;
   std::filesystem::create_directories(params_.output_dir);
   for (const auto& [key, channel] : channels_) {
-    const std::string path = params_.output_dir + "/" +
-                             to_string(key.first) + "." + key.second +
-                             ".cali.json";
-    // Under --resume the channel holds only the cells that re-ran; the
-    // on-disk profile holds exactly the restored (previously passed) cells,
-    // so folding the channel into it keeps per-variant profiles complete.
-    // Merging in that order lets this run's metadata win.
-    if (params_.resume && std::filesystem::exists(path)) {
-      cali::Channel merged =
-          cali::channel_from_profile(cali::read_profile(path));
-      merged.merge(channel);
-      cali::write_profile(merged, path);
-    } else {
-      cali::write_profile(channel, path);
-    }
+    const std::string name =
+        cali::profile_file_name(to_string(key.first), key.second);
+    cali::write_profile(channel, params_.output_dir + "/" + name);
   }
 }
 

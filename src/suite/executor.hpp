@@ -239,7 +239,8 @@ class Executor {
   RunParams params_;
   std::vector<std::unique_ptr<KernelBase>> kernels_;
   /// Keyed by (variant, tuning name); entries exist only for pairs with at
-  /// least one passed cell.
+  /// least one passed cell. Under --resume a pair starts from its on-disk
+  /// profile, which holds the restored cells.
   std::map<std::pair<VariantID, std::string>, cali::Channel> channels_;
   std::vector<RunResult> results_;
   std::map<std::string, int> crash_counts_;

@@ -116,6 +116,36 @@ TEST(Thicket, TableRendersLabelsAndValues) {
   EXPECT_NE(table.find("Stream_TRIAD"), std::string::npos);
 }
 
+TEST(Thicket, TableKeepsLongLabelsApart) {
+  auto a = make_profile("A", 1, 1);
+  auto b = make_profile("B", 2, 2);
+  a.metadata["run_id"] = "95b8b7f678a419c3";
+  b.metadata["run_id"] = "3c01aa0000000000";
+  const std::string table =
+      thicket::Thicket::from_profiles({a, b}).table("time", "run_id");
+  EXPECT_NE(table.find(" 95b8b7f678a419c3 3c01aa0000000000\n"),
+            std::string::npos)
+      << table;
+}
+
+TEST(Thicket, TopKeepsLargestMeansFirst) {
+  // Means: Stream_TRIAD 2, Basic_DAXPY 3; "flops" lives only on TRIAD.
+  auto tk = thicket::Thicket::from_profiles(
+      {make_profile("A", 1, 4), make_profile("B", 3, 2)});
+  const auto top = tk.top("time", 5);
+  ASSERT_EQ(top.nodes().size(), 2u);
+  EXPECT_EQ(top.nodes()[0], "Basic_DAXPY");
+  EXPECT_EQ(top.nodes()[1], "Stream_TRIAD");
+  EXPECT_EQ(top.num_profiles(), 2u);
+  ASSERT_EQ(tk.top("time", 1).nodes().size(), 1u);
+  EXPECT_EQ(tk.top("time", 1).nodes()[0], "Basic_DAXPY");
+  ASSERT_EQ(tk.top("flops", 5).nodes().size(), 1u);
+  EXPECT_EQ(tk.top("flops", 5).nodes()[0], "Stream_TRIAD");
+  // Views follow the narrowed node list.
+  EXPECT_EQ(tk.top("time", 1).table("time", "variant").find("Stream_TRIAD"),
+            std::string::npos);
+}
+
 TEST(Thicket, DeriveAddsComputedMetric) {
   auto tk = thicket::Thicket::from_profiles({make_profile("A", 2.0, 4.0)});
   const auto derived = tk.derive("flops_per_sec", [](const auto& metrics) {

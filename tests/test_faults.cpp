@@ -355,6 +355,11 @@ TEST_F(FaultsTest, ResumeSkipsPassedCellsAndRerunsFailedOnes) {
   p.resume = true;
   Executor exec(p);
   exec.run();
+  // The in-memory profiles, which --store lands, hold the restored cells.
+  for (const auto& prof : exec.profiles()) {
+    EXPECT_NE(prof.find("Stream_TRIAD"), nullptr)
+        << prof.metadata.at("variant");
+  }
   exec.write_profiles();
   EXPECT_TRUE(exec.all_passed());
   for (const auto& r : exec.results()) {

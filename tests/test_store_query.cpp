@@ -5,7 +5,7 @@
 // returning bit-identical runs, every index fail-open path (missing,
 // stale, unreadable or unlisted manifest, the idxcorrupt fault kind, a
 // lying entry caught by point-lookup verification), segments sealed with
-// the older per-segment footer staying readable, ambiguous --diff prefix
+// the older per-segment footer staying readable, ambiguous run prefix
 // resolution, bloom-filter pruning with no false negatives, and parallel
 // cold scans being identical to serial ones.
 #include <gtest/gtest.h>

@@ -21,14 +21,18 @@ foreach(needle "Stream_TRIAD" "Basic_DAXPY" "RAJA_OpenMP")
   endif()
 endforeach()
 
-# A non-numeric value for a numeric option is a usage error (exit 2)
-# that names the option, in every mode that takes one.
+# A non-numeric or out-of-range value for a numeric option is a usage
+# error (exit 2) that names the option, in every mode that takes one,
+# before any input is read (the store paths below do not exist).
 foreach(case
         "--top|--trace;${WORKDIR}/trace.json;--top;ten"
         "--top|--store;${WORKDIR}/store;--top;ten"
-        "--topn|--store;${WORKDIR}/store;--topn;ten"
         "--threads|--store;${WORKDIR}/store;--threads;four"
-        "--threshold|${WORKDIR}/profiles;--compare;${WORKDIR}/profiles;--threshold;high")
+        "--threshold|${WORKDIR}/profiles;--compare;${WORKDIR}/profiles;--threshold;high"
+        "--threshold|${WORKDIR}/profiles;--compare;${WORKDIR}/profiles;--threshold;0.5"
+        "--threshold|${WORKDIR}/profiles;--compare;${WORKDIR}/profiles;--threshold;nan"
+        "--threshold|${WORKDIR}/profiles;--compare;${WORKDIR}/profiles;--threshold;inf"
+        "--threshold|--store;${WORKDIR}/store;--run;x;--compare;y;--threshold;0.5")
   string(REPLACE "|" ";" parts "${case}")
   list(POP_FRONT parts flag)
   execute_process(
@@ -42,6 +46,76 @@ foreach(case
   endif()
   if(NOT err_bad MATCHES "${flag} wants a number")
     message(FATAL_ERROR "non-numeric ${flag}: message names no flag:\n${err_bad}")
+  endif()
+  if(NOT out_bad STREQUAL "")
+    message(FATAL_ERROR "bad ${flag} printed output before failing:\n${out_bad}")
+  endif()
+endforeach()
+
+# --help prints the usage on stdout and exits 0; the usage lists the
+# shared analysis flags.
+execute_process(
+  COMMAND "${REPORT}" --help
+  OUTPUT_VARIABLE help_out
+  RESULT_VARIABLE rc_help)
+if(NOT rc_help EQUAL 0 OR NOT help_out MATCHES "--compare")
+  message(FATAL_ERROR "--help: want exit 0 and a usage naming --compare, "
+                      "got ${rc_help}:\n${help_out}")
+endif()
+
+# Every flag is parsed before anything renders: flag order never changes
+# the output, and --groupby renders the --metric it was given.
+foreach(order "--groupby;variant;--metric;flops" "--metric;flops;--groupby;variant"
+              "--groupby;variant")
+  execute_process(
+    COMMAND "${REPORT}" "${WORKDIR}/profiles" ${order}
+    OUTPUT_VARIABLE order_out
+    RESULT_VARIABLE rc_order)
+  if(NOT rc_order EQUAL 0)
+    message(FATAL_ERROR "${order}: want exit 0, got ${rc_order}:\n${order_out}")
+  endif()
+  string(REPLACE ";" "" key "${order}")
+  set(out_${key} "${order_out}")
+endforeach()
+if(NOT out_--groupbyvariant--metricflops STREQUAL out_--metricflops--groupbyvariant)
+  message(FATAL_ERROR "flag order changed the output:\n"
+                      "${out_--groupbyvariant--metricflops}\n---\n"
+                      "${out_--metricflops--groupbyvariant}")
+endif()
+if(out_--groupbyvariant--metricflops STREQUAL out_--groupbyvariant)
+  message(FATAL_ERROR "--groupby ignored --metric flops:\n${out_--groupbyvariant}")
+endif()
+
+# --groupby works with every view: a comparison renders once per group.
+execute_process(
+  COMMAND "${REPORT}" "${WORKDIR}/profiles" --compare "${WORKDIR}/profiles"
+          --groupby variant
+  OUTPUT_VARIABLE cmp_out
+  RESULT_VARIABLE rc_cmp)
+if(NOT rc_cmp EQUAL 0)
+  message(FATAL_ERROR "self --compare --groupby: want exit 0, got ${rc_cmp}:\n${cmp_out}")
+endif()
+string(REGEX MATCHALL "nodes outside" cmp_groups "${cmp_out}")
+list(LENGTH cmp_groups n_cmp_groups)
+if(NOT cmp_out MATCHES "=== variant = Base_Seq ===" OR n_cmp_groups LESS 2)
+  message(FATAL_ERROR "--compare --groupby did not compare per group:\n${cmp_out}")
+endif()
+
+# An empty answer is an error: --stats with no values exits 1, a --groupby
+# key no profile carries exits 2, and so does asking for two views.
+foreach(case "1|--stats;NoSuch;time" "2|--groupby;bogus"
+             "2|--hwc;--stats;Stream_TRIAD;time"
+             "2|--stats;Stream_TRIAD;time;--compare;${WORKDIR}/profiles")
+  string(REPLACE "|" ";" parts "${case}")
+  list(POP_FRONT parts want)
+  execute_process(
+    COMMAND "${REPORT}" "${WORKDIR}/profiles" ${parts}
+    OUTPUT_VARIABLE out_empty
+    ERROR_VARIABLE err_empty
+    RESULT_VARIABLE rc_empty)
+  if(NOT rc_empty EQUAL want)
+    message(FATAL_ERROR
+      "${parts}: want exit ${want}, got ${rc_empty}:\n${out_empty}\n${err_empty}")
   endif()
 endforeach()
 

@@ -1,71 +1,35 @@
 // rperf-report — query .cali.json profiles (the cali-query substitute).
+// kUsage below lists the modes, flags and exit codes (--help prints it).
 //
-//   rperf-report DIR [--metric M] [--label KEY] [--stats NODE METRIC]
-//                    [--groupby KEY] [--compare DIR2 [--threshold T]]
-//                    [--hwc]
-//   rperf-report --trace FILE [--top N] [--flamegraph]
+// Analysis runs over one thicket::Thicket, whichever the source: a
+// directory of .cali.json profiles, or the profiles of the runs selected
+// from a --store (each tagged with a run_id metadata key). One parser
+// reads every flag before any input, so flag order never changes the
+// output. --hwc derives per-kernel rates from the PAPI_* region metrics
+// (measured or simulated; hwc_source says which), TMA level-1 fractions
+// and the paper's Fig-6/7 Ward dendrogram over them. A crashes.jsonl in
+// DIR (written by rajaperf --isolate) adds a crash summary and exit 4.
 //
-// Examples:
-//   rperf-report out/                       # time table, labelled by variant
-//   rperf-report out/ --metric flops
-//   rperf-report out/ --stats Stream_TRIAD time
-//   rperf-report out/ --groupby tuning
-//   rperf-report baseline/ --compare candidate/ --threshold 1.1
-//   rperf-report --trace out/trace.json --top 10
-//   rperf-report --trace out/trace.json --flamegraph > sweep.folded
+// The store keeps its own verbs: the run listing, the bloom-pruned
+// --kernel search, --fsck [--repair], a selected run's header lines, and
+// under --hwc each run's counter-record line. Queries plan through the
+// MANIFEST.rps index (store/query.hpp), whose damage only costs speed and
+// a warning; damaged records exit 5. --no-index forces full scans.
 //
-// --hwc renders the hardware-counter view: per-kernel rates derived from
-// the PAPI_* region metrics (IPC, branch mispredict rate, cache misses
-// per kilo-instruction), TMA level-1 fractions via hwc::measured_tma, and
-// the paper's Fig-6/7 Ward dendrogram over those TMA signatures. Works
-// over a profile directory (metrics averaged across profiles, provenance
-// from the hwc_source metadata) and over --store ledgers (per-cell
-// CounterSet records, including multiplex coverage). Counter values may
-// be measured (perf_event_open) or simulated — each row says which.
-//
-// When DIR holds a crashes.jsonl sidecar (written by rajaperf --isolate),
-// a crash summary is appended: per cell, how many times its worker died,
-// on which signal, and whether it is quarantined.
-//
-// --trace mode reads a Chrome/Perfetto trace written by rajaperf --trace:
-// the default output is a summary (processes, threads, spans, counters,
-// recorded overhead) plus the top-N regions by exclusive time;
-// --flamegraph instead emits folded-stack lines ("proc;a;b usec") on
-// stdout for flamegraph.pl or speedscope.
-//
-// --store mode queries the crash-consistent .rps profile store written
-// by rajaperf --store: list runs (default), show one run (--run ID
-// [--top N]), cross-run diff by kernel (--diff ID1 ID2), ledger-wide
-// aggregations (--topn N, --groupby kernel|group|variant, --kernel K),
-// and fsck (--fsck [--repair]) which scans every segment and the
-// journal, reports, and optionally quarantines damage.
-//
-// Queries are planned through the store's index: the MANIFEST.rps
-// catalog answers listings and point lookups without decoding record
-// payloads, its bloom filters prune --kernel scans, and cold full scans
-// fan out across --threads N workers. A missing, damaged or stale
-// manifest degrades to the full scan with a warning on stderr (fail
-// open); damaged records still exit 5 (fail closed). fsck notes a
-// manifest that differs from the segments and --repair rewrites it.
-// --no-index forces the full-scan path everywhere.
-//
-// Exit codes: 0 ok; 1 read/analysis error; 2 usage error (including an
-// ambiguous --diff run prefix or a non-numeric value for --top, --topn,
-// --threads or --threshold); 3 regressions flagged by --compare;
-// 4 crash records present in DIR (summary printed — the sweep
-// "completed" only by containing worker crashes, so CI should look at
-// the crash summary rather than trust the tables alone) or store fsck
-// found a recoverable torn journal tail; 5 store or profile corrupt
-// beyond repair (sealed segment damage, unparseable profile data);
-// 70 unknown (non-std::exception) error.
+// --trace reads a Chrome/Perfetto trace written by rajaperf --trace: a
+// summary plus the top-N regions by exclusive time, or with --flamegraph
+// folded-stack lines ("proc;a;b usec") for flamegraph.pl or speedscope.
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -80,99 +44,47 @@
 
 namespace {
 
+namespace store = rperf::store;
+namespace thicket = rperf::thicket;
+
+constexpr const char* kUsage = R"(usage: rperf-report DIR [ANALYSIS]
+       rperf-report --store S [--run ID] [ANALYSIS] [--threads N] [--no-index]
+       rperf-report --store S --kernel K [--threads N] [--no-index]
+       rperf-report --store S --fsck [--repair] [--threads N]
+       rperf-report --trace FILE [--top N] [--flamegraph]
+ANALYSIS, the same over a profile directory and over the store's runs:
+  --metric M           metric to tabulate and rank (default time)
+  --label KEY          metadata key labelling the columns (default variant)
+  --top N              keep the N nodes with the largest mean metric
+  --groupby KEY        render the view once per value of metadata KEY
+ and at most one view besides the default table:
+  --hwc                counter rates, TMA fractions, Ward clustering
+  --stats NODE METRIC  statistics of METRIC at NODE across profiles
+  --compare OTHER      per-node ratio of OTHER to this side; OTHER is a
+    [--threshold T]    directory, or with --store a run prefix (needs --run);
+                       exit 3 when a ratio leaves [1/T, T] (T >= 1, def. 1.1)
+With --store, neither --run nor ANALYSIS lists the runs; ANALYSIS without
+--run reads every run. --repair quarantines damage, fixes the index.
+exit codes: 0 ok; 1 read error, run not found or no --stats values; 2 usage
+  (incl. bad N or T, two views, an ambiguous run prefix, a --groupby key no
+  profile carries); 3 regressions; 4 crash records in DIR / store torn
+  journal tail; 5 store or profile corrupt beyond repair; 70 unknown error
+)";
+
 /// Parse the value of numeric option `flag`. False, after a usage message
-/// naming the flag, unless all of `text` is one number of type T.
+/// naming the flag, unless all of `text` is one finite number of type T,
+/// no less than `min`.
 template <typename T>
-bool parse_value(const char* flag, const char* text, T& out) {
+bool parse_value(const char* flag, const char* text, T& out, T min = T{}) {
   const char* end = text + std::strlen(text);
   const auto [ptr, ec] = std::from_chars(text, end, out);
-  if (ec == std::errc() && ptr == end && ptr != text) return true;
-  std::fprintf(stderr, "%s wants a number (got '%s')\n", flag, text);
+  if (ec == std::errc() && ptr == end && ptr != text &&
+      std::isfinite(static_cast<double>(out)) && out >= min) {
+    return true;
+  }
+  std::fprintf(stderr, "%s wants a number >= %g (got '%s')\n", flag,
+               static_cast<double>(min), text);
   return false;
-}
-
-/// Derived per-kernel counter row shared by the profile-dir and --store
-/// --hwc views: rates a reader compares across kernels, not raw totals.
-struct HwcRow {
-  std::string label;
-  double ipc = 0.0;          ///< instructions per cycle
-  double br_msp_pct = 0.0;   ///< branch mispredicts per branch, percent
-  double l2_per_ki = 0.0;    ///< PAPI_L2_DCM per kilo-instruction
-  double l3_per_ki = 0.0;    ///< PAPI_L3_TCM per kilo-instruction
-  rperf::machine::TMAFractions tma;  ///< measured_tma over the counters
-  std::string source;
-};
-
-HwcRow hwc_row(const std::string& label,
-               const std::map<std::string, double>& c,
-               const std::string& source) {
-  auto get = [&c](const char* key) {
-    const auto it = c.find(key);
-    return it == c.end() ? 0.0 : it->second;
-  };
-  HwcRow row;
-  row.label = label;
-  const double cyc = get("PAPI_TOT_CYC");
-  const double ins = get("PAPI_TOT_INS");
-  const double br = get("PAPI_BR_INS");
-  row.ipc = cyc > 0.0 ? ins / cyc : 0.0;
-  row.br_msp_pct = br > 0.0 ? get("PAPI_BR_MSP") / br * 100.0 : 0.0;
-  row.l2_per_ki = ins > 0.0 ? get("PAPI_L2_DCM") / ins * 1e3 : 0.0;
-  row.l3_per_ki = ins > 0.0 ? get("PAPI_L3_TCM") / ins * 1e3 : 0.0;
-  row.tma = rperf::hwc::measured_tma(c);
-  row.source = source;
-  return row;
-}
-
-/// Render the --hwc tables: counter-derived rates, TMA level-1 fractions,
-/// and (given >= 2 rows with TMA data) the paper's Fig-6/7 view — Ward
-/// dendrogram over the 5-dim TMA signatures, cut at distance 1.4.
-void print_hwc_rows(const std::vector<HwcRow>& rows) {
-  namespace analysis = rperf::analysis;
-  std::printf("  %-40s %8s %8s %9s %9s %s\n", "Kernel", "IPC", "BrMsp%",
-              "L2DCM/kI", "L3TCM/kI", "source");
-  for (const auto& r : rows) {
-    std::printf("  %-40s %8.2f %8.2f %9.2f %9.2f %s\n", r.label.c_str(),
-                r.ipc, r.br_msp_pct, r.l2_per_ki, r.l3_per_ki,
-                r.source.c_str());
-  }
-
-  std::vector<const HwcRow*> with_tma;
-  for (const auto& r : rows) {
-    if (r.tma.sum() > 0.0) with_tma.push_back(&r);
-  }
-  if (with_tma.empty()) return;
-  std::printf("\nTMA level-1 fractions (measured_tma over the counters):\n");
-  std::printf("  %-40s %9s %9s %9s %9s %9s\n", "Kernel", "frontend",
-              "badspec", "retiring", "core", "memory");
-  for (const auto* r : with_tma) {
-    std::printf("  %-40s %9.3f %9.3f %9.3f %9.3f %9.3f\n", r->label.c_str(),
-                r->tma.frontend_bound, r->tma.bad_speculation,
-                r->tma.retiring, r->tma.core_bound, r->tma.memory_bound);
-  }
-  if (with_tma.size() < 2) return;
-
-  std::vector<std::vector<double>> points;
-  std::vector<std::string> labels;
-  for (const auto* r : with_tma) {
-    points.push_back({r->tma.frontend_bound, r->tma.bad_speculation,
-                      r->tma.retiring, r->tma.core_bound,
-                      r->tma.memory_bound});
-    labels.push_back(r->label);
-  }
-  const auto links = analysis::ward_linkage(points);
-  const auto flat = analysis::fcluster(links, points.size(), 1.4);
-  const int k = *std::max_element(flat.begin(), flat.end()) + 1;
-  std::printf("\nWard clustering over TMA signatures "
-              "(cut at 1.4: %d cluster(s)):\n%s",
-              k, analysis::render_dendrogram(links, labels).c_str());
-  for (int cluster = 0; cluster < k; ++cluster) {
-    std::printf("  cluster %d:", cluster);
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-      if (flat[i] == cluster) std::printf(" %s", labels[i].c_str());
-    }
-    std::printf("\n");
-  }
 }
 
 /// Render DIR/crashes.jsonl (if present) and report whether any worker
@@ -242,9 +154,7 @@ bool print_crash_summary(const std::string& dir) {
 int trace_mode(int argc, char** argv) {
   namespace cali = rperf::cali;
   if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: rperf-report --trace FILE [--top N] "
-                 "[--flamegraph]\n");
+    std::fputs(kUsage, stderr);
     return 2;
   }
   const std::string path = argv[2];
@@ -302,79 +212,343 @@ int trace_mode(int argc, char** argv) {
   return 0;
 }
 
-/// --store DIR query modes against the crash-consistent .rps profile
-/// store: list runs (default, straight from the index catalog), show
-/// one run (--run [--top N], indexed point lookup), diff two runs by
-/// kernel (--diff, one catalog pass), ledger-wide top cells (--topn),
-/// grouped totals (--groupby kernel|group|variant), bloom-pruned kernel
-/// search (--kernel), or scan/repair (--fsck [--repair]).
-int store_mode(int argc, char** argv) {
-  namespace store = rperf::store;
-  if (argc < 3) {
-    std::fprintf(stderr, "--store needs a store directory\n");
-    return 2;
-  }
-  const std::string dir = argv[2];
-  std::string run_prefix;
-  std::string diff_a;
-  std::string diff_b;
+enum class View { Table, Hwc, Stats, Compare };
+
+/// Every flag of the profile-directory and store modes. All of them are
+/// parsed before any input is read.
+struct Options {
+  View view = View::Table;
+  bool analysis = false;  ///< any analysis flag given
+  std::string metric = "time";
+  std::string label = "variant";
   std::string groupby;
+  std::size_t top = 0;  ///< 0 = every node
+  std::string stats_node;
+  std::string stats_metric;
+  std::string compare;  ///< DIR2, or with --store a run prefix
+  double threshold = 1.1;
+  std::string run;  ///< this and the rest are --store only
   std::string kernel;
-  std::size_t top_n = 10;
-  std::size_t topn = 10;
   unsigned threads = 0;
-  bool show_run = false;
-  bool do_hwc = false;
-  bool do_fsck = false;
-  bool repair = false;
-  bool do_topn = false;
   bool use_index = true;
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--run") == 0 && i + 1 < argc) {
-      run_prefix = argv[++i];
-      show_run = true;
-    } else if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      if (!parse_value("--top", argv[++i], top_n)) return 2;
-      show_run = true;
-    } else if (std::strcmp(argv[i], "--diff") == 0 && i + 2 < argc) {
-      diff_a = argv[++i];
-      diff_b = argv[++i];
-    } else if (std::strcmp(argv[i], "--topn") == 0 && i + 1 < argc) {
-      if (!parse_value("--topn", argv[++i], topn)) return 2;
-      do_topn = true;
-    } else if (std::strcmp(argv[i], "--groupby") == 0 && i + 1 < argc) {
-      groupby = argv[++i];
-    } else if (std::strcmp(argv[i], "--kernel") == 0 && i + 1 < argc) {
-      kernel = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!parse_value("--threads", argv[++i], threads)) return 2;
-    } else if (std::strcmp(argv[i], "--hwc") == 0) {
-      do_hwc = true;
-    } else if (std::strcmp(argv[i], "--no-index") == 0) {
-      use_index = false;
-    } else if (std::strcmp(argv[i], "--fsck") == 0) {
-      do_fsck = true;
-    } else if (std::strcmp(argv[i], "--repair") == 0) {
-      repair = true;
+  bool fsck = false;
+  bool repair = false;
+};
+
+/// Parse argv[first..] into `o`; `from_store` admits the store-only
+/// flags. False, after a message on stderr, on a bad flag, value or
+/// combination.
+bool parse_options(int argc, char** argv, int first, bool from_store,
+                   Options& o) {
+  static const std::set<std::string> kAnalysis = {
+      "--metric", "--label", "--groupby", "--top",
+      "--hwc",    "--stats", "--compare", "--threshold"};
+  int views = 0;  // --hwc, --stats and --compare given
+  for (int i = first; i < argc; ++i) {
+    const std::string flag = argv[i];
+    const bool has_value = i + 1 < argc;
+    o.analysis = o.analysis || kAnalysis.count(flag) > 0;
+    if (flag == "--metric" && has_value) {
+      o.metric = argv[++i];
+    } else if (flag == "--label" && has_value) {
+      o.label = argv[++i];
+    } else if (flag == "--groupby" && has_value) {
+      o.groupby = argv[++i];
+    } else if (flag == "--top" && has_value) {
+      if (!parse_value("--top", argv[++i], o.top)) return false;
+    } else if (flag == "--hwc") {
+      o.view = View::Hwc;
+      ++views;
+    } else if (flag == "--stats" && i + 2 < argc) {
+      o.view = View::Stats;
+      ++views;
+      o.stats_node = argv[++i];
+      o.stats_metric = argv[++i];
+    } else if (flag == "--compare" && has_value) {
+      o.view = View::Compare;
+      ++views;
+      o.compare = argv[++i];
+    } else if (flag == "--threshold" && has_value) {
+      if (!parse_value("--threshold", argv[++i], o.threshold, 1.0)) {
+        return false;
+      }
+    } else if (from_store && flag == "--run" && has_value) {
+      o.run = argv[++i];
+    } else if (from_store && flag == "--kernel" && has_value) {
+      o.kernel = argv[++i];
+    } else if (from_store && flag == "--threads" && has_value) {
+      if (!parse_value("--threads", argv[++i], o.threads)) return false;
+    } else if (from_store && flag == "--no-index") {
+      o.use_index = false;
+    } else if (from_store && flag == "--fsck") {
+      o.fsck = true;
+    } else if (from_store && flag == "--repair") {
+      o.repair = true;
     } else {
-      std::fprintf(stderr, "unknown --store option: %s\n", argv[i]);
-      return 2;
+      std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+      return false;
     }
   }
-  if (!groupby.empty() && groupby != "kernel" && groupby != "group" &&
-      groupby != "variant") {
-    std::fprintf(stderr,
-                 "--groupby wants kernel, group, or variant (got %s)\n",
-                 groupby.c_str());
-    return 2;
+  if (views > 1) {
+    std::fprintf(stderr, "give at most one of --hwc, --stats and --compare\n");
+    return false;
   }
+  if (from_store && o.view == View::Compare && o.run.empty()) {
+    std::fprintf(stderr, "--compare with --store needs --run\n");
+    return false;
+  }
+  if (!o.kernel.empty() && (o.analysis || !o.run.empty())) {
+    std::fprintf(stderr, "--kernel takes no --run or analysis flags\n");
+    return false;
+  }
+  return true;
+}
 
-  if (do_fsck) {
+/// The --hwc view: per-node rates from the PAPI_* region metrics (mean
+/// across profiles: IPC, branch mispredicts per branch, cache misses per
+/// kilo-instruction), TMA level-1 fractions via hwc::measured_tma, and
+/// given >= 2 nodes with TMA data the paper's Fig-6/7 view: a Ward
+/// dendrogram over the 5-dim TMA signatures, cut at distance 1.4.
+int hwc_view(const thicket::Thicket& tk, const std::string& where) {
+  namespace analysis = rperf::analysis;
+  std::vector<std::string> papi;
+  for (const auto& m : tk.metrics()) {
+    if (m.rfind("PAPI_", 0) == 0) papi.push_back(m);
+  }
+  if (papi.empty()) {
+    std::fprintf(stderr, "error: no PAPI_* metrics in %s (rerun rajaperf "
+                         "with --hwc)\n", where.c_str());
+    return 1;
+  }
+  // Counter provenance is run metadata; profiles mixing measured and
+  // simulated counters report "mixed".
+  std::string source;
+  std::string reason;
+  for (std::size_t p = 0; p < tk.num_profiles(); ++p) {
+    const auto& md = tk.metadata(p);
+    const auto src = md.find("hwc_source");
+    if (src == md.end()) continue;
+    source = source.empty() || source == src->second ? src->second : "mixed";
+    const auto why = md.find("hwc_unavailable_reason");
+    if (why != md.end() && reason.empty()) reason = why->second;
+  }
+  if (source.empty()) source = "unknown";
+  std::printf("hardware counters over %zu profile(s) in %s (source: %s)\n",
+              tk.num_profiles(), where.c_str(), source.c_str());
+  if (!reason.empty()) std::printf("  degraded: %s\n", reason.c_str());
+  std::printf("  %-40s %8s %8s %9s %9s %s\n", "Kernel", "IPC", "BrMsp%",
+              "L2DCM/kI", "L3TCM/kI", "source");
+  std::vector<std::string> labels;
+  std::vector<std::vector<double>> points;  ///< TMA signatures
+  for (const auto& node : tk.nodes()) {
+    std::map<std::string, double> c;
+    for (const auto& m : papi) {
+      const auto s = tk.stats(node, m);
+      if (s.count > 0) c[m] = s.mean;
+    }
+    if (c.empty()) continue;
+    auto get = [&c](const char* key) {
+      const auto it = c.find(key);
+      return it == c.end() ? 0.0 : it->second;
+    };
+    const double cyc = get("PAPI_TOT_CYC");
+    const double ins = get("PAPI_TOT_INS");
+    const double br = get("PAPI_BR_INS");
+    std::printf("  %-40s %8.2f %8.2f %9.2f %9.2f %s\n", node.c_str(),
+                cyc > 0.0 ? ins / cyc : 0.0,
+                br > 0.0 ? get("PAPI_BR_MSP") / br * 100.0 : 0.0,
+                ins > 0.0 ? get("PAPI_L2_DCM") / ins * 1e3 : 0.0,
+                ins > 0.0 ? get("PAPI_L3_TCM") / ins * 1e3 : 0.0,
+                source.c_str());
+    const auto tma = rperf::hwc::measured_tma(c);
+    if (tma.sum() > 0.0) {
+      labels.push_back(node);
+      points.push_back({tma.frontend_bound, tma.bad_speculation,
+                        tma.retiring, tma.core_bound, tma.memory_bound});
+    }
+  }
+  if (points.empty()) return 0;
+  std::printf("\nTMA level-1 fractions (measured_tma over the counters):\n");
+  std::printf("  %-40s %9s %9s %9s %9s %9s\n", "Kernel", "frontend",
+              "badspec", "retiring", "core", "memory");
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto& t = points[i];
+    std::printf("  %-40s %9.3f %9.3f %9.3f %9.3f %9.3f\n", labels[i].c_str(),
+                t[0], t[1], t[2], t[3], t[4]);
+  }
+  if (points.size() < 2) return 0;
+  const auto links = analysis::ward_linkage(points);
+  const auto flat = analysis::fcluster(links, points.size(), 1.4);
+  const int k = *std::max_element(flat.begin(), flat.end()) + 1;
+  std::printf("\nWard clustering over TMA signatures "
+              "(cut at 1.4: %d cluster(s)):\n%s",
+              k, analysis::render_dendrogram(links, labels).c_str());
+  for (int cluster = 0; cluster < k; ++cluster) {
+    std::printf("  cluster %d:", cluster);
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      if (flat[i] == cluster) std::printf(" %s", labels[i].c_str());
+    }
+    std::printf("\n");
+  }
+  return 0;
+}
+
+/// Render the chosen view of `all` (narrowed by --top) and return its
+/// exit code. `other` is the --compare side.
+int render_view(const Options& o, const thicket::Thicket& all,
+                const thicket::Thicket& other, const std::string& where) {
+  const auto top = o.top > 0 ? all.top(o.metric, o.top) : thicket::Thicket();
+  const thicket::Thicket& tk = o.top > 0 ? top : all;
+  switch (o.view) {
+    case View::Table:
+      std::printf("%zu profiles, %zu nodes, metrics:", tk.num_profiles(),
+                  tk.nodes().size());
+      for (const auto& m : tk.metrics()) std::printf(" %s", m.c_str());
+      std::printf("\n\n%s", tk.table(o.metric, o.label).c_str());
+      return 0;
+    case View::Hwc:
+      return hwc_view(tk, where);
+    case View::Stats: {
+      const auto s = tk.stats(o.stats_node, o.stats_metric);
+      if (s.count == 0) {
+        std::fprintf(stderr, "error: no %s values at node %s in %s\n",
+                     o.stats_metric.c_str(), o.stats_node.c_str(),
+                     where.c_str());
+        return 1;
+      }
+      std::printf("%s / %s over %zu profiles: mean=%g median=%g "
+                  "stddev=%g min=%g max=%g\n",
+                  o.stats_node.c_str(), o.stats_metric.c_str(), s.count,
+                  s.mean, s.median, s.stddev, s.min, s.max);
+      return 0;
+    }
+    case View::Compare: {
+      const auto rows = thicket::compare(tk, other, o.metric);
+      std::printf("%s", thicket::render_comparison(rows).c_str());
+      const auto flagged = thicket::outliers(rows, o.threshold);
+      std::printf("\n%zu of %zu nodes outside [1/%.2f, %.2f]:\n",
+                  flagged.size(), rows.size(), o.threshold, o.threshold);
+      for (const auto& r : flagged) {
+        std::printf("  %-34s %.3fx %s\n", r.node.c_str(), r.ratio,
+                    r.ratio > 1.0 ? "REGRESSION" : "improvement");
+      }
+      return flagged.empty() ? 0 : 3;
+    }
+  }
+  return 70;
+}
+
+/// Pool and worker-pool summary lines (run metadata the executor records
+/// identically in every profile of a run): setup amortization, and what
+/// crash containment cost the sweep.
+void print_sweep_summary(const thicket::Thicket& tk) {
+  using Metadata = std::map<std::string, std::string>;
+  auto find = [&tk](const char* key) -> const Metadata* {
+    for (std::size_t i = 0; i < tk.num_profiles(); ++i) {
+      if (tk.metadata(i).count(key) > 0) return &tk.metadata(i);
+    }
+    return nullptr;
+  };
+  auto get = [](const Metadata& md, const char* key) {
+    const auto it = md.find(key);
+    return it == md.end() ? 0.0 : std::stod(it->second);
+  };
+  if (const auto* md = find("pool_bytes_reserved")) {
+    const double allocs = get(*md, "pool_alloc_calls");
+    const double hits = get(*md, "pool_reuse_hits");
+    std::printf("\npool: %.1f MiB reserved (high water %.1f MiB), "
+                "%.0f allocs, %.0f%% hit rate\n",
+                get(*md, "pool_bytes_reserved") / (1024.0 * 1024.0),
+                get(*md, "pool_high_water_bytes") / (1024.0 * 1024.0),
+                allocs, allocs > 0.0 ? hits / allocs * 100.0 : 0.0);
+  }
+  if (const auto* md = find("pool_workers")) {
+    const auto degraded = md->find("sandbox_degraded");
+    std::printf("workers: %s pooled, %.0f spawned, %.0f recycled "
+                "(%.0f deadline kills, %.0f corrupt frames), "
+                "peak queue %.0f%s\n",
+                md->at("pool_workers").c_str(), get(*md, "pool_spawns"),
+                get(*md, "pool_recycles"), get(*md, "pool_deadline_kills"),
+                get(*md, "pool_corrupt_frames"),
+                get(*md, "pool_peak_queue_depth"),
+                degraded != md->end() && degraded->second == "true"
+                    ? " [DEGRADED to in-process]"
+                    : "");
+  }
+}
+
+/// The analysis both sources share: the view over `tk`, once per value of
+/// --groupby when given (the --compare side `other` is grouped too and
+/// matched by value), then the sweep summary under the table view.
+/// Returns the exit code.
+int analyze(const Options& o, const thicket::Thicket& tk,
+            const thicket::Thicket& other, const std::string& where) {
+  int rc = 0;
+  if (o.groupby.empty()) {
+    rc = render_view(o, tk, other, where);
+  } else {
+    const auto groups = tk.groupby(o.groupby);
+    if (groups.empty()) {
+      std::fprintf(stderr, "error: no profile in %s carries metadata key "
+                           "'%s'\n", where.c_str(), o.groupby.c_str());
+      return 2;
+    }
+    const auto other_groups = other.groupby(o.groupby);
+    const thicket::Thicket none;
+    const char* gap = "";
+    for (const auto& [value, sub] : groups) {
+      std::printf("%s=== %s = %s ===\n", gap, o.groupby.c_str(), value.c_str());
+      gap = "\n";
+      const auto match = other_groups.find(value);
+      const auto& side = match == other_groups.end() ? none : match->second;
+      rc = std::max(rc, render_view(o, sub, side, where));
+    }
+  }
+  if (o.view == View::Table) print_sweep_summary(tk);
+  return rc;
+}
+
+/// Append a stored run's profiles to `out` as the Thicket takes them:
+/// tagged with run_id and ordered by <variant>.<tuning>.cali.json, the
+/// order from_directory reads the run's --outdir in. A run killed before
+/// finish_run stored cells but no profiles; its Passed cells become one
+/// partial profile per (variant, tuning) with one root node per kernel.
+void add_profiles(const store::StoredRun& run,
+                  std::vector<rperf::cali::Profile>& out) {
+  std::map<std::string, rperf::cali::Profile> by_file;
+  for (const auto& p : run.profiles) {
+    by_file[rperf::cali::profile_file_name(p.variant, p.tuning)] = p.profile;
+  }
+  if (run.profiles.empty()) {
+    for (const auto& c : run.cells) {
+      if (c.status != "Passed") continue;
+      auto& prof = by_file[rperf::cali::profile_file_name(c.variant, c.tuning)];
+      prof.metadata = {
+          {"variant", c.variant}, {"tuning", c.tuning}, {"partial", "true"}};
+      rperf::cali::ProfileNode node;
+      node.name = c.kernel;
+      node.time_sec = c.time_per_rep_sec * static_cast<double>(c.reps);
+      node.visit_count = 1;
+      node.metrics = {{"reps", static_cast<double>(c.reps)},
+                      {"problem_size", static_cast<double>(c.problem_size)}};
+      prof.roots.push_back(std::move(node));
+    }
+  }
+  for (auto& [file, prof] : by_file) {
+    prof.metadata["run_id"] = run.run_id;
+    out.push_back(std::move(prof));
+  }
+}
+
+/// --store S: the store-only verbs (fsck, --kernel search, run listing),
+/// or the shared analysis over the selected runs' profiles.
+int store_mode(const std::string& dir, const Options& o) {
+  if (o.fsck) {
     // Exit code is the state *found*: 0 clean, 4 recoverable (torn
     // journal tail), 5 corrupt beyond repair (sealed segment damage).
     // Manifest drift is only a note. With --repair the damage is
     // quarantined and the manifest rewritten, so a rerun reports clean.
-    const store::FsckReport report = store::fsck(dir, repair, threads);
+    const store::FsckReport report = store::fsck(dir, o.repair, o.threads);
     const char* status = report.status == store::FsckStatus::Clean
                              ? "clean"
                              : report.status == store::FsckStatus::Recoverable
@@ -398,7 +572,7 @@ int store_mode(int argc, char** argv) {
     return 70;
   }
 
-  store::StoreQuery query(dir, {threads, use_index});
+  store::StoreQuery query(dir, {o.threads, o.use_index});
   // Index degradations (missing, unreadable or stale manifest, failed
   // point lookup) are warnings: the answer is still correct, just slower.
   std::size_t warned = 0;
@@ -415,431 +589,155 @@ int store_mode(int argc, char** argv) {
                  static_cast<unsigned long long>(query.journal_tail_bytes()));
   }
 
-  if (do_hwc) {
-    // Hardware-counter records landed by rajaperf --hwc --store: one
-    // typed CounterSet record per cell, reassembled into StoredRun
-    // counters by the scanner (fsck structurally checks them the same
-    // way). Shows derived rates plus the multiplexing coverage
-    // (time_running / time_enabled) a reader needs to judge scaling.
-    std::vector<store::StoredRun> runs;
-    if (!run_prefix.empty()) {
-      const std::optional<store::StoredRun> run = query.run(run_prefix);
-      if (!run) {
-        std::fprintf(stderr, "error: run %s not found in %s\n",
-                     run_prefix.c_str(), dir.c_str());
-        return 1;
-      }
-      runs.push_back(*run);
-    } else {
-      runs = query.all_runs();
-    }
+  if (!o.kernel.empty()) {
+    // Bloom filters prune segments that provably lack the kernel; the
+    // exact check below drops the filter's false positives.
+    const std::vector<store::StoredRun> runs =
+        query.runs_with_kernel(o.kernel);
     flush_warnings();
-    bool any = false;
+    std::size_t hits = 0;
     for (const auto& r : runs) {
-      if (r.counters.empty()) continue;
-      any = true;
-      double overhead = 0.0;
-      double mux_min = 1.0;
-      std::vector<HwcRow> rows;
-      for (const auto& c : r.counters) {
-        rows.push_back(hwc_row(c.kernel + "/" + c.variant + "/" + c.tuning,
-                               c.values, c.source));
-        overhead += c.overhead_sec;
-        if (c.time_enabled_ns > 0) {
-          mux_min = std::min(mux_min, static_cast<double>(c.time_running_ns) /
-                                          static_cast<double>(c.time_enabled_ns));
-        }
-      }
-      std::printf("run %s: %zu counter record(s), read cost %.3f ms, "
-                  "worst multiplex coverage %.0f%%\n",
-                  r.run_id.c_str(), r.counters.size(), overhead * 1e3,
-                  mux_min * 100.0);
-      print_hwc_rows(rows);
+      for (const auto& c : r.cells) hits += c.kernel == o.kernel ? 1 : 0;
     }
-    if (!any) {
-      std::fprintf(stderr,
-                   "error: no counter records in %s (rerun rajaperf with "
-                   "--hwc --store)\n",
-                   dir.c_str());
-      return 1;
+    std::printf("kernel %s: %zu cell(s) in %s "
+                "(%zu segment(s) bloom-pruned)\n",
+                o.kernel.c_str(), hits, dir.c_str(),
+                query.last_bloom_pruned());
+    for (const auto& r : runs) {
+      for (const auto& c : r.cells) {
+        if (c.kernel != o.kernel) continue;
+        std::printf("  run %s %-40s %12.3e s %s\n", r.run_id.c_str(),
+                    (c.variant + "/" + c.tuning).c_str(), c.time_per_rep_sec,
+                    c.status.c_str());
+      }
     }
     return 0;
   }
 
-  if (!diff_a.empty()) {
-    // Both prefixes resolve against the one catalog (a single ledger
-    // pass); an ambiguous prefix is a usage error listing the matches.
-    std::vector<std::optional<store::StoredRun>> runs;
+  if (o.run.empty() && !o.analysis) {
+    // Listing comes straight from the catalog: with an intact index no
+    // record payload is decoded (the journal is the only file scanned).
+    std::printf("%zu run(s) in %s (%zu sealed segment(s), %zu indexed)\n",
+                query.catalog().size(), dir.c_str(), query.segment_count(),
+                query.indexed_segments());
+    for (const auto& entry : query.catalog()) {
+      std::printf("run %s complete=%s cells=%zu profiles=%zu file=%s\n",
+                  entry.meta.run_id.c_str(),
+                  entry.meta.complete ? "yes" : "no",
+                  static_cast<std::size_t>(entry.meta.cells),
+                  static_cast<std::size_t>(entry.meta.profiles),
+                  entry.file.c_str());
+    }
+    return 0;
+  }
+
+  // The selection: --run's run (and --compare's, resolved together in one
+  // catalog pass, where an ambiguous prefix is a usage error), or all.
+  std::vector<store::StoredRun> named;
+  if (!o.run.empty()) {
+    std::vector<std::optional<store::StoredRun>> found;
     try {
-      runs = query.resolve({diff_a, diff_b});
+      found = o.view == View::Compare ? query.resolve({o.run, o.compare})
+                                      : std::vector{query.run(o.run)};
     } catch (const store::AmbiguousRunPrefix& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
     }
     flush_warnings();
-    if (!runs[0] || !runs[1]) {
-      std::fprintf(stderr, "error: run %s not found in %s\n",
-                   (!runs[0] ? diff_a : diff_b).c_str(), dir.c_str());
-      return 1;
+    for (std::size_t i = 0; i < found.size(); ++i) {
+      if (!found[i]) {
+        std::fprintf(stderr, "error: run %s not found in %s\n",
+                     (i == 0 ? o.run : o.compare).c_str(), dir.c_str());
+        return 1;
+      }
+      const store::StoredRun& run = *found[i];
+      std::printf("run %s (%s, %zu cells, %zu profiles%s)\n",
+                  run.run_id.c_str(), run.complete ? "complete" : "incomplete",
+                  run.cells.size(), run.profiles.size(),
+                  run.profiles.empty() ? "; partial, rebuilt from cells" : "");
+      for (const auto& [key, value] : run.config) {
+        std::printf("  config %s=%s\n", key.c_str(), value.c_str());
+      }
+      for (const auto& [key, value] : run.trace_summary) {
+        std::printf("  summary %s=%g\n", key.c_str(), value);
+      }
+      named.push_back(std::move(*found[i]));
     }
-    const store::StoredRun& a = *runs[0];
-    const store::StoredRun& b = *runs[1];
-    // Cross-run diff by (kernel, variant, tuning): passed cells only.
-    std::map<std::string, double> base;
-    for (const auto& c : a.cells) {
-      if (c.status == "Passed" && c.time_per_rep_sec > 0.0) {
-        base[c.kernel + "/" + c.variant + "/" + c.tuning] =
-            c.time_per_rep_sec;
+  }
+  const std::vector<store::StoredRun>& runs =
+      o.run.empty() ? query.all_runs() : named;
+  flush_warnings();
+
+  // Multiplex coverage (time_running / time_enabled) is the one counter
+  // fact the profiles do not carry; a reader needs it to judge scaling.
+  for (const auto& r : runs) {
+    if (o.view != View::Hwc || r.counters.empty()) continue;
+    double overhead = 0.0;
+    double mux_min = 1.0;
+    for (const auto& c : r.counters) {
+      overhead += c.overhead_sec;
+      if (c.time_enabled_ns > 0) {
+        mux_min = std::min(mux_min, static_cast<double>(c.time_running_ns) /
+                                        static_cast<double>(c.time_enabled_ns));
       }
     }
-    std::printf("diff %s -> %s\n", a.run_id.c_str(), b.run_id.c_str());
-    std::printf("  %-52s %12s %12s %8s\n", "Cell", "base (s)", "cand (s)",
-                "ratio");
-    for (const auto& c : b.cells) {
-      if (c.status != "Passed" || c.time_per_rep_sec <= 0.0) continue;
-      const std::string key = c.kernel + "/" + c.variant + "/" + c.tuning;
-      const auto it = base.find(key);
-      if (it == base.end()) continue;
-      std::printf("  %-52s %12.3e %12.3e %8.3f\n", key.c_str(), it->second,
-                  c.time_per_rep_sec, c.time_per_rep_sec / it->second);
-    }
-    return 0;
+    std::printf("run %s: %zu counter record(s), read cost %.3f ms, "
+                "worst multiplex coverage %.0f%%\n",
+                r.run_id.c_str(), r.counters.size(), overhead * 1e3,
+                mux_min * 100.0);
   }
 
-  if (show_run) {
-    const std::optional<store::StoredRun> run = query.run(run_prefix);
-    flush_warnings();
-    if (!run) {
-      std::fprintf(stderr, "error: run %s not found in %s\n",
-                   run_prefix.c_str(), dir.c_str());
-      return 1;
-    }
-    std::printf("run %s (%s, %zu cells, %zu profiles)\n",
-                run->run_id.c_str(),
-                run->complete ? "complete" : "incomplete",
-                run->cells.size(), run->profiles.size());
-    for (const auto& [key, value] : run->config) {
-      std::printf("  config %s=%s\n", key.c_str(), value.c_str());
-    }
-    for (const auto& [key, value] : run->trace_summary) {
-      std::printf("  summary %s=%g\n", key.c_str(), value);
-    }
-    std::vector<const store::CellRecord*> cells;
-    for (const auto& c : run->cells) {
-      if (c.status == "Passed" && c.time_per_rep_sec > 0.0) {
-        cells.push_back(&c);
-      }
-    }
-    std::sort(cells.begin(), cells.end(),
-              [](const store::CellRecord* x, const store::CellRecord* y) {
-                return x->time_per_rep_sec > y->time_per_rep_sec;
-              });
-    if (cells.size() > top_n) cells.resize(top_n);
-    std::printf("  top %zu cells by time per rep:\n", cells.size());
-    for (const auto* c : cells) {
-      std::printf("    %-50s %12.3e s\n",
-                  (c->kernel + "/" + c->variant + "/" + c->tuning).c_str(),
-                  c->time_per_rep_sec);
-    }
-    return 0;
+  // Under --compare, runs[1] is the other side.
+  std::vector<rperf::cali::Profile> base;
+  std::vector<rperf::cali::Profile> other;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    add_profiles(runs[i], o.view == View::Compare && i == 1 ? other : base);
   }
-
-  if (!kernel.empty()) {
-    // Bloom filters prune segments that provably lack the kernel; the
-    // exact check below drops the filter's false positives.
-    const std::vector<store::StoredRun> runs = query.runs_with_kernel(kernel);
-    flush_warnings();
-    struct Hit {
-      const store::StoredRun* run;
-      const store::CellRecord* cell;
-    };
-    std::vector<Hit> hits;
-    for (const auto& r : runs) {
-      for (const auto& c : r.cells) {
-        if (c.kernel == kernel) hits.push_back({&r, &c});
-      }
-    }
-    std::printf("kernel %s: %zu cell(s) in %s "
-                "(%zu segment(s) bloom-pruned)\n",
-                kernel.c_str(), hits.size(), dir.c_str(),
-                query.last_bloom_pruned());
-    for (const auto& h : hits) {
-      std::printf("  run %s %-40s %12.3e s %s\n", h.run->run_id.c_str(),
-                  (h.cell->variant + "/" + h.cell->tuning).c_str(),
-                  h.cell->time_per_rep_sec, h.cell->status.c_str());
-    }
-    return 0;
-  }
-
-  if (!groupby.empty()) {
-    // Grouped totals over every passed cell in the ledger. "group" is
-    // the suite group: the kernel-name prefix before the first '_'.
-    struct Agg {
-      std::size_t cells = 0;
-      double total = 0.0;
-    };
-    std::map<std::string, Agg> groups;
-    for (const auto& r : query.all_runs()) {
-      for (const auto& c : r.cells) {
-        if (c.status != "Passed" || c.time_per_rep_sec <= 0.0) continue;
-        const std::string key = groupby == "variant" ? c.variant
-                                : groupby == "kernel"
-                                    ? c.kernel
-                                    : c.kernel.substr(0, c.kernel.find('_'));
-        Agg& g = groups[key];
-        ++g.cells;
-        g.total += c.time_per_rep_sec;
-      }
-    }
-    flush_warnings();
-    std::vector<std::pair<std::string, Agg>> rows(groups.begin(),
-                                                  groups.end());
-    std::sort(rows.begin(), rows.end(),
-              [](const auto& x, const auto& y) {
-                return x.second.total > y.second.total;
-              });
-    if (do_topn && rows.size() > topn) rows.resize(topn);
-    std::printf("%zu %s group(s) in %s\n", rows.size(), groupby.c_str(),
-                dir.c_str());
-    std::printf("  %-40s %8s %14s\n", "Group", "cells", "total (s)");
-    for (const auto& [key, g] : rows) {
-      std::printf("  %-40s %8zu %14.3e\n", key.c_str(), g.cells, g.total);
-    }
-    return 0;
-  }
-
-  if (do_topn) {
-    // Ledger-wide top cells by time per rep, across every run.
-    struct Row {
-      const store::StoredRun* run;
-      const store::CellRecord* cell;
-    };
-    std::vector<Row> rows;
-    for (const auto& r : query.all_runs()) {
-      for (const auto& c : r.cells) {
-        if (c.status == "Passed" && c.time_per_rep_sec > 0.0) {
-          rows.push_back({&r, &c});
-        }
-      }
-    }
-    flush_warnings();
-    std::sort(rows.begin(), rows.end(), [](const Row& x, const Row& y) {
-      return x.cell->time_per_rep_sec > y.cell->time_per_rep_sec;
-    });
-    if (rows.size() > topn) rows.resize(topn);
-    std::printf("top %zu cells across %zu run(s) in %s\n", rows.size(),
-                query.all_runs().size(), dir.c_str());
-    for (const auto& row : rows) {
-      std::printf("  %-50s %12.3e s run=%s\n",
-                  (row.cell->kernel + "/" + row.cell->variant + "/" +
-                   row.cell->tuning)
-                      .c_str(),
-                  row.cell->time_per_rep_sec, row.run->run_id.c_str());
-    }
-    return 0;
-  }
-
-  // Listing comes straight from the catalog: with an intact index no
-  // record payload is decoded (the journal is the only file scanned).
-  std::printf("%zu run(s) in %s (%zu sealed segment(s), %zu indexed)\n",
-              query.catalog().size(), dir.c_str(), query.segment_count(),
-              query.indexed_segments());
-  for (const auto& entry : query.catalog()) {
-    std::printf("run %s complete=%s cells=%zu profiles=%zu file=%s\n",
-                entry.meta.run_id.c_str(),
-                entry.meta.complete ? "yes" : "no",
-                static_cast<std::size_t>(entry.meta.cells),
-                static_cast<std::size_t>(entry.meta.profiles),
-                entry.file.c_str());
-  }
-  return 0;
+  return analyze(o, thicket::Thicket::from_profiles(std::move(base)),
+                 thicket::Thicket::from_profiles(std::move(other)), dir);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace rperf;
   if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: rperf-report DIR [--metric M] [--label KEY] "
-                 "[--stats NODE METRIC] [--groupby KEY] [--hwc]\n"
-                 "                    [--compare DIR2 [--threshold T]]\n"
-                 "       rperf-report --trace FILE [--top N] "
-                 "[--flamegraph]\n"
-                 "       rperf-report --store DIR [--run ID] [--top N] "
-                 "[--diff ID1 ID2] [--hwc]\n"
-                 "                    [--topn N] "
-                 "[--groupby kernel|group|variant] [--kernel K]\n"
-                 "                    [--threads N] [--no-index]\n"
-                 "       rperf-report --store DIR --fsck [--repair] "
-                 "[--threads N]\n"
-                 "                    (--repair quarantines damage and "
-                 "rewrites a stale MANIFEST.rps)\n"
-                 "exit codes: 0 ok, 1 read error, 2 usage (incl. ambiguous "
-                 "--diff prefix, non-numeric N or T), 3 regressions,\n"
-                 "  4 crash records present in DIR / store recoverable "
-                 "(torn journal tail),\n"
-                 "  5 store or profile corrupt beyond repair, "
-                 "70 unknown error\n");
+    std::fputs(kUsage, stderr);
     return 2;
+  }
+  if (std::strcmp(argv[1], "--help") == 0 ||
+      std::strcmp(argv[1], "-h") == 0) {
+    std::fputs(kUsage, stdout);
+    return 0;
   }
   try {
     if (std::strcmp(argv[1], "--trace") == 0) return trace_mode(argc, argv);
-    if (std::strcmp(argv[1], "--store") == 0) return store_mode(argc, argv);
+    const bool from_store = std::strcmp(argv[1], "--store") == 0;
+    if (from_store && argc < 3) {
+      std::fprintf(stderr, "--store needs a store directory\n");
+      return 2;
+    }
+    Options o;
+    if (!parse_options(argc, argv, from_store ? 3 : 2, from_store, o)) {
+      return 2;
+    }
+    if (from_store) return store_mode(argv[2], o);
     const auto tk = thicket::Thicket::from_directory(argv[1]);
-    std::string metric = "time";
-    std::string label = "variant";
-    std::string compare_dir;
-    double threshold = 1.1;
-    for (int i = 2; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--hwc") == 0) {
-        // Hardware-counter view: per-kernel rates derived from the PAPI
-        // region metrics (mean across profiles), TMA level-1 fractions,
-        // and the Fig-6/7 Ward dendrogram over those TMA signatures.
-        std::vector<std::string> papi;
-        for (const auto& m : tk.metrics()) {
-          if (m.rfind("PAPI_", 0) == 0) papi.push_back(m);
-        }
-        if (papi.empty()) {
-          std::fprintf(stderr,
-                       "error: no PAPI_* metrics in %s (rerun rajaperf "
-                       "with --hwc)\n",
-                       argv[1]);
-          return 1;
-        }
-        // Counter provenance is run metadata; a directory mixing measured
-        // and simulated profiles reports "mixed".
-        std::string source;
-        std::string reason;
-        for (std::size_t p = 0; p < tk.num_profiles(); ++p) {
-          const auto& md = tk.metadata(p);
-          const auto src = md.find("hwc_source");
-          if (src == md.end()) continue;
-          if (source.empty()) {
-            source = src->second;
-          } else if (source != src->second) {
-            source = "mixed";
-          }
-          const auto why = md.find("hwc_unavailable_reason");
-          if (why != md.end() && reason.empty()) reason = why->second;
-        }
-        if (source.empty()) source = "unknown";
-        std::printf("hardware counters over %zu profile(s) in %s "
-                    "(source: %s)\n",
-                    tk.num_profiles(), argv[1], source.c_str());
-        if (!reason.empty()) std::printf("  degraded: %s\n", reason.c_str());
-        std::vector<HwcRow> rows;
-        for (const auto& node : tk.nodes()) {
-          std::map<std::string, double> counters;
-          for (const auto& m : papi) {
-            const auto s = tk.stats(node, m);
-            if (s.count > 0) counters[m] = s.mean;
-          }
-          if (!counters.empty()) rows.push_back(hwc_row(node, counters, source));
-        }
-        print_hwc_rows(rows);
-        return 0;
-      }
-      if (std::strcmp(argv[i], "--metric") == 0 && i + 1 < argc) {
-        metric = argv[++i];
-      } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
-        label = argv[++i];
-      } else if (std::strcmp(argv[i], "--stats") == 0 && i + 2 < argc) {
-        const std::string node = argv[i + 1];
-        const std::string m = argv[i + 2];
-        const auto s = tk.stats(node, m);
-        std::printf("%s / %s over %zu profiles: mean=%g median=%g "
-                    "stddev=%g min=%g max=%g\n",
-                    node.c_str(), m.c_str(), s.count, s.mean, s.median,
-                    s.stddev, s.min, s.max);
-        return 0;
-      } else if (std::strcmp(argv[i], "--compare") == 0 && i + 1 < argc) {
-        compare_dir = argv[++i];
-      } else if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-        if (!parse_value("--threshold", argv[++i], threshold)) return 2;
-      } else if (std::strcmp(argv[i], "--groupby") == 0 && i + 1 < argc) {
-        const std::string key = argv[i + 1];
-        for (const auto& [value, sub] : tk.groupby(key)) {
-          std::printf("=== %s = %s (%zu profiles) ===\n%s\n", key.c_str(),
-                      value.c_str(), sub.num_profiles(),
-                      sub.table(metric, label).c_str());
-        }
-        return 0;
-      } else {
-        std::fprintf(stderr, "unknown option: %s\n", argv[i]);
-        return 2;
-      }
-    }
-    if (!compare_dir.empty()) {
-      const auto cand = thicket::Thicket::from_directory(compare_dir);
-      const auto rows = thicket::compare(tk, cand, metric);
-      std::printf("%s", thicket::render_comparison(rows).c_str());
-      const auto flagged = thicket::outliers(rows, threshold);
-      std::printf("\n%zu of %zu nodes outside [1/%.2f, %.2f]:\n",
-                  flagged.size(), rows.size(), threshold, threshold);
-      for (const auto& r : flagged) {
-        std::printf("  %-34s %.3fx %s\n", r.node.c_str(), r.ratio,
-                    r.ratio > 1.0 ? "REGRESSION" : "improvement");
-      }
-      return flagged.empty() ? 0 : 3;
-    }
-    std::printf("%zu profiles, %zu nodes, metrics:", tk.num_profiles(),
-                tk.nodes().size());
-    for (const auto& m : tk.metrics()) std::printf(" %s", m.c_str());
-    std::printf("\n\n%s", tk.table(metric, label).c_str());
-
-    // Pool summary (recorded by the executor as run metadata; identical in
-    // every profile of a run): shows setup amortization at a glance.
-    for (std::size_t i = 0; i < tk.num_profiles(); ++i) {
-      const auto& md = tk.metadata(i);
-      const auto reserved = md.find("pool_bytes_reserved");
-      if (reserved == md.end()) continue;
-      auto get = [&md](const char* key) {
-        const auto it = md.find(key);
-        return it == md.end() ? 0.0 : std::stod(it->second);
-      };
-      const double allocs = get("pool_alloc_calls");
-      const double hits = get("pool_reuse_hits");
-      std::printf("\npool: %.1f MiB reserved (high water %.1f MiB), "
-                  "%.0f allocs, %.0f%% hit rate\n",
-                  std::stod(reserved->second) / (1024.0 * 1024.0),
-                  get("pool_high_water_bytes") / (1024.0 * 1024.0), allocs,
-                  allocs > 0.0 ? hits / allocs * 100.0 : 0.0);
-      break;
-    }
-    // Worker-pool supervision summary (--workers runs): recycles and their
-    // causes, so a report shows what crash containment cost the sweep.
-    for (std::size_t i = 0; i < tk.num_profiles(); ++i) {
-      const auto& md = tk.metadata(i);
-      const auto workers = md.find("pool_workers");
-      if (workers == md.end()) continue;
-      auto get = [&md](const char* key) {
-        const auto it = md.find(key);
-        return it == md.end() ? 0.0 : std::stod(it->second);
-      };
-      const auto degraded = md.find("sandbox_degraded");
-      std::printf("workers: %s pooled, %.0f spawned, %.0f recycled "
-                  "(%.0f deadline kills, %.0f corrupt frames), "
-                  "peak queue %.0f%s\n",
-                  workers->second.c_str(), get("pool_spawns"),
-                  get("pool_recycles"), get("pool_deadline_kills"),
-                  get("pool_corrupt_frames"),
-                  get("pool_peak_queue_depth"),
-                  degraded != md.end() && degraded->second == "true"
-                      ? " [DEGRADED to in-process]"
-                      : "");
-      break;
-    }
+    const auto other = o.view == View::Compare
+                           ? thicket::Thicket::from_directory(o.compare)
+                           : thicket::Thicket();
+    const int rc = analyze(o, tk, other, argv[1]);
     // Crashes are part of the run's story: surface them and flag the exit
     // code so CI notices a sweep that "completed" by containing crashes.
-    if (print_crash_summary(argv[1])) return 4;
-    return 0;
+    if (rc == 0 && o.view == View::Table && print_crash_summary(argv[1])) {
+      return 4;
+    }
+    return rc;
   } catch (const store::CorruptError& e) {
     // Beyond-repair damage gets its own documented exit code so CI can
     // distinguish "store/profile destroyed" from a transient read error.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 5;
-  } catch (const json::JsonError& e) {
+  } catch (const rperf::json::JsonError& e) {
     // A profile that no longer parses is corrupt data, not a missing
     // file: same beyond-repair contract as a damaged sealed segment.
     std::fprintf(stderr, "error: corrupt profile data: %s\n", e.what());
