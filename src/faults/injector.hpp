@@ -18,9 +18,10 @@
 //           | 'shortwrite' | 'enospc' | 'fsyncfail' | 'tornseg'
 //           | 'idxcorrupt'                 (profile-store I/O faults)
 //   kernel := full kernel name (e.g. Stream_TRIAD) or '*' for any;
-//             for the I/O kinds this position names the store file class
-//             being written ('journal', 'segment', or — for idxcorrupt —
-//             'index') instead of a kernel
+//             for the I/O kinds this position names the file class
+//             being written ('journal', 'segment', 'progress' for the
+//             suite's checkpoint, or — for idxcorrupt — 'index') instead
+//             of a kernel
 //   arg    := COUNT        fire at most COUNT times, then disarm
 //                          (alloc/throw/corrupt; default: unlimited)
 //           | DELAY 'ms'   slow: injected delay per measurement pass
@@ -75,7 +76,8 @@ enum class FaultKind {
   // 'fsyncfail' fails the durability barrier after the data landed;
   // 'tornseg' persists a prefix AND corrupts a byte inside it (a torn,
   // scribbled sector). None are process-fatal: the store latches failed
-  // and the suite continues without durability.
+  // and the suite continues without durability. Against the suite's
+  // 'progress' checkpoint the same kinds fail the run instead.
   ShortWrite,
   Enospc,
   FsyncFail,

@@ -319,6 +319,7 @@ PoolOutcome WorkerPool::run(
     FrameReader reader;
     std::string stderr_tail;
     std::optional<Job> job;
+    double dispatched_at = 0.0;  // when `job` was sent
     // When the supervisor's current wait on this worker ends: hello while
     // Spawning, the result while Busy, bye or exit while Draining. Idle
     // workers are not waited on.
@@ -343,6 +344,21 @@ PoolOutcome WorkerPool::run(
   bool aborting = false;
   bool interrupted = false;
   int consecutive_fork_failures = 0;
+  const double started_at = now_sec();
+  double core_seconds = 0.0;  // admitted cores x seconds in flight
+
+  const int budget = cfg_.core_budget;
+  auto cores_of = [budget](const Job& j) {
+    return std::clamp(j.cores, 1, budget);
+  };
+  /// Take the in-flight job off a slot, charging its cores for the time
+  /// it held them.
+  auto take_job = [&](Slot& s) {
+    core_seconds += cores_of(*s.job) * (now_sec() - s.dispatched_at);
+    Job job = std::move(*s.job);
+    s.job.reset();
+    return job;
+  };
 
   // Scoped signal plumbing: SIGCHLD self-pipe wakeup, SIGPIPE ignored (a
   // worker dying between poll() and our write must surface as EPIPE, not
@@ -472,8 +488,7 @@ PoolOutcome WorkerPool::run(
   auto fail_job = [&](Slot& s, JobFailure f) {
     if (!s.job) return;
     f.stderr_tail = s.stderr_tail;
-    Job job = std::move(*s.job);
-    s.job.reset();
+    Job job = take_job(s);
     ++stats_.jobs_failed;
     Disposition d = Disposition::Done;
     if (client_.on_failure) d = client_.on_failure(job, f);
@@ -530,8 +545,7 @@ PoolOutcome WorkerPool::run(
         return;
       }
       stats_.ring_payload_bytes += rec.body.size();
-      Job job = std::move(*s.job);
-      s.job.reset();
+      Job job = take_job(s);
       s.state = WorkerState::Idle;
       s.due = kNever;
       ++stats_.jobs_completed;
@@ -670,7 +684,7 @@ PoolOutcome WorkerPool::run(
       for (Slot& s : slots) {
         if (s.pid > 0) kill(s.pid, SIGTERM);
         s.ignore_frames = true;
-        s.job.reset();
+        if (s.job) take_job(s);
         if (s.state != WorkerState::Dead) {
           s.state = WorkerState::Draining;
           s.due = now + kGraceSec;
@@ -779,8 +793,10 @@ PoolOutcome WorkerPool::run(
       s.ran_job = true;
       s.job = std::move(job);
       s.state = WorkerState::Busy;
-      s.due = cfg_.job_deadline_sec > 0.0 ? now_sec() + cfg_.job_deadline_sec
-                                          : kNever;
+      s.dispatched_at = now_sec();
+      s.due = cfg_.job_deadline_sec > 0.0
+                  ? s.dispatched_at + cfg_.job_deadline_sec
+                  : kNever;
       ++stats_.jobs_dispatched;
       return true;
     };
@@ -790,10 +806,6 @@ PoolOutcome WorkerPool::run(
       // narrow ones finish (or nothing runs, for one as wide as the
       // machine); idle workers it leaves unused keep their warm affinity
       // partitions and stand by as crash-containment spares.
-      const int budget = cfg_.core_budget;
-      auto cores_of = [budget](const Job& j) {
-        return std::clamp(j.cores, 1, budget);
-      };
       int cores_inflight = 0;
       for (const Slot& s : slots) {
         if (s.state == WorkerState::Busy && s.job) {
@@ -929,6 +941,8 @@ PoolOutcome WorkerPool::run(
   while (waitpid(-1, nullptr, WNOHANG) > 0) {
   }
   cleanup_signals();
+  const double wall = now_sec() - started_at;
+  if (wall > 0.0) stats_.core_occupancy = core_seconds / (budget * wall);
   if (interrupted) return PoolOutcome::Interrupted;
   return outcome;
 }

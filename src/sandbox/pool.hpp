@@ -93,6 +93,11 @@ struct Job {
   /// so per-key warm state is built once per pool instead of once per
   /// worker. For suite cells that state is the allocator arenas' free
   /// lists in the kernel's size classes; inputs are regenerated per cell.
+  /// What affinity buys is bounded worker memory, not speed: under the
+  /// suite's narrow-first order on a 4-core guest, zeroing the key ran a
+  /// 204-cell `--workers 4` sweep ~11% faster but raised its peak RSS
+  /// from 342 to 372 MiB: each worker's arenas then cache chunks in the
+  /// size classes of more kernels.
   std::uint64_t affinity = 0;
   /// Cores the job occupies while it runs: 1 for a serial job, its thread
   /// team for a parallel one. Charged against PoolConfig::core_budget,
@@ -148,6 +153,10 @@ struct PoolStats {
   std::size_t affinity_hits = 0;     ///< dispatches to the job's warm worker
   int core_budget = 0;               ///< resolved PoolConfig::core_budget
   int peak_cores_inflight = 0;       ///< high water of admitted Job::cores
+  /// Share of the core budget that admitted jobs held over run():
+  /// sum(admitted cores x seconds from dispatch to result or failure) /
+  /// (core_budget x run() wall time), in [0, 1].
+  double core_occupancy = 0.0;
   // bench/e2e reads the next two under these names until a change to the
   // benchmark renames them.
   std::size_t ring_fallbacks = 0;    ///< always 0: there is one transport

@@ -28,8 +28,9 @@ class IoError : public std::runtime_error {
   explicit IoError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Append-only file handle. `target_class` ("journal" or "segment") is
-/// the name the I/O fault grammar matches against ('*' matches both).
+/// Append-only file handle. `target_class` ("journal", "segment", or the
+/// suite checkpoint's "progress") is the name the I/O fault grammar
+/// matches against ('*' matches all).
 class AppendFile {
  public:
   AppendFile() = default;

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -207,6 +208,19 @@ std::optional<faults::FaultKind> implied_fault_kind(
 
 }  // namespace
 
+std::vector<std::size_t> pooled_dispatch_order(const std::vector<int>& cores,
+                                               bool persistent) {
+  std::vector<std::size_t> order(cores.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (persistent) {
+    std::stable_sort(order.begin(), order.end(),
+                     [&cores](std::size_t a, std::size_t b) {
+                       return cores[a] < cores[b];
+                     });
+  }
+  return order;
+}
+
 Executor::Executor(RunParams params) : params_(std::move(params)) {
   kernels_ = make_kernels(params_);
 }
@@ -284,8 +298,7 @@ RunStatus Executor::run_cell_once(const Cell& cell, cali::Channel& channel,
 
 void Executor::append_progress(const RunResult& r) {
   store_append_cell(r);
-  const std::string path = progress_path();
-  if (path.empty()) return;
+  if (!progress_file_.is_open()) return;
   json::Object o;
   o["kernel"] = r.kernel;
   o["variant"] = to_string(r.variant);
@@ -316,13 +329,13 @@ void Executor::append_progress(const RunResult& r) {
   if (!r.error.empty()) o["error"] = r.error;
   std::string line = json::Value(std::move(o)).dump();
   line.push_back('\n');
-  progress_buffer_ += line;
-  // Crash-atomic checkpoint: rewrite the whole file through tmp + fsync +
-  // rename(2). A crash at any byte leaves either the previous complete
-  // checkpoint or this one — never the torn final line load_progress
-  // would otherwise have to drop.
+  // One append and one fsync per cell, so the record is on disk before
+  // the next dispatch decision. A crash mid-append tears only this final
+  // line, which load_progress drops with a warning (the cell re-runs);
+  // run() truncates the file at start, so no record ever follows a tear.
   try {
-    store::atomic_write_file(path, progress_buffer_);
+    progress_file_.append(line.data(), line.size());
+    progress_file_.sync();
   } catch (const store::IoError& e) {
     throw std::runtime_error("cannot write progress file: " +
                              std::string(e.what()));
@@ -560,9 +573,17 @@ void Executor::run() {
   if (!params_.output_dir.empty()) {
     // Start a canonical checkpoint for this run; restored cells are
     // re-appended below, so the file always reflects the latest sweep.
+    // Truncating drops any torn tail before the first append, and the
+    // directory fsync makes the file's entry durable once per run.
     std::filesystem::create_directories(params_.output_dir);
-    progress_buffer_.clear();
-    std::ofstream(progress_path(), std::ios::trunc);
+    try {
+      progress_file_.open(progress_path(), "progress");
+      progress_file_.truncate(0);
+      store::fsync_dir(params_.output_dir);
+    } catch (const store::IoError& e) {
+      throw std::runtime_error("cannot write progress file: " +
+                               std::string(e.what()));
+    }
     if (params_.resume) {
       // Crash history survives resume so quarantine sticks.
       crash_counts_ = load_crash_counts();
@@ -1108,8 +1129,9 @@ void Executor::run_pooled(const std::vector<const Cell*>& cells) {
   cfg.job_deadline_sec = params_.max_cell_seconds;
   cfg.address_space_bytes = params_.sandbox_mem_mb << 20;
   // Affinity dispatch scans the pending queue for unclaimed keys, so give
-  // it a window wider than the default 2x workers: enough to see past one
-  // kernel's contiguous (variant, tuning) cells to the next kernel.
+  // it a window wider than the default 2x workers: under narrow-first
+  // order it must reach past the queued Seq cells of every kernel the
+  // other workers have claimed to the next unclaimed kernel.
   cfg.queue_capacity = static_cast<std::size_t>(cfg.workers) * 8;
 
   // Seed the wire dictionary before the pool forks: every worker inherits
@@ -1134,19 +1156,25 @@ void Executor::run_pooled(const std::vector<const Cell*>& cells) {
     d.intern(p.r.tuning_name);
   }
 
+  std::vector<int> cores;
+  cores.reserve(jobs.size());
+  for (const PooledJob& p : jobs) cores.push_back(team_of(p.cell->vid));
+  const std::vector<std::size_t> order =
+      pooled_dispatch_order(cores, !disposable);
+
   std::size_t next = 0;
   const auto source = [&]() -> std::optional<sandbox::Job> {
-    if (stopped_ || next >= jobs.size()) return std::nullopt;
-    const PooledJob& p = jobs[next];
+    if (stopped_ || next >= order.size()) return std::nullopt;
     sandbox::Job job;
+    job.id = order[next++];
+    const PooledJob& p = jobs[job.id];
     // Cells of one kernel share a key, steering them to the worker whose
     // allocator arenas already hold that kernel's size classes; a
     // disposable pool keyed per cell gives every cell a worker of its own.
     job.affinity = affinity_key(
         key_per_cell ? cell_key(p.r.kernel, p.r.variant, p.r.tuning_name)
                      : p.r.kernel);
-    job.cores = team_of(p.cell->vid);
-    job.id = next++;
+    job.cores = cores[job.id];
     return job;  // payload is filled by before_dispatch
   };
 

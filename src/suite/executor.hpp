@@ -85,6 +85,17 @@ struct RunResult {
   hwc::Sample hwc;
 };
 
+/// The order in which a pooled sweep hands its cells to the worker pool,
+/// as indices into `cores`: the cores each cell occupies (Job::cores), in
+/// plan order. A persistent pool (--workers N) gets its cells narrowest
+/// first, by a stable sort: every Seq cell in plan order, then every
+/// OpenMP cell in plan order. Seq cells then fill the cores instead of
+/// draining at each kernel's OpenMP cells, which need the whole budget.
+/// A disposable pool keeps plan order: --isolate kernel needs a kernel's
+/// cells contiguous so that each kernel gets exactly one fresh worker.
+[[nodiscard]] std::vector<std::size_t> pooled_dispatch_order(
+    const std::vector<int>& cores, bool persistent);
+
 class Executor {
  public:
   explicit Executor(RunParams params);
@@ -218,8 +229,9 @@ class Executor {
   /// Every cell runs in this process.
   void run_in_process(const std::vector<const Cell*>& cells);
   /// Cells run in sandbox::WorkerPool workers: N persistent ones under
-  /// --workers N, otherwise one disposable worker per cell or kernel.
-  /// Falls back to in-process execution when no worker can be spawned.
+  /// --workers N, otherwise one disposable worker per cell or kernel,
+  /// handed over in pooled_dispatch_order. Falls back to in-process
+  /// execution when no worker can be spawned.
   void run_pooled(const std::vector<const Cell*>& cells);
   /// Body executed inside a pooled worker for one job payload; returns
   /// the wire-encoded cell result with the post-job injector state.
@@ -246,10 +258,10 @@ class Executor {
   std::map<std::string, int> crash_counts_;
   /// A failure under --no-keep-going stopped the sweep.
   bool stopped_ = false;
-  /// Full checkpoint contents, rewritten crash-atomically per cell
-  /// (tmp + fsync + rename) so the file on disk is always a complete
-  /// prefix of terminal cells — never a torn final line.
-  std::string progress_buffer_;
+  /// progress.jsonl, truncated at run start and appended to with one
+  /// fsync'd line per terminal cell (closed when output_dir is unset). A
+  /// crash can tear only the final line, which load_progress drops.
+  store::AppendFile progress_file_;
   std::unique_ptr<store::StoreWriter> store_writer_;
   std::string store_run_id_;
   std::string store_error_;

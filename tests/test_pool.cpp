@@ -555,7 +555,40 @@ TEST_F(PoolTest, CoreBudgetAdmitsJobsByCores) {
   EXPECT_EQ(pool.stats().core_budget, kBudget);
   EXPECT_LE(pool.stats().peak_cores_inflight, kBudget);
   EXPECT_GE(pool.stats().peak_cores_inflight, 2);
+  EXPECT_GT(pool.stats().core_occupancy, 0.0);
+  EXPECT_LE(pool.stats().core_occupancy, 1.0);
   expect_no_children();
+}
+
+TEST_F(PoolTest, PersistentPoolsDispatchNarrowCellsFirst) {
+  // A plan of three kernels x every variant, in the executor's
+  // kernel-major order, with the cores each cell's job would claim.
+  std::vector<VariantID> plan;
+  for (int k = 0; k < 3; ++k) {
+    for (VariantID v : all_variants()) plan.push_back(v);
+  }
+  std::vector<int> cores;
+  std::vector<std::size_t> seq;
+  std::vector<std::size_t> omp;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const bool wide = is_openmp_variant(plan[i]);
+    cores.push_back(wide ? 4 : 1);
+    (wide ? omp : seq).push_back(i);
+  }
+  ASSERT_FALSE(seq.empty());
+  ASSERT_FALSE(omp.empty());
+
+  // --workers N: every Seq cell before any OpenMP cell, each group in
+  // plan order.
+  std::vector<std::size_t> narrow_first = seq;
+  narrow_first.insert(narrow_first.end(), omp.begin(), omp.end());
+  EXPECT_EQ(pooled_dispatch_order(cores, /*persistent=*/true), narrow_first);
+
+  // --isolate cell|kernel: plan order, so a kernel's cells stay
+  // contiguous and --isolate kernel spawns one worker per kernel.
+  std::vector<std::size_t> plan_order(plan.size());
+  for (std::size_t i = 0; i < plan_order.size(); ++i) plan_order[i] = i;
+  EXPECT_EQ(pooled_dispatch_order(cores, /*persistent=*/false), plan_order);
 }
 
 // ------------------------------------------------- pool: fork degradation

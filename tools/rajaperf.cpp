@@ -151,8 +151,9 @@ int main(int argc, char** argv) {
     }
 
     // Worker-pool supervision summary (--workers): the deadline that keeps
-    // the sweep alive, what it cost in respawned and recycled workers, and
-    // what the workers consumed.
+    // the sweep alive, what it cost in respawned and recycled workers, how
+    // much of the core budget admitted cells held, and what the workers
+    // consumed.
     if (params.workers > 0) {
       const auto& ws = exec.pool_stats();
       char deadline[48] = "no deadline";
@@ -162,13 +163,14 @@ int main(int argc, char** argv) {
       }
       std::printf("workers: %d pooled, %s, %zu spawned, %zu recycled "
                   "(%zu deadline kills, %zu corrupt frames), %zu/%zu jobs "
-                  "completed, peak queue %zu, peak cores %d of %d; worker "
-                  "rusage: peak rss %ld KiB, user %.3f s, sys %.3f s\n",
+                  "completed, peak queue %zu, peak cores %d of %d, core "
+                  "occupancy %.2f; worker rusage: peak rss %ld KiB, user "
+                  "%.3f s, sys %.3f s\n",
                   params.workers, deadline, ws.spawns, ws.recycles,
                   ws.deadline_kills, ws.corrupt_frames, ws.jobs_completed,
                   ws.jobs_dispatched, ws.peak_queue_depth,
-                  ws.peak_cores_inflight, ws.core_budget, ws.peak_rss_kb,
-                  ws.child_user_sec, ws.child_sys_sec);
+                  ws.peak_cores_inflight, ws.core_budget, ws.core_occupancy,
+                  ws.peak_rss_kb, ws.child_user_sec, ws.child_sys_sec);
       if (exec.degraded()) {
         std::printf("WARNING: pool unavailable (%zu spawn failures); "
                     "sweep degraded to in-process execution\n",
