@@ -78,7 +78,7 @@ struct Probe {
 [[nodiscard]] const std::vector<std::string>& papi_event_names();
 
 /// One cell's counter observation — measured or simulated — as it crosses
-/// process boundaries (the pool's v3 wire) and lands in the store.
+/// process boundaries (the pool's wire records) and lands in the store.
 struct Sample {
   /// Multiplex-scaled event deltas under PAPI preset names.
   counters::PAPICounters values;
@@ -96,7 +96,8 @@ struct Sample {
   }
 };
 
-/// v3 wire codec for the typed counter record (pool worker -> supervisor).
+/// Wire codec for the typed counter record (pool worker -> supervisor, and
+/// the store's counter records).
 void sample_to_wire(const Sample& s, wire::Writer& w);
 [[nodiscard]] Sample sample_from_wire(wire::Reader& r);
 

@@ -195,7 +195,7 @@ class Injector {
   std::uint64_t fires_ = 0;
 };
 
-/// Process-wide injector instance (mirrors cali::default_channel()).
+/// Process-wide injector instance.
 [[nodiscard]] Injector& injector();
 
 /// RAII guard marking the (kernel, variant, tuning) cell currently

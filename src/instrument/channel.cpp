@@ -158,9 +158,4 @@ void Channel::merge(const Channel& other) {
   for (const auto& [key, value] : other.metadata()) metadata_[key] = value;
 }
 
-Channel& default_channel() {
-  static Channel instance;
-  return instance;
-}
-
 }  // namespace rperf::cali

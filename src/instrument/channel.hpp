@@ -153,7 +153,4 @@ class ScopedRegion {
   std::string name_;
 };
 
-/// Process-wide default channel (mirrors Caliper's implicit instance).
-Channel& default_channel();
-
 }  // namespace rperf::cali

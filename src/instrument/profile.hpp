@@ -58,12 +58,13 @@ void write_profile(const Channel& channel, const std::string& path);
   return variant + "." + tuning + ".cali.json";
 }
 
-/// In-memory (de)serialization, used by tests and remote transports.
+/// In-memory JSON (de)serialization.
 [[nodiscard]] std::string profile_to_json(const Profile& profile);
 [[nodiscard]] Profile profile_from_json(const std::string& text);
 
-/// json::Value forms, for embedding a profile inside a larger document
-/// (the sandbox pipe protocol ships per-cell profiles this way).
+/// json::Value forms, for embedding a profile inside a larger document.
+/// (The pool's pipe ships per-cell profiles as wire records instead:
+/// instrument/wire_codec.hpp.)
 [[nodiscard]] json::Value profile_to_value(const Profile& profile);
 [[nodiscard]] Profile profile_from_value(const json::Value& v);
 

@@ -95,7 +95,7 @@ struct TraceData {
 
 class TraceSink {
  public:
-  /// Process-wide instance (mirrors cali::default_channel()).
+  /// Process-wide instance.
   [[nodiscard]] static TraceSink& instance();
 
   /// Start a fresh trace: clears all buffers, re-zeroes the clock, and

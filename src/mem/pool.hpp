@@ -89,7 +89,7 @@ class Pool {
   PoolStats stats_;
 };
 
-/// Process-wide pool (mirrors cali::default_channel()).
+/// Process-wide pool.
 [[nodiscard]] Pool& pool();
 
 /// std::allocator adapter over the process-wide pool. Also skips value-

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <limits>
 #include <new>
 #include <string>
@@ -362,7 +363,7 @@ PoolOutcome WorkerPool::run(
 
   // Scoped signal plumbing: SIGCHLD self-pipe wakeup, SIGPIPE ignored (a
   // worker dying between poll() and our write must surface as EPIPE, not
-  // kill the driver). Both restored on every exit path below.
+  // kill the driver). Both restored by the teardown below.
   if (pipe(g_sigchld_pipe) != 0) {
     g_sigchld_pipe[0] = g_sigchld_pipe[1] = -1;
   } else {
@@ -383,21 +384,47 @@ PoolOutcome WorkerPool::run(
   sigemptyset(&ign.sa_mask);
   sigaction(SIGPIPE, &ign, &old_pipe);
 
-  auto cleanup_signals = [&] {
-    sigaction(SIGCHLD, &old_chld, nullptr);
-    sigaction(SIGPIPE, &old_pipe, nullptr);
-    for (int& fd : g_sigchld_pipe) {
-      if (fd >= 0) close(fd);
-      fd = -1;
-    }
-  };
-
   auto close_slot_fds = [](Slot& s) {
     for (int* fd : {&s.ctl_wr, &s.res_rd, &s.err_rd}) {
       if (*fd >= 0) close(*fd);
       *fd = -1;
     }
   };
+
+  // Teardown runs on every exit from run(), a client callback that throws
+  // included: SIGKILL and reap whatever is left, so no pooled worker
+  // outlives run() as a zombie, close every fd, and restore SIGCHLD and
+  // SIGPIPE.
+  struct Teardown {
+    explicit Teardown(std::function<void()> f) : fn(std::move(f)) {}
+    Teardown(const Teardown&) = delete;
+    Teardown& operator=(const Teardown&) = delete;
+    ~Teardown() { fn(); }
+    std::function<void()> fn;
+  } const teardown([&] {
+    for (Slot& s : slots) {
+      if (s.pid > 0) kill(s.pid, SIGKILL);
+    }
+    for (Slot& s : slots) {
+      if (s.pid > 0) {
+        while (waitpid(s.pid, nullptr, 0) < 0 && errno == EINTR) {
+        }
+      }
+      close_slot_fds(s);
+      s.pid = -1;
+      s.state = WorkerState::Dead;
+    }
+    while (waitpid(-1, nullptr, WNOHANG) > 0) {
+    }
+    sigaction(SIGCHLD, &old_chld, nullptr);
+    sigaction(SIGPIPE, &old_pipe, nullptr);
+    for (int& fd : g_sigchld_pipe) {
+      if (fd >= 0) close(fd);
+      fd = -1;
+    }
+    const double wall = now_sec() - started_at;
+    if (wall > 0.0) stats_.core_occupancy = core_seconds / (budget * wall);
+  });
 
   auto live = [&slots] {
     std::size_t n = 0;
@@ -408,28 +435,23 @@ PoolOutcome WorkerPool::run(
   };
 
   auto spawn = [&](Slot& s) -> bool {
-    int ctl[2];
-    int res[2];
-    int err[2];
-    if (pipe(ctl) != 0) return false;
-    if (pipe(res) != 0) {
-      close(ctl[0]);
-      close(ctl[1]);
-      return false;
-    }
-    if (pipe(err) != 0) {
-      close(ctl[0]);
-      close(ctl[1]);
-      close(res[0]);
-      close(res[1]);
+    int fds[6] = {-1, -1, -1, -1, -1, -1};
+    int* ctl = fds;
+    int* res = fds + 2;
+    int* err = fds + 4;
+    auto close_all = [&fds] {
+      for (int fd : fds) {
+        if (fd >= 0) close(fd);
+      }
+    };
+    if (pipe(ctl) != 0 || pipe(res) != 0 || pipe(err) != 0) {
+      close_all();
       return false;
     }
     fflush(nullptr);
     const pid_t pid = checked_fork();
     if (pid < 0) {
-      for (int fd : {ctl[0], ctl[1], res[0], res[1], err[0], err[1]}) {
-        close(fd);
-      }
+      close_all();
       ++stats_.spawn_failures;
       return false;
     }
@@ -921,28 +943,6 @@ PoolOutcome WorkerPool::run(
     }
   }
 
-  // Tear down whatever is left (SpawnFailed / Interrupted exits), then
-  // sweep so no pooled worker can outlive run() as a zombie.
-  for (Slot& s : slots) {
-    if (s.pid > 0) kill(s.pid, SIGKILL);
-  }
-  for (Slot& s : slots) {
-    if (s.pid > 0) {
-      int status = 0;
-      while (waitpid(s.pid, &status, 0) < 0 && errno == EINTR) {
-      }
-      close_slot_fds(s);
-      s.pid = -1;
-      s.state = WorkerState::Dead;
-    } else {
-      close_slot_fds(s);
-    }
-  }
-  while (waitpid(-1, nullptr, WNOHANG) > 0) {
-  }
-  cleanup_signals();
-  const double wall = now_sec() - started_at;
-  if (wall > 0.0) stats_.core_occupancy = core_seconds / (budget * wall);
   if (interrupted) return PoolOutcome::Interrupted;
   return outcome;
 }

@@ -35,12 +35,12 @@
 // so each key — one cell, or one kernel's cells — gets a fresh process.
 //
 // Workers are created by fork WITHOUT exec, inheriting the parent's warm
-// state (kernel registry, parsed parameters, armed fault injector, wire
-// dictionary) by memory copy, so no argv marshalling layer exists to
-// drift out of sync. The one obligation: the parent must not have run
-// OpenMP parallel regions before the pool starts (a forked copy of a live
-// libgomp thread pool deadlocks). The supervisor itself stays
-// single-threaded, so respawn forks are safe at any point.
+// state (kernel registry, parsed parameters, armed fault injector) by
+// memory copy, so no argv marshalling layer exists to drift out of sync.
+// The one obligation: the parent must not have run OpenMP parallel
+// regions before the pool starts (a forked copy of a live libgomp thread
+// pool deadlocks). The supervisor itself stays single-threaded, so
+// respawn forks are safe at any point.
 #pragma once
 
 #include <cstdint>

@@ -32,7 +32,7 @@
 namespace rperf::sandbox {
 
 /// Version of the pool protocol carried in "hello" frames.
-inline constexpr int kProtocolVersion = 4;
+inline constexpr int kProtocolVersion = 5;
 
 /// Exit code a worker uses for "memory exhausted": either the injector's
 /// oom fault hit its allocation cap, or std::bad_alloc escaped the cell

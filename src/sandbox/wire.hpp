@@ -1,25 +1,17 @@
-// rperf::wire — the v3 pool protocol's binary snapshot codec.
+// rperf::wire — the binary record codec of the v5 pool protocol and of the
+// profile store's payloads.
 //
-// Modeled on Caliper's snapshot design: strings (region names, metric
-// and metadata keys) are interned once into an attribute dictionary, and
-// everything that crosses the worker->supervisor boundary after that is
-// fixed-width typed fields — i64 / f64 / raw long-double checksum bits /
-// string refs — instead of printf'd and re-parsed JSON text.
+// Modeled on Caliper's snapshot design: everything that crosses the
+// worker->supervisor boundary or lands in a store segment is fixed-width
+// typed fields — i64 / f64 / raw long-double checksum bits / string refs
+// — instead of printf'd and re-parsed JSON text.
 //
-// Dictionary model. The supervisor seeds the process-global dictionary
-// once, before the pool forks (kernel names, variant names, region and
-// metric vocabulary). Workers are forked without exec, so every worker
-// inherits the identical table — the dictionary is "established at hello
-// time" without shipping a single byte of it. Ids are append-only and
-// stable, so the supervisor may keep interning after the fork without
-// invalidating refs a worker encodes against the pre-fork prefix.
-//
-// Strings outside the seeded vocabulary still travel: the first use in a
-// blob writes an inline definition (kInlineDef + length + bytes) that the
+// Every blob carries its own strings. The first use of a string in a blob
+// writes an inline definition (kInlineDef + length + bytes) that the
 // decoder appends to a blob-local table; later uses in the same blob are
-// high-bit refs into that table. The local table dies with the blob, so
-// blobs stay self-contained — decode order, worker identity, and retries
-// don't matter.
+// high-bit refs into that table. The table dies with the blob, so any
+// process decodes any blob — decode order, worker identity, retries and
+// the process that wrote a segment don't matter.
 //
 // Every get_* bounds-checks and throws wire::Error on violation: a
 // corrupted blob fails decode loudly instead of yielding garbage.
@@ -31,7 +23,6 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -43,9 +34,9 @@ inline constexpr unsigned char kBlobMagic = 0xB3;
 /// Schema version of the records that follow.
 inline constexpr unsigned char kBlobVersion = 1;
 
-/// String-ref encodings (u32): plain values are global dictionary ids;
-/// kInlineDef introduces an inline definition; high-bit values reference
-/// the blob-local table built from those definitions.
+/// String-ref encodings (u32): kInlineDef introduces an inline
+/// definition; high-bit values reference the blob-local table built from
+/// those definitions. Any other value is corruption.
 inline constexpr std::uint32_t kInlineDef = 0xFFFFFFFFu;
 inline constexpr std::uint32_t kLocalBit = 0x80000000u;
 
@@ -54,56 +45,6 @@ class Error : public std::runtime_error {
  public:
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
-
-/// Append-only interned string table shared by encoder and decoder via
-/// fork inheritance. Thread-safe; ids are stable for the process's life.
-class Dictionary {
- public:
-  /// Id of `s`, interning it if new.
-  std::uint32_t intern(const std::string& s) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = ids_.find(s);
-    if (it != ids_.end()) return it->second;
-    const auto id = static_cast<std::uint32_t>(strings_.size());
-    strings_.push_back(s);
-    ids_.emplace(s, id);
-    return id;
-  }
-
-  /// Id of `s` if already interned, else kInlineDef.
-  [[nodiscard]] std::uint32_t find(const std::string& s) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = ids_.find(s);
-    return it == ids_.end() ? kInlineDef : it->second;
-  }
-
-  /// String for a previously returned id; throws wire::Error when out of
-  /// range (a blob referenced vocabulary this process never defined).
-  [[nodiscard]] const std::string& lookup(std::uint32_t id) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (id >= strings_.size()) {
-      throw Error("wire: dictionary ref " + std::to_string(id) +
-                  " out of range (" + std::to_string(strings_.size()) + ")");
-    }
-    return strings_[id];
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return strings_.size();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<std::string> strings_;
-  std::map<std::string, std::uint32_t> ids_;
-};
-
-/// Process-global dictionary (the one the pool's fork duplicates).
-inline Dictionary& dict() {
-  static Dictionary d;
-  return d;
-}
 
 /// Fixed-width little-endian encoder appending to an owned buffer.
 class Writer {
@@ -129,18 +70,9 @@ class Writer {
     raw(s.data(), s.size());
   }
 
-  /// Interned string ref — global id when seeded, else an inline
-  /// definition on first use and a blob-local ref after. In
-  /// self-contained mode the global dictionary is never consulted, so
-  /// the blob decodes in any process (at-rest storage: rperf::store).
+  /// Interned string ref: an inline definition on first use in this
+  /// blob, a blob-local ref after.
   void put_str(const std::string& s) {
-    if (!self_contained_) {
-      const std::uint32_t id = dict().find(s);
-      if (id != kInlineDef && (id & kLocalBit) == 0) {
-        put_u32(id);
-        return;
-      }
-    }
     const auto it = local_ids_.find(s);
     if (it != local_ids_.end()) {
       put_u32(kLocalBit | it->second);
@@ -161,11 +93,9 @@ class Writer {
     put_u8(kBlobVersion);
   }
 
-  /// Encode every string as inline-def/blob-local ref, never as a
-  /// process-global dictionary id. Required for blobs that outlive the
-  /// encoding process (on-disk segments); the fork-inherited dictionary
-  /// optimization only holds inside one process tree.
-  void set_self_contained(bool v) { self_contained_ = v; }
+  /// No-op: every blob is self-contained. Kept only because the
+  /// end-to-end benchmark (bench/e2e) still calls it.
+  void set_self_contained(bool) {}
 
  private:
   void raw(const void* p, std::size_t n) {
@@ -173,7 +103,6 @@ class Writer {
   }
   std::string buf_;
   std::map<std::string, std::uint32_t> local_ids_;
-  bool self_contained_ = false;
 };
 
 /// Bounds-checked decoder over a borrowed buffer.
@@ -214,14 +143,12 @@ class Reader {
       locals_.push_back(get_bytes());
       return locals_.back();
     }
-    if ((v & kLocalBit) != 0) {
-      const std::uint32_t idx = v & ~kLocalBit;
-      if (idx >= locals_.size()) {
-        throw Error("wire: blob-local ref out of range");
-      }
-      return locals_[idx];
+    const std::uint32_t idx = v & ~kLocalBit;
+    if ((v & kLocalBit) == 0 || idx >= locals_.size()) {
+      throw Error("wire: string ref " + std::to_string(v) +
+                  " names no definition in this blob");
     }
-    return dict().lookup(v);
+    return locals_[idx];
   }
 
   /// Consume and validate the blob header.

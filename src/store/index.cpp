@@ -122,7 +122,6 @@ const ManifestSegment* Manifest::segment(const std::string& name) const {
 
 std::string encode_manifest(const Manifest& manifest) {
   wire::Writer w;
-  w.set_self_contained(true);
   w.put_u32(manifest.version);
   w.put_u32(static_cast<std::uint32_t>(manifest.segments.size()));
   for (const auto& seg : manifest.segments) {

@@ -183,7 +183,6 @@ std::string encode_record(RecordType type, std::uint64_t seq,
 
 std::string encode_cell_payload(const CellRecord& c) {
   wire::Writer w;
-  w.set_self_contained(true);
   w.put_bytes(c.kernel);
   w.put_bytes(c.variant);
   w.put_bytes(c.tuning);
@@ -215,7 +214,6 @@ CellRecord decode_cell_payload(std::string_view payload) {
 
 std::string encode_counter_payload(const CounterRecord& c) {
   wire::Writer w;
-  w.set_self_contained(true);
   w.put_bytes(c.kernel);
   w.put_bytes(c.variant);
   w.put_bytes(c.tuning);
@@ -368,7 +366,6 @@ std::string StoreWriter::begin_run(
   }
   const std::string id = run_config_id(config);
   wire::Writer w;
-  w.set_self_contained(true);
   w.put_bytes(id);
   w.put_u32(static_cast<std::uint32_t>(config.size()));
   for (const auto& [key, value] : config) {
@@ -398,7 +395,6 @@ void StoreWriter::add_profile(const std::string& variant,
                               const cali::Profile& profile) {
   if (run_id_.empty()) throw StoreError("store: add_profile outside a run");
   wire::Writer w;
-  w.set_self_contained(true);
   w.put_bytes(variant);
   w.put_bytes(tuning);
   cali::profile_to_wire(profile, w);
@@ -411,7 +407,6 @@ void StoreWriter::add_trace_summary(
     throw StoreError("store: add_trace_summary outside a run");
   }
   wire::Writer w;
-  w.set_self_contained(true);
   w.put_u32(static_cast<std::uint32_t>(summary.size()));
   for (const auto& [key, value] : summary) {
     w.put_bytes(key);
@@ -423,7 +418,6 @@ void StoreWriter::add_trace_summary(
 void StoreWriter::commit() {
   if (run_id_.empty()) throw StoreError("store: commit outside a run");
   wire::Writer w;
-  w.set_self_contained(true);
   w.put_u64(next_seq_ - 1);  // covers: the immediately preceding record
   w.put_u8(0);
   w.put_bytes(run_id_);
@@ -441,7 +435,6 @@ void StoreWriter::finish_run() {
   if (run_id_.empty()) throw StoreError("store: finish_run outside a run");
   barrier();  // fence the run's data before declaring it final
   wire::Writer w;
-  w.set_self_contained(true);
   w.put_u64(next_seq_ - 1);
   w.put_u8(1);
   w.put_bytes(run_id_);

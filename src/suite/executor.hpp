@@ -36,54 +36,33 @@
 // clock offset. write_trace() merges every chunk into one Chrome/Perfetto
 // timeline, and the sink's self-accounted cost lands in the
 // "trace_overhead_pct" run metadata.
+//
+// executor.cpp holds the plan -> settle -> run -> finalize flow and
+// in-process execution. Each format or decision the flow touches has one
+// owner: checkpoint.hpp (progress.jsonl, crashes.jsonl), cell_record.hpp
+// (worker wire records, failure classification), run_metadata.hpp
+// (profile metadata, the store landing), reports.hpp (text reports,
+// checksum agreement) and pooled.cpp (worker-pool execution).
 #pragma once
 
-#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "counters/perf_event.hpp"
 #include "instrument/channel.hpp"
 #include "instrument/profile.hpp"
 #include "instrument/trace_sink.hpp"
 #include "sandbox/pool.hpp"
-#include "store/store.hpp"
+#include "suite/checkpoint.hpp"
 #include "suite/kernel_base.hpp"
 #include "suite/registry.hpp"
+#include "suite/reports.hpp"
+#include "suite/run_metadata.hpp"
 #include "suite/run_params.hpp"
+#include "suite/run_result.hpp"
 
 namespace rperf::suite {
-
-struct RunResult {
-  std::string kernel;
-  GroupID group = GroupID::Basic;
-  VariantID variant = VariantID::Base_Seq;
-  std::size_t tuning = 0;
-  std::string tuning_name = "default";
-  double time_per_rep_sec = -1.0;
-  long double checksum = 0.0L;
-  Index_type problem_size = 0;
-  Index_type reps = 0;
-  RunStatus status = RunStatus::Passed;
-  std::string error;  ///< diagnostic for non-Passed statuses
-  int attempts = 1;   ///< executions performed (> 1 after retries)
-  bool restored = false;  ///< true when taken from progress.jsonl (--resume)
-
-  // Setup-cost observability (rperf::mem): milliseconds spent initializing
-  // data / computing checksums across all passes, and how many of the
-  // working set's allocations the pool free lists served.
-  double setup_ms = 0.0;
-  double checksum_ms = 0.0;
-  std::uint64_t pool_hits = 0;
-
-  /// Hardware-counter totals for this cell (RunParams::hwc): measured via
-  /// perf_event_open when available, simulated from the analytic model
-  /// otherwise (hwc.source says which); empty() when --hwc was off or the
-  /// cell never completed.
-  hwc::Sample hwc;
-};
 
 /// The order in which a pooled sweep hands its cells to the worker pool,
 /// as indices into `cores`: the cores each cell occupies (Job::cores), in
@@ -106,10 +85,7 @@ class Executor {
   [[nodiscard]] const std::vector<RunResult>& results() const {
     return results_;
   }
-  [[nodiscard]] const std::vector<std::unique_ptr<KernelBase>>& kernels()
-      const {
-    return kernels_;
-  }
+  [[nodiscard]] const Kernels& kernels() const { return kernels_; }
   [[nodiscard]] KernelBase* find_kernel(const std::string& name) const;
 
   /// One profile per executed (variant, tuning), with metadata — exactly
@@ -122,24 +98,41 @@ class Executor {
 
   /// Per-kernel timing table across variants (seconds per repetition);
   /// non-passed cells show their status instead of a time.
-  [[nodiscard]] std::string timing_report() const;
+  [[nodiscard]] std::string timing_report() const {
+    return suite::timing_report(results_, kernels_);
+  }
   /// Per-kernel checksum table across variants.
-  [[nodiscard]] std::string checksum_report() const;
+  [[nodiscard]] std::string checksum_report() const {
+    return suite::checksum_report(results_, kernels_);
+  }
   /// True when all variants of every kernel agree within tolerance;
   /// details (when non-null) receives a description of mismatches.
-  [[nodiscard]] bool checksums_consistent(std::string* details) const;
+  [[nodiscard]] bool checksums_consistent(std::string* details) const {
+    return suite::checksums_consistent(results_, kernels_,
+                                       params_.checksum_tolerance, details);
+  }
 
   // ----- failure taxonomy -----
   /// Cell counts per terminal status (zero-count statuses included).
-  [[nodiscard]] std::map<RunStatus, std::size_t> status_counts() const;
+  [[nodiscard]] std::map<RunStatus, std::size_t> status_counts() const {
+    return count_statuses(results_);
+  }
   /// True when every cell Passed (restored cells count as passed).
-  [[nodiscard]] bool all_passed() const;
+  [[nodiscard]] bool all_passed() const {
+    return status_counts().at(RunStatus::Passed) == results_.size();
+  }
   /// One line per non-passed cell plus a summary count line.
-  [[nodiscard]] std::string status_report() const;
+  [[nodiscard]] std::string status_report() const {
+    return suite::status_report(results_);
+  }
   /// Path of the checkpoint file ("" when output_dir is unset).
-  [[nodiscard]] std::string progress_path() const;
+  [[nodiscard]] std::string progress_path() const {
+    return checkpoint_.progress_path();
+  }
   /// Path of the crash-forensics sidecar ("" when output_dir is unset).
-  [[nodiscard]] std::string crashes_path() const;
+  [[nodiscard]] std::string crashes_path() const {
+    return checkpoint_.crashes_path();
+  }
 
   // ----- tracing (RunParams::trace) -----
   /// Write the merged Chrome/Perfetto timeline (main process + every
@@ -147,7 +140,7 @@ class Executor {
   void write_trace(const std::string& path) const;
   /// Tracing cost as a percent of the sweep's wall time (0 when untraced).
   [[nodiscard]] double trace_overhead_pct() const {
-    return trace_overhead_pct_;
+    return facts_.trace_overhead_pct;
   }
   /// Trace chunks received from sandboxed workers during the last run().
   [[nodiscard]] std::size_t worker_trace_count() const {
@@ -158,38 +151,42 @@ class Executor {
   /// Content address of the run landed in the store ("" when --store is
   /// off or the store failed before begin_run).
   [[nodiscard]] const std::string& store_run_id() const {
-    return store_run_id_;
+    return store_.run_id();
   }
   /// Cells durably committed to the store by the last run().
-  [[nodiscard]] std::size_t store_cells() const {
-    return store_writer_ ? store_writer_->cells_committed() : 0;
-  }
+  [[nodiscard]] std::size_t store_cells() const { return store_.cells(); }
   /// First store failure ("" when the store worked). The run itself
   /// never fails because the store did: results still land in --outdir.
   [[nodiscard]] const std::string& store_error() const {
-    return store_error_;
+    return store_.error();
   }
 
   // ----- hardware counters (RunParams::hwc) -----
   /// Where the run's counter values came from: "measured", "simulated",
   /// "mixed" (some cells of the run each), or "" when --hwc was off or no
   /// cell produced a sample.
-  [[nodiscard]] std::string hwc_source() const;
+  [[nodiscard]] std::string hwc_source() const {
+    return vote_hwc_source(results_, [](const RunResult&) { return true; });
+  }
   /// Why counters degraded to the simulator ("" while fully measured).
-  [[nodiscard]] const std::string& hwc_reason() const { return hwc_reason_; }
+  [[nodiscard]] const std::string& hwc_reason() const {
+    return facts_.hwc_reason;
+  }
   /// Counter-read cost as a percent of the sweep's wall time (0 when
   /// --hwc is off), gated < 5% by the perf_hwc_overhead smoke test.
-  [[nodiscard]] double hwc_overhead_pct() const { return hwc_overhead_pct_; }
+  [[nodiscard]] double hwc_overhead_pct() const {
+    return facts_.hwc_overhead_pct;
+  }
 
   // ----- worker pool (RunParams::isolate != None) -----
   /// Supervisor statistics of the last sandboxed run (zeroed otherwise).
   [[nodiscard]] const sandbox::PoolStats& pool_stats() const {
-    return pool_stats_;
+    return facts_.pool;
   }
   /// True when the pool could not keep any worker alive and the run fell
   /// back to in-process execution (also recorded as the
   /// "sandbox_degraded" profile metadata flag).
-  [[nodiscard]] bool degraded() const { return degraded_; }
+  [[nodiscard]] bool degraded() const { return facts_.degraded; }
 
  private:
   struct Cell {
@@ -199,8 +196,9 @@ class Executor {
     std::string tuning_name;
   };
 
-  /// Execute one cell (single attempt) into `channel`, classifying the
-  /// outcome; fills time/checksum fields of `r` on success.
+  /// Execute one cell (single attempt) into `channel` under its trace
+  /// span, classifying the outcome; fills time/checksum fields of `r` on
+  /// success.
   RunStatus run_cell_once(const Cell& cell, cali::Channel& channel,
                           RunResult& r);
   /// Run `cell` in this process until it passes or its retries run out,
@@ -222,61 +220,39 @@ class Executor {
   /// Record a terminal cell (results, checkpoint, store, trace counters);
   /// latches stopped_ on a failure under --no-keep-going.
   void finalize(const RunResult& r);
+  /// Sample the counter tracks (cumulative pool hits and injected faults)
+  /// onto the trace timeline, in step with the finished cells' spans.
+  static void sample_trace_counters();
   /// Sleep the retry backoff that follows `consumed` attempts.
   void retry_backoff(int consumed) const;
-  /// Append one forensics record to crashes.jsonl (best-effort).
-  void append_crash_line(json::Object o) const;
   /// Every cell runs in this process.
   void run_in_process(const std::vector<const Cell*>& cells);
   /// Cells run in sandbox::WorkerPool workers: N persistent ones under
   /// --workers N, otherwise one disposable worker per cell or kernel,
   /// handed over in pooled_dispatch_order. Falls back to in-process
-  /// execution when no worker can be spawned.
+  /// execution when no worker can be spawned. (pooled.cpp)
   void run_pooled(const std::vector<const Cell*>& cells);
   /// Body executed inside a pooled worker for one job payload; returns
   /// the wire-encoded cell result with the post-job injector state.
   std::string worker_run_cell(const std::string& payload);
-  void append_progress(const RunResult& r);
-  /// Land one terminal cell in the profile store (no-op when off); a
-  /// StoreError latches the store disabled with a warning — durability
-  /// loss must not take down the sweep.
-  void store_append_cell(const RunResult& r);
-  /// The canonical config map the store content-addresses a run by.
-  [[nodiscard]] std::map<std::string, std::string> store_config() const;
-  [[nodiscard]] std::map<std::string, RunResult> load_progress() const;
-  /// Cumulative crash counts per cell key from crashes.jsonl (for the
-  /// quarantine decision on --resume).
-  [[nodiscard]] std::map<std::string, int> load_crash_counts() const;
 
   RunParams params_;
-  std::vector<std::unique_ptr<KernelBase>> kernels_;
-  /// Keyed by (variant, tuning name); entries exist only for pairs with at
-  /// least one passed cell. Under --resume a pair starts from its on-disk
-  /// profile, which holds the restored cells.
-  std::map<std::pair<VariantID, std::string>, cali::Channel> channels_;
+  Kernels kernels_;
+  /// Entries exist only for (variant, tuning) pairs with at least one
+  /// passed cell. Under --resume a pair starts from its on-disk profile,
+  /// which holds the restored cells.
+  Channels channels_;
   std::vector<RunResult> results_;
-  std::map<std::string, int> crash_counts_;
+  /// Each cell's crash record, restored from crashes.jsonl on --resume;
+  /// worker deaths in this run add to its count.
+  std::map<std::string, CellCrashes> crash_history_;
   /// A failure under --no-keep-going stopped the sweep.
   bool stopped_ = false;
-  /// progress.jsonl, truncated at run start and appended to with one
-  /// fsync'd line per terminal cell (closed when output_dir is unset). A
-  /// crash can tear only the final line, which load_progress drops.
-  store::AppendFile progress_file_;
-  std::unique_ptr<store::StoreWriter> store_writer_;
-  std::string store_run_id_;
-  std::string store_error_;
-  sandbox::PoolStats pool_stats_;
-  bool degraded_ = false;
-  std::string hwc_reason_;
-  double hwc_overhead_pct_ = 0.0;
-
-  /// Sweep epoch for the monotonic t_ms stamped on progress/crash records.
-  std::chrono::steady_clock::time_point run_start_ =
-      std::chrono::steady_clock::now();
+  Checkpoint checkpoint_;
+  RunStore store_;
+  RunFacts facts_;
   cali::TraceData main_trace_;
   std::vector<cali::TraceData> worker_traces_;
-  double run_wall_sec_ = 0.0;
-  double trace_overhead_pct_ = 0.0;
 };
 
 }  // namespace rperf::suite

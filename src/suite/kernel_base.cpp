@@ -149,13 +149,14 @@ void KernelBase::execute(VariantID vid, std::size_t tuning,
         channel.attribute_metric("problem_size",
                                  static_cast<double>(actual_size_));
       }
-      {
-        const auto csum_start = Clock::now();
-        csum = computeChecksum(vid);
-        last_checksum_sec_ +=
-            std::chrono::duration<double>(Clock::now() - csum_start).count();
-      }
-      csum = faults::injector().corrupt_checksum(name_, csum);
+      const auto csum_start = Clock::now();
+      long double pass_csum = computeChecksum(vid);
+      last_checksum_sec_ +=
+          std::chrono::duration<double>(Clock::now() - csum_start).count();
+      pass_csum = faults::injector().corrupt_checksum(name_, pass_csum);
+      // A pass that is not finite decides the cell: a later clean pass
+      // must not overwrite it.
+      if (std::isfinite(static_cast<double>(csum))) csum = pass_csum;
     } catch (...) {
       try {
         tearDown(vid);
@@ -205,16 +206,6 @@ void KernelBase::execute(VariantID vid, std::size_t tuning,
 
   time_per_rep_[{vid, tuning}] = best;
   checksums_[{vid, tuning}] = csum;
-}
-
-void KernelBase::restore_result(VariantID vid, std::size_t tuning,
-                                double time_per_rep, long double checksum) {
-  time_per_rep_[{vid, tuning}] = time_per_rep;
-  checksums_[{vid, tuning}] = checksum;
-}
-
-void KernelBase::execute(VariantID vid) {
-  execute(vid, cali::default_channel());
 }
 
 double KernelBase::time_per_rep(VariantID vid, std::size_t tuning) const {

@@ -87,22 +87,16 @@ class KernelBase {
   void execute(VariantID vid, cali::Channel& channel) {
     execute(vid, 0, channel);
   }
-  /// As above on the process-default channel.
-  void execute(VariantID vid);
 
   /// Seconds per repetition for the fastest pass; negative when the
   /// (variant, tuning) pair has not been executed.
   [[nodiscard]] double time_per_rep(VariantID vid,
                                     std::size_t tuning = 0) const;
-  /// Checksum recorded by the last execution of the (variant, tuning).
+  /// Checksum recorded by the last execution of the (variant, tuning):
+  /// the first pass's that is not finite, else the last pass's.
   [[nodiscard]] long double checksum(VariantID vid,
                                      std::size_t tuning = 0) const;
   [[nodiscard]] bool was_run(VariantID vid, std::size_t tuning = 0) const;
-
-  /// Install a previously recorded (time, checksum) pair without executing,
-  /// so resumed sweeps produce complete reports and checksum validation.
-  void restore_result(VariantID vid, std::size_t tuning, double time_per_rep,
-                      long double checksum);
 
   // ----- setup-cost observability (valid after execute()) -----
   /// Total seconds spent in setUp across all passes of the last execute().

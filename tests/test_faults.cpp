@@ -273,6 +273,36 @@ TEST_F(FaultsTest, CorruptChecksumBecomesChecksumInvalid) {
   EXPECT_NE(exec.checksum_report().find("BADSUM"), std::string::npos);
 }
 
+TEST_F(FaultsTest, CorruptChecksumSurvivesALaterCleanPass) {
+  // The budget-1 fault corrupts the first pass only; the clean second
+  // pass must not overwrite the checksum that decides the cell.
+  RunParams p = small_params();
+  p.kernel_filter = {"Basic_DAXPY"};
+  p.variant_filter = {VariantID::Base_Seq};
+  p.npasses = 2;
+  p.fault_spec = "corrupt@Basic_DAXPY:1";
+  Executor exec(p);
+  exec.run();
+  ASSERT_EQ(exec.results().size(), 1u);
+  EXPECT_EQ(exec.results()[0].status, RunStatus::ChecksumInvalid);
+  EXPECT_NE(exec.checksum_report().find("BADSUM"), std::string::npos);
+}
+
+TEST_F(FaultsTest, CorruptChecksumAcrossPassesPassesOnRetry) {
+  RunParams p = small_params();
+  p.kernel_filter = {"Basic_DAXPY"};
+  p.variant_filter = {VariantID::Base_Seq};
+  p.npasses = 2;
+  p.retries = 1;
+  p.fault_spec = "corrupt@Basic_DAXPY:1";
+  Executor exec(p);
+  exec.run();
+  ASSERT_EQ(exec.results().size(), 1u);
+  EXPECT_EQ(exec.results()[0].status, RunStatus::Passed);
+  EXPECT_EQ(exec.results()[0].attempts, 2);
+  EXPECT_TRUE(std::isfinite(static_cast<double>(exec.results()[0].checksum)));
+}
+
 TEST_F(FaultsTest, BudgetViolationBecomesTimedOutWithoutRetry) {
   RunParams p = small_params();
   p.kernel_filter = {"Stream_TRIAD"};

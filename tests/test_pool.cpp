@@ -25,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -625,6 +626,48 @@ TEST_F(PoolTest, UnspawnablePoolReportsSpawnFailed) {
   EXPECT_EQ(callbacks.load(), 0);
   EXPECT_GE(pool.stats().spawn_failures, 1u);
   EXPECT_EQ(pool.stats().spawns, 0u);
+  expect_no_children();
+}
+
+// ------------------------------------------- pool: throwing client
+
+TEST_F(PoolTest, ThrowingClientCallbackStillTearsThePoolDown) {
+  // The executor throws out of on_result when the checkpoint cannot be
+  // written; the exception must still leave no worker behind and restore
+  // the caller's SIGCHLD and SIGPIPE dispositions.
+  struct sigaction chld_before;
+  struct sigaction pipe_before;
+  ASSERT_EQ(sigaction(SIGCHLD, nullptr, &chld_before), 0);
+  ASSERT_EQ(sigaction(SIGPIPE, nullptr, &pipe_before), 0);
+
+  PoolConfig cfg;
+  cfg.workers = 2;
+  PoolClient client;
+  client.before_dispatch = [](Job& job) { job.payload = "x"; };
+  client.run_job = [](const std::string& p) { return p; };
+  client.on_result = [](const Job&, const std::string&) -> Disposition {
+    throw std::runtime_error("client gave up");
+  };
+  client.on_failure = [](const Job&, const JobFailure&) {
+    return Disposition::Done;
+  };
+
+  std::size_t next = 0;
+  WorkerPool pool(cfg, client);
+  EXPECT_THROW((void)pool.run([&]() -> std::optional<Job> {
+                 if (next >= 4) return std::nullopt;
+                 Job j;
+                 j.id = next++;
+                 return j;
+               }),
+               std::runtime_error);
+
+  struct sigaction chld_after;
+  struct sigaction pipe_after;
+  ASSERT_EQ(sigaction(SIGCHLD, nullptr, &chld_after), 0);
+  ASSERT_EQ(sigaction(SIGPIPE, nullptr, &pipe_after), 0);
+  EXPECT_EQ(chld_after.sa_handler, chld_before.sa_handler);
+  EXPECT_EQ(pipe_after.sa_handler, pipe_before.sa_handler);
   expect_no_children();
 }
 

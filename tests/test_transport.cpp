@@ -1,5 +1,5 @@
 // Tests for the pool's transport: the wire snapshot codec (typed
-// round-trips, dictionary refs, raw-bit checksum parity against the
+// round-trips, string refs, raw-bit checksum parity against the
 // hexfloat text path, fuzzed decode robustness), the slice-by-8 CRC-32
 // equivalence, and the pool-level paths records take over the CRC-framed
 // pipe (payloads larger than the pipe buffer, affinity dispatch).
@@ -140,29 +140,33 @@ TEST_F(TransportTest, ChecksumRawBitsMatchHexfloatBitForBit) {
 }
 
 TEST_F(TransportTest, WireStringsUseGlobalInlineAndLocalRefs) {
-  const std::string seeded = "transport-test-seeded-vocab";
-  const std::uint32_t id = wire::dict().intern(seeded);
-  EXPECT_EQ(wire::dict().intern(seeded), id) << "intern must be idempotent";
-  EXPECT_EQ(wire::dict().find(seeded), id);
-  EXPECT_EQ(wire::dict().lookup(id), seeded);
-  EXPECT_EQ(wire::dict().find("transport-test-never-interned"),
-            wire::kInlineDef);
-
+  // Every blob carries its own strings: no process-global dictionary, so
+  // the first use of any string is an inline definition.
   wire::Writer w;
-  w.put_str(seeded);                      // global ref: 4 bytes
-  const std::size_t after_global = w.buffer().size();
-  EXPECT_EQ(after_global, 4u);
+  const std::string first = "transport-test-first";
+  w.put_str(first);                       // inline def: 4 + 4 + len
+  const std::size_t after_first = w.buffer().size();
+  EXPECT_EQ(after_first, 8u + first.size());
   const std::string novel = "transport-test-novel";
   w.put_str(novel);                       // inline def: 4 + 4 + len
   const std::size_t after_def = w.buffer().size();
-  EXPECT_EQ(after_def - after_global, 8u + novel.size());
+  EXPECT_EQ(after_def - after_first, 8u + novel.size());
   w.put_str(novel);                       // blob-local ref: 4 bytes
-  EXPECT_EQ(w.buffer().size() - after_def, 4u);
+  w.put_str(first);                       // blob-local ref: 4 bytes
+  EXPECT_EQ(w.buffer().size() - after_def, 8u);
 
   wire::Reader r(w.buffer());
-  EXPECT_EQ(r.get_str(), seeded);
+  EXPECT_EQ(r.get_str(), first);
   EXPECT_EQ(r.get_str(), novel);
   EXPECT_EQ(r.get_str(), novel);
+  EXPECT_EQ(r.get_str(), first);
+
+  // A global-dictionary ref (high bit clear, not an inline definition)
+  // names nothing any more: decode fails closed, even for id 0.
+  wire::Writer g;
+  g.put_u32(0);
+  wire::Reader rg(g.buffer());
+  EXPECT_THROW((void)rg.get_str(), wire::Error);
 }
 
 TEST_F(TransportTest, WireDecodeFailsClosedOnViolations) {

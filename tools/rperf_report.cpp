@@ -25,7 +25,6 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -41,6 +40,7 @@
 #include "instrument/trace_export.hpp"
 #include "store/query.hpp"
 #include "store/store.hpp"
+#include "suite/checkpoint.hpp"
 
 namespace {
 
@@ -90,56 +90,12 @@ bool parse_value(const char* flag, const char* text, T& out, T min = T{}) {
 /// Render DIR/crashes.jsonl (if present) and report whether any worker
 /// crashes are on record.
 bool print_crash_summary(const std::string& dir) {
-  namespace json = rperf::json;
-  const std::string path = dir + "/crashes.jsonl";
-  if (!std::filesystem::exists(path)) return false;
-
-  struct CellCrashes {
-    int crashes = 0;
-    std::string last_status;
-    std::string last_signal;
-    bool quarantined = false;
-  };
-  std::map<std::string, CellCrashes> cells;
-  std::ifstream is(path);
-  std::string line;
-  int line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    json::Value v;
-    try {
-      v = json::Value::parse(line);
-    } catch (const json::JsonError&) {
-      // Torn record from a run that died mid-append. Drop it, but say so:
-      // the summary under-counts that cell's crashes.
-      std::fprintf(stderr,
-                   "warning: %s:%d: dropping truncated crash record\n",
-                   path.c_str(), line_no);
-      continue;
-    }
-    const std::string kind = v.string_or("kind", "crash");
-    const std::string cell = v.string_or("kernel", "?") + " [" +
-                             v.string_or("variant", "?") + "/" +
-                             v.string_or("tuning", "?") + "]";
-    CellCrashes& cc = cells[cell];
-    if (kind == "crash") {
-      ++cc.crashes;
-      cc.last_status = v.string_or("status", "Crashed");
-      cc.last_signal = v.string_or("signal_name", "");
-      if (cc.last_signal.empty() && v.contains("exit_code")) {
-        cc.last_signal =
-            "exit " + std::to_string(
-                          static_cast<int>(v.number_or("exit_code", 0.0)));
-      }
-      cc.quarantined = cc.quarantined || v.bool_or("quarantined", false);
-    } else if (kind == "quarantine-skip") {
-      cc.quarantined = true;
-    }
-  }
+  const rperf::suite::Checkpoint checkpoint(dir);
+  // A torn record is dropped: the summary under-counts that cell's crashes.
+  const auto cells = checkpoint.load_crashes("crash record");
   if (cells.empty()) return false;
 
-  std::printf("\nCrash summary (%s):\n", path.c_str());
+  std::printf("\nCrash summary (%s):\n", checkpoint.crashes_path().c_str());
   std::printf("  %-52s %8s %-12s %-10s %s\n", "Cell", "crashes", "last",
               "signal", "quarantined");
   for (const auto& [cell, cc] : cells) {
