@@ -7,7 +7,8 @@
 //   optimized    — in-process: pooled arena allocations, jump-ahead
 //                  blocked fills, blocked 4-lane checksum.
 //   store_append — the optimized leg with every cell landing in the
-//                  crash-consistent profile store (--store).
+//                  crash-consistent profile store (--store), checked by
+//                  the durability barriers (fsyncs) the store issues.
 //   traced       — the optimized leg with the TraceSink recording, cross-
 //                  checking the tracer's self-accounted overhead figure
 //                  against the measured wall-time delta.
@@ -26,9 +27,11 @@
 //
 // Only the executing process differs between legs; the measured kernel
 // loops are identical. The benchmark reports wall time and cells/second
-// per leg, checks that every sandboxed cell's checksum is bit-identical
-// to the in-process one, and verifies a sample of optimized fills
-// byte-for-byte against an inline serial LCG reference.
+// per leg, checks every sandboxed cell's checksum against the in-process
+// one under the cell's ChecksumOrder (suite::checksums_agree: bit for bit
+// for exact and per_team cells, which run one team size on both sides;
+// within the reorder bound for unordered ones), and verifies a sample of
+// optimized fills byte-for-byte against an inline serial LCG reference.
 //
 // Arrays stay at their default (size-factor 1.0) extents so fills, pool
 // traffic, and checksums are full-sized, but the measured rep loops run on
@@ -62,10 +65,17 @@
 #include "store/store.hpp"
 #include "mem/fill.hpp"
 #include "mem/pool.hpp"
+#include "suite/data_utils.hpp"
 #include "suite/executor.hpp"
 #include "suite/registry.hpp"
 
 namespace {
+
+struct CellChecksum {
+  long double checksum = 0.0L;
+  rperf::suite::ChecksumOrder order = rperf::suite::ChecksumOrder::Exact;
+  rperf::suite::Index_type n = 0;  ///< problem size
+};
 
 struct ModeResult {
   double wall_sec = 0.0;
@@ -74,7 +84,18 @@ struct ModeResult {
   double setup_ms = 0.0;
   double checksum_ms = 0.0;
   double trace_overhead_pct = 0.0;  ///< sink's self-accounting (traced leg)
-  std::map<std::string, long double> checksums;
+  std::size_t store_barriers = 0;   ///< fsyncs the store issued (--store)
+  std::map<std::string, CellChecksum> checksums;
+};
+
+/// A sandbox leg's checksums against the in-process leg's.
+struct Parity {
+  std::size_t bit_exact = 0;     ///< exact and per_team cells
+  std::size_t within_bound = 0;  ///< unordered cells
+  std::size_t mismatched = 0;
+  std::string worst_cell;        ///< unordered cell closest to its bound
+  long double worst_rel_diff = 0.0L;
+  long double worst_bound = 0.0L;
 };
 
 ModeResult run_mode(bool traced, const rperf::suite::RunParams& params) {
@@ -93,6 +114,9 @@ ModeResult run_mode(bool traced, const rperf::suite::RunParams& params) {
   ModeResult out;
   out.wall_sec = std::chrono::duration<double>(t1 - t0).count();
   out.trace_overhead_pct = exec.trace_overhead_pct();
+  out.store_barriers = exec.store_barriers();
+  std::map<std::string, const suite::KernelBase*> kernels;
+  for (const auto& k : exec.kernels()) kernels[k->name()] = k.get();
   for (const auto& r : exec.results()) {
     ++out.cells;
     if (r.status != suite::RunStatus::Passed) continue;
@@ -100,9 +124,63 @@ ModeResult run_mode(bool traced, const rperf::suite::RunParams& params) {
     out.setup_ms += r.setup_ms;
     out.checksum_ms += r.checksum_ms;
     out.checksums[r.kernel + "/" + suite::to_string(r.variant) + "/" +
-                  r.tuning_name] = r.checksum;
+                  r.tuning_name] = {
+        r.checksum, kernels.at(r.kernel)->checksum_order(r.variant),
+        r.problem_size};
   }
   return out;
+}
+
+Parity compare_checksums(const char* leg, const ModeResult& sandboxed,
+                         const ModeResult& in_process) {
+  using namespace rperf;
+  Parity p;
+  for (const auto& [key, cell] : sandboxed.checksums) {
+    const auto it = in_process.checksums.find(key);
+    if (it == in_process.checksums.end()) continue;
+    const long double ref = it->second.checksum;
+    if (cell.order == suite::ChecksumOrder::Unordered) {
+      ++p.within_bound;
+      const long double rel = suite::relative_difference(cell.checksum, ref);
+      const long double bound = suite::reorder_bound(cell.n);
+      if (p.worst_cell.empty() ||
+          rel / bound > p.worst_rel_diff / p.worst_bound) {
+        p.worst_cell = key;
+        p.worst_rel_diff = rel;
+        p.worst_bound = bound;
+      }
+    } else {
+      ++p.bit_exact;
+    }
+    if (!suite::checksums_agree(cell.checksum, ref, cell.order, cell.n,
+                                /*same_team=*/true)) {
+      ++p.mismatched;
+      std::fprintf(stderr,
+                   "  %s checksum mismatch %s (%s): %.17Lg vs %.17Lg\n", leg,
+                   key.c_str(), suite::to_string(cell.order).c_str(),
+                   cell.checksum, ref);
+    }
+  }
+  std::printf("  %s checksums: %zu bit for bit, %zu within the reorder "
+              "bound, %zu mismatched\n",
+              leg, p.bit_exact, p.within_bound, p.mismatched);
+  if (!p.worst_cell.empty()) {
+    std::printf("    largest unordered difference: %s, relative %.3Lg "
+                "(bound %.3Lg)\n",
+                p.worst_cell.c_str(), p.worst_rel_diff, p.worst_bound);
+  }
+  return p;
+}
+
+rperf::json::Object parity_json(const Parity& p) {
+  rperf::json::Object o;
+  o["bit_exact"] = static_cast<std::int64_t>(p.bit_exact);
+  o["within_bound"] = static_cast<std::int64_t>(p.within_bound);
+  o["mismatched"] = static_cast<std::int64_t>(p.mismatched);
+  o["worst_cell"] = p.worst_cell;
+  o["worst_rel_diff"] = static_cast<double>(p.worst_rel_diff);
+  o["worst_bound"] = static_cast<double>(p.worst_bound);
+  return o;
 }
 
 /// Optimized fills must reproduce the serial LCG stream byte for byte.
@@ -219,7 +297,9 @@ int main(int argc, char** argv) {
   // store_append leg: the optimized path again with every cell landing
   // in the crash-consistent profile store (--store). The store's write
   // path is a handful of framed appends plus group-commit fsyncs per
-  // sweep, so its cost is gated at < 5% of suite wall time below.
+  // sweep. The program fixes how many fsyncs it issues and the host how
+  // long each takes, so the count is gated below; the wall-time delta is
+  // recorded, not gated.
   suite::RunParams stp = params;
   stp.store_dir = json_path + ".store";
   std::filesystem::remove_all(stp.store_dir);
@@ -238,10 +318,24 @@ int main(int argc, char** argv) {
     }
   }
   std::filesystem::remove_all(stp.store_dir);
+  // The barriers one run on a fresh store may issue (store.cpp). Group
+  // commit fsyncs the journal once per 8 commit markers (WriterOptions'
+  // sync_every_commits), with one marker for begin_run and one per cell.
+  // The rest are fixed: opening fsyncs the new journal's header and the
+  // directory (2); finish_run fsyncs the journal before and after the
+  // final marker (2); the seal fsyncs the directory twice after renaming
+  // the journal into a segment, then the manifest and the directory it is
+  // renamed into, then the next journal's header (5).
+  constexpr std::size_t kSyncEveryCommits = 8;
+  constexpr std::size_t kFixedBarriers = 2 + 2 + 5;
+  const std::size_t commits = 1 + stored.cells;
+  const std::size_t barrier_bound =
+      (commits + kSyncEveryCommits - 1) / kSyncEveryCommits + kFixedBarriers;
   std::printf("  store:     %.3f s wall (%+.1f%% vs optimized; %zu/%zu "
-              "cells landed, run %s)\n",
+              "cells landed, run %s; %zu fsync barriers, bound %zu)\n",
               stored.wall_sec, store_overhead_pct, store_landed, stored.cells,
-              store_run_complete ? "complete" : "INCOMPLETE");
+              store_run_complete ? "complete" : "INCOMPLETE",
+              stored.store_barriers, barrier_bound);
 
   // Third leg: the optimized path again with the TraceSink recording,
   // cross-checking the sink's self-accounted trace_overhead_pct against
@@ -255,22 +349,12 @@ int main(int argc, char** argv) {
               "self-accounted overhead %.2f%%)\n",
               traced.wall_sec, traced_delta_pct, traced.trace_overhead_pct);
 
-  // Sandboxed results must be bit-identical to in-process ones: same code,
-  // same deterministic fills, only the executing process differs. Exact
-  // == (not memcmp: x86 long double carries uninitialized padding bytes).
-  std::size_t sandbox_mismatched = 0;
-  for (const auto* leg : {&forkcell, &pooled}) {
-    for (const auto& [key, sum] : leg->checksums) {
-      const auto it = opt.checksums.find(key);
-      if (it == opt.checksums.end()) continue;
-      if (sum != it->second) {
-        ++sandbox_mismatched;
-        std::fprintf(stderr,
-                     "  sandbox checksum mismatch %s: %.17Lg vs %.17Lg\n",
-                     key.c_str(), sum, it->second);
-      }
-    }
-  }
+  // Sandboxed results against in-process ones: same code, same
+  // deterministic fills, only the executing process differs.
+  const Parity forkcell_parity = compare_checksums("forkcell", forkcell, opt);
+  const Parity pooled_parity = compare_checksums("pooled", pooled, opt);
+  const std::size_t sandbox_mismatched =
+      forkcell_parity.mismatched + pooled_parity.mismatched;
   const bool bit_identical = fills_bit_identical();
   std::printf("  %zu sandbox checksums mismatched; fills bit-identical: %s\n",
               sandbox_mismatched, bit_identical ? "yes" : "NO");
@@ -301,18 +385,22 @@ int main(int argc, char** argv) {
   st["cells_landed"] = static_cast<std::int64_t>(store_landed);
   st["run_complete"] = store_run_complete;
   st["overhead_pct"] = store_overhead_pct;
+  st["fsync_barriers"] = static_cast<std::int64_t>(stored.store_barriers);
+  st["fsync_barrier_bound"] = static_cast<std::int64_t>(barrier_bound);
   o["store_append"] = std::move(st);
   json::Object fc;
   fc["wall_sec"] = forkcell.wall_sec;
   fc["cells_passed"] = static_cast<std::int64_t>(forkcell.passed);
   fc["cells_per_sec"] =
       static_cast<double>(forkcell.passed) / forkcell.wall_sec;
+  fc["checksums"] = parity_json(forkcell_parity);
   o["sandbox_forkcell"] = std::move(fc);
   json::Object pl;
   pl["wall_sec"] = pooled.wall_sec;
   pl["cells_passed"] = static_cast<std::int64_t>(pooled.passed);
   pl["cells_per_sec"] = static_cast<double>(pooled.passed) / pooled.wall_sec;
   pl["workers"] = static_cast<std::int64_t>(4);
+  pl["checksums"] = parity_json(pooled_parity);
   o["sandbox_pooled"] = std::move(pl);
   o["pooled_vs_fork_speedup"] = pooled_speedup;
   o["sandbox_checksums_mismatched"] =
@@ -327,21 +415,19 @@ int main(int argc, char** argv) {
   if (opt.passed == 0) return 1;
   if (traced.passed != opt.passed) return 1;
   // The store leg gates both function (every cell committed to one
-  // complete run) and cost (< 5% of the suite's wall time).
+  // complete run) and cost (no more fsync barriers than group commit and
+  // the fixed open, finish and seal barriers account for).
   if (stored.passed != opt.passed || store_landed != stored.cells ||
       !store_run_complete) {
     std::fprintf(stderr, "  store leg lost cells: %zu/%zu landed\n",
                  store_landed, stored.cells);
     return 1;
   }
-  // At smoke sizes the whole sweep is milliseconds and the store's
-  // dozen group-commit fsyncs dominate any percentage, so the 5% gate
-  // applies once the absolute delta is measurable (>= 50 ms); at real
-  // bench sizes 5% of the wall time is far above that floor.
-  if (store_overhead_pct >= 5.0 &&
-      stored.wall_sec - opt.wall_sec >= 0.05) {
-    std::fprintf(stderr, "  store overhead %.1f%% exceeds the 5%% budget\n",
-                 store_overhead_pct);
+  if (stored.store_barriers > barrier_bound) {
+    std::fprintf(stderr,
+                 "  store issued %zu fsync barriers, more than the %zu that "
+                 "group commit accounts for\n",
+                 stored.store_barriers, barrier_bound);
     return 1;
   }
   if (forkcell.passed != opt.passed || pooled.passed != opt.passed) return 1;

@@ -120,6 +120,10 @@ NODAL_ACCUMULATION_3D::NODAL_ACCUMULATION_3D(const RunParams& params)
   set_complexity(Complexity::N);
   add_feature(FeatureID::Forall);
   add_feature(FeatureID::Atomic);
+  // Double atomics into shared addresses land in arrival order.
+  set_checksum_order(ChecksumOrder::Unordered,
+                     {VariantID::Base_OpenMP, VariantID::Lambda_OpenMP,
+                      VariantID::RAJA_OpenMP});
   add_all_variants();
   m_dim = grid_dim(actual_prob_size());
 

@@ -17,6 +17,10 @@ MULTI_REDUCE::MULTI_REDUCE(const RunParams& params)
   add_feature(FeatureID::Forall);
   add_feature(FeatureID::Reduction);
   add_feature(FeatureID::Atomic);
+  // Double atomics into shared addresses land in arrival order.
+  set_checksum_order(ChecksumOrder::Unordered,
+                     {VariantID::Base_OpenMP, VariantID::Lambda_OpenMP,
+                      VariantID::RAJA_OpenMP});
   add_all_variants();
 
   const double n = static_cast<double>(actual_prob_size());

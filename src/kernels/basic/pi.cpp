@@ -13,6 +13,10 @@ PI_ATOMIC::PI_ATOMIC(const RunParams& params)
   set_complexity(Complexity::N);
   add_feature(FeatureID::Forall);
   add_feature(FeatureID::Atomic);
+  // Double atomics into shared addresses land in arrival order.
+  set_checksum_order(ChecksumOrder::Unordered,
+                     {VariantID::Base_OpenMP, VariantID::Lambda_OpenMP,
+                      VariantID::RAJA_OpenMP});
   add_all_variants();
 
   const double n = static_cast<double>(actual_prob_size());
@@ -65,6 +69,11 @@ PI_REDUCE::PI_REDUCE(const RunParams& params)
   set_complexity(Complexity::N);
   add_feature(FeatureID::Forall);
   add_feature(FeatureID::Reduction);
+  // `omp reduction` combines its partials in an unspecified order; the
+  // RAJA reducer folds one slot per thread in slot order.
+  set_checksum_order(ChecksumOrder::Unordered,
+                     {VariantID::Base_OpenMP, VariantID::Lambda_OpenMP});
+  set_checksum_order(ChecksumOrder::PerTeam, {VariantID::RAJA_OpenMP});
   add_all_variants();
 
   const double n = static_cast<double>(actual_prob_size());

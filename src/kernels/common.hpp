@@ -13,6 +13,7 @@ namespace rperf::kernels {
 using port::Index_type;
 using port::RangeSegment;
 using suite::GroupID;
+using suite::ChecksumOrder;
 using suite::Complexity;
 using suite::FeatureID;
 using suite::RunParams;

@@ -18,6 +18,14 @@ namespace {
   throw IoError("store: " + op + " '" + path + "': " + std::strerror(errno));
 }
 
+thread_local std::uint64_t t_barriers = 0;
+
+/// fsync(2), counted: every durability barrier of this layer goes here.
+int counted_fsync(int fd) {
+  ++t_barriers;
+  return ::fsync(fd);
+}
+
 /// Write exactly `n` bytes at the current offset, retrying partial
 /// writes and EINTR (a genuine short write from the kernel is not an
 /// error, just a resumption point — only injected shortwrites stop).
@@ -74,7 +82,7 @@ void AppendFile::sync() {
                                        target_class_)) {
     throw IoError("store: injected fsyncfail on '" + path_ + "'");
   }
-  if (::fsync(fd_) != 0) throw_errno("fsync", path_);
+  if (counted_fsync(fd_) != 0) throw_errno("fsync", path_);
 }
 
 void AppendFile::truncate(std::uint64_t size) {
@@ -82,7 +90,7 @@ void AppendFile::truncate(std::uint64_t size) {
   if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
     throw_errno("ftruncate", path_);
   }
-  if (::fsync(fd_) != 0) throw_errno("fsync", path_);
+  if (counted_fsync(fd_) != 0) throw_errno("fsync", path_);
 }
 
 std::uint64_t AppendFile::size() const {
@@ -138,10 +146,12 @@ void MappedFile::unmap() noexcept {
   size_ = 0;
 }
 
+std::uint64_t thread_barriers() { return t_barriers; }
+
 void fsync_dir(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) throw_errno("open dir", dir);
-  const int rc = ::fsync(fd);
+  const int rc = counted_fsync(fd);
   ::close(fd);
   if (rc != 0) throw_errno("fsync dir", dir);
 }
@@ -178,7 +188,7 @@ void atomic_write_file(const std::string& path, const std::string& content) {
   if (fd < 0) throw_errno("open", tmp);
   try {
     write_all(fd, content.data(), content.size(), tmp);
-    if (::fsync(fd) != 0) throw_errno("fsync", tmp);
+    if (counted_fsync(fd) != 0) throw_errno("fsync", tmp);
   } catch (...) {
     ::close(fd);
     throw;

@@ -116,6 +116,12 @@ class MappedFile {
   std::string path_;
 };
 
+/// fsync(2) barriers the calling thread has issued through this layer:
+/// AppendFile::sync and truncate, fsync_dir, and the fsyncs inside
+/// atomic_rename and atomic_write_file. A caller counts its own barriers
+/// as the difference across its calls.
+[[nodiscard]] std::uint64_t thread_barriers();
+
 /// fsync a directory so a rename/create inside it is durable.
 void fsync_dir(const std::string& dir);
 

@@ -56,6 +56,21 @@ std::string joined_problems(const std::vector<std::string>& problems) {
   return out;
 }
 
+/// Adds the barriers (thread_barriers) the calling thread issues during
+/// its lifetime to `total`.
+class BarrierTally {
+ public:
+  explicit BarrierTally(std::size_t& total)
+      : total_(total), start_(thread_barriers()) {}
+  ~BarrierTally() { total_ += thread_barriers() - start_; }
+  BarrierTally(const BarrierTally&) = delete;
+  BarrierTally& operator=(const BarrierTally&) = delete;
+
+ private:
+  std::size_t& total_;
+  std::uint64_t start_;
+};
+
 /// Preserve `tail` under DIR/quarantine/tail-NNNN.bin (never dropped).
 std::string quarantine_tail(const std::string& dir, const std::string& tail) {
   const std::string qdir = dir + "/quarantine";
@@ -281,6 +296,7 @@ StoreWriter::StoreWriter(std::string dir, WriterOptions opt)
 }
 
 void StoreWriter::recover_journal() {
+  const BarrierTally tally(barriers_);
   const LedgerScan scan = scan_ledger(dir_);
   if (!scan.damaged.empty()) {
     throw CorruptError("store: sealed segment damage in '" + dir_ + "' (" +
@@ -349,6 +365,7 @@ void StoreWriter::append_record(RecordType type, const std::string& payload) {
 }
 
 void StoreWriter::barrier() {
+  const BarrierTally tally(barriers_);
   try {
     journal_.sync();
   } catch (const IoError& e) {
@@ -456,6 +473,7 @@ void StoreWriter::seal() {
   // records — simulated media damage to an immutable segment — and
   // idxcorrupt (class 'index') scribbles the saved manifest instead,
   // which readers must survive.
+  const BarrierTally tally(barriers_);
   char name[32];
   std::snprintf(name, sizeof(name), "seg-%06llu.rps",
                 static_cast<unsigned long long>(next_segment_));

@@ -225,6 +225,10 @@ class StoreWriter {
   [[nodiscard]] std::size_t cells_committed() const {
     return cells_committed_;
   }
+  /// Durability barriers issued so far, opening's recovery included:
+  /// fsyncs of the journal, of the store directory, and of the files
+  /// published into it (segment rename, manifest, quarantine).
+  [[nodiscard]] std::size_t barriers() const { return barriers_; }
 
   /// Append a RunHeader and return the run's content address.
   std::string begin_run(const std::map<std::string, std::string>& config);
@@ -259,6 +263,7 @@ class StoreWriter {
   std::uint64_t next_segment_ = 0;
   std::size_t commits_since_sync_ = 0;
   std::size_t cells_committed_ = 0;
+  std::size_t barriers_ = 0;
   std::size_t cells_pending_ = 0;
   std::string run_id_;  ///< open run, empty between runs
   bool failed_ = false;

@@ -87,4 +87,22 @@ bool checksums_match(long double a, long double b, double rel_tol) {
   return diff <= static_cast<long double>(rel_tol) * scale;
 }
 
+long double relative_difference(long double a, long double b) {
+  const long double scale = std::max(std::fabs(a), std::fabs(b));
+  return scale == 0.0L ? 0.0L : std::fabs(a - b) / scale;
+}
+
+long double reorder_bound(Index_type n) {
+  return 2.0L * static_cast<long double>(n) * 0x1p-53L;
+}
+
+bool checksums_agree(long double a, long double b, ChecksumOrder order,
+                     Index_type n, bool same_team) {
+  if (order == ChecksumOrder::Exact ||
+      (order == ChecksumOrder::PerTeam && same_team)) {
+    return a == b;
+  }
+  return relative_difference(a, b) <= reorder_bound(n);
+}
+
 }  // namespace rperf::suite

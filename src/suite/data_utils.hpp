@@ -102,4 +102,23 @@ template <typename Alloc>
 [[nodiscard]] bool checksums_match(long double a, long double b,
                                    double rel_tol);
 
+/// |a - b| / max(|a|, |b|); 0 when both are 0.
+[[nodiscard]] long double relative_difference(long double a, long double b);
+
+/// The largest relative difference two orderings of one sum of `n`
+/// non-negative doubles can show: 2 * n * 2^-53. Each ordering lies within
+/// (n - 1) * 2^-53 of the exact sum, relative (Higham, *Accuracy and
+/// Stability of Numerical Algorithms*, sec. 4.2). A sum whose terms can
+/// cancel has no such bound relative to its value.
+[[nodiscard]] long double reorder_bound(Index_type n);
+
+/// Whether two checksums of one (kernel, variant, tuning) cell agree under
+/// the variant's order class: bit for bit for Exact, and for PerTeam when
+/// both ran at one OpenMP team size; otherwise within reorder_bound(n),
+/// with `n` the cell's problem size. Exact == rather than memcmp: x86 long
+/// double carries padding bytes that are not part of the value.
+[[nodiscard]] bool checksums_agree(long double a, long double b,
+                                   ChecksumOrder order, Index_type n,
+                                   bool same_team);
+
 }  // namespace rperf::suite

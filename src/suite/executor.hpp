@@ -155,6 +155,10 @@ class Executor {
   }
   /// Cells durably committed to the store by the last run().
   [[nodiscard]] std::size_t store_cells() const { return store_.cells(); }
+  /// Durability barriers (fsyncs) the store issued during the last run().
+  [[nodiscard]] std::size_t store_barriers() const {
+    return store_.barriers();
+  }
   /// First store failure ("" when the store worked). The run itself
   /// never fails because the store did: results still land in --outdir.
   [[nodiscard]] const std::string& store_error() const {

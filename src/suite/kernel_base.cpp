@@ -44,6 +44,17 @@ void KernelBase::add_all_variants() {
   for (VariantID v : all_variants()) add_variant(v);
 }
 
+ChecksumOrder KernelBase::checksum_order(VariantID v) const {
+  return checksum_orders_.at(static_cast<std::size_t>(v));
+}
+
+void KernelBase::set_checksum_order(ChecksumOrder order,
+                                    std::initializer_list<VariantID> variants) {
+  for (VariantID v : variants) {
+    checksum_orders_.at(static_cast<std::size_t>(v)) = order;
+  }
+}
+
 void KernelBase::add_tuning(const std::string& name) {
   for (const auto& t : tunings_) {
     if (t == name) {

@@ -6,7 +6,12 @@
 //     constructor, and register the variants they implement;
 //   * allocate + deterministically initialize data in setUp();
 //   * execute `run_reps` repetitions of the computation in runVariant();
-//   * return an order-stable checksum of the outputs in computeChecksum();
+//   * return a checksum of the outputs in computeChecksum(): the same bits
+//     on every execution path and at every OpenMP team size, unless the
+//     constructor declares the variant's ChecksumOrder PerTeam (the same
+//     bits on every path at one team size) or Unordered (may change from
+//     run to run); those stay within reorder_bound(problem size) of each
+//     other (suite::checksums_agree);
 //   * release data in tearDown().
 //
 // `execute()` drives the lifecycle, times the repetition loop, annotates a
@@ -15,6 +20,8 @@
 // integration pattern the paper describes.
 #pragma once
 
+#include <array>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -56,6 +63,9 @@ class KernelBase {
   [[nodiscard]] std::vector<FeatureID> features() const;
   [[nodiscard]] bool has_variant(VariantID v) const;
   [[nodiscard]] std::vector<VariantID> variants() const;
+  /// How far the variant's checksum repeats across execution paths and
+  /// OpenMP team sizes (Exact unless the kernel declares otherwise).
+  [[nodiscard]] ChecksumOrder checksum_order(VariantID v) const;
 
   /// Tunings: named execution-parameter configurations (e.g. tile sizes,
   /// scheduling policies). Every kernel has at least "default".
@@ -122,6 +132,11 @@ class KernelBase {
   }
   void add_variant(VariantID v);
   void add_all_variants();
+  /// Declare the checksum order class of `variants`. The classes' bound
+  /// (reorder_bound) holds only for checksums that add non-negative terms;
+  /// a kernel whose terms can cancel needs a bound of its own.
+  void set_checksum_order(ChecksumOrder order,
+                          std::initializer_list<VariantID> variants);
   /// Register an additional named tuning (index = registration order;
   /// "default" is always index 0).
   void add_tuning(const std::string& name);
@@ -143,6 +158,9 @@ class KernelBase {
   Complexity complexity_ = Complexity::N;
   std::uint32_t features_ = 0u;
   std::vector<VariantID> variants_;
+  /// One per VariantID, value-initialized to Exact. A std::map here
+  /// raised `sweep_inproc` peak RSS by 10-18% through heap layout alone.
+  std::array<ChecksumOrder, 6> checksum_orders_{};
 
   Index_type default_size_ = 100000;
   Index_type default_reps_ = 10;

@@ -68,6 +68,10 @@ class RunStore {
   [[nodiscard]] std::size_t cells() const {
     return writer_ ? writer_->cells_committed() : 0;
   }
+  /// Durability barriers (fsyncs) the store writer issued.
+  [[nodiscard]] std::size_t barriers() const {
+    return writer_ ? writer_->barriers() : 0;
+  }
   /// First store failure ("" while the store works).
   [[nodiscard]] const std::string& error() const { return error_; }
 

@@ -76,6 +76,15 @@ std::string to_string(IsolationMode m) {
   return "?";
 }
 
+std::string to_string(ChecksumOrder o) {
+  switch (o) {
+    case ChecksumOrder::Exact: return "exact";
+    case ChecksumOrder::PerTeam: return "per_team";
+    case ChecksumOrder::Unordered: return "unordered";
+  }
+  return "?";
+}
+
 const std::vector<RunStatus>& all_run_statuses() {
   static const std::vector<RunStatus> statuses = {
       RunStatus::Passed,      RunStatus::Failed,

@@ -69,6 +69,19 @@ enum class IsolationMode {
   Cell,    ///< one disposable worker process per (kernel, variant, tuning)
 };
 
+/// What a variant's checksum promises across execution paths (in-process,
+/// disposable and persistent workers) and OpenMP team sizes. A kernel
+/// declares the class of each variant whose adds OpenMP may order freely;
+/// every other variant is Exact.
+enum class ChecksumOrder {
+  Exact,      ///< the same bits on every path and at every team size
+  PerTeam,    ///< the same bits on every path at one team size; the value
+              ///< may change with the team size (per-thread partials
+              ///< folded in thread order)
+  Unordered,  ///< may change from run to run (an `omp reduction` on
+              ///< doubles, or double atomics into shared addresses)
+};
+
 /// Computational complexity relative to problem (storage) size.
 enum class Complexity {
   N,        // O(n)
@@ -83,6 +96,7 @@ enum class Complexity {
 [[nodiscard]] std::string to_string(FeatureID f);
 [[nodiscard]] std::string to_string(RunStatus s);
 [[nodiscard]] std::string to_string(IsolationMode m);
+[[nodiscard]] std::string to_string(ChecksumOrder o);
 
 /// Every terminal RunStatus, in enum order (used for taxonomy tables).
 [[nodiscard]] const std::vector<RunStatus>& all_run_statuses();
