@@ -323,11 +323,11 @@ int main(int argc, char** argv) {
   // sync_every_commits), with one marker for begin_run and one per cell.
   // The rest are fixed: opening fsyncs the new journal's header and the
   // directory (2); finish_run fsyncs the journal before and after the
-  // final marker (2); the seal fsyncs the directory twice after renaming
-  // the journal into a segment, then the manifest and the directory it is
-  // renamed into, then the next journal's header (5).
+  // final marker (2); the seal fsyncs the directory after renaming the
+  // journal into a segment, then the manifest and the directory it is
+  // renamed into, then the next journal's header (4).
   constexpr std::size_t kSyncEveryCommits = 8;
-  constexpr std::size_t kFixedBarriers = 2 + 2 + 5;
+  constexpr std::size_t kFixedBarriers = 2 + 2 + 4;
   const std::size_t commits = 1 + stored.cells;
   const std::size_t barrier_bound =
       (commits + kSyncEveryCommits - 1) / kSyncEveryCommits + kFixedBarriers;

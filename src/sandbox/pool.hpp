@@ -4,10 +4,14 @@
 // supervisor — the caller's thread, running a single-threaded poll()
 // event loop — makes every lifecycle decision:
 //
-//   * each worker walks the state machine
-//       Spawning -> Idle -> Busy -> (Idle ...) -> Draining -> Dead
-//     and everything the supervisor believes about it comes over the
-//     CRC-framed pipe protocol (protocol.hpp): hello, results, bye;
+//   * each worker slot is a state machine,
+//       Dead -> Spawning -> Idle -> Busy -> (Idle ...) -> Draining -> Dead,
+//     with Terminating (SIGTERM sent) and Killed (SIGKILL sent) for a
+//     worker the supervisor gives up on. The state alone decides which
+//     frames of the CRC-framed pipe protocol (protocol.hpp) the slot
+//     accepts — hello while Spawning, its job's result while Busy, final
+//     and bye while Draining — what its deadline means, and whether its
+//     exit counts as a recycle; any other frame kills the worker;
 //   * liveness is a wall deadline on every wait the supervisor makes:
 //     hello is due within a 2 s grace after fork, a job's result within
 //     job_deadline_sec of dispatch (then SIGTERM, and SIGKILL after the
@@ -20,8 +24,9 @@
 //     job is handed back to the client, which decides Retry (requeued at
 //     the front, dispatched to a fresh worker) or Done;
 //   * the job queue is pull-based: the pool asks the client's `next_job`
-//     source for work only when the bounded pending queue has room, so
-//     producer memory is bounded by construction (backpressure);
+//     source for work only while the pending queue holds fewer than
+//     kQueueSlotsPerWorker jobs per worker, so producer memory is bounded
+//     by construction (backpressure);
 //   * if no worker can ever be spawned (fork failure, respawn budget
 //     exhausted with work remaining) run() returns SpawnFailed and the
 //     caller degrades — e.g. to in-process execution — instead of
@@ -51,16 +56,6 @@
 #include "sandbox/sandbox.hpp"
 
 namespace rperf::sandbox {
-
-/// Supervisor-visible lifecycle of one worker slot.
-enum class WorkerState {
-  Spawning,  ///< forked, hello frame not yet seen
-  Idle,      ///< hello validated, no job in flight
-  Busy,      ///< a job frame was sent, result pending
-  Draining,  ///< told to finish up (drain frame or deadline SIGTERM)
-  Dead,      ///< reaped (or never successfully spawned)
-};
-[[nodiscard]] std::string to_string(WorkerState s);
 
 /// Why an in-flight job came back without a result.
 enum class FailReason {
@@ -113,11 +108,15 @@ enum class Disposition {
   Abort,  ///< stop dispatching queued work; finish in-flight jobs, drain
 };
 
+/// Pending-queue slots per worker: the pool pulls next_job only while the
+/// queue holds fewer than workers x this many jobs. Affinity dispatch scans
+/// the queue for keys no live worker has claimed, so the window must reach
+/// past the queued Seq cells of every kernel the other workers hold to the
+/// next unclaimed kernel under the suite's narrow-first order.
+inline constexpr std::size_t kQueueSlotsPerWorker = 8;
+
 struct PoolConfig {
   int workers = 2;
-  /// Bounded pending queue; 0 means 2 * workers. Backpressure: next_job
-  /// is only pulled when the queue has room.
-  std::size_t queue_capacity = 0;
   /// Per-job wall deadline in seconds; 0 = none (the job's result is
   /// awaited indefinitely).
   double job_deadline_sec = kDefaultJobDeadlineSec;

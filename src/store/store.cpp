@@ -468,11 +468,10 @@ void StoreWriter::seal() {
   // immutable segment: rename + directory fsync, manifest update, then
   // start fresh. This publication path is the 'segment' class of the I/O
   // fault grammar: enospc/shortwrite fail it before the rename (the run
-  // stays in the journal), fsyncfail fails the directory barrier after
-  // the rename, tornseg scribbles a byte inside the freshly sealed
-  // records — simulated media damage to an immutable segment — and
-  // idxcorrupt (class 'index') scribbles the saved manifest instead,
-  // which readers must survive.
+  // stays in the journal), fsyncfail fails the rename's directory barrier,
+  // tornseg scribbles a byte inside the freshly sealed records — simulated
+  // media damage to an immutable segment — and idxcorrupt (class 'index')
+  // scribbles the saved manifest instead, which readers must survive.
   const BarrierTally tally(barriers_);
   char name[32];
   std::snprintf(name, sizeof(name), "seg-%06llu.rps",
@@ -512,7 +511,6 @@ void StoreWriter::seal() {
       throw IoError("store: injected fsync failure publishing " +
                     std::string(name));
     }
-    fsync_dir(dir_);
     if (inj.fire_io_fault(faults::FaultKind::TornSeg, "segment")) {
       scribble_records(dir_ + "/" + name, records_end);
       throw IoError("store: injected media damage in " + std::string(name));

@@ -198,11 +198,6 @@ void Executor::run_pooled(const std::vector<const Cell*>& cells) {
   cfg.disposable = disposable;
   cfg.job_deadline_sec = params_.max_cell_seconds;
   cfg.address_space_bytes = params_.sandbox_mem_mb << 20;
-  // Affinity dispatch scans the pending queue for unclaimed keys, so give
-  // it a window wider than the default 2x workers: under narrow-first
-  // order it must reach past the queued Seq cells of every kernel the
-  // other workers have claimed to the next unclaimed kernel.
-  cfg.queue_capacity = static_cast<std::size_t>(cfg.workers) * 8;
 
   std::vector<int> cores;
   cores.reserve(jobs.size());

@@ -1,9 +1,9 @@
 // Tests for rperf::sandbox::WorkerPool and the executor's pooled execution
 // path (--workers): the framed protocol, supervised crash recycling, the
 // central deadlines that are the pool's only liveness check (a stopped
-// worker, a worker that never says hello, a hung job), backpressure,
-// crash-loop quarantine, fork-failure degradation, and bit-identical
-// parity of pooled vs in-process results.
+// worker, a worker that never says hello, a hung job), backpressure, an
+// interrupt mid-run, crash-loop quarantine, fork-failure degradation, and
+// bit-identical parity of pooled vs in-process results.
 //
 // OpenMP note: pooled workers are forked from the test process, so the
 // fixture pins OpenMP to one thread and the sweeps stick to Seq variants
@@ -437,12 +437,78 @@ TEST_F(PoolTest, JobDeadlineIsEnforcedCentrally) {
   expect_no_children();
 }
 
+// ------------------------------------------------------ pool: interrupt
+
+TEST_F(PoolTest, InterruptMidRunKillsInFlightWorkersAndReturnsInterrupted) {
+  // Job 0 sleeps; every other job returns at once, and the first result
+  // latches SIGINT. The pool must stop pulling, leave the sleeping job
+  // unresolved (the caller marks it skipped), kill both workers without
+  // counting them as recycles, and return promptly.
+  PoolConfig cfg;
+  cfg.workers = 2;
+  PoolClient client;
+  client.before_dispatch = [](Job& job) {
+    job.payload = job.id == 0 ? "sleep" : "ok";
+  };
+  client.run_job = [](const std::string& payload) -> std::string {
+    if (payload == "sleep") {
+      std::this_thread::sleep_for(std::chrono::seconds(10));
+    }
+    return "done";
+  };
+  std::vector<std::uint64_t> resolved;
+  client.on_result = [&](const Job& job, const std::string&) {
+    resolved.push_back(job.id);
+    sandbox::request_interrupt(SIGINT);
+    return Disposition::Done;
+  };
+  client.on_failure = [&](const Job& job, const JobFailure& f) {
+    resolved.push_back(job.id);
+    ADD_FAILURE() << "job " << job.id << " failed: " << f.describe();
+    return Disposition::Done;
+  };
+
+  std::uint64_t next = 0;
+  std::size_t pulls_after_interrupt = 0;
+  WorkerPool pool(cfg, client);
+  const auto t0 = std::chrono::steady_clock::now();
+  const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
+    // Endless until the interrupt: only backpressure and the interrupt may
+    // stop the pulls. A pull after it is counted, and ends the source so a
+    // pool that kept pulling still returns.
+    if (sandbox::interrupt_signal() != 0) {
+      ++pulls_after_interrupt;
+      return std::nullopt;
+    }
+    Job j;
+    j.id = next++;
+    return j;
+  });
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+
+  EXPECT_EQ(out, PoolOutcome::Interrupted);
+  EXPECT_LT(secs, 2.0);
+  EXPECT_EQ(pool.stats().jobs_dispatched, 2u);
+  ASSERT_EQ(resolved.size(), 1u);
+  EXPECT_NE(resolved[0], 0u) << "the in-flight job got a callback";
+  EXPECT_EQ(pulls_after_interrupt, 0u);
+  EXPECT_EQ(pool.stats().recycles, 0u);
+  expect_no_children();
+}
+
 // --------------------------------------------------- pool: backpressure
 
 TEST_F(PoolTest, BackpressureBoundsOutstandingPulls) {
   PoolConfig cfg;
   cfg.workers = 1;
-  cfg.queue_capacity = 2;
+  const std::size_t capacity =
+      sandbox::kQueueSlotsPerWorker * static_cast<std::size_t>(cfg.workers);
+  // Twice what the queue and the workers can hold, so a greedy drain of the
+  // source would overshoot the bound by half the jobs.
+  const std::size_t jobs =
+      2 * (capacity + static_cast<std::size_t>(cfg.workers));
   PoolClient client;
   client.before_dispatch = [](Job& job) {
     job.payload = std::to_string(job.id);
@@ -465,8 +531,8 @@ TEST_F(PoolTest, BackpressureBoundsOutstandingPulls) {
 
   WorkerPool pool(cfg, client);
   const PoolOutcome out = pool.run([&]() -> std::optional<Job> {
-    if (pulled >= 12) return std::nullopt;
-    // The pool may hold at most queue_capacity pending jobs plus what the
+    if (pulled >= jobs) return std::nullopt;
+    // The pool may hold at most `capacity` pending jobs plus what the
     // workers have in flight; a greedy drain of the source would show up
     // as a larger gap between pulls and completions.
     max_outstanding = std::max(max_outstanding, pulled - completed);
@@ -476,10 +542,10 @@ TEST_F(PoolTest, BackpressureBoundsOutstandingPulls) {
   });
 
   EXPECT_EQ(out, PoolOutcome::Completed);
-  EXPECT_EQ(completed, 12u);
+  EXPECT_EQ(completed, jobs);
   EXPECT_LE(max_outstanding,
-            cfg.queue_capacity + static_cast<std::size_t>(cfg.workers));
-  EXPECT_LE(pool.stats().peak_queue_depth, cfg.queue_capacity);
+            capacity + static_cast<std::size_t>(cfg.workers));
+  EXPECT_LE(pool.stats().peak_queue_depth, capacity);
   expect_no_children();
 }
 
