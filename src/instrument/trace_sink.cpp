@@ -244,81 +244,4 @@ TraceData TraceSink::flush() {
   return out;
 }
 
-// ---------------------------------------------------------------- TraceData
-
-json::Value TraceData::to_value() const {
-  json::Object o;
-  o["pid"] = pid;
-  o["process"] = process_name;
-  o["offset_sec"] = clock_offset_sec;
-  o["dropped"] = static_cast<std::int64_t>(dropped);
-  o["overhead_sec"] = overhead_sec;
-  json::Array names_arr;
-  for (const auto& n : names) names_arr.push_back(json::Value(n));
-  o["names"] = std::move(names_arr);
-  json::Array recs;
-  for (const TraceRecord& r : records) {
-    json::Array row;
-    row.push_back(json::Value(static_cast<int>(r.kind)));
-    row.push_back(json::Value(static_cast<std::int64_t>(r.name)));
-    row.push_back(json::Value(static_cast<std::int64_t>(r.tid)));
-    row.push_back(json::Value(static_cast<std::int64_t>(r.depth)));
-    row.push_back(json::Value(r.t0));
-    row.push_back(json::Value(r.t1));
-    row.push_back(json::Value(r.value));
-    recs.push_back(json::Value(std::move(row)));
-  }
-  o["records"] = std::move(recs);
-  json::Object stats;
-  for (const auto& [name, s] : region_stats) {
-    json::Array row;
-    row.push_back(json::Value(static_cast<std::int64_t>(s.instances)));
-    row.push_back(json::Value(s.sum_max_sec));
-    row.push_back(json::Value(s.sum_mean_sec));
-    row.push_back(json::Value(s.max_threads));
-    stats[name] = json::Value(std::move(row));
-  }
-  o["stats"] = std::move(stats);
-  return json::Value(std::move(o));
-}
-
-TraceData TraceData::from_value(const json::Value& v) {
-  TraceData out;
-  out.pid = static_cast<int>(v.number_or("pid", 0.0));
-  out.process_name = v.string_or("process", "worker");
-  out.clock_offset_sec = v.number_or("offset_sec", 0.0);
-  out.dropped = static_cast<std::uint64_t>(v.number_or("dropped", 0.0));
-  out.overhead_sec = v.number_or("overhead_sec", 0.0);
-  for (const json::Value& n : v.at("names").as_array()) {
-    out.names.push_back(n.as_string());
-  }
-  for (const json::Value& row : v.at("records").as_array()) {
-    const json::Array& a = row.as_array();
-    if (a.size() < 7) continue;
-    TraceRecord r;
-    r.kind = static_cast<TraceRecord::Kind>(
-        static_cast<int>(a[0].as_number()));
-    r.name = static_cast<std::uint32_t>(a[1].as_number());
-    r.tid = static_cast<std::uint32_t>(a[2].as_number());
-    r.depth = static_cast<std::int32_t>(a[3].as_number());
-    r.t0 = a[4].as_number();
-    r.t1 = a[5].as_number();
-    r.value = a[6].as_number();
-    out.records.push_back(r);
-  }
-  if (v.contains("stats")) {
-    for (const auto& [name, row] : v.at("stats").as_object()) {
-      const json::Array& a = row.as_array();
-      if (a.size() < 4) continue;
-      RegionThreadStats s;
-      s.instances = static_cast<std::uint64_t>(a[0].as_number());
-      s.sum_max_sec = a[1].as_number();
-      s.sum_mean_sec = a[2].as_number();
-      s.max_threads = static_cast<int>(a[3].as_number());
-      out.region_stats[name] = s;
-    }
-  }
-  return out;
-}
-
 }  // namespace rperf::cali

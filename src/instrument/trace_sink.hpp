@@ -38,8 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "instrument/json.hpp"
-
 namespace rperf::cali {
 
 /// One fixed-size trace record. `name` indexes the sink's interned name
@@ -88,9 +86,6 @@ struct TraceData {
   std::map<std::string, RegionThreadStats> region_stats;
   std::uint64_t dropped = 0;
   double overhead_sec = 0.0;  ///< self-accounted tracing cost
-
-  [[nodiscard]] json::Value to_value() const;
-  [[nodiscard]] static TraceData from_value(const json::Value& v);
 };
 
 class TraceSink {

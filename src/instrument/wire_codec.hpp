@@ -1,8 +1,8 @@
 // Binary wire codecs for the instrument layer's transportable snapshots
-// (Profile, TraceData) — the rperf::wire counterpart of profile_to_value
-// / TraceData::to_value. Worker profiles and trace chunks cross the
-// pool's frame pipe in these records, so they merge into the supervisor
-// without a JSON round-trip; the store lands profiles the same way.
+// (Profile, TraceData); Profile also has a JSON form, profile_to_value.
+// Worker profiles and trace chunks cross the pool's frame pipe in these
+// records, so they merge into the supervisor without a JSON round-trip;
+// the store lands profiles the same way.
 //
 // Layout (all fields little-endian, strings per wire.hpp refs):
 //

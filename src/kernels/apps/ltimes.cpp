@@ -66,26 +66,7 @@ void LTIMES::runVariant(VariantID vid) {
     }
   };
 
-  for (Index_type r = 0; r < run_reps(); ++r) {
-    switch (vid) {
-      case VariantID::Base_Seq:
-      case VariantID::Lambda_Seq:
-        for (Index_type z = 0; z < nz; ++z) zone(z);
-        break;
-      case VariantID::RAJA_Seq:
-        forall<seq_exec>(RangeSegment(0, nz), zone);
-        break;
-      case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for
-        for (Index_type z = 0; z < nz; ++z) zone(z);
-        break;
-      }
-      case VariantID::RAJA_OpenMP:
-        forall<omp_parallel_for_exec>(RangeSegment(0, nz), zone);
-        break;
-    }
-  }
+  run_forall(vid, 0, nz, run_reps(), zone);
 }
 
 long double LTIMES::computeChecksum(VariantID) {
@@ -112,7 +93,6 @@ void LTIMES_NOVIEW::setUp(VariantID) {
 }
 
 void LTIMES_NOVIEW::runVariant(VariantID vid) {
-  using namespace ::rperf::port;
   const Index_type nz = m_num_z;
   const double* psi = m_a.data();
   const double* ell = m_b.data();
@@ -130,26 +110,7 @@ void LTIMES_NOVIEW::runVariant(VariantID vid) {
     }
   };
 
-  for (Index_type r = 0; r < run_reps(); ++r) {
-    switch (vid) {
-      case VariantID::Base_Seq:
-      case VariantID::Lambda_Seq:
-        for (Index_type z = 0; z < nz; ++z) zone(z);
-        break;
-      case VariantID::RAJA_Seq:
-        forall<seq_exec>(RangeSegment(0, nz), zone);
-        break;
-      case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for
-        for (Index_type z = 0; z < nz; ++z) zone(z);
-        break;
-      }
-      case VariantID::RAJA_OpenMP:
-        forall<omp_parallel_for_exec>(RangeSegment(0, nz), zone);
-        break;
-    }
-  }
+  run_forall(vid, 0, nz, run_reps(), zone);
 }
 
 long double LTIMES_NOVIEW::computeChecksum(VariantID) {

@@ -60,7 +60,6 @@ namespace {
 template <Index_type TILE>
 void run_tiled_matmul(VariantID vid, Index_type d, Index_type reps,
                       const double* A, const double* B, double* C) {
-  using namespace ::rperf::port;
   const Index_type ntiles = (d + TILE - 1) / TILE;
   auto tile_body = [=](Index_type bi, Index_type bj) {
     double As[TILE][TILE];
@@ -99,36 +98,8 @@ void run_tiled_matmul(VariantID vid, Index_type d, Index_type reps,
     }
   };
 
-  for (Index_type r = 0; r < reps; ++r) {
-    switch (vid) {
-      case VariantID::Base_Seq:
-      case VariantID::Lambda_Seq:
-        for (Index_type bi = 0; bi < ntiles; ++bi) {
-          for (Index_type bj = 0; bj < ntiles; ++bj) {
-            tile_body(bi, bj);
-          }
-        }
-        break;
-      case VariantID::RAJA_Seq:
-        forall_2d<seq_exec>(RangeSegment(0, ntiles), RangeSegment(0, ntiles),
-                            tile_body);
-        break;
-      case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for collapse(2)
-        for (Index_type bi = 0; bi < ntiles; ++bi) {
-          for (Index_type bj = 0; bj < ntiles; ++bj) {
-            tile_body(bi, bj);
-          }
-        }
-        break;
-      }
-      case VariantID::RAJA_OpenMP:
-        forall_2d<omp_parallel_for_exec>(RangeSegment(0, ntiles),
-                                         RangeSegment(0, ntiles), tile_body);
-        break;
-    }
-  }
+  const RangeSegment tiles(0, ntiles);
+  run_forall_2d(vid, tiles, tiles, reps, tile_body);
 }
 
 }  // namespace

@@ -43,7 +43,6 @@ void NESTED_INIT::setUp(VariantID) {
 }
 
 void NESTED_INIT::runVariant(VariantID vid) {
-  using namespace ::rperf::port;
   const Index_type ni = m_ni, nj = m_nj, nk = m_nk;
   double* array = m_a.data();
 
@@ -53,41 +52,8 @@ void NESTED_INIT::runVariant(VariantID vid) {
         static_cast<double>(k);
   };
 
-  for (Index_type r = 0; r < run_reps(); ++r) {
-    switch (vid) {
-      case VariantID::Base_Seq:
-      case VariantID::Lambda_Seq:
-        for (Index_type i = 0; i < ni; ++i) {
-          for (Index_type j = 0; j < nj; ++j) {
-            for (Index_type k = 0; k < nk; ++k) {
-              body(i, j, k);
-            }
-          }
-        }
-        break;
-      case VariantID::RAJA_Seq:
-        forall_3d<seq_exec>(RangeSegment(0, ni), RangeSegment(0, nj),
-                            RangeSegment(0, nk), body);
-        break;
-      case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for collapse(2)
-        for (Index_type i = 0; i < ni; ++i) {
-          for (Index_type j = 0; j < nj; ++j) {
-            for (Index_type k = 0; k < nk; ++k) {
-              body(i, j, k);
-            }
-          }
-        }
-        break;
-      }
-      case VariantID::RAJA_OpenMP:
-        forall_3d<omp_parallel_for_exec>(RangeSegment(0, ni),
-                                         RangeSegment(0, nj),
-                                         RangeSegment(0, nk), body);
-        break;
-    }
-  }
+  run_forall_3d(vid, RangeSegment(0, ni), RangeSegment(0, nj),
+                RangeSegment(0, nk), run_reps(), body);
 }
 
 long double NESTED_INIT::computeChecksum(VariantID) {

@@ -52,7 +52,7 @@ void free_data(Vecs&... vecs) {
 /// given variant. `body` must capture raw pointers by value (the standard
 /// kernel idiom); it is invoked as body(i).
 ///
-/// The five variants correspond to the suite's programming models:
+/// The six variants correspond to the suite's programming models:
 ///   Base_Seq     — plain sequential for loop
 ///   Lambda_Seq   — sequential loop through an extra lambda indirection
 ///   RAJA_Seq     — portability layer, sequential policy
@@ -111,6 +111,79 @@ void run_forall(VariantID vid, Index_type begin, Index_type end,
         forall<omp_parallel_for_exec>(RangeSegment(begin, end), body);
       }
       break;
+    }
+  }
+}
+
+/// 2-D sibling of run_forall: `reps` repetitions of the nest i over `si`,
+/// j over `sj` (j innermost), invoking body(i, j). The variants mean what
+/// they mean in run_forall: Base runs the raw nest, Lambda the same nest
+/// through one more lambda, RAJA calls port::forall_2d; the OpenMP forms
+/// collapse(2) the nest.
+template <typename Body>
+void run_forall_2d(VariantID vid, const RangeSegment& si,
+                   const RangeSegment& sj, Index_type reps, Body&& body) {
+  using namespace ::rperf::port;
+  const Index_type ib = si.begin(), ie = si.end();
+  const Index_type jb = sj.begin(), je = sj.end();
+  auto lam = [body](Index_type i, Index_type j) { body(i, j); };
+  auto nest = [&](auto&& f) {
+    for (Index_type i = ib; i < ie; ++i)
+      for (Index_type j = jb; j < je; ++j) f(i, j);
+  };
+  auto omp_nest = [&](auto&& f) {
+#pragma omp parallel for collapse(2)
+    for (Index_type i = ib; i < ie; ++i)
+      for (Index_type j = jb; j < je; ++j) f(i, j);
+  };
+  for (Index_type r = 0; r < reps; ++r) {
+    switch (vid) {
+      case VariantID::Base_Seq: nest(body); break;
+      case VariantID::Lambda_Seq: nest(lam); break;
+      case VariantID::RAJA_Seq: forall_2d<seq_exec>(si, sj, body); break;
+      case VariantID::Base_OpenMP: omp_nest(body); break;
+      case VariantID::Lambda_OpenMP: omp_nest(lam); break;
+      case VariantID::RAJA_OpenMP:
+        forall_2d<omp_parallel_for_exec>(si, sj, body);
+        break;
+    }
+  }
+}
+
+/// 3-D sibling of run_forall: the nest i, j, k over `si`, `sj`, `sk` (k
+/// innermost), invoking body(i, j, k), with the variants of run_forall_2d.
+template <typename Body>
+void run_forall_3d(VariantID vid, const RangeSegment& si,
+                   const RangeSegment& sj, const RangeSegment& sk,
+                   Index_type reps, Body&& body) {
+  using namespace ::rperf::port;
+  const Index_type ib = si.begin(), ie = si.end();
+  const Index_type jb = sj.begin(), je = sj.end();
+  const Index_type kb = sk.begin(), ke = sk.end();
+  auto lam = [body](Index_type i, Index_type j, Index_type k) {
+    body(i, j, k);
+  };
+  auto nest = [&](auto&& f) {
+    for (Index_type i = ib; i < ie; ++i)
+      for (Index_type j = jb; j < je; ++j)
+        for (Index_type k = kb; k < ke; ++k) f(i, j, k);
+  };
+  auto omp_nest = [&](auto&& f) {
+#pragma omp parallel for collapse(2)
+    for (Index_type i = ib; i < ie; ++i)
+      for (Index_type j = jb; j < je; ++j)
+        for (Index_type k = kb; k < ke; ++k) f(i, j, k);
+  };
+  for (Index_type r = 0; r < reps; ++r) {
+    switch (vid) {
+      case VariantID::Base_Seq: nest(body); break;
+      case VariantID::Lambda_Seq: nest(lam); break;
+      case VariantID::RAJA_Seq: forall_3d<seq_exec>(si, sj, sk, body); break;
+      case VariantID::Base_OpenMP: omp_nest(body); break;
+      case VariantID::Lambda_OpenMP: omp_nest(lam); break;
+      case VariantID::RAJA_OpenMP:
+        forall_3d<omp_parallel_for_exec>(si, sj, sk, body);
+        break;
     }
   }
 }

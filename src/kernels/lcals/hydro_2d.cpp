@@ -49,7 +49,6 @@ void HYDRO_2D::setUp(VariantID) {
 }
 
 void HYDRO_2D::runVariant(VariantID vid) {
-  using namespace ::rperf::port;
   const Index_type jn = m_jn, kn = m_kn;
   const double* zp = m_a.data();
   const double* zq = m_b.data();
@@ -98,40 +97,9 @@ void HYDRO_2D::runVariant(VariantID vid) {
 
   const RangeSegment jr(1, jn - 1), kr(1, kn - 1);
   for (Index_type r = 0; r < run_reps(); ++r) {
-    switch (vid) {
-      case VariantID::Base_Seq:
-      case VariantID::Lambda_Seq:
-        for (Index_type j = 1; j < jn - 1; ++j)
-          for (Index_type k = 1; k < kn - 1; ++k) loop1(j, k);
-        for (Index_type j = 1; j < jn - 1; ++j)
-          for (Index_type k = 1; k < kn - 1; ++k) loop2(j, k);
-        for (Index_type j = 1; j < jn - 1; ++j)
-          for (Index_type k = 1; k < kn - 1; ++k) loop3(j, k);
-        break;
-      case VariantID::RAJA_Seq:
-        forall_2d<seq_exec>(jr, kr, loop1);
-        forall_2d<seq_exec>(jr, kr, loop2);
-        forall_2d<seq_exec>(jr, kr, loop3);
-        break;
-      case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for collapse(2)
-        for (Index_type j = 1; j < jn - 1; ++j)
-          for (Index_type k = 1; k < kn - 1; ++k) loop1(j, k);
-#pragma omp parallel for collapse(2)
-        for (Index_type j = 1; j < jn - 1; ++j)
-          for (Index_type k = 1; k < kn - 1; ++k) loop2(j, k);
-#pragma omp parallel for collapse(2)
-        for (Index_type j = 1; j < jn - 1; ++j)
-          for (Index_type k = 1; k < kn - 1; ++k) loop3(j, k);
-        break;
-      }
-      case VariantID::RAJA_OpenMP:
-        forall_2d<omp_parallel_for_exec>(jr, kr, loop1);
-        forall_2d<omp_parallel_for_exec>(jr, kr, loop2);
-        forall_2d<omp_parallel_for_exec>(jr, kr, loop3);
-        break;
-    }
+    run_forall_2d(vid, jr, kr, 1, loop1);
+    run_forall_2d(vid, jr, kr, 1, loop2);
+    run_forall_2d(vid, jr, kr, 1, loop3);
   }
 }
 

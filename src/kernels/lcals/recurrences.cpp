@@ -40,7 +40,6 @@ void GEN_LIN_RECUR::setUp(VariantID) {
 }
 
 void GEN_LIN_RECUR::runVariant(VariantID vid) {
-  using namespace ::rperf::port;
   const Index_type nbands = m_nbands;
   const Index_type len = m_band_len;
   const double* sa = m_a.data();
@@ -58,26 +57,7 @@ void GEN_LIN_RECUR::runVariant(VariantID vid) {
     }
   };
 
-  for (Index_type r = 0; r < run_reps(); ++r) {
-    switch (vid) {
-      case VariantID::Base_Seq:
-      case VariantID::Lambda_Seq:
-        for (Index_type b = 0; b < nbands; ++b) band(b);
-        break;
-      case VariantID::RAJA_Seq:
-        forall<seq_exec>(RangeSegment(0, nbands), band);
-        break;
-      case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for
-        for (Index_type b = 0; b < nbands; ++b) band(b);
-        break;
-      }
-      case VariantID::RAJA_OpenMP:
-        forall<omp_parallel_for_exec>(RangeSegment(0, nbands), band);
-        break;
-    }
-  }
+  run_forall(vid, 0, nbands, run_reps(), band);
 }
 
 long double GEN_LIN_RECUR::computeChecksum(VariantID) {

@@ -46,7 +46,6 @@ void ADI::setUp(VariantID) {
 }
 
 void ADI::runVariant(VariantID vid) {
-  using namespace ::rperf::port;
   const Index_type d = m_dim;
   double* u = m_a.data();
   double* v = m_b.data();
@@ -88,29 +87,8 @@ void ADI::runVariant(VariantID vid) {
 
   for (Index_type r = 0; r < run_reps(); ++r) {
     for (Index_type ts = 0; ts < m_tsteps; ++ts) {
-      switch (vid) {
-        case VariantID::Base_Seq:
-        case VariantID::Lambda_Seq:
-          for (Index_type j = 1; j < d - 1; ++j) column_sweep(j);
-          for (Index_type i = 1; i < d - 1; ++i) row_sweep(i);
-          break;
-        case VariantID::RAJA_Seq:
-          forall<seq_exec>(RangeSegment(1, d - 1), column_sweep);
-          forall<seq_exec>(RangeSegment(1, d - 1), row_sweep);
-          break;
-        case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for
-          for (Index_type j = 1; j < d - 1; ++j) column_sweep(j);
-#pragma omp parallel for
-          for (Index_type i = 1; i < d - 1; ++i) row_sweep(i);
-          break;
-        }
-        case VariantID::RAJA_OpenMP:
-          forall<omp_parallel_for_exec>(RangeSegment(1, d - 1), column_sweep);
-          forall<omp_parallel_for_exec>(RangeSegment(1, d - 1), row_sweep);
-          break;
-      }
+      run_forall(vid, 1, d - 1, 1, column_sweep);
+      run_forall(vid, 1, d - 1, 1, row_sweep);
     }
   }
 }

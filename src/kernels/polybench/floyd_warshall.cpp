@@ -62,31 +62,13 @@ void FLOYD_WARSHALL::setUp(VariantID) {
 }
 
 void FLOYD_WARSHALL::runVariant(VariantID vid) {
-  using namespace ::rperf::port;
   const Index_type d = m_dim;
   double* paths = m_a.data();
 
   for (Index_type r = 0; r < run_reps(); ++r) {
     for (Index_type k = 0; k < d; ++k) {
-      auto row = [=](Index_type i) { relax_row(paths, d, k, i); };
-      switch (vid) {
-        case VariantID::Base_Seq:
-        case VariantID::Lambda_Seq:
-          for (Index_type i = 0; i < d; ++i) row(i);
-          break;
-        case VariantID::RAJA_Seq:
-          forall<seq_exec>(RangeSegment(0, d), row);
-          break;
-        case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for
-          for (Index_type i = 0; i < d; ++i) row(i);
-          break;
-        }
-        case VariantID::RAJA_OpenMP:
-          forall<omp_parallel_for_exec>(RangeSegment(0, d), row);
-          break;
-      }
+      run_forall(vid, 0, d, 1,
+                 [=](Index_type i) { relax_row(paths, d, k, i); });
     }
   }
 }

@@ -39,8 +39,7 @@ void matmul_traits(rperf::machine::KernelTraits& t, double d, double nmuls) {
 template <typename Accum>
 void run_matmul(VariantID vid, Index_type d, const double* A, const double* B,
                 double* C, Accum&& accum) {
-  using namespace ::rperf::port;
-  auto row = [=](Index_type i) {
+  run_forall(vid, 0, d, 1, [=](Index_type i) {
     for (Index_type j = 0; j < d; ++j) {
       double dot = 0.0;
       for (Index_type k = 0; k < d; ++k) {
@@ -48,25 +47,7 @@ void run_matmul(VariantID vid, Index_type d, const double* A, const double* B,
       }
       accum(&C[i * d + j], dot);
     }
-  };
-  switch (vid) {
-    case VariantID::Base_Seq:
-    case VariantID::Lambda_Seq:
-      for (Index_type i = 0; i < d; ++i) row(i);
-      break;
-    case VariantID::RAJA_Seq:
-      forall<seq_exec>(RangeSegment(0, d), row);
-      break;
-    case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for
-      for (Index_type i = 0; i < d; ++i) row(i);
-      break;
-    }
-    case VariantID::RAJA_OpenMP:
-      forall<omp_parallel_for_exec>(RangeSegment(0, d), row);
-      break;
-  }
+  });
 }
 
 }  // namespace

@@ -43,32 +43,13 @@ void matvec_traits(rperf::machine::KernelTraits& t, double d,
 template <typename Emit>
 void run_matvec(VariantID vid, Index_type d, const double* A, const double* x,
                 Emit&& emit) {
-  using namespace ::rperf::port;
-  auto row = [=](Index_type i) {
+  run_forall(vid, 0, d, 1, [=](Index_type i) {
     double dot = 0.0;
     for (Index_type j = 0; j < d; ++j) {
       dot += A[i * d + j] * x[j];
     }
     emit(i, dot);
-  };
-  switch (vid) {
-    case VariantID::Base_Seq:
-    case VariantID::Lambda_Seq:
-      for (Index_type i = 0; i < d; ++i) row(i);
-      break;
-    case VariantID::RAJA_Seq:
-      forall<seq_exec>(RangeSegment(0, d), row);
-      break;
-    case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for
-      for (Index_type i = 0; i < d; ++i) row(i);
-      break;
-    }
-    case VariantID::RAJA_OpenMP:
-      forall<omp_parallel_for_exec>(RangeSegment(0, d), row);
-      break;
-  }
+  });
 }
 
 /// y[j] = sum_i A[i][j] * x[i] — the transposed pass, parallel over output
@@ -76,32 +57,13 @@ void run_matvec(VariantID vid, Index_type d, const double* A, const double* x,
 template <typename Emit>
 void run_matvec_t(VariantID vid, Index_type d, const double* A,
                   const double* x, Emit&& emit) {
-  using namespace ::rperf::port;
-  auto col = [=](Index_type j) {
+  run_forall(vid, 0, d, 1, [=](Index_type j) {
     double dot = 0.0;
     for (Index_type i = 0; i < d; ++i) {
       dot += A[i * d + j] * x[i];
     }
     emit(j, dot);
-  };
-  switch (vid) {
-    case VariantID::Base_Seq:
-    case VariantID::Lambda_Seq:
-      for (Index_type j = 0; j < d; ++j) col(j);
-      break;
-    case VariantID::RAJA_Seq:
-      forall<seq_exec>(RangeSegment(0, d), col);
-      break;
-    case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for
-      for (Index_type j = 0; j < d; ++j) col(j);
-      break;
-    }
-    case VariantID::RAJA_OpenMP:
-      forall<omp_parallel_for_exec>(RangeSegment(0, d), col);
-      break;
-  }
+  });
 }
 
 }  // namespace
@@ -267,7 +229,6 @@ void GEMVER::setUp(VariantID) {
 }
 
 void GEMVER::runVariant(VariantID vid) {
-  using namespace ::rperf::port;
   const Index_type d = m_dim;
   const double alpha = 0.3, beta = 0.5;
   double* A = m_a.data();
@@ -288,24 +249,7 @@ void GEMVER::runVariant(VariantID vid) {
   };
 
   for (Index_type r = 0; r < run_reps(); ++r) {
-    switch (vid) {
-      case VariantID::Base_Seq:
-      case VariantID::Lambda_Seq:
-        for (Index_type i = 0; i < d; ++i) rank2_row(i);
-        break;
-      case VariantID::RAJA_Seq:
-        forall<seq_exec>(RangeSegment(0, d), rank2_row);
-        break;
-      case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for
-        for (Index_type i = 0; i < d; ++i) rank2_row(i);
-        break;
-      }
-      case VariantID::RAJA_OpenMP:
-        forall<omp_parallel_for_exec>(RangeSegment(0, d), rank2_row);
-        break;
-    }
+    run_forall(vid, 0, d, 1, rank2_row);
     run_matvec_t(vid, d, A, y, [=](Index_type j, double dot) {
       x[j] = beta * dot * scale + z[j];
     });

@@ -91,7 +91,6 @@ void JACOBI_2D::setUp(VariantID) {
 }
 
 void JACOBI_2D::runVariant(VariantID vid) {
-  using namespace ::rperf::port;
   const Index_type d = m_dim;
   double* A = m_a.data();
   double* B = m_b.data();
@@ -108,33 +107,8 @@ void JACOBI_2D::runVariant(VariantID vid) {
   const RangeSegment inner(1, d - 1);
   for (Index_type r = 0; r < run_reps(); ++r) {
     for (Index_type ts = 0; ts < m_tsteps; ++ts) {
-      switch (vid) {
-        case VariantID::Base_Seq:
-        case VariantID::Lambda_Seq:
-          for (Index_type i = 1; i < d - 1; ++i)
-            for (Index_type j = 1; j < d - 1; ++j) stepAB(i, j);
-          for (Index_type i = 1; i < d - 1; ++i)
-            for (Index_type j = 1; j < d - 1; ++j) stepBA(i, j);
-          break;
-        case VariantID::RAJA_Seq:
-          forall_2d<seq_exec>(inner, inner, stepAB);
-          forall_2d<seq_exec>(inner, inner, stepBA);
-          break;
-        case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for collapse(2)
-          for (Index_type i = 1; i < d - 1; ++i)
-            for (Index_type j = 1; j < d - 1; ++j) stepAB(i, j);
-#pragma omp parallel for collapse(2)
-          for (Index_type i = 1; i < d - 1; ++i)
-            for (Index_type j = 1; j < d - 1; ++j) stepBA(i, j);
-          break;
-        }
-        case VariantID::RAJA_OpenMP:
-          forall_2d<omp_parallel_for_exec>(inner, inner, stepAB);
-          forall_2d<omp_parallel_for_exec>(inner, inner, stepBA);
-          break;
-      }
+      run_forall_2d(vid, inner, inner, 1, stepAB);
+      run_forall_2d(vid, inner, inner, 1, stepBA);
     }
   }
 }
@@ -169,7 +143,6 @@ void HEAT_3D::setUp(VariantID) {
 }
 
 void HEAT_3D::runVariant(VariantID vid) {
-  using namespace ::rperf::port;
   const Index_type d = m_dim;
   double* A = m_a.data();
   double* B = m_b.data();
@@ -196,37 +169,8 @@ void HEAT_3D::runVariant(VariantID vid) {
   const RangeSegment inner(1, d - 1);
   for (Index_type r = 0; r < run_reps(); ++r) {
     for (Index_type ts = 0; ts < m_tsteps; ++ts) {
-      switch (vid) {
-        case VariantID::Base_Seq:
-        case VariantID::Lambda_Seq:
-          for (Index_type i = 1; i < d - 1; ++i)
-            for (Index_type j = 1; j < d - 1; ++j)
-              for (Index_type k = 1; k < d - 1; ++k) stepAB(i, j, k);
-          for (Index_type i = 1; i < d - 1; ++i)
-            for (Index_type j = 1; j < d - 1; ++j)
-              for (Index_type k = 1; k < d - 1; ++k) stepBA(i, j, k);
-          break;
-        case VariantID::RAJA_Seq:
-          forall_3d<seq_exec>(inner, inner, inner, stepAB);
-          forall_3d<seq_exec>(inner, inner, inner, stepBA);
-          break;
-        case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for collapse(2)
-          for (Index_type i = 1; i < d - 1; ++i)
-            for (Index_type j = 1; j < d - 1; ++j)
-              for (Index_type k = 1; k < d - 1; ++k) stepAB(i, j, k);
-#pragma omp parallel for collapse(2)
-          for (Index_type i = 1; i < d - 1; ++i)
-            for (Index_type j = 1; j < d - 1; ++j)
-              for (Index_type k = 1; k < d - 1; ++k) stepBA(i, j, k);
-          break;
-        }
-        case VariantID::RAJA_OpenMP:
-          forall_3d<omp_parallel_for_exec>(inner, inner, inner, stepAB);
-          forall_3d<omp_parallel_for_exec>(inner, inner, inner, stepBA);
-          break;
-      }
+      run_forall_3d(vid, inner, inner, inner, 1, stepAB);
+      run_forall_3d(vid, inner, inner, inner, 1, stepBA);
     }
   }
 }
@@ -262,7 +206,6 @@ void FDTD_2D::setUp(VariantID) {
 }
 
 void FDTD_2D::runVariant(VariantID vid) {
-  using namespace ::rperf::port;
   const Index_type ni = m_ni, nj = m_nj;
   double* ex = m_a.data();
   double* ey = m_b.data();
@@ -282,52 +225,13 @@ void FDTD_2D::runVariant(VariantID vid) {
         hz[i * nj + j] -= 0.7 * (ex[i * nj + j + 1] - ex[i * nj + j] +
                                  ey[(i + 1) * nj + j] - ey[i * nj + j]);
       };
-      switch (vid) {
-        case VariantID::Base_Seq:
-        case VariantID::Lambda_Seq:
-          for (Index_type j = 0; j < nj; ++j) set_row0(j);
-          for (Index_type i = 1; i < ni; ++i)
-            for (Index_type j = 0; j < nj; ++j) update_ey(i, j);
-          for (Index_type i = 0; i < ni; ++i)
-            for (Index_type j = 1; j < nj; ++j) update_ex(i, j);
-          for (Index_type i = 0; i < ni - 1; ++i)
-            for (Index_type j = 0; j < nj - 1; ++j) update_hz(i, j);
-          break;
-        case VariantID::RAJA_Seq:
-          forall<seq_exec>(RangeSegment(0, nj), set_row0);
-          forall_2d<seq_exec>(RangeSegment(1, ni), RangeSegment(0, nj),
-                              update_ey);
-          forall_2d<seq_exec>(RangeSegment(0, ni), RangeSegment(1, nj),
-                              update_ex);
-          forall_2d<seq_exec>(RangeSegment(0, ni - 1),
-                              RangeSegment(0, nj - 1), update_hz);
-          break;
-        case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP: {
-#pragma omp parallel for
-          for (Index_type j = 0; j < nj; ++j) set_row0(j);
-#pragma omp parallel for collapse(2)
-          for (Index_type i = 1; i < ni; ++i)
-            for (Index_type j = 0; j < nj; ++j) update_ey(i, j);
-#pragma omp parallel for collapse(2)
-          for (Index_type i = 0; i < ni; ++i)
-            for (Index_type j = 1; j < nj; ++j) update_ex(i, j);
-#pragma omp parallel for collapse(2)
-          for (Index_type i = 0; i < ni - 1; ++i)
-            for (Index_type j = 0; j < nj - 1; ++j) update_hz(i, j);
-          break;
-        }
-        case VariantID::RAJA_OpenMP:
-          forall<omp_parallel_for_exec>(RangeSegment(0, nj), set_row0);
-          forall_2d<omp_parallel_for_exec>(RangeSegment(1, ni),
-                                           RangeSegment(0, nj), update_ey);
-          forall_2d<omp_parallel_for_exec>(RangeSegment(0, ni),
-                                           RangeSegment(1, nj), update_ex);
-          forall_2d<omp_parallel_for_exec>(RangeSegment(0, ni - 1),
-                                           RangeSegment(0, nj - 1),
-                                           update_hz);
-          break;
-      }
+      run_forall(vid, 0, nj, 1, set_row0);
+      run_forall_2d(vid, RangeSegment(1, ni), RangeSegment(0, nj), 1,
+                    update_ey);
+      run_forall_2d(vid, RangeSegment(0, ni), RangeSegment(1, nj), 1,
+                    update_ex);
+      run_forall_2d(vid, RangeSegment(0, ni - 1), RangeSegment(0, nj - 1), 1,
+                    update_hz);
     }
   }
 }

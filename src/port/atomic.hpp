@@ -21,40 +21,6 @@ inline T atomicAdd(T* address, T value) {
                                                 std::memory_order_relaxed);
 }
 
-template <typename T>
-inline T atomicSub(T* address, T value) {
-  return std::atomic_ref<T>(*address).fetch_sub(value,
-                                                std::memory_order_relaxed);
-}
-
-template <typename T>
-inline T atomicExchange(T* address, T value) {
-  return std::atomic_ref<T>(*address).exchange(value,
-                                               std::memory_order_relaxed);
-}
-
-/// Atomic min via compare-exchange loop; returns the previous value.
-template <typename T>
-inline T atomicMin(T* address, T value) {
-  std::atomic_ref<T> ref(*address);
-  T old = ref.load(std::memory_order_relaxed);
-  while (value < old &&
-         !ref.compare_exchange_weak(old, value, std::memory_order_relaxed)) {
-  }
-  return old;
-}
-
-/// Atomic max via compare-exchange loop; returns the previous value.
-template <typename T>
-inline T atomicMax(T* address, T value) {
-  std::atomic_ref<T> ref(*address);
-  T old = ref.load(std::memory_order_relaxed);
-  while (old < value &&
-         !ref.compare_exchange_weak(old, value, std::memory_order_relaxed)) {
-  }
-  return old;
-}
-
 /// fetch_add for floating point: atomic_ref supports it directly in C++20.
 inline double atomicAdd(double* address, double value) {
   return std::atomic_ref<double>(*address).fetch_add(

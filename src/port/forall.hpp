@@ -97,18 +97,6 @@ inline void forall(const RangeSegment& seg, Body&& body) {
   }
 }
 
-// --------------------------------------------------------------- simd_exec
-template <typename Policy, typename Body>
-  requires std::is_same_v<Policy, simd_exec>
-inline void forall(const RangeSegment& seg, Body&& body) {
-  const Index_type begin = seg.begin();
-  const Index_type end = seg.end();
-#pragma omp simd
-  for (Index_type i = begin; i < end; ++i) {
-    body(i);
-  }
-}
-
 // ------------------------------------------------- omp_parallel_for_exec
 template <typename Policy, typename Body>
   requires std::is_same_v<Policy, omp_parallel_for_exec>
@@ -127,60 +115,6 @@ inline void forall(const RangeSegment& seg, Body&& body) {
 #pragma omp parallel for
   for (Index_type i = begin; i < end; ++i) {
     body(i);
-  }
-}
-
-// -------------------------------------------- omp_parallel_for_simd_exec
-template <typename Policy, typename Body>
-  requires std::is_same_v<Policy, omp_parallel_for_simd_exec>
-inline void forall(const RangeSegment& seg, Body&& body) {
-  const Index_type begin = seg.begin();
-  const Index_type end = seg.end();
-  if (cali::TraceSink::instance().enabled()) [[unlikely]] {
-    detail::traced_omp_parallel([&] {
-#pragma omp for simd nowait
-      for (Index_type i = begin; i < end; ++i) {
-        body(i);
-      }
-    });
-    return;
-  }
-#pragma omp parallel for simd
-  for (Index_type i = begin; i < end; ++i) {
-    body(i);
-  }
-}
-
-// ------------------------------------------------------ strided segments
-template <typename Policy, typename Body>
-  requires is_sequential_policy_v<Policy>
-inline void forall(const RangeStrideSegment& seg, Body&& body) {
-  const Index_type begin = seg.begin();
-  const Index_type end = seg.end();
-  const Index_type stride = seg.stride();
-  for (Index_type i = begin; i < end; i += stride) {
-    body(i);
-  }
-}
-
-template <typename Policy, typename Body>
-  requires is_openmp_policy_v<Policy>
-inline void forall(const RangeStrideSegment& seg, Body&& body) {
-  const Index_type begin = seg.begin();
-  const Index_type stride = seg.stride();
-  const Index_type count = seg.size();
-  if (cali::TraceSink::instance().enabled()) [[unlikely]] {
-    detail::traced_omp_parallel([&] {
-#pragma omp for nowait
-      for (Index_type k = 0; k < count; ++k) {
-        body(begin + k * stride);
-      }
-    });
-    return;
-  }
-#pragma omp parallel for
-  for (Index_type k = 0; k < count; ++k) {
-    body(begin + k * stride);
   }
 }
 
@@ -213,12 +147,6 @@ inline void forall(const ListSegment& seg, Body&& body) {
   for (Index_type k = 0; k < n; ++k) {
     body(idx[k]);
   }
-}
-
-// Convenience: forall over [0, n).
-template <typename Policy, typename Body>
-inline void forall_n(Index_type n, Body&& body) {
-  forall<Policy>(RangeSegment(0, n), std::forward<Body>(body));
 }
 
 }  // namespace rperf::port

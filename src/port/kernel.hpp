@@ -66,16 +66,4 @@ inline void forall_3d(const RangeSegment& si, const RangeSegment& sj,
   }
 }
 
-/// Parallelize only the outer loop; inner loop stays sequential (for loop-
-/// carried inner dependences, e.g. line sweeps).
-template <typename Policy, typename Body>
-inline void forall_outer(const RangeSegment& si, const RangeSegment& sj,
-                         Body&& body) {
-  forall<Policy>(si, [&](Index_type i) {
-    for (Index_type j = sj.begin(); j < sj.end(); ++j) {
-      body(i, j);
-    }
-  });
-}
-
 }  // namespace rperf::port

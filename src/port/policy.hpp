@@ -15,29 +15,17 @@ struct seq_exec {
   static constexpr const char* name = "seq";
 };
 
-/// Sequential execution with a SIMD vectorization hint on the loop.
-struct simd_exec {
-  static constexpr const char* name = "simd";
-};
-
 /// Parallel execution across OpenMP threads (parallel for).
 struct omp_parallel_for_exec {
   static constexpr const char* name = "omp_parallel_for";
 };
 
-/// Parallel execution with static schedule and a SIMD hint on the body.
-struct omp_parallel_for_simd_exec {
-  static constexpr const char* name = "omp_parallel_for_simd";
-};
-
 template <typename T>
-inline constexpr bool is_sequential_policy_v =
-    std::is_same_v<T, seq_exec> || std::is_same_v<T, simd_exec>;
+inline constexpr bool is_sequential_policy_v = std::is_same_v<T, seq_exec>;
 
 template <typename T>
 inline constexpr bool is_openmp_policy_v =
-    std::is_same_v<T, omp_parallel_for_exec> ||
-    std::is_same_v<T, omp_parallel_for_simd_exec>;
+    std::is_same_v<T, omp_parallel_for_exec>;
 
 template <typename T>
 inline constexpr bool is_execution_policy_v =

@@ -3,7 +3,6 @@
 
 #include "port/atomic.hpp"     // IWYU pragma: export
 #include "port/forall.hpp"     // IWYU pragma: export
-#include "port/indexset.hpp"   // IWYU pragma: export
 #include "port/kernel.hpp"     // IWYU pragma: export
 #include "port/policy.hpp"     // IWYU pragma: export
 #include "port/range.hpp"      // IWYU pragma: export

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 namespace rperf::port {
@@ -23,30 +22,6 @@ class RangeSegment {
  private:
   Index_type begin_;
   Index_type end_;
-};
-
-/// Strided half-open index range: begin, begin+stride, ... < end.
-class RangeStrideSegment {
- public:
-  RangeStrideSegment(Index_type begin, Index_type end, Index_type stride)
-      : begin_(begin), end_(end), stride_(stride) {
-    if (stride <= 0) {
-      throw std::invalid_argument("RangeStrideSegment: stride must be > 0");
-    }
-    if (end_ < begin_) end_ = begin_;
-  }
-
-  [[nodiscard]] Index_type begin() const { return begin_; }
-  [[nodiscard]] Index_type end() const { return end_; }
-  [[nodiscard]] Index_type stride() const { return stride_; }
-  [[nodiscard]] Index_type size() const {
-    return (end_ - begin_ + stride_ - 1) / stride_;
-  }
-
- private:
-  Index_type begin_;
-  Index_type end_;
-  Index_type stride_;
 };
 
 /// Explicit list of indices, in iteration order (may repeat, any order).

@@ -173,36 +173,4 @@ class ReduceMinLoc {
   Reducer<Policy, ValLoc, MinLocOp> reducer_;
 };
 
-/// Max-with-location reducer; ties resolve to the smallest index.
-template <typename Policy, typename T>
-class ReduceMaxLoc {
-  struct ValLoc {
-    T val;
-    Index_type loc;
-  };
-  struct MaxLocOp {
-    ValLoc operator()(const ValLoc& a, const ValLoc& b) const {
-      if (a.val < b.val) return b;
-      if (b.val < a.val) return a;
-      return b.loc < a.loc ? b : a;
-    }
-  };
-
- public:
-  ReduceMaxLoc(T init = std::numeric_limits<T>::lowest(), Index_type loc = -1)
-      : reducer_(ValLoc{init, loc},
-                 ValLoc{std::numeric_limits<T>::lowest(), -1}) {}
-
-  const ReduceMaxLoc& maxloc(const T& v, Index_type loc) const {
-    reducer_.combine(ValLoc{v, loc});
-    return *this;
-  }
-  [[nodiscard]] T get() const { return reducer_.get().val; }
-  [[nodiscard]] Index_type getLoc() const { return reducer_.get().loc; }
-  void reset(T init, Index_type loc = -1) { reducer_.reset(ValLoc{init, loc}); }
-
- private:
-  Reducer<Policy, ValLoc, MaxLocOp> reducer_;
-};
-
 }  // namespace rperf::port

@@ -19,26 +19,19 @@ namespace rperf::port {
 namespace detail {
 
 template <typename T>
-void scan_seq(const T* in, T* out, Index_type n, T init, bool exclusive) {
+void scan_seq(const T* in, T* out, Index_type n, T init) {
   T running = init;
-  if (exclusive) {
-    for (Index_type i = 0; i < n; ++i) {
-      out[i] = running;
-      running += in[i];
-    }
-  } else {
-    for (Index_type i = 0; i < n; ++i) {
-      running += in[i];
-      out[i] = running;
-    }
+  for (Index_type i = 0; i < n; ++i) {
+    out[i] = running;
+    running += in[i];
   }
 }
 
 template <typename T>
-void scan_omp(const T* in, T* out, Index_type n, T init, bool exclusive) {
+void scan_omp(const T* in, T* out, Index_type n, T init) {
   const int nthreads = omp_get_max_threads();
   if (n < 4 * nthreads) {  // not worth parallelizing
-    scan_seq(in, out, n, init, exclusive);
+    scan_seq(in, out, n, init);
     return;
   }
   std::vector<T> block_totals(static_cast<std::size_t>(nthreads) + 1, T{});
@@ -52,13 +45,8 @@ void scan_omp(const T* in, T* out, Index_type n, T init, bool exclusive) {
     // Phase 1: local scan of this thread's block.
     T local = T{};
     for (Index_type i = begin; i < end; ++i) {
-      if (exclusive) {
-        out[i] = local;
-        local += in[i];
-      } else {
-        local += in[i];
-        out[i] = local;
-      }
+      out[i] = local;
+      local += in[i];
     }
     block_totals[static_cast<std::size_t>(tid) + 1] = local;
 
@@ -88,19 +76,9 @@ void scan_omp(const T* in, T* out, Index_type n, T init, bool exclusive) {
 template <typename Policy, typename T>
 inline void exclusive_scan(const T* in, T* out, Index_type n, T init = T{}) {
   if constexpr (is_sequential_policy_v<Policy>) {
-    detail::scan_seq(in, out, n, init, /*exclusive=*/true);
+    detail::scan_seq(in, out, n, init);
   } else {
-    detail::scan_omp(in, out, n, init, /*exclusive=*/true);
-  }
-}
-
-/// out[i] = in[0] + ... + in[i]
-template <typename Policy, typename T>
-inline void inclusive_scan(const T* in, T* out, Index_type n) {
-  if constexpr (is_sequential_policy_v<Policy>) {
-    detail::scan_seq(in, out, n, T{}, /*exclusive=*/false);
-  } else {
-    detail::scan_omp(in, out, n, T{}, /*exclusive=*/false);
+    detail::scan_omp(in, out, n, init);
   }
 }
 

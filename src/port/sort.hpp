@@ -21,13 +21,13 @@ namespace detail {
 
 /// Split [0, n) into nearly-equal blocks, sort each in parallel, then merge
 /// pairwise (log2 rounds). `buffer` is scratch of size n.
-template <typename T, typename Compare>
-void parallel_merge_sort(T* data, Index_type n, Compare cmp) {
+template <typename T>
+void parallel_merge_sort(T* data, Index_type n) {
   const int nthreads = omp_get_max_threads();
   Index_type nblocks = 1;
   while (nblocks < nthreads && (n / (nblocks * 2)) >= 1024) nblocks *= 2;
   if (nblocks <= 1 || n < 2048) {
-    std::stable_sort(data, data + n, cmp);
+    std::stable_sort(data, data + n);
     return;
   }
 
@@ -39,7 +39,7 @@ void parallel_merge_sort(T* data, Index_type n, Compare cmp) {
 #pragma omp parallel for
   for (Index_type b = 0; b < nblocks; ++b) {
     std::stable_sort(data + bounds[static_cast<std::size_t>(b)],
-                     data + bounds[static_cast<std::size_t>(b) + 1], cmp);
+                     data + bounds[static_cast<std::size_t>(b) + 1]);
   }
 
   std::vector<T> buffer(static_cast<std::size_t>(n));
@@ -53,7 +53,7 @@ void parallel_merge_sort(T* data, Index_type n, Compare cmp) {
           bounds[static_cast<std::size_t>(std::min(b + 2 * width, nblocks))];
       if (mid < hi) {
         std::merge(data + lo, data + mid, data + mid, data + hi,
-                   buffer.begin() + lo, cmp);
+                   buffer.begin() + lo);
         std::copy(buffer.begin() + lo, buffer.begin() + hi, data + lo);
       }
     }
@@ -67,16 +67,7 @@ inline void sort(T* data, Index_type n) {
   if constexpr (is_sequential_policy_v<Policy>) {
     std::sort(data, data + n);
   } else {
-    detail::parallel_merge_sort(data, n, std::less<T>{});
-  }
-}
-
-template <typename Policy, typename T, typename Compare>
-inline void sort(T* data, Index_type n, Compare cmp) {
-  if constexpr (is_sequential_policy_v<Policy>) {
-    std::sort(data, data + n, cmp);
-  } else {
-    detail::parallel_merge_sort(data, n, cmp);
+    detail::parallel_merge_sort(data, n);
   }
 }
 
@@ -97,7 +88,7 @@ inline void sort_pairs(K* keys, V* values, Index_type n) {
   if constexpr (is_sequential_policy_v<Policy>) {
     std::stable_sort(pairs.begin(), pairs.end());
   } else {
-    detail::parallel_merge_sort(pairs.data(), n, std::less<Pair>{});
+    detail::parallel_merge_sort(pairs.data(), n);
   }
   for (Index_type i = 0; i < n; ++i) {
     keys[i] = pairs[static_cast<std::size_t>(i)].key;

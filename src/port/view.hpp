@@ -1,17 +1,13 @@
 // Multi-dimensional data views for the rperf portability layer.
 //
 // A `Layout<N>` maps an N-dimensional index tuple to a linear offset using
-// row-major strides over a given extent, optionally with a dimension
-// permutation (to express e.g. column-major or tiled storage orders). A
-// `View<T, N>` binds a layout to a raw pointer and provides operator()
-// indexing. Views are non-owning; kernels allocate flat buffers and wrap
-// them, exactly as RAJA kernels do.
+// row-major strides over a given extent. A `View<T, N>` binds a layout to a
+// raw pointer and provides operator() indexing. Views are non-owning;
+// kernels allocate flat buffers and wrap them, exactly as RAJA kernels do.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <numeric>
-#include <stdexcept>
 
 #include "port/range.hpp"
 
@@ -27,18 +23,11 @@ class Layout {
     requires(sizeof...(Extents) == N)
   explicit Layout(Extents... extents)
       : extents_{static_cast<Index_type>(extents)...} {
-    std::array<std::size_t, N> perm;
-    for (std::size_t d = 0; d < N; ++d) perm[d] = d;
-    compute_strides(perm);
-  }
-
-  /// Permuted layout: `perm[0]` is the slowest-varying dimension and
-  /// `perm[N-1]` the fastest. The identity permutation is row-major.
-  Layout(const std::array<Index_type, N>& extents,
-         const std::array<std::size_t, N>& perm)
-      : extents_(extents) {
-    validate_permutation(perm);
-    compute_strides(perm);
+    Index_type running = 1;
+    for (std::size_t d = N; d-- > 0;) {
+      strides_[d] = running;
+      running *= extents_[d];
+    }
   }
 
   template <typename... Indices>
@@ -63,25 +52,6 @@ class Layout {
   }
 
  private:
-  void compute_strides(const std::array<std::size_t, N>& perm) {
-    // perm lists dims slowest→fastest; accumulate strides from the fastest.
-    Index_type running = 1;
-    for (std::size_t k = N; k-- > 0;) {
-      strides_[perm[k]] = running;
-      running *= extents_[perm[k]];
-    }
-  }
-
-  static void validate_permutation(const std::array<std::size_t, N>& perm) {
-    std::array<bool, N> seen{};
-    for (auto p : perm) {
-      if (p >= N || seen[p]) {
-        throw std::invalid_argument("Layout: invalid permutation");
-      }
-      seen[p] = true;
-    }
-  }
-
   std::array<Index_type, N> extents_{};
   std::array<Index_type, N> strides_{};
 };

@@ -13,15 +13,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string joined_problems(const std::vector<std::string>& problems) {
-  std::string out;
-  for (std::size_t i = 0; i < problems.size(); ++i) {
-    if (i) out += "; ";
-    out += problems[i];
-  }
-  return out;
-}
-
 std::string ambiguity_message(const std::string& prefix,
                               const std::vector<std::string>& matches) {
   std::string out = "store: run prefix '" + prefix + "' matches " +
@@ -73,17 +64,7 @@ StoreQuery::StoreQuery(std::string dir, QueryOptions opt)
 }
 
 void StoreQuery::build_catalog() {
-  std::vector<std::string> names;
-  if (fs::is_directory(dir_)) {
-    for (const auto& entry : fs::directory_iterator(dir_)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind("seg-", 0) == 0 && name.size() > 8 &&
-          name.substr(name.size() - 4) == ".rps") {
-        names.push_back(name);
-      }
-    }
-  }
-  std::sort(names.begin(), names.end());
+  const std::vector<std::string> names = list_segments(dir_);
   segment_count_ = names.size();
   bool any_files = !names.empty();
 

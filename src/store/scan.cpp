@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -352,22 +353,45 @@ unsigned scan_threads(unsigned requested, std::size_t files) {
       std::min<std::size_t>(t == 0 ? 1 : t, files));
 }
 
-LedgerScan scan_ledger(const std::string& dir, unsigned threads) {
-  LedgerScan out;
-  std::vector<std::string> paths;
+std::string segment_name(std::uint64_t index) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "seg-%06llu.rps",
+                static_cast<unsigned long long>(index));
+  return name;
+}
+
+std::vector<std::string> list_segments(const std::string& dir) {
+  std::vector<std::string> names;
   if (fs::is_directory(dir)) {
     for (const auto& entry : fs::directory_iterator(dir)) {
-      const std::string name = entry.path().filename().string();
+      std::string name = entry.path().filename().string();
       if (name.rfind("seg-", 0) == 0 && name.size() > 8 &&
           name.substr(name.size() - 4) == ".rps") {
-        paths.push_back(entry.path().string());
-        const std::uint64_t idx =
-            std::strtoull(name.c_str() + 4, nullptr, 10);
-        out.max_segment_index = std::max(out.max_segment_index, idx);
+        names.push_back(std::move(name));
       }
     }
   }
-  std::sort(paths.begin(), paths.end());
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::string joined_problems(const std::vector<std::string>& problems) {
+  std::string out;
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    if (i) out += "; ";
+    out += problems[i];
+  }
+  return out;
+}
+
+LedgerScan scan_ledger(const std::string& dir, unsigned threads) {
+  LedgerScan out;
+  std::vector<std::string> paths;
+  for (const std::string& name : list_segments(dir)) {
+    paths.push_back((fs::path(dir) / name).string());
+    const std::uint64_t idx = std::strtoull(name.c_str() + 4, nullptr, 10);
+    out.max_segment_index = std::max(out.max_segment_index, idx);
+  }
   out.segments.resize(paths.size());
 
   auto scan_one = [&](std::size_t i) {

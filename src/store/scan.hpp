@@ -117,6 +117,17 @@ struct LedgerScan {
 [[nodiscard]] LedgerScan scan_ledger(const std::string& dir,
                                      unsigned threads = 0);
 
+/// File name of sealed segment number `index`: "seg-NNNNNN.rps".
+[[nodiscard]] std::string segment_name(std::uint64_t index);
+
+/// The sealed-segment file names in `dir`, sorted (ledger order); empty
+/// when `dir` is not a directory.
+[[nodiscard]] std::vector<std::string> list_segments(const std::string& dir);
+
+/// `problems` joined with "; ", for one-line error messages.
+[[nodiscard]] std::string joined_problems(
+    const std::vector<std::string>& problems);
+
 /// Effective worker count for a parallel scan over `files` files.
 [[nodiscard]] unsigned scan_threads(unsigned requested, std::size_t files);
 

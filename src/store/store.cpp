@@ -47,15 +47,6 @@ void scribble_records(const std::string& path, std::uint64_t records_end) {
   }
 }
 
-std::string joined_problems(const std::vector<std::string>& problems) {
-  std::string out;
-  for (std::size_t i = 0; i < problems.size(); ++i) {
-    if (i) out += "; ";
-    out += problems[i];
-  }
-  return out;
-}
-
 /// Adds the barriers (thread_barriers) the calling thread issues during
 /// its lifetime to `total`.
 class BarrierTally {
@@ -473,9 +464,7 @@ void StoreWriter::seal() {
   // media damage to an immutable segment — and idxcorrupt (class 'index')
   // scribbles the saved manifest instead, which readers must survive.
   const BarrierTally tally(barriers_);
-  char name[32];
-  std::snprintf(name, sizeof(name), "seg-%06llu.rps",
-                static_cast<unsigned long long>(next_segment_));
+  const std::string name = segment_name(next_segment_);
   SealInfo info;
   info.segment = name;
   std::optional<ManifestSegment> entry;
@@ -483,8 +472,7 @@ void StoreWriter::seal() {
   try {
     if (inj.fire_io_fault(faults::FaultKind::Enospc, "segment") ||
         inj.fire_io_fault(faults::FaultKind::ShortWrite, "segment")) {
-      throw IoError("store: injected failure publishing " +
-                    std::string(name));
+      throw IoError("store: injected failure publishing " + name);
     }
     const std::uint64_t records_end = journal_.size();
     // Build the manifest entry by re-scanning the just-fsynced journal
@@ -508,12 +496,11 @@ void StoreWriter::seal() {
     atomic_rename(dir_ + "/journal.rps", dir_ + "/" + name);
     ++next_segment_;
     if (inj.fire_io_fault(faults::FaultKind::FsyncFail, "segment")) {
-      throw IoError("store: injected fsync failure publishing " +
-                    std::string(name));
+      throw IoError("store: injected fsync failure publishing " + name);
     }
     if (inj.fire_io_fault(faults::FaultKind::TornSeg, "segment")) {
       scribble_records(dir_ + "/" + name, records_end);
-      throw IoError("store: injected media damage in " + std::string(name));
+      throw IoError("store: injected media damage in " + name);
     }
     if (entry) {
       info.runs_indexed = entry->runs.size();

@@ -1,5 +1,7 @@
 #include "suite/run_params.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -17,6 +19,26 @@ std::vector<std::string> split_csv(const std::string& s) {
     if (!item.empty()) out.push_back(item);
   }
   return out;
+}
+
+/// The value of numeric option `flag`: all of `text` as one finite number
+/// of type T, no less than `min` (greater than it when `above`). Throws
+/// std::invalid_argument naming the flag and the value otherwise.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text, T min,
+               bool above = false) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc() && ptr == end &&
+      std::isfinite(static_cast<double>(value)) &&
+      (above ? value > min : value >= min)) {
+    return value;
+  }
+  std::ostringstream msg;
+  msg << flag << " wants a number " << (above ? "> " : ">= ") << min
+      << " (got '" << text << "')";
+  throw std::invalid_argument(msg.str());
 }
 
 }  // namespace
@@ -42,19 +64,23 @@ RunParams RunParams::parse(int argc, const char* const* argv) {
     }
     return args[i + 1];
   };
+  auto number = [&](int i, const std::string& flag, auto min,
+                    bool above = false) {
+    return parse_number(flag, need_value(i, flag), min, above);
+  };
   for (int i = 0; i < n; ++i) {
     const std::string arg = args[i];
     if (arg == "--size-factor") {
-      p.size_factor = std::stod(need_value(i, arg));
+      p.size_factor = number(i, arg, 0.0, true);
       ++i;
     } else if (arg == "--size") {
-      p.size_override = static_cast<Index_type>(std::stoll(need_value(i, arg)));
+      p.size_override = number(i, arg, Index_type{1});
       ++i;
     } else if (arg == "--reps-factor") {
-      p.reps_factor = std::stod(need_value(i, arg));
+      p.reps_factor = number(i, arg, 0.0, true);
       ++i;
     } else if (arg == "--npasses") {
-      p.npasses = std::stoi(need_value(i, arg));
+      p.npasses = number(i, arg, 1);
       ++i;
     } else if (arg == "--kernels") {
       p.kernel_filter = split_csv(need_value(i, arg));
@@ -92,13 +118,13 @@ RunParams RunParams::parse(int argc, const char* const* argv) {
     } else if (arg == "--no-keep-going") {
       p.keep_going = false;
     } else if (arg == "--retries") {
-      p.retries = std::stoi(need_value(i, arg));
+      p.retries = number(i, arg, 0);
       ++i;
     } else if (arg == "--retry-backoff-ms") {
-      p.retry_backoff_ms = std::stoi(need_value(i, arg));
+      p.retry_backoff_ms = number(i, arg, 0);
       ++i;
     } else if (arg == "--max-kernel-seconds") {
-      p.max_kernel_seconds = std::stod(need_value(i, arg));
+      p.max_kernel_seconds = number(i, arg, 0.0);
       ++i;
     } else if (arg == "--resume") {
       p.resume = true;
@@ -106,41 +132,27 @@ RunParams RunParams::parse(int argc, const char* const* argv) {
       p.fault_spec = need_value(i, arg);
       ++i;
     } else if (arg == "--fault-seed") {
-      p.fault_seed =
-          static_cast<std::uint32_t>(std::stoul(need_value(i, arg)));
+      p.fault_seed = number(i, arg, std::uint32_t{0});
       ++i;
     } else if (arg == "--isolate") {
       p.isolate = isolation_from_string(need_value(i, arg));
       ++i;
     } else if (arg == "--quarantine-after") {
-      p.quarantine_after = std::stoi(need_value(i, arg));
+      p.quarantine_after = number(i, arg, 1);
       ++i;
     } else if (arg == "--max-cell-seconds") {
-      p.max_cell_seconds = std::stod(need_value(i, arg));
+      p.max_cell_seconds = number(i, arg, 0.0);
       ++i;
     } else if (arg == "--sandbox-mem-mb") {
-      p.sandbox_mem_mb =
-          static_cast<std::size_t>(std::stoull(need_value(i, arg)));
+      p.sandbox_mem_mb = number(i, arg, std::size_t{0});
       ++i;
     } else if (arg == "--workers") {
-      p.workers = std::stoi(need_value(i, arg));
+      p.workers = number(i, arg, 0);
       ++i;
     } else {
       throw std::invalid_argument("unknown argument: " + arg);
     }
   }
-  if (p.size_factor <= 0.0) {
-    throw std::invalid_argument("--size-factor must be > 0");
-  }
-  if (p.npasses < 1) throw std::invalid_argument("--npasses must be >= 1");
-  if (p.retries < 0) throw std::invalid_argument("--retries must be >= 0");
-  if (p.retry_backoff_ms < 0) {
-    throw std::invalid_argument("--retry-backoff-ms must be >= 0");
-  }
-  if (p.quarantine_after < 1) {
-    throw std::invalid_argument("--quarantine-after must be >= 1");
-  }
-  if (p.workers < 0) throw std::invalid_argument("--workers must be >= 0");
   // Asking for a worker pool is asking for isolation: imply cell mode so
   // "--workers 4" alone does the expected thing.
   if (p.workers > 0 && p.isolate == IsolationMode::None) {

@@ -3,8 +3,10 @@
 // (suite::ChecksumOrder).
 //
 // Cells: every kernel carrying the Atomic, Reduction or Scan feature (the
-// kernels whose adds OpenMP may order) plus Stream_TRIAD as a streaming
-// control, in all six variants and every tuning, at size factor 0.01.
+// kernels whose adds OpenMP may order), every nested-loop kernel (the
+// Kernel feature: collapse(2) nests, forall_2d and forall_3d), plus
+// Stream_TRIAD as a streaming control, in all six variants and every
+// tuning, at size factor 0.01.
 // Paths: 2 persistent workers (--workers 2), disposable workers
 // (--isolate cell), and in-process twice, each at team sizes 1, 2 and
 // omp_get_max_threads(). Every pair of one cell's checksums must satisfy
@@ -37,14 +39,15 @@ namespace {
 using namespace rperf;
 using namespace rperf::suite;
 
-/// Every kernel whose checksum may depend on the order of its adds, plus
-/// Stream_TRIAD.
+/// Every kernel whose checksum may depend on the order of its adds, every
+/// nested-loop kernel, plus Stream_TRIAD.
 std::vector<std::string> oracle_kernels() {
   std::vector<std::string> names = {"Stream_TRIAD"};
   for (const auto& k : make_kernels(RunParams{})) {
     if (k->has_feature(FeatureID::Atomic) ||
         k->has_feature(FeatureID::Reduction) ||
-        k->has_feature(FeatureID::Scan)) {
+        k->has_feature(FeatureID::Scan) ||
+        k->has_feature(FeatureID::Kernel)) {
       names.push_back(k->name());
     }
   }
@@ -132,8 +135,8 @@ TEST(ChecksumOracle, EveryPathAgreesUnderItsOrderClass) {
     legs.run("in-process again", team, in_process);
   }
 
-  // 17 kernels x 6 variants, and the extra tunings.
-  ASSERT_GE(legs.cells.size(), 17u * 6u);
+  // 39 kernels x 6 variants, and the extra tunings.
+  ASSERT_GE(legs.cells.size(), 39u * 6u);
   std::map<ChecksumOrder, std::size_t> per_class;
   for (const auto& [key, cell] : legs.cells) {
     ++per_class[cell.order];

@@ -29,19 +29,6 @@ TEST(RangeSegment, EmptyWhenEndBeforeBegin) {
   EXPECT_EQ(visits, 0);
 }
 
-TEST(RangeStrideSegment, CountsStridedIndices) {
-  RangeStrideSegment seg(0, 10, 3);  // 0, 3, 6, 9
-  EXPECT_EQ(seg.size(), 4);
-  std::vector<Index_type> seen;
-  forall<seq_exec>(seg, [&](Index_type i) { seen.push_back(i); });
-  EXPECT_EQ(seen, (std::vector<Index_type>{0, 3, 6, 9}));
-}
-
-TEST(RangeStrideSegment, RejectsNonPositiveStride) {
-  EXPECT_THROW(RangeStrideSegment(0, 10, 0), std::invalid_argument);
-  EXPECT_THROW(RangeStrideSegment(0, 10, -2), std::invalid_argument);
-}
-
 TEST(ListSegment, IteratesInGivenOrder) {
   ListSegment seg({4, 2, 7, 2});
   std::vector<Index_type> seen;
@@ -49,14 +36,25 @@ TEST(ListSegment, IteratesInGivenOrder) {
   EXPECT_EQ(seen, (std::vector<Index_type>{4, 2, 7, 2}));
 }
 
+TEST(ListSegment, OpenMPForallCoversEveryIndexOnce) {
+  std::vector<Index_type> list;
+  for (Index_type i = 500; i < 1000; i += 3) list.push_back(i);
+  std::vector<int> hits(1000, 0);
+  int* h = hits.data();
+  forall<omp_parallel_for_exec>(ListSegment(std::move(list)),
+                                [=](Index_type i) { h[i] += 1; });
+  for (Index_type i = 0; i < 500; ++i) EXPECT_EQ(hits[i], 0);
+  for (Index_type i = 500; i < 1000; ++i) {
+    EXPECT_EQ(hits[i], (i - 500) % 3 == 0 ? 1 : 0) << i;
+  }
+}
+
 // ------------------------------------------------------------------ forall
+
+using AllPolicies = ::testing::Types<seq_exec, omp_parallel_for_exec>;
 
 template <typename Policy>
 class ForallPolicyTest : public ::testing::Test {};
-
-using AllPolicies =
-    ::testing::Types<seq_exec, simd_exec, omp_parallel_for_exec,
-                     omp_parallel_for_simd_exec>;
 TYPED_TEST_SUITE(ForallPolicyTest, AllPolicies);
 
 TYPED_TEST(ForallPolicyTest, VisitsEveryIndexExactlyOnce) {
@@ -93,20 +91,11 @@ TYPED_TEST(ForallPolicyTest, RespectsSubrange) {
   }
 }
 
-TEST(ForallN, CoversZeroToN) {
-  std::vector<int> hits(50, 0);
-  int* h = hits.data();
-  forall_n<seq_exec>(50, [=](Index_type i) { h[i] = 1; });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 50);
-}
-
 // ---------------------------------------------------------------- reducers
 
 template <typename Policy>
 class ReducerPolicyTest : public ::testing::Test {};
-
-using ReducePolicies = ::testing::Types<seq_exec, omp_parallel_for_exec>;
-TYPED_TEST_SUITE(ReducerPolicyTest, ReducePolicies);
+TYPED_TEST_SUITE(ReducerPolicyTest, AllPolicies);
 
 TYPED_TEST(ReducerPolicyTest, SumOfIntegers) {
   const Index_type n = 100000;
@@ -166,18 +155,6 @@ TYPED_TEST(ReducerPolicyTest, MinLocTieBreaksToSmallestIndex) {
   EXPECT_EQ(minloc.getLoc(), 100);
 }
 
-TYPED_TEST(ReducerPolicyTest, MaxLocFindsValueAndIndex) {
-  const Index_type n = 2048;
-  std::vector<double> data(n, 0.0);
-  data[777] = 9.5;
-  ReduceMaxLoc<TypeParam, double> maxloc;
-  const double* p = data.data();
-  forall<TypeParam>(RangeSegment(0, n),
-                    [=](Index_type i) { maxloc.maxloc(p[i], i); });
-  EXPECT_DOUBLE_EQ(maxloc.get(), 9.5);
-  EXPECT_EQ(maxloc.getLoc(), 777);
-}
-
 TYPED_TEST(ReducerPolicyTest, ResetClearsAccumulation) {
   ReduceSum<TypeParam, long long> sum(0);
   forall<TypeParam>(RangeSegment(0, 100), [=](Index_type) { sum += 1; });
@@ -192,7 +169,7 @@ TYPED_TEST(ReducerPolicyTest, ResetClearsAccumulation) {
 
 template <typename Policy>
 class ScanPolicyTest : public ::testing::Test {};
-TYPED_TEST_SUITE(ScanPolicyTest, ReducePolicies);
+TYPED_TEST_SUITE(ScanPolicyTest, AllPolicies);
 
 TYPED_TEST(ScanPolicyTest, ExclusiveMatchesStd) {
   for (Index_type n : {0, 1, 7, 1000, 65536}) {
@@ -200,16 +177,6 @@ TYPED_TEST(ScanPolicyTest, ExclusiveMatchesStd) {
     for (Index_type i = 0; i < n; ++i) in[i] = (i * 7919) % 13 - 6;
     std::exclusive_scan(in.begin(), in.end(), ref.begin(), 0LL);
     exclusive_scan<TypeParam>(in.data(), out.data(), n, 0LL);
-    EXPECT_EQ(out, ref) << "n=" << n;
-  }
-}
-
-TYPED_TEST(ScanPolicyTest, InclusiveMatchesStd) {
-  for (Index_type n : {0, 1, 7, 1000, 65536}) {
-    std::vector<long long> in(n), out(n), ref(n);
-    for (Index_type i = 0; i < n; ++i) in[i] = (i * 104729) % 17 - 8;
-    std::inclusive_scan(in.begin(), in.end(), ref.begin());
-    inclusive_scan<TypeParam>(in.data(), out.data(), n);
     EXPECT_EQ(out, ref) << "n=" << n;
   }
 }
@@ -224,7 +191,7 @@ TYPED_TEST(ScanPolicyTest, ExclusiveHonorsInit) {
 
 template <typename Policy>
 class SortPolicyTest : public ::testing::Test {};
-TYPED_TEST_SUITE(SortPolicyTest, ReducePolicies);
+TYPED_TEST_SUITE(SortPolicyTest, AllPolicies);
 
 TYPED_TEST(SortPolicyTest, SortsRandomData) {
   for (Index_type n : {0, 1, 2, 1023, 100000}) {
@@ -237,17 +204,6 @@ TYPED_TEST(SortPolicyTest, SortsRandomData) {
     sort<TypeParam>(data.data(), n);
     EXPECT_EQ(data, ref) << "n=" << n;
   }
-}
-
-TYPED_TEST(SortPolicyTest, SortsWithCustomComparator) {
-  const Index_type n = 50000;
-  std::vector<int> data(n);
-  std::mt19937 rng(11);
-  for (auto& d : data) d = static_cast<int>(rng() % 1000);
-  std::vector<int> ref = data;
-  std::sort(ref.begin(), ref.end(), std::greater<int>{});
-  sort<TypeParam>(data.data(), n, std::greater<int>{});
-  EXPECT_EQ(data, ref);
 }
 
 TYPED_TEST(SortPolicyTest, SortPairsKeepsKeyValueAssociation) {
@@ -304,33 +260,6 @@ TEST(Atomic, ParallelAtomicAddDoubleIsCorrectToRounding) {
   EXPECT_NEAR(total, 0.5 * static_cast<double>(n), 1e-6);
 }
 
-TEST(Atomic, MinMaxConvergeUnderContention) {
-  const Index_type n = 100000;
-  int mn = 1 << 30;
-  int mx = -(1 << 30);
-  int* pmn = &mn;
-  int* pmx = &mx;
-  forall<omp_parallel_for_exec>(RangeSegment(0, n), [=](Index_type i) {
-    const int v = static_cast<int>((i * 2654435761u) % 1000003u);
-    atomicMin(pmn, v);
-    atomicMax(pmx, v);
-  });
-  int ref_mn = 1 << 30, ref_mx = -(1 << 30);
-  for (Index_type i = 0; i < n; ++i) {
-    const int v = static_cast<int>((i * 2654435761u) % 1000003u);
-    ref_mn = std::min(ref_mn, v);
-    ref_mx = std::max(ref_mx, v);
-  }
-  EXPECT_EQ(mn, ref_mn);
-  EXPECT_EQ(mx, ref_mx);
-}
-
-TEST(Atomic, ExchangeReturnsPrevious) {
-  int x = 5;
-  EXPECT_EQ(atomicExchange(&x, 9), 5);
-  EXPECT_EQ(x, 9);
-}
-
 // ------------------------------------------------------------------- views
 
 TEST(Layout, RowMajorStrides) {
@@ -342,30 +271,6 @@ TEST(Layout, RowMajorStrides) {
   EXPECT_EQ(layout(0, 0, 0), 0);
   EXPECT_EQ(layout(1, 2, 3), 30 + 12 + 3);
   EXPECT_EQ(layout(3, 4, 5), 119);
-}
-
-TEST(Layout, PermutedLayoutTransposesStrides) {
-  // perm {1, 0}: dimension 1 is slowest — column-major for 2-D.
-  Layout<2> layout({3, 4}, {1, 0});
-  EXPECT_EQ(layout.stride(0), 1);
-  EXPECT_EQ(layout.stride(1), 3);
-  // All offsets still distinct and within range.
-  std::vector<int> seen(12, 0);
-  for (Index_type i = 0; i < 3; ++i) {
-    for (Index_type j = 0; j < 4; ++j) {
-      const Index_type off = layout(i, j);
-      ASSERT_GE(off, 0);
-      ASSERT_LT(off, 12);
-      seen[static_cast<std::size_t>(off)]++;
-    }
-  }
-  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
-                          [](int v) { return v == 1; }));
-}
-
-TEST(Layout, RejectsInvalidPermutation) {
-  EXPECT_THROW((Layout<2>({3, 4}, {0, 0})), std::invalid_argument);
-  EXPECT_THROW((Layout<2>({3, 4}, {0, 5})), std::invalid_argument);
 }
 
 TEST(View, IndexesUnderlyingStorage) {
@@ -397,55 +302,11 @@ TEST(View, MatchesManualIndexingIn3D) {
   }
 }
 
-// --------------------------------------------------------------- index sets
-
-TEST(TypedIndexSet, SizeSumsSegments) {
-  TypedIndexSet iset;
-  iset.push_back(RangeSegment(0, 10));
-  iset.push_back(RangeStrideSegment(100, 110, 2));
-  iset.push_back(ListSegment({7, 8, 9}));
-  EXPECT_EQ(iset.num_segments(), 3u);
-  EXPECT_EQ(iset.size(), 10 + 5 + 3);
-}
-
-TEST(TypedIndexSet, ForallVisitsAllSegmentsInOrder) {
-  TypedIndexSet iset;
-  iset.push_back(RangeSegment(0, 3));
-  iset.push_back(ListSegment({10, 12}));
-  iset.push_back(RangeStrideSegment(20, 25, 2));
-  std::vector<Index_type> seen;
-  forall<seq_exec>(iset, [&](Index_type i) { seen.push_back(i); });
-  EXPECT_EQ(seen, (std::vector<Index_type>{0, 1, 2, 10, 12, 20, 22, 24}));
-}
-
-TEST(TypedIndexSet, OpenMPForallCoversEveryIndexOnce) {
-  TypedIndexSet iset;
-  iset.push_back(RangeSegment(0, 500));
-  std::vector<Index_type> list;
-  for (Index_type i = 500; i < 1000; i += 3) list.push_back(i);
-  iset.push_back(ListSegment(std::move(list)));
-  std::vector<int> hits(1000, 0);
-  int* h = hits.data();
-  forall<omp_parallel_for_exec>(iset, [=](Index_type i) { h[i] += 1; });
-  for (Index_type i = 0; i < 500; ++i) EXPECT_EQ(hits[i], 1);
-  for (Index_type i = 500; i < 1000; ++i) {
-    EXPECT_EQ(hits[i], (i - 500) % 3 == 0 ? 1 : 0) << i;
-  }
-}
-
-TEST(TypedIndexSet, EmptySetIsANoop) {
-  TypedIndexSet iset;
-  int visits = 0;
-  forall<seq_exec>(iset, [&](Index_type) { ++visits; });
-  EXPECT_EQ(visits, 0);
-  EXPECT_EQ(iset.size(), 0);
-}
-
 // ------------------------------------------------------------ nested loops
 
 template <typename Policy>
 class NestedPolicyTest : public ::testing::Test {};
-TYPED_TEST_SUITE(NestedPolicyTest, ReducePolicies);
+TYPED_TEST_SUITE(NestedPolicyTest, AllPolicies);
 
 TYPED_TEST(NestedPolicyTest, Forall2DCoversRectangle) {
   const Index_type ni = 37, nj = 53;
@@ -468,27 +329,6 @@ TYPED_TEST(NestedPolicyTest, Forall3DCoversBox) {
       });
   EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
                           [](int v) { return v == 1; }));
-}
-
-TYPED_TEST(NestedPolicyTest, ForallOuterPreservesInnerOrder) {
-  // Inner loop carries a dependence; verify sequential inner execution.
-  const Index_type ni = 16, nj = 100;
-  std::vector<double> acc(ni, 0.0);
-  double* a = acc.data();
-  forall_outer<TypeParam>(RangeSegment(0, ni), RangeSegment(1, nj),
-                          [=](Index_type i, Index_type j) {
-                            a[i] = a[i] * 0.5 + static_cast<double>(j);
-                          });
-  // Reference
-  std::vector<double> ref(ni, 0.0);
-  for (Index_type i = 0; i < ni; ++i) {
-    for (Index_type j = 1; j < nj; ++j) {
-      ref[i] = ref[i] * 0.5 + static_cast<double>(j);
-    }
-  }
-  for (Index_type i = 0; i < ni; ++i) {
-    EXPECT_DOUBLE_EQ(acc[i], ref[i]);
-  }
 }
 
 }  // namespace

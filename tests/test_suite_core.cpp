@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "suite/data_utils.hpp"
 #include "suite/executor.hpp"
@@ -44,6 +47,26 @@ TEST(RunParams, RejectsBadArguments) {
   EXPECT_THROW(RunParams::parse(2, missing_value), std::invalid_argument);
   const char* bad_variant[] = {"prog", "--variants", "CUDA"};
   EXPECT_THROW(RunParams::parse(3, bad_variant), std::invalid_argument);
+  // A numeric option takes all of its value as one finite number in range
+  // (factors > 0, budgets >= 0), and the message names the option.
+  const std::vector<std::pair<std::string, std::string>> bad_numbers = {
+      {"--size-factor", "nan"},        {"--size-factor", "inf"},
+      {"--size-factor", "1e400"},      {"--size-factor", "0.5x"},
+      {"--reps-factor", "-3"},         {"--reps-factor", "nan"},
+      {"--max-kernel-seconds", "nan"}, {"--max-cell-seconds", "-1"},
+      {"--npasses", "99999999999"},    {"--retries", "1.5"},
+      {"--workers", "abc"},            {"--fault-seed", "-1"},
+      {"--size", "0"},                 {"--sandbox-mem-mb", ""}};
+  for (const auto& [flag, value] : bad_numbers) {
+    const char* argv[] = {"prog", flag.c_str(), value.c_str()};
+    try {
+      (void)RunParams::parse(3, argv);
+      ADD_FAILURE() << flag << " '" << value << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << flag << " '" << value << "': " << e.what();
+    }
+  }
 }
 
 TEST(RunParams, SizeOverrideBeatsFactor) {

@@ -165,44 +165,6 @@ TEST(TraceSinkTest, OverheadSelfAccountingIsPositiveAndBounded) {
   EXPECT_LT(data.overhead_sec, 1.0);  // 1000 appends cost far under 1 s
 }
 
-TEST(TraceSinkTest, TraceDataValueRoundTrip) {
-  TraceData d;
-  d.pid = 4242;
-  d.process_name = "rperf-worker";
-  d.clock_offset_sec = 1.5;
-  d.names = {"a", "b"};
-  d.records.push_back(
-      TraceRecord{0, 0, TraceRecord::Kind::Span, 1, 0.25, 0.75, 0.0});
-  d.records.push_back(
-      TraceRecord{1, 3, TraceRecord::Kind::ThreadSpan, 0, 0.3, 0.6, 0.0});
-  d.records.push_back(
-      TraceRecord{1, 0, TraceRecord::Kind::Counter, 0, 0.8, 0.8, 17.0});
-  d.region_stats["a"] =
-      rperf::cali::RegionThreadStats{2, 0.4, 0.2, 4};
-  d.dropped = 5;
-  d.overhead_sec = 0.001;
-
-  const TraceData back = TraceData::from_value(d.to_value());
-  EXPECT_EQ(back.pid, d.pid);
-  EXPECT_EQ(back.process_name, d.process_name);
-  EXPECT_DOUBLE_EQ(back.clock_offset_sec, d.clock_offset_sec);
-  EXPECT_EQ(back.names, d.names);
-  ASSERT_EQ(back.records.size(), d.records.size());
-  for (std::size_t i = 0; i < d.records.size(); ++i) {
-    EXPECT_EQ(back.records[i].kind, d.records[i].kind);
-    EXPECT_EQ(back.records[i].name, d.records[i].name);
-    EXPECT_EQ(back.records[i].tid, d.records[i].tid);
-    EXPECT_DOUBLE_EQ(back.records[i].t0, d.records[i].t0);
-    EXPECT_DOUBLE_EQ(back.records[i].t1, d.records[i].t1);
-    EXPECT_DOUBLE_EQ(back.records[i].value, d.records[i].value);
-  }
-  ASSERT_EQ(back.region_stats.count("a"), 1u);
-  EXPECT_EQ(back.region_stats.at("a").instances, 2u);
-  EXPECT_EQ(back.region_stats.at("a").max_threads, 4);
-  EXPECT_EQ(back.dropped, 5u);
-  EXPECT_DOUBLE_EQ(back.overhead_sec, d.overhead_sec);
-}
-
 TEST(ChromeExportTest, ExportParsesWithProcessRowsAndCounters) {
   TraceData main_part;
   main_part.pid = 100;

@@ -119,6 +119,35 @@ foreach(case "1|--stats;NoSuch;time" "2|--groupby;bogus"
   endif()
 endforeach()
 
+# A summary value that is not a number is corrupt profile data too: exit
+# 5 with a message naming the key, in a copy whose profiles all read
+# pool_alloc_calls "many".
+set(badmeta "${WORKDIR}/badmeta")
+file(REMOVE_RECURSE "${badmeta}")
+file(GLOB profiles "${WORKDIR}/profiles/*.cali.json")
+foreach(profile ${profiles})
+  get_filename_component(base "${profile}" NAME)
+  file(READ "${profile}" text)
+  string(REGEX REPLACE "\"pool_alloc_calls\": \"[0-9]+\""
+         "\"pool_alloc_calls\": \"many\"" text "${text}")
+  if(NOT text MATCHES "\"pool_alloc_calls\": \"many\"")
+    message(FATAL_ERROR "${base} carries no pool_alloc_calls to corrupt")
+  endif()
+  file(WRITE "${badmeta}/${base}" "${text}")
+endforeach()
+execute_process(
+  COMMAND "${REPORT}" "${badmeta}"
+  OUTPUT_VARIABLE out_meta
+  ERROR_VARIABLE err_meta
+  RESULT_VARIABLE rc_meta)
+if(NOT rc_meta EQUAL 5)
+  message(FATAL_ERROR
+    "non-numeric metadata: want exit 5, got ${rc_meta}:\n${out_meta}\n${err_meta}")
+endif()
+if(NOT err_meta MATCHES "corrupt profile data.*pool_alloc_calls")
+  message(FATAL_ERROR "non-numeric metadata names no key:\n${err_meta}")
+endif()
+
 # A profile corrupted beyond repair (unparseable JSON) must map to the
 # documented exit 5 — distinct from exit 1 (read error) and exit 4
 # (crash records) — so CI can tell data loss from ordinary failures.

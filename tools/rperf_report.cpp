@@ -405,9 +405,19 @@ void print_sweep_summary(const thicket::Thicket& tk) {
     }
     return nullptr;
   };
+  // A value that is not one number is corrupt profile data (exit 5).
   auto get = [](const Metadata& md, const char* key) {
     const auto it = md.find(key);
-    return it == md.end() ? 0.0 : std::stod(it->second);
+    if (it == md.end()) return 0.0;
+    const std::string& text = it->second;
+    double value = 0.0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end) {
+      throw rperf::json::JsonError("metadata '" + std::string(key) +
+                                   "' is not a number: '" + text + "'");
+    }
+    return value;
   };
   if (const auto* md = find("pool_bytes_reserved")) {
     const double allocs = get(*md, "pool_alloc_calls");
