@@ -29,9 +29,9 @@
 // loops are identical. The benchmark reports wall time and cells/second
 // per leg, checks every sandboxed cell's checksum against the in-process
 // one under the cell's ChecksumOrder (suite::checksums_agree: bit for bit
-// for exact and per_team cells, which run one team size on both sides;
-// within the reorder bound for unordered ones), and verifies a sample of
-// optimized fills byte-for-byte against an inline serial LCG reference.
+// for exact cells, within the reorder bound for unordered ones), and
+// verifies a sample of optimized fills byte-for-byte against an inline
+// serial LCG reference.
 //
 // Arrays stay at their default (size-factor 1.0) extents so fills, pool
 // traffic, and checksums are full-sized, but the measured rep loops run on
@@ -90,7 +90,7 @@ struct ModeResult {
 
 /// A sandbox leg's checksums against the in-process leg's.
 struct Parity {
-  std::size_t bit_exact = 0;     ///< exact and per_team cells
+  std::size_t bit_exact = 0;     ///< exact cells
   std::size_t within_bound = 0;  ///< unordered cells
   std::size_t mismatched = 0;
   std::string worst_cell;        ///< unordered cell closest to its bound
@@ -152,8 +152,7 @@ Parity compare_checksums(const char* leg, const ModeResult& sandboxed,
     } else {
       ++p.bit_exact;
     }
-    if (!suite::checksums_agree(cell.checksum, ref, cell.order, cell.n,
-                                /*same_team=*/true)) {
+    if (!suite::checksums_agree(cell.checksum, ref, cell.order, cell.n)) {
       ++p.mismatched;
       std::fprintf(stderr,
                    "  %s checksum mismatch %s (%s): %.17Lg vs %.17Lg\n", leg,

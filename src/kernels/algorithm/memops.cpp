@@ -100,11 +100,10 @@ REDUCE_SUM::REDUCE_SUM(const RunParams& params)
   set_complexity(Complexity::N);
   add_feature(FeatureID::Forall);
   add_feature(FeatureID::Reduction);
-  // `omp reduction` combines its partials in an unspecified order; the
-  // RAJA reducer folds one slot per thread in slot order.
+  // `omp reduction` combines its partials in an unspecified order;
+  // RAJA_OpenMP stays exact, as forall_reduce folds fixed blocks in order.
   set_checksum_order(ChecksumOrder::Unordered,
                      {VariantID::Base_OpenMP, VariantID::Lambda_OpenMP});
-  set_checksum_order(ChecksumOrder::PerTeam, {VariantID::RAJA_OpenMP});
   add_all_variants();
 
   const double n = static_cast<double>(actual_prob_size());
@@ -132,7 +131,7 @@ void REDUCE_SUM::runVariant(VariantID vid) {
   const double* x = m_a.data();
   double* out = &m_s0;
   run_sum_reduction(
-      vid, 0, n, run_reps(), 0.0,
+      vid, 0, n, run_reps(),
       [=](Index_type i, double& sum) { sum += x[i]; },
       [=](double sum) { *out = sum; });
 }

@@ -15,10 +15,6 @@ SCAN::SCAN(const RunParams& params)
   set_default_reps(10);
   set_complexity(Complexity::N);
   add_feature(FeatureID::Scan);
-  // The OpenMP scan splits the array into one block per thread.
-  set_checksum_order(ChecksumOrder::PerTeam,
-                     {VariantID::Base_OpenMP, VariantID::Lambda_OpenMP,
-                      VariantID::RAJA_OpenMP});
   add_all_variants();
 
   const double n = static_cast<double>(actual_prob_size());

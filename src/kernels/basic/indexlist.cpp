@@ -162,9 +162,8 @@ void INDEXLIST_3LOOP::runVariant(VariantID vid) {
       case VariantID::RAJA_Seq: {
         forall<seq_exec>(RangeSegment(0, n), flag);
         // In-place exclusive scan over n+1 entries (last holds the total).
-        std::vector<Index_type> tmp(counts, counts + n);
-        exclusive_scan<seq_exec>(tmp.data(), counts, n);
-        counts[n] = (n > 0) ? counts[n - 1] + tmp[static_cast<std::size_t>(n) - 1] : 0;
+        counts[n] = 0;
+        exclusive_scan<seq_exec>(counts, counts, n + 1);
         forall<seq_exec>(RangeSegment(0, n), scatter);
         *len = counts[n];
         break;
@@ -173,9 +172,8 @@ void INDEXLIST_3LOOP::runVariant(VariantID vid) {
       case VariantID::Base_OpenMP:
       case VariantID::RAJA_OpenMP: {
         forall<omp_parallel_for_exec>(RangeSegment(0, n), flag);
-        std::vector<Index_type> tmp(counts, counts + n);
-        exclusive_scan<omp_parallel_for_exec>(tmp.data(), counts, n);
-        counts[n] = (n > 0) ? counts[n - 1] + tmp[static_cast<std::size_t>(n) - 1] : 0;
+        counts[n] = 0;
+        exclusive_scan<omp_parallel_for_exec>(counts, counts, n + 1);
         forall<omp_parallel_for_exec>(RangeSegment(0, n), scatter);
         *len = counts[n];
         break;

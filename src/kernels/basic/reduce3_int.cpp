@@ -1,6 +1,7 @@
 // REDUCE3_INT: simultaneous sum, min, and max of an integer array — three
 // reductions fused in one loop.
 #include <algorithm>
+#include <limits>
 
 #include "kernels/basic/basic.hpp"
 
@@ -37,7 +38,6 @@ void REDUCE3_INT::setUp(VariantID) {
 }
 
 void REDUCE3_INT::runVariant(VariantID vid) {
-  using namespace ::rperf::port;
   const Index_type n = actual_prob_size();
   const int* x = m_ia.data();
   const Index_type reps = run_reps();
@@ -59,22 +59,6 @@ void REDUCE3_INT::runVariant(VariantID vid) {
       }
       break;
     }
-    case VariantID::RAJA_Seq: {
-      for (Index_type r = 0; r < reps; ++r) {
-        ReduceSum<seq_exec, long long> s(0);
-        ReduceMin<seq_exec, int> mn;
-        ReduceMax<seq_exec, int> mx;
-        forall<seq_exec>(RangeSegment(0, n), [=](Index_type i) {
-          s += x[i];
-          mn.min(x[i]);
-          mx.max(x[i]);
-        });
-        m_isum = s.get();
-        m_imin = mn.get();
-        m_imax = mx.get();
-      }
-      break;
-    }
     case VariantID::Lambda_OpenMP:
       case VariantID::Base_OpenMP: {
       for (Index_type r = 0; r < reps; ++r) {
@@ -93,20 +77,30 @@ void REDUCE3_INT::runVariant(VariantID vid) {
       }
       break;
     }
+    case VariantID::RAJA_Seq:
     case VariantID::RAJA_OpenMP: {
-      for (Index_type r = 0; r < reps; ++r) {
-        ReduceSum<omp_parallel_for_exec, long long> s(0);
-        ReduceMin<omp_parallel_for_exec, int> mn;
-        ReduceMax<omp_parallel_for_exec, int> mx;
-        forall<omp_parallel_for_exec>(RangeSegment(0, n), [=](Index_type i) {
-          s += x[i];
-          mn.min(x[i]);
-          mx.max(x[i]);
-        });
-        m_isum = s.get();
-        m_imin = mn.get();
-        m_imax = mx.get();
-      }
+      struct SumMinMax {
+        long long sum;
+        int min, max;
+      };
+      run_forall_reduce(
+          vid, 0, n, reps,
+          SumMinMax{0, std::numeric_limits<int>::max(),
+                    std::numeric_limits<int>::lowest()},
+          [](const SumMinMax& a, const SumMinMax& b) {
+            return SumMinMax{a.sum + b.sum, std::min(a.min, b.min),
+                             std::max(a.max, b.max)};
+          },
+          [=](Index_type i, SumMinMax& acc) {
+            acc.sum += x[i];
+            acc.min = std::min(acc.min, x[i]);
+            acc.max = std::max(acc.max, x[i]);
+          },
+          [this](const SumMinMax& acc) {
+            m_isum = acc.sum;
+            m_imin = acc.min;
+            m_imax = acc.max;
+          });
       break;
     }
   }

@@ -14,11 +14,10 @@ REDUCE_STRUCT::REDUCE_STRUCT(const RunParams& params)
   set_complexity(Complexity::N);
   add_feature(FeatureID::Forall);
   add_feature(FeatureID::Reduction);
-  // `omp reduction` combines its partials in an unspecified order; the
-  // RAJA reducer folds one slot per thread in slot order.
+  // `omp reduction` combines its partials in an unspecified order;
+  // RAJA_OpenMP stays exact, as forall_reduce folds fixed blocks in order.
   set_checksum_order(ChecksumOrder::Unordered,
                      {VariantID::Base_OpenMP, VariantID::Lambda_OpenMP});
-  set_checksum_order(ChecksumOrder::PerTeam, {VariantID::RAJA_OpenMP});
   add_all_variants();
 
   const double n = static_cast<double>(actual_prob_size());
@@ -43,7 +42,6 @@ void REDUCE_STRUCT::setUp(VariantID) {
 }
 
 void REDUCE_STRUCT::runVariant(VariantID vid) {
-  using namespace ::rperf::port;
   const Index_type n = actual_prob_size();
   const double* x = m_a.data();
   const double* y = m_b.data();
@@ -101,47 +99,32 @@ void REDUCE_STRUCT::runVariant(VariantID vid) {
     }
     case VariantID::RAJA_Seq:
     case VariantID::RAJA_OpenMP: {
-      const bool omp = suite::is_openmp_variant(vid);
-      for (Index_type r = 0; r < reps; ++r) {
-        if (omp) {
-          ReduceSum<omp_parallel_for_exec, double> xs(0.0), ys(0.0);
-          ReduceMin<omp_parallel_for_exec, double> xmn, ymn;
-          ReduceMax<omp_parallel_for_exec, double> xmx, ymx;
-          forall<omp_parallel_for_exec>(RangeSegment(0, n),
-                                        [=](Index_type i) {
-                                          xs += x[i];
-                                          xmn.min(x[i]);
-                                          xmx.max(x[i]);
-                                          ys += y[i];
-                                          ymn.min(y[i]);
-                                          ymx.max(y[i]);
-                                        });
-          out[0] = xs.get() / static_cast<double>(n);
-          out[1] = xmn.get();
-          out[2] = xmx.get();
-          out[3] = ys.get() / static_cast<double>(n);
-          out[4] = ymn.get();
-          out[5] = ymx.get();
-        } else {
-          ReduceSum<seq_exec, double> xs(0.0), ys(0.0);
-          ReduceMin<seq_exec, double> xmn, ymn;
-          ReduceMax<seq_exec, double> xmx, ymx;
-          forall<seq_exec>(RangeSegment(0, n), [=](Index_type i) {
-            xs += x[i];
-            xmn.min(x[i]);
-            xmx.max(x[i]);
-            ys += y[i];
-            ymn.min(y[i]);
-            ymx.max(y[i]);
+      struct Stats {
+        double xs, xmn, xmx, ys, ymn, ymx;
+      };
+      run_forall_reduce(
+          vid, 0, n, reps, Stats{0.0, dmax, dlow, 0.0, dmax, dlow},
+          [](const Stats& a, const Stats& b) {
+            return Stats{a.xs + b.xs, std::min(a.xmn, b.xmn),
+                         std::max(a.xmx, b.xmx), a.ys + b.ys,
+                         std::min(a.ymn, b.ymn), std::max(a.ymx, b.ymx)};
+          },
+          [=](Index_type i, Stats& acc) {
+            acc.xs += x[i];
+            acc.xmn = std::min(acc.xmn, x[i]);
+            acc.xmx = std::max(acc.xmx, x[i]);
+            acc.ys += y[i];
+            acc.ymn = std::min(acc.ymn, y[i]);
+            acc.ymx = std::max(acc.ymx, y[i]);
+          },
+          [=](const Stats& acc) {
+            out[0] = acc.xs / static_cast<double>(n);
+            out[1] = acc.xmn;
+            out[2] = acc.xmx;
+            out[3] = acc.ys / static_cast<double>(n);
+            out[4] = acc.ymn;
+            out[5] = acc.ymx;
           });
-          out[0] = xs.get() / static_cast<double>(n);
-          out[1] = xmn.get();
-          out[2] = xmx.get();
-          out[3] = ys.get() / static_cast<double>(n);
-          out[4] = ymn.get();
-          out[5] = ymx.get();
-        }
-      }
       break;
     }
   }

@@ -1,6 +1,7 @@
 // Shared declaration and dispatch helpers for suite kernels.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "port/port.hpp"
@@ -188,19 +189,36 @@ void run_forall_3d(VariantID vid, const RangeSegment& si,
   }
 }
 
+/// The RAJA arms of a reduction: `reps` repetitions of port::forall_reduce
+/// over [begin, end) under the variant's policy (seq_exec for RAJA_Seq,
+/// omp_parallel_for_exec for RAJA_OpenMP), each result handed to
+/// commit(acc). Both policies give the same bits (port/reduce.hpp).
+template <typename Acc, typename Combine, typename Body, typename Commit>
+void run_forall_reduce(VariantID vid, Index_type begin, Index_type end,
+                       Index_type reps, Acc identity, Combine combine,
+                       const Body& body, Commit&& commit) {
+  using namespace ::rperf::port;
+  const RangeSegment seg(begin, end);
+  for (Index_type r = 0; r < reps; ++r) {
+    commit(suite::is_openmp_variant(vid)
+               ? forall_reduce<omp_parallel_for_exec>(seg, identity, combine,
+                                                      body)
+               : forall_reduce<seq_exec>(seg, identity, combine, body));
+  }
+}
+
 /// Sum-reduction analogue of run_forall: body(i, sum) accumulates into a
-/// local double; the final value lands in *result once per repetition via
-/// `commit(sum)`.
+/// double that starts at 0; the total lands via `commit(sum)` once per
+/// repetition. Base and Lambda keep the plain loop and `omp reduction` (the
+/// programming model used directly); RAJA calls run_forall_reduce.
 template <typename Body, typename Commit>
 void run_sum_reduction(VariantID vid, Index_type begin, Index_type end,
-                       Index_type reps, double init, Body&& body,
-                       Commit&& commit) {
-  using namespace ::rperf::port;
+                       Index_type reps, Body&& body, Commit&& commit) {
   switch (vid) {
     case VariantID::Base_Seq:
     case VariantID::Lambda_Seq: {
       for (Index_type r = 0; r < reps; ++r) {
-        double sum = init;
+        double sum = 0.0;
         for (Index_type i = begin; i < end; ++i) {
           body(i, sum);
         }
@@ -208,22 +226,10 @@ void run_sum_reduction(VariantID vid, Index_type begin, Index_type end,
       }
       break;
     }
-    case VariantID::RAJA_Seq: {
-      for (Index_type r = 0; r < reps; ++r) {
-        ReduceSum<seq_exec, double> sum(init);
-        forall<seq_exec>(RangeSegment(begin, end), [=](Index_type i) {
-          double partial = 0.0;
-          body(i, partial);
-          sum += partial;
-        });
-        commit(sum.get());
-      }
-      break;
-    }
     case VariantID::Base_OpenMP:
     case VariantID::Lambda_OpenMP: {
       for (Index_type r = 0; r < reps; ++r) {
-        double sum = init;
+        double sum = 0.0;
 #pragma omp parallel for reduction(+ : sum)
         for (Index_type i = begin; i < end; ++i) {
           body(i, sum);
@@ -232,19 +238,11 @@ void run_sum_reduction(VariantID vid, Index_type begin, Index_type end,
       }
       break;
     }
-    case VariantID::RAJA_OpenMP: {
-      for (Index_type r = 0; r < reps; ++r) {
-        ReduceSum<omp_parallel_for_exec, double> sum(init);
-        forall<omp_parallel_for_exec>(
-            RangeSegment(begin, end), [=](Index_type i) {
-              double partial = 0.0;
-              body(i, partial);
-              sum += partial;
-            });
-        commit(sum.get());
-      }
+    case VariantID::RAJA_Seq:
+    case VariantID::RAJA_OpenMP:
+      run_forall_reduce(vid, begin, end, reps, 0.0, std::plus<>{}, body,
+                        commit);
       break;
-    }
   }
 }
 

@@ -1,7 +1,7 @@
 // FIRST_MIN: find the first (smallest-index) minimum of an array — a
 // min-with-location reduction. The paper splits its CPU bottleneck roughly
 // half retiring, half frontend bound.
-#include <algorithm>
+#include <limits>
 
 #include "kernels/lcals/lcals.hpp"
 
@@ -42,7 +42,6 @@ void FIRST_MIN::setUp(VariantID) {
 }
 
 void FIRST_MIN::runVariant(VariantID vid) {
-  using namespace ::rperf::port;
   const Index_type n = actual_prob_size();
   const double* x = m_a.data();
   const Index_type reps = run_reps();
@@ -61,16 +60,6 @@ void FIRST_MIN::runVariant(VariantID vid) {
         }
         m_s0 = mn;
         m_loc = loc;
-      }
-      break;
-    }
-    case VariantID::RAJA_Seq: {
-      for (Index_type r = 0; r < reps; ++r) {
-        ReduceMinLoc<seq_exec, double> minloc;
-        forall<seq_exec>(RangeSegment(0, n),
-                         [=](Index_type i) { minloc.minloc(x[i], i); });
-        m_s0 = minloc.get();
-        m_loc = minloc.getLoc();
       }
       break;
     }
@@ -103,15 +92,29 @@ void FIRST_MIN::runVariant(VariantID vid) {
       }
       break;
     }
+    case VariantID::RAJA_Seq:
     case VariantID::RAJA_OpenMP: {
-      for (Index_type r = 0; r < reps; ++r) {
-        ReduceMinLoc<omp_parallel_for_exec, double> minloc;
-        forall<omp_parallel_for_exec>(
-            RangeSegment(0, n),
-            [=](Index_type i) { minloc.minloc(x[i], i); });
-        m_s0 = minloc.get();
-        m_loc = minloc.getLoc();
-      }
+      struct MinLoc {
+        double val;
+        Index_type loc;
+      };
+      // Blocks fold in index order and a later block wins only when
+      // strictly smaller, so a tie keeps the smallest index.
+      run_forall_reduce(
+          vid, 0, n, reps, MinLoc{std::numeric_limits<double>::max(), -1},
+          [](const MinLoc& a, const MinLoc& b) {
+            return b.val < a.val ? b : a;
+          },
+          [=](Index_type i, MinLoc& acc) {
+            if (x[i] < acc.val) {
+              acc.val = x[i];
+              acc.loc = i;
+            }
+          },
+          [this](const MinLoc& acc) {
+            m_s0 = acc.val;
+            m_loc = acc.loc;
+          });
       break;
     }
   }

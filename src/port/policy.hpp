@@ -1,7 +1,7 @@
 // Execution policy tags for the rperf portability layer.
 //
-// A policy is a zero-size tag type selecting how `forall`, reducers, scans,
-// and sorts execute. This mirrors the policy mechanism of performance
+// A policy is a zero-size tag type selecting how `forall`, reductions,
+// scans, and sorts execute. This mirrors the policy mechanism of performance
 // portability layers such as RAJA: kernels are written once against a
 // lambda-based API and dispatched to a backend at compile time.
 #pragma once
@@ -26,9 +26,5 @@ inline constexpr bool is_sequential_policy_v = std::is_same_v<T, seq_exec>;
 template <typename T>
 inline constexpr bool is_openmp_policy_v =
     std::is_same_v<T, omp_parallel_for_exec>;
-
-template <typename T>
-inline constexpr bool is_execution_policy_v =
-    is_sequential_policy_v<T> || is_openmp_policy_v<T>;
 
 }  // namespace rperf::port

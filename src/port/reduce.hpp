@@ -1,176 +1,76 @@
-// Reduction objects for the rperf portability layer.
+// Reductions for the rperf portability layer.
 //
-// Reducers follow the RAJA idiom: a reducer object is captured by value in a
-// kernel lambda, combined into from any thread, and read on the host after
-// the loop completes:
+// `forall_reduce` takes the shape of RAJA's parameter reductions: the loop
+// body receives the accumulator as an argument, and the call returns the
+// result. There is no reducer object shared by the threads:
 //
-//   ReduceSum<omp_parallel_for_exec, double> sum(0.0);
-//   forall<omp_parallel_for_exec>(RangeSegment(0, n),
-//                                 [=](Index_type i) { sum += x[i] * y[i]; });
-//   double dot = sum.get();
+//   const double dot = forall_reduce<omp_parallel_for_exec>(
+//       RangeSegment(0, n), 0.0, std::plus<>{},
+//       [=](Index_type i, double& sum) { sum += x[i] * y[i]; });
 //
-// The OpenMP reducers accumulate into per-thread cache-line-padded slots to
-// avoid false sharing; `get()` folds the slots. Copies of a reducer share
-// state through a shared_ptr so capture-by-value works as expected.
+// The range is cut into at most kReduceBlocks blocks whose bounds depend on
+// its length alone. Each block accumulates into its own copy of `identity`,
+// and the block results are combined serially in block order. Both
+// policies therefore perform the same operations in the same order: a
+// floating-point reduction gives the same bits under seq_exec and
+// omp_parallel_for_exec, at every OpenMP team size.
 #pragma once
 
 #include <algorithm>
-#include <limits>
-#include <memory>
-#include <vector>
+#include <array>
+#include <cstddef>
 
-#include <omp.h>
-
+#include "port/blocked.hpp"
 #include "port/policy.hpp"
 #include "port/range.hpp"
 
 namespace rperf::port {
 
+/// How many blocks a reduction or an OpenMP scan cuts its range into. A
+/// fixed count rather than a fixed size, so a small range still spreads
+/// over the team; on a host with more hardware threads than blocks, the
+/// extra threads sit idle in these loops.
+inline constexpr Index_type kReduceBlocks = 64;
+
 namespace detail {
 
-inline int max_threads() { return omp_get_max_threads(); }
-inline int thread_num() { return omp_get_thread_num(); }
+/// Elements per block for a range of n: ceil(n / kReduceBlocks), at least 1.
+inline Index_type reduce_block_elems(Index_type n) {
+  return std::max<Index_type>(1, (n + kReduceBlocks - 1) / kReduceBlocks);
+}
 
-/// Cache-line padded accumulator slot (avoids false sharing across threads).
-template <typename T>
-struct alignas(64) PaddedSlot {
-  T value;
-};
-
-template <typename T, typename Op>
-struct ReduceState {
-  explicit ReduceState(T init, T identity)
-      : initial(init), slots(static_cast<std::size_t>(max_threads())) {
-    for (auto& s : slots) s.value = identity;
-  }
-  T initial;
-  std::vector<PaddedSlot<T>> slots;
-};
+/// One block of a reduction. noinline for the reason checksum_block in
+/// suite/data_utils.cpp gives: inlined into the serial loop and into the
+/// OpenMP-outlined region, the block could be compiled differently at each
+/// call site and give different bits; one out-of-line copy gives one
+/// codegen for both policies.
+template <typename Acc, typename Body>
+[[gnu::noinline]] Acc reduce_block(Index_type begin, Index_type end,
+                                   Acc acc, const Body& body) {
+  for (Index_type i = begin; i < end; ++i) body(i, acc);
+  return acc;
+}
 
 }  // namespace detail
 
-/// Generic reducer; Op is a stateless callable combining two T values.
-template <typename Policy, typename T, typename Op>
-class Reducer {
-  static_assert(is_execution_policy_v<Policy>,
-                "Reducer requires an execution policy");
-
- public:
-  Reducer(T init, T identity, Op op = Op{})
-      : state_(std::make_shared<detail::ReduceState<T, Op>>(init, identity)),
-        identity_(identity),
-        op_(op) {}
-
-  /// Combine a value from the current thread.
-  void combine(const T& v) const {
-    auto& slot = state_->slots[static_cast<std::size_t>(
-        is_openmp_policy_v<Policy> ? detail::thread_num() : 0)];
-    slot.value = op_(slot.value, v);
+/// Reduce body(i, acc) over `seg`: each block starts from `identity`, and
+/// the block results are folded in block order with combine(acc, block).
+template <typename Policy, typename Acc, typename Combine, typename Body>
+Acc forall_reduce(const RangeSegment& seg, Acc identity, Combine combine,
+                  const Body& body) {
+  const Index_type first = seg.begin();
+  const Index_type n = seg.size();
+  const Index_type block = detail::reduce_block_elems(n);
+  std::array<Acc, kReduceBlocks> partials{};
+  forall_blocked<Policy>(n, block, [&](Index_type begin, Index_type len) {
+    partials[static_cast<std::size_t>(begin / block)] = detail::reduce_block(
+        first + begin, first + begin + len, identity, body);
+  });
+  Acc result = identity;
+  for (Index_type b = 0; b * block < n; ++b) {
+    result = combine(result, partials[static_cast<std::size_t>(b)]);
   }
-
-  /// Fold all thread-local partials with the initial value.
-  [[nodiscard]] T get() const {
-    T result = state_->initial;
-    for (const auto& s : state_->slots) result = op_(result, s.value);
-    return result;
-  }
-
-  /// Reset thread partials and replace the initial value.
-  void reset(T init) {
-    state_->initial = init;
-    for (auto& s : state_->slots) s.value = identity_;
-  }
-
- protected:
-  std::shared_ptr<detail::ReduceState<T, Op>> state_;
-  T identity_;
-  Op op_;
-};
-
-namespace detail {
-template <typename T>
-struct SumOp {
-  T operator()(const T& a, const T& b) const { return a + b; }
-};
-template <typename T>
-struct MinOp {
-  T operator()(const T& a, const T& b) const { return b < a ? b : a; }
-};
-template <typename T>
-struct MaxOp {
-  T operator()(const T& a, const T& b) const { return a < b ? b : a; }
-};
-}  // namespace detail
-
-template <typename Policy, typename T>
-class ReduceSum : public Reducer<Policy, T, detail::SumOp<T>> {
-  using Base = Reducer<Policy, T, detail::SumOp<T>>;
-
- public:
-  explicit ReduceSum(T init = T{}) : Base(init, T{}) {}
-  const ReduceSum& operator+=(const T& v) const {
-    this->combine(v);
-    return *this;
-  }
-};
-
-template <typename Policy, typename T>
-class ReduceMin : public Reducer<Policy, T, detail::MinOp<T>> {
-  using Base = Reducer<Policy, T, detail::MinOp<T>>;
-
- public:
-  explicit ReduceMin(T init = std::numeric_limits<T>::max())
-      : Base(init, std::numeric_limits<T>::max()) {}
-  const ReduceMin& min(const T& v) const {
-    this->combine(v);
-    return *this;
-  }
-};
-
-template <typename Policy, typename T>
-class ReduceMax : public Reducer<Policy, T, detail::MaxOp<T>> {
-  using Base = Reducer<Policy, T, detail::MaxOp<T>>;
-
- public:
-  explicit ReduceMax(T init = std::numeric_limits<T>::lowest())
-      : Base(init, std::numeric_limits<T>::lowest()) {}
-  const ReduceMax& max(const T& v) const {
-    this->combine(v);
-    return *this;
-  }
-};
-
-/// Min-with-location reducer: tracks the smallest value and its index.
-/// Ties resolve to the smallest index, independent of thread count.
-template <typename Policy, typename T>
-class ReduceMinLoc {
-  struct ValLoc {
-    T val;
-    Index_type loc;
-  };
-  struct MinLocOp {
-    ValLoc operator()(const ValLoc& a, const ValLoc& b) const {
-      if (b.val < a.val) return b;
-      if (a.val < b.val) return a;
-      return b.loc < a.loc ? b : a;
-    }
-  };
-
- public:
-  ReduceMinLoc(T init = std::numeric_limits<T>::max(), Index_type loc = -1)
-      : reducer_(ValLoc{init, loc},
-                 ValLoc{std::numeric_limits<T>::max(), -1}) {}
-
-  const ReduceMinLoc& minloc(const T& v, Index_type loc) const {
-    reducer_.combine(ValLoc{v, loc});
-    return *this;
-  }
-  [[nodiscard]] T get() const { return reducer_.get().val; }
-  [[nodiscard]] Index_type getLoc() const { return reducer_.get().loc; }
-  void reset(T init, Index_type loc = -1) { reducer_.reset(ValLoc{init, loc}); }
-
- private:
-  Reducer<Policy, ValLoc, MinLocOp> reducer_;
-};
+  return result;
+}
 
 }  // namespace rperf::port

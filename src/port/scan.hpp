@@ -1,18 +1,22 @@
 // Parallel prefix sums (scans) for the rperf portability layer.
 //
 // Sequential policies use a plain running sum. OpenMP policies use the
-// classic three-phase blocked algorithm: per-thread local scan, exclusive
-// scan of block totals, then per-thread offset fix-up. The result is
-// identical to the sequential scan for associative/commutative ops on
-// integers; for floating point the usual reassociation caveats apply.
+// classic three-phase algorithm over forall_reduce's fixed blocks (at most
+// kReduceBlocks, bounds from n alone): a local scan per block, a serial
+// exclusive scan of the block totals, then an offset fix-up per block.
+// Because the blocks never depend on the team, a floating-point scan gives
+// the same bits at every team size; it may differ from the sequential scan
+// by reassociation. Both read each element before writing it, so `in` may
+// be `out`.
 #pragma once
 
-#include <vector>
+#include <array>
+#include <cstddef>
 
-#include <omp.h>
-
+#include "port/blocked.hpp"
 #include "port/policy.hpp"
 #include "port/range.hpp"
+#include "port/reduce.hpp"
 
 namespace rperf::port {
 
@@ -22,52 +26,37 @@ template <typename T>
 void scan_seq(const T* in, T* out, Index_type n, T init) {
   T running = init;
   for (Index_type i = 0; i < n; ++i) {
+    const T v = in[i];
     out[i] = running;
-    running += in[i];
+    running += v;
   }
 }
 
 template <typename T>
 void scan_omp(const T* in, T* out, Index_type n, T init) {
-  const int nthreads = omp_get_max_threads();
-  if (n < 4 * nthreads) {  // not worth parallelizing
-    scan_seq(in, out, n, init);
-    return;
+  const Index_type block = reduce_block_elems(n);
+  std::array<T, kReduceBlocks> offsets{};
+  forall_blocked<omp_parallel_for_exec>(
+      n, block, [&](Index_type begin, Index_type len) {
+        T local = T{};
+        for (Index_type i = begin; i < begin + len; ++i) {
+          const T v = in[i];
+          out[i] = local;
+          local += v;
+        }
+        offsets[static_cast<std::size_t>(begin / block)] = local;
+      });
+  T running = init;
+  for (Index_type b = 0; b * block < n; ++b) {
+    const T total = offsets[static_cast<std::size_t>(b)];
+    offsets[static_cast<std::size_t>(b)] = running;
+    running += total;
   }
-  std::vector<T> block_totals(static_cast<std::size_t>(nthreads) + 1, T{});
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    const Index_type chunk = (n + nthreads - 1) / nthreads;
-    const Index_type begin = tid * chunk;
-    const Index_type end = std::min<Index_type>(begin + chunk, n);
-
-    // Phase 1: local scan of this thread's block.
-    T local = T{};
-    for (Index_type i = begin; i < end; ++i) {
-      out[i] = local;
-      local += in[i];
-    }
-    block_totals[static_cast<std::size_t>(tid) + 1] = local;
-
-#pragma omp barrier
-#pragma omp single
-    {
-      // Phase 2: exclusive scan of block totals.
-      T running = init;
-      for (int t = 0; t <= nthreads; ++t) {
-        T next = block_totals[static_cast<std::size_t>(t)];
-        block_totals[static_cast<std::size_t>(t)] = running;
-        running += next;
-      }
-    }
-
-    // Phase 3: add the block offset.
-    const T offset = block_totals[static_cast<std::size_t>(tid) + 1];
-    for (Index_type i = begin; i < end; ++i) {
-      out[i] += offset;
-    }
-  }
+  forall_blocked<omp_parallel_for_exec>(
+      n, block, [&](Index_type begin, Index_type len) {
+        const T offset = offsets[static_cast<std::size_t>(begin / block)];
+        for (Index_type i = begin; i < begin + len; ++i) out[i] += offset;
+      });
 }
 
 }  // namespace detail

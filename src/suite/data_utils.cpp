@@ -97,11 +97,8 @@ long double reorder_bound(Index_type n) {
 }
 
 bool checksums_agree(long double a, long double b, ChecksumOrder order,
-                     Index_type n, bool same_team) {
-  if (order == ChecksumOrder::Exact ||
-      (order == ChecksumOrder::PerTeam && same_team)) {
-    return a == b;
-  }
+                     Index_type n) {
+  if (order == ChecksumOrder::Exact) return a == b;
   return relative_difference(a, b) <= reorder_bound(n);
 }
 

@@ -113,12 +113,11 @@ template <typename Alloc>
 [[nodiscard]] long double reorder_bound(Index_type n);
 
 /// Whether two checksums of one (kernel, variant, tuning) cell agree under
-/// the variant's order class: bit for bit for Exact, and for PerTeam when
-/// both ran at one OpenMP team size; otherwise within reorder_bound(n),
-/// with `n` the cell's problem size. Exact == rather than memcmp: x86 long
-/// double carries padding bytes that are not part of the value.
+/// the variant's order class: bit for bit for Exact, within
+/// reorder_bound(n) for Unordered, with `n` the cell's problem size. Exact
+/// is == rather than memcmp: x86 long double carries padding bytes that are
+/// not part of the value.
 [[nodiscard]] bool checksums_agree(long double a, long double b,
-                                   ChecksumOrder order, Index_type n,
-                                   bool same_team);
+                                   ChecksumOrder order, Index_type n);
 
 }  // namespace rperf::suite

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <thread>
 
@@ -75,18 +76,29 @@ void KernelBase::set_default_reps(Index_type reps) {
 }
 
 void KernelBase::finalize_sizing() {
+  // Scaled in double and bounded before converting: a product beyond
+  // Index_type has no integer value to round to.
   if (params_.size_override.has_value()) {
     actual_size_ = *params_.size_override;
   } else {
-    actual_size_ = static_cast<Index_type>(
-        std::llround(static_cast<double>(default_size_) *
-                     params_.size_factor));
+    const double size = std::round(static_cast<double>(default_size_) *
+                                   params_.size_factor);
+    if (!(size < 0x1p63)) {
+      char factor[32];
+      std::snprintf(factor, sizeof factor, "%g", params_.size_factor);
+      throw std::invalid_argument(name_ + ": --size-factor " + factor +
+                                  " gives a problem size beyond the index "
+                                  "range");
+    }
+    actual_size_ = static_cast<Index_type>(size);
   }
   actual_size_ = std::max<Index_type>(1, actual_size_);
 
-  reps_ = static_cast<Index_type>(std::llround(
-      static_cast<double>(default_reps_) * params_.reps_factor));
-  reps_ = std::clamp(reps_, params_.min_reps, params_.max_reps);
+  const double reps =
+      std::round(static_cast<double>(default_reps_) * params_.reps_factor);
+  reps_ = static_cast<Index_type>(
+      std::clamp(reps, static_cast<double>(params_.min_reps),
+                 static_cast<double>(params_.max_reps)));
   sized_ = true;
 }
 

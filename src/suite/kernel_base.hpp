@@ -8,10 +8,9 @@
 //   * execute `run_reps` repetitions of the computation in runVariant();
 //   * return a checksum of the outputs in computeChecksum(): the same bits
 //     on every execution path and at every OpenMP team size, unless the
-//     constructor declares the variant's ChecksumOrder PerTeam (the same
-//     bits on every path at one team size) or Unordered (may change from
-//     run to run); those stay within reorder_bound(problem size) of each
-//     other (suite::checksums_agree);
+//     constructor declares the variant's ChecksumOrder Unordered (may
+//     change from run to run, within reorder_bound(problem size); see
+//     suite::checksums_agree);
 //   * release data in tearDown().
 //
 // `execute()` drives the lifecycle, times the repetition loop, annotates a

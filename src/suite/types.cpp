@@ -79,7 +79,6 @@ std::string to_string(IsolationMode m) {
 std::string to_string(ChecksumOrder o) {
   switch (o) {
     case ChecksumOrder::Exact: return "exact";
-    case ChecksumOrder::PerTeam: return "per_team";
     case ChecksumOrder::Unordered: return "unordered";
   }
   return "?";

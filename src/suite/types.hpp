@@ -75,9 +75,6 @@ enum class IsolationMode {
 /// every other variant is Exact.
 enum class ChecksumOrder {
   Exact,      ///< the same bits on every path and at every team size
-  PerTeam,    ///< the same bits on every path at one team size; the value
-              ///< may change with the team size (per-thread partials
-              ///< folded in thread order)
   Unordered,  ///< may change from run to run (an `omp reduction` on
               ///< doubles, or double atomics into shared addresses)
 };

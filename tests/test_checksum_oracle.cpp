@@ -10,9 +10,8 @@
 // Paths: 2 persistent workers (--workers 2), disposable workers
 // (--isolate cell), and in-process twice, each at team sizes 1, 2 and
 // omp_get_max_threads(). Every pair of one cell's checksums must satisfy
-// suite::checksums_agree: exact cells bit for bit everywhere, per_team
-// cells bit for bit at one team size and within the reorder bound across
-// team sizes, unordered cells within the bound everywhere.
+// suite::checksums_agree: exact cells bit for bit everywhere, unordered
+// cells within the reorder bound everywhere.
 //
 // OpenMP note: a forked copy of a live libgomp thread pool deadlocks (see
 // tests/test_sandbox.cpp). Setting the team size starts no threads, so
@@ -145,8 +144,7 @@ TEST(ChecksumOracle, EveryPathAgreesUnderItsOrderClass) {
       for (std::size_t j = i + 1; j < cell.seen.size(); ++j) {
         const Observation& a = cell.seen[i];
         const Observation& b = cell.seen[j];
-        EXPECT_TRUE(checksums_agree(a.checksum, b.checksum, cell.order,
-                                    cell.n, a.team == b.team))
+        EXPECT_TRUE(checksums_agree(a.checksum, b.checksum, cell.order, cell.n))
             << key << " (" << to_string(cell.order) << ", n=" << cell.n
             << "): " << describe(a) << ", " << describe(b)
             << "; relative difference "
@@ -155,9 +153,8 @@ TEST(ChecksumOracle, EveryPathAgreesUnderItsOrderClass) {
       }
     }
   }
-  // Every class is exercised; which cells carry which class is pinned by
+  // Both classes are exercised; which cells carry which class is pinned by
   // OnlyReorderingConstructsLeaveExact.
-  EXPECT_EQ(per_class[ChecksumOrder::PerTeam], 8u);
   EXPECT_EQ(per_class[ChecksumOrder::Unordered], 19u);
 }
 
@@ -190,18 +187,16 @@ TEST(ChecksumOracle, BoundRejectsASumWithOneTermLeftOut) {
     const double one_left_out =
         std::accumulate(terms.begin(), terms.end() - 1, 0.0);
 
-    for (ChecksumOrder order :
-         {ChecksumOrder::PerTeam, ChecksumOrder::Unordered}) {
-      EXPECT_TRUE(checksums_agree(in_order, reversed, order, n, false)) << n;
-      EXPECT_TRUE(checksums_agree(in_order, strided, order, n, false)) << n;
-      EXPECT_FALSE(checksums_agree(in_order, one_left_out, order, n, false))
-          << n << ": relative difference "
-          << relative_difference(in_order, one_left_out) << ", bound "
-          << reorder_bound(n);
-    }
-    // At one team size a per_team cell must match bit for bit.
+    constexpr ChecksumOrder kUnordered = ChecksumOrder::Unordered;
+    EXPECT_TRUE(checksums_agree(in_order, reversed, kUnordered, n)) << n;
+    EXPECT_TRUE(checksums_agree(in_order, strided, kUnordered, n)) << n;
+    EXPECT_FALSE(checksums_agree(in_order, one_left_out, kUnordered, n))
+        << n << ": relative difference "
+        << relative_difference(in_order, one_left_out) << ", bound "
+        << reorder_bound(n);
+    // An exact cell must match bit for bit.
     EXPECT_FALSE(checksums_agree(in_order, in_order + in_order * 0x1p-52,
-                                 ChecksumOrder::PerTeam, n, true));
+                                 ChecksumOrder::Exact, n));
   }
 }
 
@@ -212,12 +207,12 @@ TEST(ChecksumOracle, OnlyReorderingConstructsLeaveExact) {
   constexpr VariantID kLambda = VariantID::Lambda_OpenMP;
   constexpr VariantID kRaja = VariantID::RAJA_OpenMP;
   std::map<std::string, std::map<VariantID, ChecksumOrder>> want;
-  // `omp reduction` on doubles; the RAJA reducer folds per-thread slots.
+  // `omp reduction` on doubles. RAJA's forall_reduce, like the OpenMP
+  // scan, works on blocks fixed by n and stays exact.
   for (const char* k : {"Stream_DOT", "Basic_PI_REDUCE", "Basic_TRAP_INT",
                         "Basic_REDUCE_STRUCT", "Algorithm_REDUCE_SUM"}) {
     want[k] = {{kBase, ChecksumOrder::Unordered},
-               {kLambda, ChecksumOrder::Unordered},
-               {kRaja, ChecksumOrder::PerTeam}};
+               {kLambda, ChecksumOrder::Unordered}};
   }
   // Double atomics into shared addresses.
   for (const char* k : {"Basic_PI_ATOMIC", "Basic_MULTI_REDUCE",
@@ -226,10 +221,6 @@ TEST(ChecksumOracle, OnlyReorderingConstructsLeaveExact) {
                {kLambda, ChecksumOrder::Unordered},
                {kRaja, ChecksumOrder::Unordered}};
   }
-  // One scan block per thread.
-  want["Algorithm_SCAN"] = {{kBase, ChecksumOrder::PerTeam},
-                            {kLambda, ChecksumOrder::PerTeam},
-                            {kRaja, ChecksumOrder::PerTeam}};
 
   const std::vector<std::string> covered = oracle_kernels();
   for (const auto& k : make_kernels(RunParams{})) {

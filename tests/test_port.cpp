@@ -1,7 +1,10 @@
 // Unit and property tests for the rperf portability layer.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <vector>
@@ -97,19 +100,35 @@ template <typename Policy>
 class ReducerPolicyTest : public ::testing::Test {};
 TYPED_TEST_SUITE(ReducerPolicyTest, AllPolicies);
 
-TYPED_TEST(ReducerPolicyTest, SumOfIntegers) {
-  const Index_type n = 100000;
-  ReduceSum<TypeParam, long long> sum(0);
-  forall<TypeParam>(RangeSegment(1, n + 1),
-                    [=](Index_type i) { sum += static_cast<long long>(i); });
-  EXPECT_EQ(sum.get(), static_cast<long long>(n) * (n + 1) / 2);
+struct MinMax {
+  double min, max;
+};
+
+struct MinLoc {
+  double val;
+  Index_type loc;
+};
+
+/// forall_reduce of a min-with-location over `data`; a later block wins
+/// only when strictly smaller.
+template <typename Policy>
+MinLoc min_loc(const std::vector<double>& data) {
+  const double* p = data.data();
+  return forall_reduce<Policy>(
+      RangeSegment(0, static_cast<Index_type>(data.size())),
+      MinLoc{std::numeric_limits<double>::max(), -1},
+      [](const MinLoc& a, const MinLoc& b) { return b.val < a.val ? b : a; },
+      [=](Index_type i, MinLoc& acc) {
+        if (p[i] < acc.val) acc = {p[i], i};
+      });
 }
 
-TYPED_TEST(ReducerPolicyTest, SumHonorsInitialValue) {
-  ReduceSum<TypeParam, long long> sum(100);
-  forall<TypeParam>(RangeSegment(0, 10),
-                    [=](Index_type) { sum += 1; });
-  EXPECT_EQ(sum.get(), 110);
+TYPED_TEST(ReducerPolicyTest, SumOfIntegers) {
+  const Index_type n = 100000;
+  const long long sum = forall_reduce<TypeParam>(
+      RangeSegment(1, n + 1), 0LL, std::plus<>{},
+      [](Index_type i, long long& acc) { acc += static_cast<long long>(i); });
+  EXPECT_EQ(sum, static_cast<long long>(n) * (n + 1) / 2);
 }
 
 TYPED_TEST(ReducerPolicyTest, MinAndMaxFindExtremes) {
@@ -121,48 +140,71 @@ TYPED_TEST(ReducerPolicyTest, MinAndMaxFindExtremes) {
   data[n / 3] = -5000.0;
   data[2 * n / 3] = 5000.0;
 
-  ReduceMin<TypeParam, double> mn;
-  ReduceMax<TypeParam, double> mx;
   const double* p = data.data();
-  forall<TypeParam>(RangeSegment(0, n), [=](Index_type i) {
-    mn.min(p[i]);
-    mx.max(p[i]);
-  });
-  EXPECT_DOUBLE_EQ(mn.get(), -5000.0);
-  EXPECT_DOUBLE_EQ(mx.get(), 5000.0);
+  const MinMax mm = forall_reduce<TypeParam>(
+      RangeSegment(0, n),
+      MinMax{std::numeric_limits<double>::max(),
+             std::numeric_limits<double>::lowest()},
+      [](const MinMax& a, const MinMax& b) {
+        return MinMax{std::min(a.min, b.min), std::max(a.max, b.max)};
+      },
+      [=](Index_type i, MinMax& acc) {
+        acc.min = std::min(acc.min, p[i]);
+        acc.max = std::max(acc.max, p[i]);
+      });
+  EXPECT_DOUBLE_EQ(mm.min, -5000.0);
+  EXPECT_DOUBLE_EQ(mm.max, 5000.0);
 }
 
 TYPED_TEST(ReducerPolicyTest, MinLocFindsValueAndIndex) {
-  const Index_type n = 5001;
-  std::vector<double> data(n, 7.0);
+  std::vector<double> data(5001, 7.0);
   data[1234] = -3.0;
-  ReduceMinLoc<TypeParam, double> minloc;
-  const double* p = data.data();
-  forall<TypeParam>(RangeSegment(0, n),
-                    [=](Index_type i) { minloc.minloc(p[i], i); });
-  EXPECT_DOUBLE_EQ(minloc.get(), -3.0);
-  EXPECT_EQ(minloc.getLoc(), 1234);
+  const MinLoc m = min_loc<TypeParam>(data);
+  EXPECT_DOUBLE_EQ(m.val, -3.0);
+  EXPECT_EQ(m.loc, 1234);
 }
 
 TYPED_TEST(ReducerPolicyTest, MinLocTieBreaksToSmallestIndex) {
-  const Index_type n = 4096;
-  std::vector<double> data(n, 1.0);
-  data[100] = data[200] = data[3000] = -1.0;
-  ReduceMinLoc<TypeParam, double> minloc;
-  const double* p = data.data();
-  forall<TypeParam>(RangeSegment(0, n),
-                    [=](Index_type i) { minloc.minloc(p[i], i); });
-  EXPECT_EQ(minloc.getLoc(), 100);
+  // 64-element blocks: 100 and 120 share a block, 200 and 3000 do not.
+  std::vector<double> data(4096, 1.0);
+  data[100] = data[120] = data[200] = data[3000] = -1.0;
+  EXPECT_EQ(min_loc<TypeParam>(data).loc, 100);
 }
 
-TYPED_TEST(ReducerPolicyTest, ResetClearsAccumulation) {
-  ReduceSum<TypeParam, long long> sum(0);
-  forall<TypeParam>(RangeSegment(0, 100), [=](Index_type) { sum += 1; });
-  EXPECT_EQ(sum.get(), 100);
-  sum.reset(5);
-  EXPECT_EQ(sum.get(), 5);
-  forall<TypeParam>(RangeSegment(0, 10), [=](Index_type) { sum += 1; });
-  EXPECT_EQ(sum.get(), 15);
+// Sizes below, at and above kReduceBlocks, and sizes whose last block is
+// short.
+constexpr Index_type kBlockBoundarySizes[] = {1, 63, 64, 65, 10007, 1000003};
+
+/// 1/3, 1/4, 1/5, ...: doubles whose sum depends on how its adds associate.
+std::vector<double> reciprocals(Index_type n) {
+  std::vector<double> v(static_cast<std::size_t>(n));
+  for (Index_type i = 0; i < n; ++i) {
+    v[static_cast<std::size_t>(i)] = 1.0 / (3.0 + static_cast<double>(i));
+  }
+  return v;
+}
+
+// The blocks of a reduction depend on n alone, so a double sum gives the
+// same bits under both policies at every team size.
+TEST(ForallReduce, DoubleSumHasTheSameBitsUnderEveryPolicyAndTeam) {
+  const int caller_team = omp_get_max_threads();
+  for (Index_type n : kBlockBoundarySizes) {
+    const std::vector<double> data = reciprocals(n);
+    const double* p = data.data();
+    auto sum = [&](auto policy) {
+      return forall_reduce<decltype(policy)>(
+          RangeSegment(0, n), 0.0, std::plus<>{},
+          [=](Index_type i, double& acc) { acc += p[i]; });
+    };
+    const double ref = sum(seq_exec{});
+    for (int team : {1, 2, 3}) {
+      omp_set_num_threads(team);
+      EXPECT_EQ(sum(seq_exec{}), ref) << "n=" << n << " team=" << team;
+      EXPECT_EQ(sum(omp_parallel_for_exec{}), ref)
+          << "n=" << n << " team=" << team;
+    }
+    omp_set_num_threads(caller_team);
+  }
 }
 
 // ------------------------------------------------------------------- scans
@@ -185,6 +227,36 @@ TYPED_TEST(ScanPolicyTest, ExclusiveHonorsInit) {
   std::vector<long long> in{1, 2, 3}, out(3);
   exclusive_scan<TypeParam>(in.data(), out.data(), 3, 100LL);
   EXPECT_EQ(out, (std::vector<long long>{100, 101, 103}));
+}
+
+TYPED_TEST(ScanPolicyTest, InPlaceMatchesStd) {
+  for (Index_type n : {0, 1, 63, 64, 65, 1000, 65536}) {
+    std::vector<long long> data(n), ref(n);
+    for (Index_type i = 0; i < n; ++i) data[i] = (i * 7919) % 13 - 6;
+    std::exclusive_scan(data.begin(), data.end(), ref.begin(), 5LL);
+    exclusive_scan<TypeParam>(data.data(), data.data(), n, 5LL);
+    EXPECT_EQ(data, ref) << "n=" << n;
+  }
+}
+
+// The OpenMP scan's blocks depend on n alone, so a double scan gives the
+// same bits at every team size.
+TEST(ExclusiveScan, OpenMPDoubleScanHasTheSameBitsAtEveryTeam) {
+  const int caller_team = omp_get_max_threads();
+  for (Index_type n : kBlockBoundarySizes) {
+    const std::vector<double> in = reciprocals(n);
+    auto scan = [&] {
+      std::vector<double> out(in.size());
+      exclusive_scan<omp_parallel_for_exec>(in.data(), out.data(), n, 0.0);
+      return out;
+    };
+    const std::vector<double> ref = scan();
+    for (int team : {1, 2, 3}) {
+      omp_set_num_threads(team);
+      EXPECT_TRUE(scan() == ref) << "n=" << n << " team=" << team;
+    }
+    omp_set_num_threads(caller_team);
+  }
 }
 
 // ------------------------------------------------------------------- sorts

@@ -77,6 +77,26 @@ TEST(RunParams, SizeOverrideBeatsFactor) {
   EXPECT_EQ(k->actual_prob_size(), 77);
 }
 
+// A size factor whose product leaves the index range is an error naming
+// the kernel and the flag; a huge reps factor saturates at max_reps.
+TEST(RunParams, HugeFactorsFailOrSaturate) {
+  RunParams big_size;
+  big_size.size_factor = 1e300;
+  try {
+    (void)make_kernel("Stream_TRIAD", big_size);
+    ADD_FAILURE() << "--size-factor 1e300 was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("Stream_TRIAD"), std::string::npos) << what;
+    EXPECT_NE(what.find("--size-factor"), std::string::npos) << what;
+  }
+  RunParams big_reps;
+  big_reps.size_factor = 0.001;
+  big_reps.reps_factor = 1e300;
+  EXPECT_EQ(make_kernel("Stream_TRIAD", big_reps)->run_reps(),
+            big_reps.max_reps);
+}
+
 // ------------------------------------------------------------------- types
 
 TEST(Types, StringRoundTrips) {

@@ -21,6 +21,36 @@ foreach(needle "Stream_TRIAD" "Basic_DAXPY" "RAJA_OpenMP")
   endif()
 endforeach()
 
+# rajaperf checks its driver flags before the sweep: a bad --report or
+# --caliper exits 2 naming the flag, and no cell runs (no progress.jsonl).
+set(case_index 0)
+foreach(case
+        "--report|--report;bogus"
+        "--caliper|--caliper;runtime-report("
+        "--caliper|--caliper;runtime-report,min_percent=abc"
+        "--caliper|--caliper;nonsense-report")
+  string(REPLACE "|" ";" parts "${case}")
+  list(POP_FRONT parts flag)
+  math(EXPR case_index "${case_index} + 1")
+  set(bad_dir "${WORKDIR}/bad_driver_flag_${case_index}")
+  execute_process(
+    COMMAND "${RAJAPERF}" --kernels Basic_DAXPY --variants Base_Seq
+            --size-factor 0.001 --outdir "${bad_dir}" ${parts}
+    OUTPUT_VARIABLE out_bad
+    ERROR_VARIABLE err_bad
+    RESULT_VARIABLE rc_bad)
+  if(NOT rc_bad EQUAL 2)
+    message(FATAL_ERROR
+      "rajaperf ${parts}: want exit 2, got ${rc_bad}:\n${out_bad}\n${err_bad}")
+  endif()
+  if(NOT err_bad MATCHES "${flag}")
+    message(FATAL_ERROR "rajaperf ${parts}: message names no flag:\n${err_bad}")
+  endif()
+  if(EXISTS "${bad_dir}/progress.jsonl")
+    message(FATAL_ERROR "rajaperf ${parts}: ran cells before failing")
+  endif()
+endforeach()
+
 # A non-numeric or out-of-range value for a numeric option is a usage
 # error (exit 2) that names the option, in every mode that takes one,
 # before any input is read (the store paths below do not exist).

@@ -19,9 +19,13 @@
 //   70 unknown (non-std::exception) error
 //   130 / 143  interrupted by SIGINT / SIGTERM (128+signal); reports print
 //      and the checkpoint + profiles are flushed first, so --resume works
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -72,6 +76,37 @@ int simulate(const std::string& machine_name) {
   return 0;
 }
 
+/// The runtime-report options a --caliper config asks for. rajaperf
+/// implements only runtime-report, so a malformed config, any other spec or
+/// a min_percent that is not one finite number >= 0 is a usage error.
+rperf::cali::ReportOptions caliper_report_options(const std::string& config) {
+  using rperf::cali::ConfigError;
+  rperf::cali::ConfigSpec spec;
+  try {
+    const rperf::cali::ConfigManager cm(config);
+    for (const auto& s : cm.specs()) {
+      if (s.name != "runtime-report") {
+        throw ConfigError("unknown spec '" + s.name +
+                          "' (rajaperf implements runtime-report)");
+      }
+    }
+    spec = cm.get("runtime-report");
+  } catch (const ConfigError& e) {
+    throw std::invalid_argument(std::string("--caliper: ") + e.what());
+  }
+  const std::string text = spec.option_or("min_percent", "0");
+  rperf::cali::ReportOptions opts;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, opts.min_percent);
+  if (ec != std::errc() || ptr != end || !std::isfinite(opts.min_percent) ||
+      opts.min_percent < 0.0) {
+    throw std::invalid_argument(
+        "--caliper: min_percent wants a number >= 0 (got '" + text + "')");
+  }
+  opts.show_metrics = spec.option_or("metrics", "") == "true";
+  return opts;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -113,6 +148,14 @@ int main(int argc, char** argv) {
         return 0;
       }
       forwarded.push_back(argv[i]);
+    }
+    if (report != "timing" && report != "checksum" && report != "both") {
+      throw std::invalid_argument(
+          "--report wants timing, checksum or both (got '" + report + "')");
+    }
+    std::optional<cali::ReportOptions> report_options;
+    if (!caliper_config.empty()) {
+      report_options = caliper_report_options(caliper_config);
     }
 
     suite::RunParams params = suite::RunParams::parse(
@@ -254,20 +297,12 @@ int main(int argc, char** argv) {
 
     // Caliper-style config: a runtime-report spec prints the hierarchical
     // region report per executed profile.
-    if (!caliper_config.empty()) {
-      const cali::ConfigManager cm(caliper_config);
-      if (cm.has("runtime-report")) {
-        cali::ReportOptions opts;
-        opts.min_percent =
-            std::stod(cm.get("runtime-report").option_or("min_percent", "0"));
-        opts.show_metrics =
-            cm.get("runtime-report").option_or("metrics", "") == "true";
-        for (const auto& prof : exec.profiles()) {
-          std::printf("\n--- runtime-report: variant=%s tuning=%s ---\n%s",
-                      prof.metadata.at("variant").c_str(),
-                      prof.metadata.at("tuning").c_str(),
-                      cali::runtime_report(prof, opts).c_str());
-        }
+    if (report_options) {
+      for (const auto& prof : exec.profiles()) {
+        std::printf("\n--- runtime-report: variant=%s tuning=%s ---\n%s",
+                    prof.metadata.at("variant").c_str(),
+                    prof.metadata.at("tuning").c_str(),
+                    cali::runtime_report(prof, *report_options).c_str());
       }
     }
     return all_passed ? 0 : 4;
