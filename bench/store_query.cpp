@@ -15,6 +15,11 @@
 //                    on segment size as much as on cores (this ledger's
 //                    small segments scan below 1x on some 4-core hosts
 //                    where larger ones reach ~3x).
+//   writer open    — while the ledger is built, the writer is closed and
+//                    reopened after the 100th and the 1000th seal, median
+//                    of 5 each, and the per-segment slope between the
+//                    two. Recorded, not gated: a shared host's timing
+//                    moves by more than any bound a gate could hold.
 //   bit identity   — the run decoded via the indexed point lookup must
 //                    be byte-for-byte the run the full scan reassembles
 //                    (long-double checksum bits included), and both
@@ -34,6 +39,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,10 +63,12 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-double median3(double a, double b, double c) {
-  double v[3] = {a, b, c};
-  std::sort(v, v + 3);
-  return v[1];
+template <std::size_t N>
+double median(const double (&samples)[N]) {
+  double v[N];
+  std::copy(samples, samples + N, v);
+  std::sort(v, v + N);
+  return v[N / 2];
 }
 
 bool runs_bit_identical(const store::StoredRun& a, const store::StoredRun& b,
@@ -125,10 +134,11 @@ int main(int argc, char** argv) {
   const auto build_start = Clock::now();
   std::vector<std::string> run_ids;
   run_ids.reserve(n_runs);
+  std::map<std::size_t, double> open_ms;  ///< seals -> median reopen ms
   {
-    store::StoreWriter writer(dir);
+    std::optional<store::StoreWriter> writer(std::in_place, dir);
     for (std::size_t r = 0; r < n_runs; ++r) {
-      run_ids.push_back(writer.begin_run(
+      run_ids.push_back(writer->begin_run(
           {{"suite", "store-query-bench"},
            {"run", std::to_string(r)},
            {"size_factor", "0.01"}}));
@@ -143,8 +153,8 @@ int main(int argc, char** argv) {
         c.checksum = (1.0L / 3.0L) * static_cast<long double>(r + i + 1);
         c.problem_size = static_cast<std::int64_t>(1 << 16);
         c.reps = 100;
-        writer.add_cell(c);
-        writer.commit();
+        writer->add_cell(c);
+        writer->commit();
       }
       // Two per-variant region profiles, like a real sweep lands: the
       // heaviest payloads in the ledger, and exactly the bytes an
@@ -161,12 +171,25 @@ int main(int argc, char** argv) {
           node.metrics = {{"flops", 1e9}, {"bytes", 4e9}, {"reps", 100.0}};
           profile.roots.push_back(std::move(node));
         }
-        writer.add_profile(variant, "default", profile);
+        writer->add_profile(variant, "default", profile);
       }
-      writer.add_trace_summary(
+      writer->add_trace_summary(
           {{"wall_sec", 0.01 * static_cast<double>(r % 7)},
            {"cells", static_cast<double>(n_cells)}});
-      writer.finish_run();
+      writer->finish_run();
+      const std::size_t sealed = r + 1;
+      if (sealed == 100 || sealed == 1000) {
+        double reopen_s[5];
+        for (double& t : reopen_s) {
+          const auto start = Clock::now();
+          writer.reset();
+          writer.emplace(dir);
+          t = seconds_since(start);
+        }
+        open_ms[sealed] = median(reopen_s) * 1e3;
+        std::printf("  writer close + reopen at %zu segments: %.2f ms\n",
+                    sealed, open_ms[sealed]);
+      }
     }
   }
   const double build_sec = seconds_since(build_start);
@@ -206,8 +229,8 @@ int main(int argc, char** argv) {
     }
     via_scan = *scanned;
   }
-  const double indexed_sec = median3(indexed_s[0], indexed_s[1], indexed_s[2]);
-  const double scan_sec = median3(scan_s[0], scan_s[1], scan_s[2]);
+  const double indexed_sec = median(indexed_s);
+  const double scan_sec = median(scan_s);
   const double lookup_speedup = scan_sec / indexed_sec;
   std::printf("  point lookup: indexed %.2f ms, full scan %.2f ms "
               "(%.1fx)\n",
@@ -250,8 +273,8 @@ int main(int argc, char** argv) {
     }
     census = parallel.runs().size();
   }
-  const double one_sec = median3(one_s[0], one_s[1], one_s[2]);
-  const double four_sec = median3(four_s[0], four_s[1], four_s[2]);
+  const double one_sec = median(one_s);
+  const double four_sec = median(four_s);
   const double scan_speedup = one_sec / four_sec;
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("  cold scan (%zu runs): 1 thread %.2f ms, 4 threads %.2f ms "
@@ -284,6 +307,13 @@ int main(int argc, char** argv) {
   sq["cold_scan_4t_sec"] = four_sec;
   sq["cold_scan_speedup"] = scan_speedup;
   sq["hardware_threads"] = static_cast<std::int64_t>(hw);
+  for (const auto& [sealed, ms] : open_ms) {
+    sq["writer_open_ms_" + std::to_string(sealed)] = ms;
+  }
+  if (open_ms.size() == 2) {
+    sq["writer_open_ms_per_segment"] =
+        (open_ms[1000] - open_ms[100]) / (1000.0 - 100.0);
+  }
   sq["bit_identical"] = true;
   doc["store_query"] = std::move(sq);
   std::ofstream os(json_path);

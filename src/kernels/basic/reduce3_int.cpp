@@ -91,10 +91,14 @@ void REDUCE3_INT::runVariant(VariantID vid) {
             return SumMinMax{a.sum + b.sum, std::min(a.min, b.min),
                              std::max(a.max, b.max)};
           },
+          // Ternaries, not std::min/std::max: those return a reference,
+          // which keeps acc.min and acc.max in memory and the loop from
+          // vectorizing.
           [=](Index_type i, SumMinMax& acc) {
-            acc.sum += x[i];
-            acc.min = std::min(acc.min, x[i]);
-            acc.max = std::max(acc.max, x[i]);
+            const int v = x[i];
+            acc.sum += v;
+            acc.min = v < acc.min ? v : acc.min;
+            acc.max = v > acc.max ? v : acc.max;
           },
           [this](const SumMinMax& acc) {
             m_isum = acc.sum;

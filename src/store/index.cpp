@@ -1,5 +1,6 @@
 #include "store/index.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 
@@ -114,10 +115,12 @@ bool BloomFilter::maybe_contains(std::string_view key) const {
 // Manifest
 
 const ManifestSegment* Manifest::segment(const std::string& name) const {
-  for (const auto& seg : segments) {
-    if (seg.name == name) return &seg;
-  }
-  return nullptr;
+  const auto it = std::lower_bound(
+      segments.begin(), segments.end(), name,
+      [](const ManifestSegment& seg, const std::string& key) {
+        return seg.name < key;
+      });
+  return it != segments.end() && it->name == name ? &*it : nullptr;
 }
 
 std::string encode_manifest(const Manifest& manifest) {
@@ -182,6 +185,9 @@ std::optional<Manifest> decode_manifest(std::string_view data,
         seg.runs.push_back(get_run_entry(r));
       }
       seg.kernels = get_bloom(r);
+      if (!m.segments.empty() && !(m.segments.back().name < seg.name)) {
+        return fail("manifest segments out of order at " + seg.name);
+      }
       m.segments.push_back(std::move(seg));
     }
     return m;

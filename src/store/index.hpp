@@ -8,12 +8,14 @@
 //
 //   manifest := "RPSMANI1" payload u32 crc32(payload)
 //
-// The writer owns it. At open it builds the catalog from the scan it
-// runs over every sealed segment anyway and rewrites the file only when
-// the one on disk differs (missing, garbled or stale); at each seal it
-// appends the new segment's entry, built by re-scanning the just-fsynced
-// journal with the same scan core recovery uses, so an entry is
-// consistent with a full decode by construction. Every save is
+// The writer owns it. At open it rebuilds the catalog from a catalog-
+// depth scan of every sealed segment (store/scan.hpp: every frame, CRC,
+// sequence, marker and run-id check; only headers, markers and cell
+// kernel names decoded) and rewrites the file only when the one on disk
+// differs (missing, garbled or stale); the file on disk is never taken
+// in place of that scan. At each seal it appends the new segment's
+// entry, built by re-scanning the just-fsynced journal at the same
+// depth, so the entry is the one the next open rebuilds. Every save is
 // crash-atomic (tmp+fsync+rename).
 //
 // The manifest is a pure cache: queries decode any segment it does not
@@ -76,13 +78,17 @@ struct ManifestSegment {
 
 struct Manifest {
   std::uint32_t version = kManifestVersion;
-  std::vector<ManifestSegment> segments;  ///< ledger (name) order
+  /// Ledger order: strictly increasing names (decode_manifest rejects a
+  /// manifest in any other order).
+  std::vector<ManifestSegment> segments;
 
+  /// The entry named `name`, or nullptr; a binary search by name.
   [[nodiscard]] const ManifestSegment* segment(const std::string& name) const;
 };
 
 [[nodiscard]] std::string encode_manifest(const Manifest& manifest);
-/// Decode a manifest image; nullopt (with `why`) on any damage.
+/// Decode a manifest image; nullopt (with `why`) on any damage,
+/// segments out of name order included.
 [[nodiscard]] std::optional<Manifest> decode_manifest(std::string_view data,
                                                       std::string* why);
 /// Load DIR/MANIFEST.rps; nullopt (with `why`) when missing/undecodable.

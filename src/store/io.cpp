@@ -163,22 +163,36 @@ void atomic_rename(const std::string& from, const std::string& to) {
 }
 
 std::string read_file(const std::string& path) {
+  std::string out;
+  read_file_into(path, out);
+  return out;
+}
+
+void read_file_into(const std::string& path, std::string& buf) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) throw_errno("open", path);
-  std::string out;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t rc = ::read(fd, buf, sizeof(buf));
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    throw_errno("fstat", path);
+  }
+  // Growing zero-fills only the bytes past the buffer's current size;
+  // every byte up to st_size is then overwritten by the reads.
+  buf.resize(static_cast<std::size_t>(st.st_size));
+  std::size_t done = 0;
+  while (done < buf.size()) {
+    const ssize_t rc = ::pread(fd, buf.data() + done, buf.size() - done,
+                               static_cast<off_t>(done));
     if (rc < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
       throw_errno("read", path);
     }
-    if (rc == 0) break;
-    out.append(buf, static_cast<std::size_t>(rc));
+    if (rc == 0) break;  // the file shrank since fstat
+    done += static_cast<std::size_t>(rc);
   }
+  buf.resize(done);
   ::close(fd);
-  return out;
 }
 
 void atomic_write_file(const std::string& path, const std::string& content) {

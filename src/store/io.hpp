@@ -75,9 +75,10 @@ class AppendFile {
 };
 
 /// Read-only memory map of a whole file. The view is valid for the
-/// lifetime of the object; readers decode records directly from it
-/// (zero copy — no read()+copy of segments that a query only needs a
-/// few frames of). An empty file maps to an empty view.
+/// lifetime of the object; a point lookup decodes records directly from
+/// it (zero copy — no read()+copy of a segment it needs a few frames
+/// of). Whole-file scans use read_file_into instead. An empty file maps
+/// to an empty view.
 class MappedFile {
  public:
   MappedFile() = default;
@@ -131,6 +132,11 @@ void atomic_rename(const std::string& from, const std::string& to);
 
 /// Whole-file read; throws IoError when unreadable.
 [[nodiscard]] std::string read_file(const std::string& path);
+
+/// Whole-file read into `buf`, reusing its capacity (pread; no mapping):
+/// afterwards `buf` holds exactly the file's bytes. Throws IoError when
+/// unreadable, like read_file.
+void read_file_into(const std::string& path, std::string& buf);
 
 /// Crash-atomic whole-file replace: write `content` to `path`.tmp,
 /// fsync, rename over `path`, fsync the directory. A crash at any point

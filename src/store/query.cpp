@@ -41,7 +41,8 @@ std::optional<StoredRun> read_run(const MappedFile& segment,
   // committed marker — frames of other runs are never touched.
   RecordsScan rec = scan_records(
       data, entry.first_offset, data.size(), entry.min_seq - 1,
-      fs::path(segment.path()).filename().string(), entry.max_seq);
+      fs::path(segment.path()).filename().string(), ScanDepth::Full,
+      entry.max_seq);
   if (!rec.clean) return fail("record decode stopped: " + rec.why);
   if (rec.runs.size() != 1) {
     return fail("expected exactly one run at the manifest offset, got " +

@@ -52,65 +52,93 @@ bool ends_in_legacy_footer(std::string_view data, const RecordsScan& rec) {
          load_u64(data.data() + data.size() - 8) == kLegacyFooterEndMagic;
 }
 
-/// A decoded-but-uncommitted record, parked until a valid marker.
-struct PendingOp {
-  RecordType type = RecordType::RunHeader;
-  std::uint64_t seq = 0;
-  std::uint64_t offset = 0;  ///< frame offset in the file
-  StoredRun run;             // RunHeader
-  CellRecord cell;           // CellResult
-  StoredProfile profile;     // ProfileRegion
-  CounterRecord counters;    // CounterSet
-  std::map<std::string, double> summary;  // TraceSummary
+/// Records parked since the last commit marker that land in one run
+/// once a valid marker commits them: the run a parked RunHeader opens,
+/// or the run already open. `info` holds the entry fields, counts and
+/// cell kernel names; `run` gains decoded records at full depth only.
+struct ParkedRun {
+  RunIndexInfo info;
+  StoredRun run;
 };
 
 struct ScanState {
-  std::vector<StoredRun> runs;
-  std::vector<RunIndexInfo> index;  ///< parallel to runs
-  std::vector<PendingOp> pending;
-  int open_run = -1;                ///< index into runs, -1 = none open
+  ScanDepth depth = ScanDepth::Full;
+  std::vector<StoredRun> runs;      ///< full depth only, parallel to index
+  std::vector<RunIndexInfo> index;
+  ParkedRun open_tail;              ///< parked records of the open run
+  std::vector<ParkedRun> new_runs;  ///< parked RunHeaders, with their records
+  std::size_t parked = 0;           ///< records parked since the last marker
+  int open_run = -1;                ///< index into `index`, -1 = none open
   std::uint64_t last_seq = 0;       ///< seq of last structurally valid record
   std::uint64_t committed_seq = 0;  ///< seq of last *applied* marker
-  std::size_t committed_cells = 0;
 };
 
-/// Run id the next marker must name: a pending header wins over the
+/// Run id the next marker must name: a parked header wins over the
 /// open committed run.
 const std::string* current_run_id(const ScanState& st) {
-  for (auto it = st.pending.rbegin(); it != st.pending.rend(); ++it) {
-    if (it->type == RecordType::RunHeader) return &it->run.run_id;
-  }
-  if (st.open_run >= 0) return &st.runs[st.open_run].run_id;
+  if (!st.new_runs.empty()) return &st.new_runs.back().info.entry.run_id;
+  if (st.open_run >= 0) return &st.index[st.open_run].entry.run_id;
   return nullptr;
 }
 
-/// Decode one record body into the pending list / apply a marker.
-/// Returns false (with `why`) when the record is invalid — the scan
-/// stops there, fail closed.
+/// Commit the open run's parked records into it and empty `open_tail`
+/// (keeping its capacity: most markers commit a single cell).
+void commit_open_tail(ScanState& st) {
+  ParkedRun& tail = st.open_tail;
+  RunIndexInfo& info = st.index[st.open_run];
+  info.entry.cells += tail.info.entry.cells;
+  info.entry.profiles += tail.info.entry.profiles;
+  info.entry.summaries += tail.info.entry.summaries;
+  for (auto& k : tail.info.kernels) info.kernels.push_back(std::move(k));
+  if (st.depth == ScanDepth::Full) {
+    StoredRun& run = st.runs[st.open_run];
+    for (auto& c : tail.run.cells) run.cells.push_back(std::move(c));
+    for (auto& p : tail.run.profiles) run.profiles.push_back(std::move(p));
+    for (auto& c : tail.run.counters) run.counters.push_back(std::move(c));
+    if (tail.info.entry.summaries != 0) {
+      run.trace_summary = std::move(tail.run.trace_summary);
+    }
+    tail.run.cells.clear();
+    tail.run.profiles.clear();
+    tail.run.counters.clear();
+  }
+  tail.info.kernels.clear();
+  tail.info.entry.cells = 0;
+  tail.info.entry.profiles = 0;
+  tail.info.entry.summaries = 0;
+}
+
+/// Check one record body and park it, or apply a marker. Returns false
+/// (with `why`) when the record is invalid — the scan stops there, fail
+/// closed. Catalog depth skips the payload decode of every data record
+/// but a cell's kernel name (see scan.hpp).
 bool consume_record(ScanState& st, RecordType type, std::string_view payload,
                     std::uint64_t seq, std::uint64_t offset,
                     const std::string& file, std::string& why) {
+  const bool full = st.depth == ScanDepth::Full;
   try {
     switch (type) {
       case RecordType::RunHeader: {
         wire::Reader r(payload.data(), payload.size());
-        PendingOp op;
-        op.type = type;
-        op.seq = seq;
-        op.offset = offset;
-        op.run.run_id = r.get_bytes();
+        ParkedRun parked;
+        StoredRun& run = parked.run;
+        run.run_id = r.get_bytes();
         const std::uint32_t n = r.get_u32();
         r.check_count(n, 8);
         for (std::uint32_t i = 0; i < n; ++i) {
           const std::string key = r.get_bytes();
-          op.run.config[key] = r.get_bytes();
+          run.config[key] = r.get_bytes();
         }
-        if (op.run.run_id != run_config_id(op.run.config)) {
+        if (run.run_id != run_config_id(run.config)) {
           why = "run id does not match its config hash";
           return false;
         }
-        op.run.file = file;
-        st.pending.push_back(std::move(op));
+        run.file = file;
+        parked.info.entry.run_id = run.run_id;
+        parked.info.entry.first_offset = offset;
+        parked.info.entry.min_seq = seq;
+        st.new_runs.push_back(std::move(parked));
+        ++st.parked;
         return true;
       }
       case RecordType::CellResult:
@@ -121,29 +149,46 @@ bool consume_record(ScanState& st, RecordType type, std::string_view payload,
           why = "data record outside any run";
           return false;
         }
-        PendingOp op;
-        op.type = type;
-        op.seq = seq;
-        op.offset = offset;
+        ParkedRun& to = st.new_runs.empty() ? st.open_tail : st.new_runs.back();
         if (type == RecordType::CellResult) {
-          op.cell = decode_cell_payload(payload);
+          ++to.info.entry.cells;
+          if (full) {
+            to.run.cells.push_back(decode_cell_payload(payload));
+            to.info.kernels.push_back(to.run.cells.back().kernel);
+          } else {
+            wire::Reader r(payload.data(), payload.size());
+            to.info.kernels.push_back(r.get_bytes());
+          }
         } else if (type == RecordType::ProfileRegion) {
-          wire::Reader r(payload.data(), payload.size());
-          op.profile.variant = r.get_bytes();
-          op.profile.tuning = r.get_bytes();
-          op.profile.profile = cali::profile_from_wire(r);
+          ++to.info.entry.profiles;
+          if (full) {
+            wire::Reader r(payload.data(), payload.size());
+            StoredProfile p;
+            p.variant = r.get_bytes();
+            p.tuning = r.get_bytes();
+            p.profile = cali::profile_from_wire(r);
+            to.run.profiles.push_back(std::move(p));
+          }
         } else if (type == RecordType::CounterSet) {
-          op.counters = decode_counter_payload(payload);
+          // Deliberately not indexed: the manifest entry layout predates
+          // counter records and stays fixed; queries reach counters
+          // through their run.
+          if (full) to.run.counters.push_back(decode_counter_payload(payload));
         } else {
-          wire::Reader r(payload.data(), payload.size());
-          const std::uint32_t n = r.get_u32();
-          r.check_count(n, 12);
-          for (std::uint32_t i = 0; i < n; ++i) {
-            const std::string key = r.get_bytes();
-            op.summary[key] = r.get_f64();
+          ++to.info.entry.summaries;
+          if (full) {
+            wire::Reader r(payload.data(), payload.size());
+            std::map<std::string, double> summary;
+            const std::uint32_t n = r.get_u32();
+            r.check_count(n, 12);
+            for (std::uint32_t i = 0; i < n; ++i) {
+              const std::string key = r.get_bytes();
+              summary[key] = r.get_f64();
+            }
+            to.run.trace_summary = std::move(summary);
           }
         }
-        st.pending.push_back(std::move(op));
+        ++st.parked;
         return true;
       }
       case RecordType::CommitMarker: {
@@ -165,48 +210,21 @@ bool consume_record(ScanState& st, RecordType type, std::string_view payload,
           why = "commit marker names a run that is not open";
           return false;
         }
-        for (auto& op : st.pending) {
-          switch (op.type) {
-            case RecordType::RunHeader: {
-              RunIndexInfo info;
-              info.entry.run_id = op.run.run_id;
-              info.entry.first_offset = op.offset;
-              info.entry.min_seq = op.seq;
-              st.runs.push_back(std::move(op.run));
-              st.index.push_back(std::move(info));
-              st.open_run = static_cast<int>(st.runs.size()) - 1;
-              break;
-            }
-            case RecordType::CellResult:
-              st.index[st.open_run].kernels.push_back(op.cell.kernel);
-              ++st.index[st.open_run].entry.cells;
-              st.runs[st.open_run].cells.push_back(std::move(op.cell));
-              ++st.committed_cells;
-              break;
-            case RecordType::ProfileRegion:
-              ++st.index[st.open_run].entry.profiles;
-              st.runs[st.open_run].profiles.push_back(std::move(op.profile));
-              break;
-            case RecordType::CounterSet:
-              // Deliberately not indexed: the manifest entry layout
-              // predates counter records and stays fixed; queries reach
-              // counters through their run.
-              st.runs[st.open_run].counters.push_back(std::move(op.counters));
-              break;
-            case RecordType::TraceSummary:
-              ++st.index[st.open_run].entry.summaries;
-              st.runs[st.open_run].trace_summary = std::move(op.summary);
-              break;
-            case RecordType::CommitMarker:
-              break;  // never pending
-          }
+        // Parked records land in append order: the open run's first,
+        // then each parked header opens the next run.
+        if (st.open_run >= 0) commit_open_tail(st);
+        for (auto& parked : st.new_runs) {
+          st.index.push_back(std::move(parked.info));
+          if (full) st.runs.push_back(std::move(parked.run));
+          st.open_run = static_cast<int>(st.index.size()) - 1;
         }
-        st.pending.clear();
+        st.new_runs.clear();
+        st.parked = 0;
         if (st.open_run >= 0) {
           st.index[st.open_run].entry.max_seq = seq;
           if (final_marker) {
-            st.runs[st.open_run].complete = true;
             st.index[st.open_run].entry.complete = true;
+            if (full) st.runs[st.open_run].complete = true;
             st.open_run = -1;
           }
         }
@@ -230,10 +248,11 @@ bool consume_record(ScanState& st, RecordType type, std::string_view payload,
 
 RecordsScan scan_records(std::string_view data, std::size_t begin,
                          std::size_t end, std::uint64_t prev_seq,
-                         const std::string& file,
+                         const std::string& file, ScanDepth depth,
                          std::uint64_t stop_after_seq) {
   RecordsScan out;
   ScanState st;
+  st.depth = depth;
   st.last_seq = prev_seq;
   out.committed_end = begin;
   std::size_t pos = begin;
@@ -293,12 +312,12 @@ RecordsScan scan_records(std::string_view data, std::size_t begin,
   }
   out.stop_pos = pos;
   if (out.why.empty() && !stopped_at_target &&
-      (out.committed_end != end || !st.pending.empty())) {
+      (out.committed_end != end || st.parked != 0)) {
     out.why = "uncommitted trailing records";
   }
   out.clean = out.why.empty();
   out.committed_seq = st.committed_seq;
-  out.committed_cells = st.committed_cells;
+  for (const auto& info : st.index) out.committed_cells += info.entry.cells;
   out.runs = std::move(st.runs);
   out.index = std::move(st.index);
   return out;
@@ -307,8 +326,8 @@ RecordsScan scan_records(std::string_view data, std::size_t begin,
 // ---------------------------------------------------------------------------
 // Whole-file scans
 
-SegmentScan scan_segment_image(std::string_view data,
-                               const std::string& name) {
+SegmentScan scan_segment_image(std::string_view data, const std::string& name,
+                               ScanDepth depth) {
   SegmentScan seg;
   seg.name = name;
   seg.size = data.size();
@@ -317,7 +336,7 @@ SegmentScan scan_segment_image(std::string_view data,
     seg.problem = name + ": bad file header";
     return seg;
   }
-  seg.rec = scan_records(data, kHeaderBytes, data.size(), 0, name);
+  seg.rec = scan_records(data, kHeaderBytes, data.size(), 0, name, depth);
   if (!seg.rec.clean && ends_in_legacy_footer(data, seg.rec)) {
     seg.rec.clean = true;
     seg.rec.why.clear();
@@ -384,39 +403,43 @@ std::string joined_problems(const std::vector<std::string>& problems) {
   return out;
 }
 
-LedgerScan scan_ledger(const std::string& dir, unsigned threads) {
+LedgerScan scan_ledger(const std::string& dir, unsigned threads,
+                       ScanDepth depth) {
   LedgerScan out;
-  std::vector<std::string> paths;
-  for (const std::string& name : list_segments(dir)) {
-    paths.push_back((fs::path(dir) / name).string());
+  const std::vector<std::string> names = list_segments(dir);
+  for (const std::string& name : names) {
     const std::uint64_t idx = std::strtoull(name.c_str() + 4, nullptr, 10);
     out.max_segment_index = std::max(out.max_segment_index, idx);
   }
-  out.segments.resize(paths.size());
+  out.segments.resize(names.size());
 
-  auto scan_one = [&](std::size_t i) {
-    const std::string name = fs::path(paths[i]).filename().string();
+  // Each worker reads its segments into one buffer it reuses; every
+  // decoded field is copied out, so nothing points into the buffer.
+  auto scan_one = [&](std::size_t i, std::string& buf) {
+    const std::string& name = names[i];
     try {
-      MappedFile map(paths[i]);
-      out.segments[i] = scan_segment_image(map.view(), name);
+      read_file_into((fs::path(dir) / name).string(), buf);
+      out.segments[i] = scan_segment_image(buf, name, depth);
     } catch (const std::exception& e) {
       out.segments[i].name = name;
       out.segments[i].problem = name + ": " + e.what();
       out.segments[i].data_clean = false;
     }
   };
-  const unsigned workers = scan_threads(threads, paths.size());
+  const unsigned workers = scan_threads(threads, names.size());
   if (workers <= 1) {
-    for (std::size_t i = 0; i < paths.size(); ++i) scan_one(i);
+    std::string buf;
+    for (std::size_t i = 0; i < names.size(); ++i) scan_one(i, buf);
   } else {
     std::atomic<std::size_t> next{0};
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (unsigned w = 0; w < workers; ++w) {
       pool.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < paths.size();
+        std::string buf;
+        for (std::size_t i = next.fetch_add(1); i < names.size();
              i = next.fetch_add(1)) {
-          scan_one(i);
+          scan_one(i, buf);
         }
       });
     }
@@ -459,7 +482,9 @@ LedgerScan scan_ledger(const std::string& dir, unsigned threads) {
       out.journal = scan_journal_image(data, prev);
       out.journal_committed_end = out.journal.committed_end;
       out.journal_why = out.journal.why;
-      for (auto& run : out.journal.runs) out.runs.push_back(std::move(run));
+      if (depth == ScanDepth::Full) {
+        for (auto& run : out.journal.runs) out.runs.push_back(std::move(run));
+      }
       out.journal.runs.clear();
       out.committed_cells += out.journal.committed_cells;
       if (out.journal.committed_seq != 0) prev = out.journal.committed_seq;

@@ -3,11 +3,29 @@
 // planner's point lookups — so every consumer agrees byte-for-byte on
 // what "committed" means.
 //
-// Everything here operates on std::string_view, so callers can hand in
-// an mmap'd segment (store::MappedFile) and records are decoded in
-// place: no read()+copy of files a query only touches a few frames of.
-// CRC is verified per touched frame, exactly as the streaming scan
-// always did.
+// Everything here operates on std::string_view, so a caller hands in
+// whatever holds the bytes: a point lookup maps one segment
+// (store::MappedFile) and decodes only the frames of the run it wants;
+// the whole-store scan reads each segment into a buffer its worker
+// thread reuses (a mapping per segment costs more: its pages fault in
+// one by one, and every map, fault and unmap takes the process's
+// address-space lock, which the scan threads share). CRC is verified
+// per touched frame.
+//
+// Two depths, one state machine. ScanDepth::Full decodes every record
+// into StoredRuns. ScanDepth::Catalog makes every check Full makes on
+// frames, CRCs, sequences, the commit protocol and the run-id hash, but
+// decodes only what a manifest entry needs: each run header, each commit
+// marker and each cell's kernel name. Its RecordsScan::index, first_seq,
+// committed_seq, committed_end and clean equal Full's on any input whose
+// records all decode; it gives up one thing: a CRC-valid cell (past its
+// kernel name), profile, counter set or trace summary that fails to
+// decode is accepted. Only a writer that encoded those bytes wrong can
+// produce one (the CRC covers them), and every reader still decodes in
+// full and fails closed on it. The writer's open and its seal scan
+// sealed bytes at catalog depth; the journal, which the writer truncates
+// to its committed end, is always scanned in full so writer and readers
+// agree on that end byte for byte.
 //
 // scan_ledger() is the whole-store cold scan. Sealed segments are
 // independent scan units (a run never spans a seal, and the first seq
@@ -34,6 +52,12 @@ struct RunIndexInfo {
   std::vector<std::string> kernels;
 };
 
+/// How much of each record a scan decodes (see the file comment).
+enum class ScanDepth {
+  Full,     ///< every record, into RecordsScan::runs
+  Catalog,  ///< headers, markers, cell kernel names; `runs` stays empty
+};
+
 /// Result of scanning one records region.
 struct RecordsScan {
   std::uint64_t committed_end = 0;  ///< bytes that are committed state
@@ -43,8 +67,8 @@ struct RecordsScan {
   std::uint64_t first_seq = 0;      ///< seq of first valid record (0 none)
   std::uint64_t committed_seq = 0;  ///< seq of last *applied* marker
   std::size_t committed_cells = 0;
-  std::vector<StoredRun> runs;      ///< committed runs, append order
-  std::vector<RunIndexInfo> index;  ///< parallel to runs
+  std::vector<StoredRun> runs;      ///< committed runs (Full only)
+  std::vector<RunIndexInfo> index;  ///< per committed run, append order
 };
 
 /// Scan framed records in data[begin, end). Committed state advances
@@ -58,10 +82,11 @@ struct RecordsScan {
                                        std::size_t begin, std::size_t end,
                                        std::uint64_t prev_seq,
                                        const std::string& file,
+                                       ScanDepth depth = ScanDepth::Full,
                                        std::uint64_t stop_after_seq = 0);
 
-/// One sealed segment, scanned: a full record decode. `data_clean` is
-/// false on any record damage or trailing bytes (fail closed).
+/// One sealed segment, scanned. `data_clean` is false on any record
+/// damage or trailing bytes (fail closed).
 struct SegmentScan {
   std::string name;  ///< file name (e.g. "seg-000001.rps")
   std::uint64_t size = 0;
@@ -75,8 +100,9 @@ struct SegmentScan {
 /// end in one: when the records stop, fully committed, at the footer's
 /// "RPIX" magic and the file ends in the footer's end magic, the footer
 /// bytes are ignored. Records stopping anywhere else fail closed.
-[[nodiscard]] SegmentScan scan_segment_image(std::string_view data,
-                                             const std::string& name);
+[[nodiscard]] SegmentScan scan_segment_image(
+    std::string_view data, const std::string& name,
+    ScanDepth depth = ScanDepth::Full);
 
 /// Scan a journal image: records run to EOF, and anything behind the
 /// last commit marker is torn tail. `prev_seq` seeds the cross-file
@@ -99,7 +125,7 @@ struct LedgerScan {
   // Joined views over every healthy file's committed state (damaged
   // segments contribute their committed prefix, as the sequential scan
   // always had it; a segment rejected at the join for a sequence
-  // violation contributes nothing).
+  // violation contributes nothing). `runs` stays empty at catalog depth.
   std::vector<StoredRun> runs;
   std::size_t committed_cells = 0;
   std::vector<std::size_t> damaged;  ///< indices into segments
@@ -113,9 +139,11 @@ struct LedgerScan {
 };
 
 /// Scan every file in DIR. `threads` = 0 picks min(4, hardware);
-/// segment scans run in parallel, the join is deterministic.
+/// segment scans run in parallel, the join is deterministic. Sealed
+/// segments are scanned at `depth`, the journal always in full.
 [[nodiscard]] LedgerScan scan_ledger(const std::string& dir,
-                                     unsigned threads = 0);
+                                     unsigned threads = 0,
+                                     ScanDepth depth = ScanDepth::Full);
 
 /// File name of sealed segment number `index`: "seg-NNNNNN.rps".
 [[nodiscard]] std::string segment_name(std::uint64_t index);

@@ -288,7 +288,12 @@ StoreWriter::StoreWriter(std::string dir, WriterOptions opt)
 
 void StoreWriter::recover_journal() {
   const BarrierTally tally(barriers_);
-  const LedgerScan scan = scan_ledger(dir_);
+  // Sealed segments at catalog depth: every frame, CRC, sequence, marker
+  // and run-id check, but no payload decode past a cell's kernel name —
+  // the catalog needs no more, and readers still decode in full. The
+  // journal, which is truncated to its committed end below, is scanned
+  // in full so that end is the one every reader computes.
+  const LedgerScan scan = scan_ledger(dir_, 0, ScanDepth::Catalog);
   if (!scan.damaged.empty()) {
     throw CorruptError("store: sealed segment damage in '" + dir_ + "' (" +
                        joined_problems(scan.segment_problems) +
@@ -298,8 +303,10 @@ void StoreWriter::recover_journal() {
   next_seq_ = scan.final_committed_seq + 1;
 
   // The writer owns the manifest: build it from this scan and rewrite the
-  // file only when the one on disk differs (missing, garbled or stale). A
-  // failed rewrite costs queries speed only, and every seal saves the
+  // file only when the one on disk differs (missing, garbled or stale).
+  // The file on disk is never trusted in place of the scan: a lying entry
+  // or a bloom filter missing a kernel would otherwise survive every open.
+  // A failed rewrite costs queries speed only, and every seal saves the
   // whole catalog again.
   manifest_ = manifest_from_scan(scan);
   if (!manifest_drift(dir_, manifest_).empty()) {
@@ -476,14 +483,14 @@ void StoreWriter::seal() {
     }
     const std::uint64_t records_end = journal_.size();
     // Build the manifest entry by re-scanning the just-fsynced journal
-    // with the same scan core recovery uses, so the entry is consistent
-    // with a full decode by construction. The index is fail-open: on any
-    // failure here the segment seals unlisted, queries decode it in full,
-    // and the next writer open lists it.
+    // at the catalog depth writer open uses, so the entry is the one the
+    // next open rebuilds from the sealed segment. The index is fail-open:
+    // on any failure here the segment seals unlisted, queries decode it
+    // in full, and the next writer open lists it.
     try {
       const std::string data = read_file(journal_.path());
-      const RecordsScan rec =
-          scan_records(data, kHeaderBytes, data.size(), 0, name);
+      const RecordsScan rec = scan_records(data, kHeaderBytes, data.size(),
+                                           0, name, ScanDepth::Catalog);
       if (rec.clean) {
         entry = manifest_entry(name, data.size(), rec);
       } else {

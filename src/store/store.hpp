@@ -204,12 +204,14 @@ struct SealInfo {
   std::string index_error;        ///< why the manifest was not updated
 };
 
-/// Single-writer append handle. Opening recovers the journal (quarantine
-/// + truncate the torn tail), refuses a store whose sealed segments are
-/// damaged, and rewrites MANIFEST.rps when it does not match the sealed
-/// segments. All mutation throws StoreError after the first I/O failure
-/// (the writer latches failed: the file's tail state is unknown until
-/// the next recovery scan).
+/// Single-writer append handle. Opening recovers the journal (a full
+/// decode, then quarantine + truncate the torn tail), refuses a store
+/// whose sealed segments fail a catalog-depth scan (store/scan.hpp:
+/// every frame, CRC, sequence, marker and run-id check; payloads decoded
+/// only as far as the manifest needs), and rewrites MANIFEST.rps when it
+/// differs from the catalog rebuilt from that scan. All mutation throws
+/// StoreError after the first I/O failure (the writer latches failed:
+/// the file's tail state is unknown until the next recovery scan).
 class StoreWriter {
  public:
   explicit StoreWriter(std::string dir, WriterOptions opt = {});

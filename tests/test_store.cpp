@@ -8,7 +8,11 @@
 // writer lock, decoder fuzzing (bit flips, truncation, appended
 // garbage), every store-I/O fault kind of the injector grammar
 // (shortwrite/enospc/fsyncfail/tornseg on both the journal and the
-// segment-publication classes), and the fsck status/repair contract.
+// segment-publication classes), the fsck status/repair contract, and
+// the writer's catalog-depth open: it still refuses a bit flip in a
+// cell, profile or marker of a listed sealed segment, and the journal it
+// truncates is decoded in full, so an undecodable journal record is
+// quarantined from there on.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -88,6 +92,52 @@ std::string slurp(const std::string& path) {
 void spit(const std::string& path, const std::string& data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
+}
+
+/// A RunHeader payload for `config`, as StoreWriter::begin_run writes it.
+std::string header_payload(const std::map<std::string, std::string>& config) {
+  wire::Writer w;
+  w.put_bytes(store::run_config_id(config));
+  w.put_u32(static_cast<std::uint32_t>(config.size()));
+  for (const auto& [k, v] : config) {
+    w.put_bytes(k);
+    w.put_bytes(v);
+  }
+  return w.take();
+}
+
+std::string marker_payload(std::uint64_t covers, bool final_flag,
+                           const std::string& run_id) {
+  wire::Writer w;
+  w.put_u64(covers);
+  w.put_u8(final_flag ? 1 : 0);
+  w.put_bytes(run_id);
+  return w.take();
+}
+
+/// A ProfileRegion payload that frames and CRC-checks like any other but
+/// that no decoder accepts: it claims metadata entries it does not hold.
+std::string undecodable_profile_payload() {
+  wire::Writer w;
+  w.put_bytes("Base_Seq");
+  w.put_bytes("default");
+  w.put_u32(1000);
+  return w.take();
+}
+
+/// Offset and type of every record frame in a store file image.
+std::vector<std::pair<std::size_t, store::RecordType>> frames_of(
+    const std::string& data) {
+  std::vector<std::pair<std::size_t, store::RecordType>> frames;
+  std::size_t pos = sizeof(store::kFileMagic);
+  while (pos + store::kFrameBytes + store::kMinBody <= data.size()) {
+    std::uint32_t len;
+    std::memcpy(&len, data.data() + pos + 4, 4);
+    frames.emplace_back(pos, static_cast<store::RecordType>(
+                                 data[pos + store::kFrameBytes + 8]));
+    pos += store::kFrameBytes + len;
+  }
+  return frames;
 }
 
 class StoreTest : public ::testing::Test {
@@ -837,6 +887,118 @@ TEST_F(StoreTest, HandCorruptedSealedSegmentThrowsCorruptError) {
   spit(base_ + "/seg-000000.rps", seg);
   EXPECT_THROW(store::StoreReader r(base_), store::CorruptError);
   EXPECT_EQ(store::fsck(base_, false).status, store::FsckStatus::Corrupt);
+}
+
+// ---------------------------------------------------------------------------
+// Writer open at catalog depth
+
+TEST_F(StoreTest, WriterRefusesBitFlipsInAListedSealedSegment) {
+  {
+    store::StoreWriter w(base_);
+    w.begin_run(small_config("listed"));
+    w.add_cell(make_cell(0));
+    w.commit();
+    cali::Profile profile;
+    profile.metadata["variant"] = "Base_Seq";
+    cali::ProfileNode node;
+    node.name = "Kernel_0";
+    node.time_sec = 0.5;
+    node.metrics = {{"flops", 1e6}};
+    profile.roots.push_back(node);
+    w.add_profile("Base_Seq", "default", profile);
+    w.finish_run();
+  }
+  const std::string name = "seg-000000.rps";
+  const std::string path = base_ + "/" + name;
+  const std::string good = slurp(path);
+  std::string why;
+  const auto manifest = store::load_manifest(base_, &why);
+  ASSERT_TRUE(manifest.has_value()) << why;
+  const store::ManifestSegment* listed = manifest->segment(name);
+  ASSERT_NE(listed, nullptr);
+  ASSERT_EQ(listed->file_size, good.size());  // a flip keeps it "fresh"
+
+  // The catalog scan decodes neither a profile nor a cell past its
+  // kernel name, but its CRC pass reads every byte: media damage in any
+  // payload still keeps the writer out.
+  using store::RecordType;
+  for (const RecordType type : {RecordType::CellResult,
+                                RecordType::ProfileRegion,
+                                RecordType::CommitMarker}) {
+    SCOPED_TRACE("record type " + std::to_string(static_cast<int>(type)));
+    std::size_t offset = 0;
+    for (const auto& [at, t] : frames_of(good)) {
+      if (t == type && offset == 0) offset = at;
+    }
+    ASSERT_NE(offset, 0u);
+    std::uint32_t len;
+    std::memcpy(&len, good.data() + offset + 4, 4);
+    const std::size_t payload = offset + store::kFrameBytes + store::kMinBody;
+    std::string damaged = good;
+    damaged[payload + (len - store::kMinBody) / 2] ^= 0x10;
+    spit(path, damaged);
+    EXPECT_THROW(store::StoreWriter w(base_), store::CorruptError);
+  }
+  spit(path, good);
+  EXPECT_NO_THROW(store::StoreWriter w(base_));
+}
+
+TEST_F(StoreTest, UndecodableJournalRecordIsQuarantinedFromThatRecordOn) {
+  using store::RecordType;
+  const auto before = small_config("before");
+  const auto open = small_config("open");
+  const std::string id_before = store::run_config_id(before);
+  const std::string id_open = store::run_config_id(open);
+  std::string journal(store::kFileMagic, sizeof(store::kFileMagic));
+  journal += store::encode_record(RecordType::RunHeader, 1,
+                                  header_payload(before));
+  journal += store::encode_record(RecordType::CommitMarker, 2,
+                                  marker_payload(1, false, id_before));
+  journal += store::encode_record(RecordType::CellResult, 3,
+                                  store::encode_cell_payload(make_cell(0)));
+  journal += store::encode_record(RecordType::CommitMarker, 4,
+                                  marker_payload(3, true, id_before));
+  journal += store::encode_record(RecordType::RunHeader, 5,
+                                  header_payload(open));
+  journal += store::encode_record(RecordType::CommitMarker, 6,
+                                  marker_payload(5, false, id_open));
+  // A CRC-valid record no decoder accepts, then records that commit
+  // cleanly behind it: readers stop at it and lose what follows.
+  const std::size_t bad_at = journal.size();
+  journal += store::encode_record(RecordType::ProfileRegion, 7,
+                                  undecodable_profile_payload());
+  journal += store::encode_record(RecordType::CommitMarker, 8,
+                                  marker_payload(7, false, id_open));
+  journal += store::encode_record(RecordType::CellResult, 9,
+                                  store::encode_cell_payload(make_cell(1)));
+  journal += store::encode_record(RecordType::CommitMarker, 10,
+                                  marker_payload(9, true, id_open));
+  spit(base_ + "/journal.rps", journal);
+  {
+    store::StoreReader r(base_);
+    ASSERT_EQ(r.runs().size(), 2u);
+    EXPECT_EQ(r.journal_tail_bytes(), journal.size() - bad_at);
+  }
+  // The writer decodes the journal in full, so it truncates at the very
+  // byte where every reader stops.
+  {
+    store::StoreWriter w(base_);
+    EXPECT_EQ(w.recovery().quarantined_bytes, journal.size() - bad_at);
+    ASSERT_FALSE(w.recovery().quarantine_file.empty());
+    EXPECT_EQ(slurp(w.recovery().quarantine_file), journal.substr(bad_at));
+  }
+  EXPECT_EQ(fs::file_size(base_ + "/journal.rps"), bad_at);
+  store::StoreReader r(base_);
+  EXPECT_EQ(r.journal_tail_bytes(), 0u);
+  ASSERT_EQ(r.runs().size(), 2u);
+  EXPECT_EQ(r.runs()[0].run_id, id_before);
+  EXPECT_TRUE(r.runs()[0].complete);
+  ASSERT_EQ(r.runs()[0].cells.size(), 1u);
+  expect_cells_equal(make_cell(0), r.runs()[0].cells[0], "cell 0");
+  EXPECT_EQ(r.runs()[1].run_id, id_open);
+  EXPECT_FALSE(r.runs()[1].complete);
+  EXPECT_TRUE(r.runs()[1].cells.empty());
+  EXPECT_TRUE(r.runs()[1].profiles.empty());
 }
 
 }  // namespace

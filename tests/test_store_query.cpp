@@ -6,8 +6,11 @@
 // stale, unreadable or unlisted manifest, the idxcorrupt fault kind, a
 // lying entry caught by point-lookup verification), segments sealed with
 // the older per-segment footer staying readable, ambiguous run prefix
-// resolution, bloom-filter pruning with no false negatives, and parallel
-// cold scans being identical to serial ones.
+// resolution, bloom-filter pruning with no false negatives, parallel
+// cold scans being identical to serial ones, the binary-search manifest
+// lookup (an out-of-order manifest reads as unreadable), and the scan's
+// catalog depth: it catalogues exactly what a full decode catalogues,
+// and the one thing it leaves to readers stays fail-closed there.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
@@ -109,6 +112,44 @@ std::string legacy_footer(const store::ManifestSegment& seg,
   append_le(out, body.size() + 24, 4);
   append_le(out, 0x3158444953505231ull, 8);  // "1RPSIDX1"
   return out;
+}
+
+std::string header_payload(const std::map<std::string, std::string>& config) {
+  wire::Writer w;
+  w.put_bytes(store::run_config_id(config));
+  w.put_u32(static_cast<std::uint32_t>(config.size()));
+  for (const auto& [k, v] : config) {
+    w.put_bytes(k);
+    w.put_bytes(v);
+  }
+  return w.take();
+}
+
+std::string marker_payload(std::uint64_t covers, bool final_flag,
+                           const std::string& run_id) {
+  wire::Writer w;
+  w.put_u64(covers);
+  w.put_u8(final_flag ? 1 : 0);
+  w.put_bytes(run_id);
+  return w.take();
+}
+
+/// Catalog depth must agree with the full decode on everything a
+/// manifest or the writer takes from a scan.
+void expect_same_catalog(const store::RecordsScan& full,
+                         const store::RecordsScan& catalog,
+                         const std::string& where) {
+  ASSERT_EQ(full.index.size(), catalog.index.size()) << where;
+  for (std::size_t i = 0; i < full.index.size(); ++i) {
+    SCOPED_TRACE(where + " run " + std::to_string(i));
+    EXPECT_EQ(full.index[i].entry, catalog.index[i].entry);
+    EXPECT_EQ(full.index[i].kernels, catalog.index[i].kernels);
+  }
+  EXPECT_EQ(full.committed_end, catalog.committed_end) << where;
+  EXPECT_EQ(full.committed_seq, catalog.committed_seq) << where;
+  EXPECT_EQ(full.first_seq, catalog.first_seq) << where;
+  EXPECT_EQ(full.clean, catalog.clean) << where;
+  EXPECT_EQ(full.committed_cells, catalog.committed_cells) << where;
 }
 
 ino_t inode_of(const std::string& path) {
@@ -637,6 +678,251 @@ TEST_F(StoreQueryTest, ParallelScanIsIdenticalToSerial) {
   EXPECT_EQ(one.status, four.status);
   EXPECT_EQ(one.runs, four.runs);
   EXPECT_EQ(one.committed_cells, four.committed_cells);
+}
+
+// ---------------------------------------------------------------------------
+// The manifest lookup
+
+TEST_F(StoreQueryTest, ManifestSegmentLookupFindsEveryListedNameAndNoOther) {
+  // Every other segment name is listed, so each absent name sits between
+  // two entries (or past the last one).
+  store::Manifest m;
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    store::ManifestSegment seg;
+    seg.name = store::segment_name(2 * i);
+    seg.last_seq = i + 1;
+    m.segments.push_back(std::move(seg));
+  }
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    const store::ManifestSegment* found =
+        m.segment(store::segment_name(2 * i));
+    ASSERT_NE(found, nullptr) << i;
+    EXPECT_EQ(found->last_seq, i + 1);
+    EXPECT_EQ(m.segment(store::segment_name(2 * i + 1)), nullptr) << i;
+  }
+  EXPECT_EQ(m.segment(""), nullptr);
+  EXPECT_EQ(m.segment("seg-"), nullptr);
+  EXPECT_EQ(m.segment("seg-000000.rps.tmp"), nullptr);
+  EXPECT_EQ(m.segment("zzz"), nullptr);
+  EXPECT_EQ(store::Manifest{}.segment(store::segment_name(0)), nullptr);
+
+  std::string why;
+  const auto decoded = store::decode_manifest(store::encode_manifest(m), &why);
+  ASSERT_TRUE(decoded.has_value()) << why;
+  EXPECT_EQ(decoded->segments, m.segments);
+}
+
+TEST_F(StoreQueryTest,
+       OutOfOrderManifestReadsAsUnreadableAndFallsBackToFullScan) {
+  std::vector<std::string> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(write_run("tag" + std::to_string(i),
+                            {"K_" + std::to_string(i)}));
+  }
+  const std::string good = slurp(manifest_path());
+  store::Manifest swapped = manifest();
+  std::swap(swapped.segments[0], swapped.segments[2]);
+  std::string why;
+  EXPECT_FALSE(
+      store::decode_manifest(store::encode_manifest(swapped), &why));
+  EXPECT_NE(why.find("out of order"), std::string::npos) << why;
+  store::Manifest repeated = manifest();
+  repeated.segments[1] = repeated.segments[0];
+  EXPECT_FALSE(
+      store::decode_manifest(store::encode_manifest(repeated), &why));
+
+  store::save_manifest(base_, swapped);
+  {
+    store::StoreQuery q(base_);
+    ASSERT_FALSE(q.warnings().empty());
+    EXPECT_NE(q.warnings()[0].find("unreadable manifest"), std::string::npos)
+        << q.warnings()[0];
+    EXPECT_NE(q.warnings()[0].find("full scan"), std::string::npos);
+    EXPECT_EQ(q.indexed_segments(), 0u);
+    for (const auto& id : ids) {
+      const auto run = q.run(id);
+      ASSERT_TRUE(run.has_value()) << id;
+      EXPECT_EQ(run->run_id, id);
+    }
+  }
+  // The next writer open rewrites it, in order.
+  { store::StoreWriter w(base_); }
+  EXPECT_EQ(slurp(manifest_path()), good);
+  store::StoreQuery q(base_);
+  EXPECT_TRUE(q.warnings().empty());
+  EXPECT_EQ(q.indexed_segments(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// The scan's catalog depth
+
+TEST_F(StoreQueryTest, WriterOpenWritesTheManifestFsckRepairWrites) {
+  // Segment 0: a complete run with counters, profiles and a trace
+  // summary, sealed in the footer layout of earlier builds.
+  {
+    store::StoreWriter w(base_);
+    w.begin_run({{"tag", "full"}});
+    for (std::size_t i = 0; i < 3; ++i) {
+      store::CellRecord c;
+      c.kernel =
+          i == 2 ? "Polybench_FLOYD_WARSHALL" : "K_" + std::to_string(i);
+      c.variant = "Base_Seq";
+      c.status = "Passed";
+      w.add_cell(c);
+      store::CounterRecord counters;
+      counters.kernel = c.kernel;
+      counters.variant = c.variant;
+      counters.source = "simulated";
+      counters.values = {{"PAPI_TOT_INS", 1e6 * double(i + 1)}};
+      w.add_counters(counters);
+      w.commit();
+    }
+    cali::Profile profile;
+    profile.metadata["variant"] = "Base_Seq";
+    cali::ProfileNode node;
+    node.name = "K_0";
+    node.time_sec = 0.25;
+    node.metrics = {{"flops", 1e6}};
+    profile.roots.push_back(node);
+    w.add_profile("Base_Seq", "default", profile);
+    w.add_trace_summary({{"wall_sec", 0.5}});
+    w.finish_run();
+  }
+  {
+    const std::string path = base_ + "/" + latest_segment();
+    std::string data = slurp(path);
+    data += legacy_footer(manifest().segments[0], data.size());
+    spit(path, data);
+  }
+  // Segment 1: a run a killed writer left incomplete (committed cells,
+  // an uncommitted tail), then the next writer's complete run, sealed
+  // together by its finish_run.
+  {
+    store::StoreWriter w(base_);
+    w.begin_run({{"tag", "killed"}});
+    store::CellRecord c;
+    c.kernel = "K_killed";
+    c.status = "Passed";
+    w.add_cell(c);
+    w.commit();
+    w.add_cell(c);  // never committed
+  }
+  {
+    store::StoreWriter w(base_);
+    EXPECT_GT(w.recovery().quarantined_bytes, 0u);
+    w.begin_run({{"tag", "after"}});
+    store::CellRecord c;
+    c.kernel = "K_after";
+    c.status = "Passed";
+    w.add_cell(c);
+    w.commit();
+    w.add_trace_summary({{"wall_sec", 0.75}});
+    w.finish_run();
+  }
+  // Segment 2: a plain one-run segment, as the builds before the index
+  // sealed them.
+  write_run("plain", {"Stream_TRIAD", "Basic_DAXPY"});
+
+  const std::string repaired = base_ + "_fsck";
+  fs::remove_all(repaired);
+  fs::copy(base_, repaired, fs::copy_options::recursive);
+  fs::remove(manifest_path());
+  fs::remove(repaired + "/" + store::kManifestName);
+
+  { store::StoreWriter w(base_); }
+  const store::FsckReport report = store::fsck(repaired, true);
+  EXPECT_EQ(report.status, store::FsckStatus::Clean);
+  EXPECT_TRUE(report.repaired);
+  const std::string by_writer = slurp(manifest_path());
+  const std::string by_fsck = slurp(repaired + "/" + store::kManifestName);
+  fs::remove_all(repaired);
+  ASSERT_FALSE(by_writer.empty());
+  EXPECT_EQ(by_writer, by_fsck);
+
+  const store::Manifest m = manifest();
+  ASSERT_EQ(m.segments.size(), 3u);
+  ASSERT_EQ(m.segments[1].runs.size(), 2u);
+  EXPECT_FALSE(m.segments[1].runs[0].complete);
+  EXPECT_TRUE(m.segments[1].runs[1].complete);
+  EXPECT_TRUE(
+      m.segments[0].kernels.maybe_contains("Polybench_FLOYD_WARSHALL"));
+
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string at = "threads=" + std::to_string(threads);
+    const store::LedgerScan full = store::scan_ledger(base_, threads);
+    const store::LedgerScan catalog =
+        store::scan_ledger(base_, threads, store::ScanDepth::Catalog);
+    ASSERT_EQ(full.segments.size(), 3u);
+    ASSERT_EQ(catalog.segments.size(), full.segments.size());
+    for (std::size_t i = 0; i < full.segments.size(); ++i) {
+      const std::string where = at + " " + full.segments[i].name;
+      EXPECT_TRUE(catalog.segments[i].data_clean) << where;
+      EXPECT_EQ(catalog.segments[i].size, full.segments[i].size) << where;
+      expect_same_catalog(full.segments[i].rec, catalog.segments[i].rec,
+                          where);
+    }
+    expect_same_catalog(full.journal, catalog.journal, at + " journal");
+    EXPECT_EQ(catalog.final_committed_seq, full.final_committed_seq) << at;
+    EXPECT_EQ(catalog.committed_cells, full.committed_cells) << at;
+    EXPECT_EQ(full.runs.size(), 4u) << at;
+    EXPECT_TRUE(catalog.runs.empty()) << at;
+  }
+}
+
+TEST_F(StoreQueryTest, UndecodableSealedPayloadOpensTheWriterAndFailsReaders) {
+  // A sealed segment whose profile record frames and CRC-checks but does
+  // not decode: only a writer that encoded it wrong can produce one.
+  using store::RecordType;
+  const std::map<std::string, std::string> config = {{"tag", "bad-profile"}};
+  const std::string id = store::run_config_id(config);
+  store::CellRecord cell;
+  cell.kernel = "Stream_TRIAD";
+  cell.status = "Passed";
+  wire::Writer bad;
+  bad.put_bytes("Base_Seq");
+  bad.put_bytes("default");
+  bad.put_u32(1000);  // metadata entries the payload does not hold
+  std::string seg(store::kFileMagic, sizeof(store::kFileMagic));
+  seg += store::encode_record(RecordType::RunHeader, 1,
+                              header_payload(config));
+  seg += store::encode_record(RecordType::CommitMarker, 2,
+                              marker_payload(1, false, id));
+  seg += store::encode_record(RecordType::CellResult, 3,
+                              store::encode_cell_payload(cell));
+  seg += store::encode_record(RecordType::CommitMarker, 4,
+                              marker_payload(3, false, id));
+  seg += store::encode_record(RecordType::ProfileRegion, 5, bad.take());
+  seg += store::encode_record(RecordType::CommitMarker, 6,
+                              marker_payload(5, true, id));
+  const std::string name = store::segment_name(0);
+  spit(base_ + "/" + name, seg);
+
+  EXPECT_TRUE(
+      store::scan_segment_image(seg, name, store::ScanDepth::Catalog)
+          .data_clean);
+  const store::SegmentScan full = store::scan_segment_image(seg, name);
+  EXPECT_FALSE(full.data_clean);
+  EXPECT_NE(full.problem.find("payload decode failed"), std::string::npos)
+      << full.problem;
+
+  // The writer opens and lists the segment...
+  { store::StoreWriter w(base_); }
+  const store::Manifest m = manifest();
+  ASSERT_EQ(m.segments.size(), 1u);
+  ASSERT_EQ(m.segments[0].runs.size(), 1u);
+  EXPECT_EQ(m.segments[0].runs[0].profiles, 1u);
+  EXPECT_TRUE(m.segments[0].runs[0].complete);
+
+  // ... and every reader decodes it in full and fails closed.
+  EXPECT_THROW(store::StoreReader r(base_), store::CorruptError);
+  EXPECT_EQ(store::fsck(base_, false).status, store::FsckStatus::Corrupt);
+  {
+    store::StoreQuery q(base_);
+    EXPECT_EQ(q.indexed_segments(), 1u);
+    EXPECT_THROW((void)q.all_runs(), store::CorruptError);
+  }
+  store::StoreQuery q(base_);
+  EXPECT_THROW((void)q.run(id), store::CorruptError);
 }
 
 }  // namespace
