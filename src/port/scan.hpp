@@ -2,18 +2,20 @@
 //
 // Sequential policies use a plain running sum. OpenMP policies use the
 // classic three-phase algorithm over forall_reduce's fixed blocks (at most
-// kReduceBlocks, bounds from n alone): a local scan per block, a serial
-// exclusive scan of the block totals, then an offset fix-up per block.
+// kReduceBlocks, bounds from n alone), in one parallel region: a local
+// scan per block, a serial exclusive scan of the block totals, then an
+// offset fix-up per block.
 // Because the blocks never depend on the team, a floating-point scan gives
 // the same bits at every team size; it may differ from the sequential scan
 // by reassociation. Both read each element before writing it, so `in` may
 // be `out`.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 
-#include "port/blocked.hpp"
+#include "port/forall.hpp"
 #include "port/policy.hpp"
 #include "port/range.hpp"
 #include "port/reduce.hpp"
@@ -34,29 +36,48 @@ void scan_seq(const T* in, T* out, Index_type n, T init) {
 
 template <typename T>
 void scan_omp(const T* in, T* out, Index_type n, T init) {
+  if (n <= 0) return;
   const Index_type block = reduce_block_elems(n);
+  const Index_type nblocks = (n + block - 1) / block;
   std::array<T, kReduceBlocks> offsets{};
-  forall_blocked<omp_parallel_for_exec>(
-      n, block, [&](Index_type begin, Index_type len) {
-        T local = T{};
-        for (Index_type i = begin; i < begin + len; ++i) {
-          const T v = in[i];
-          out[i] = local;
-          local += v;
-        }
-        offsets[static_cast<std::size_t>(begin / block)] = local;
-      });
-  T running = init;
-  for (Index_type b = 0; b * block < n; ++b) {
-    const T total = offsets[static_cast<std::size_t>(b)];
-    offsets[static_cast<std::size_t>(b)] = running;
-    running += total;
+  // All three phases in one parallel region: the team is forked once, and
+  // the implicit barriers of the first `for` and of `single` order them.
+  // Traced, each thread's span covers the three phases, barrier waits
+  // included.
+  auto phases = [&] {
+#pragma omp for schedule(static)
+    for (Index_type b = 0; b < nblocks; ++b) {
+      const Index_type end = std::min(n, (b + 1) * block);
+      T local = T{};
+      for (Index_type i = b * block; i < end; ++i) {
+        const T v = in[i];
+        out[i] = local;
+        local += v;
+      }
+      offsets[static_cast<std::size_t>(b)] = local;
+    }
+#pragma omp single
+    {
+      T running = init;
+      for (Index_type b = 0; b < nblocks; ++b) {
+        const T total = offsets[static_cast<std::size_t>(b)];
+        offsets[static_cast<std::size_t>(b)] = running;
+        running += total;
+      }
+    }
+#pragma omp for schedule(static) nowait
+    for (Index_type b = 0; b < nblocks; ++b) {
+      const Index_type end = std::min(n, (b + 1) * block);
+      const T offset = offsets[static_cast<std::size_t>(b)];
+      for (Index_type i = b * block; i < end; ++i) out[i] += offset;
+    }
+  };
+  if (cali::TraceSink::instance().enabled()) [[unlikely]] {
+    traced_omp_parallel(phases);
+    return;
   }
-  forall_blocked<omp_parallel_for_exec>(
-      n, block, [&](Index_type begin, Index_type len) {
-        const T offset = offsets[static_cast<std::size_t>(begin / block)];
-        for (Index_type i = begin; i < begin + len; ++i) out[i] += offset;
-      });
+#pragma omp parallel
+  phases();
 }
 
 }  // namespace detail

@@ -48,12 +48,6 @@ inline constexpr std::uint32_t kFrameMagic = 0x32465052u;
 /// a length beyond this is corruption, not data.
 inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
-// The CRC-32 implementation lives in util/crc32.hpp so the profile
-// store's record and manifest framing shares the exact tables this protocol
-// uses; the aliases keep the sandbox-facing spelling stable.
-using util::crc32;
-using util::crc32_bytewise;
-
 /// Encode one frame around `payload`. With `corrupt_crc` the stored
 /// checksum is deliberately flipped — used only by the protocol-corrupt
 /// fault to prove the receiver detects a bad frame instead of parsing it.
@@ -62,7 +56,7 @@ using util::crc32_bytewise;
   std::string out;
   out.reserve(12 + payload.size());
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  std::uint32_t crc = crc32(payload.data(), payload.size());
+  std::uint32_t crc = util::crc32(payload.data(), payload.size());
   if (corrupt_crc) crc ^= 0xA5A5A5A5u;
   auto put = [&out](std::uint32_t v) {
     char b[4];
@@ -103,7 +97,7 @@ class FrameReader {
     if (buf_.size() < 12 + static_cast<std::size_t>(len)) {
       return Status::NeedMore;
     }
-    if (crc32(buf_.data() + 12, len) != crc) {
+    if (util::crc32(buf_.data() + 12, len) != crc) {
       corrupt_ = true;
       return Status::Corrupt;
     }

@@ -25,6 +25,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rperf::wire {
@@ -129,10 +130,14 @@ class Reader {
     return v;
   }
 
-  std::string get_bytes() {
+  std::string get_bytes() { return std::string(get_bytes_view()); }
+
+  /// get_bytes without the copy: a view into the borrowed buffer, valid
+  /// only while that buffer is.
+  std::string_view get_bytes_view() {
     const std::uint32_t n = get_u32();
     need(n);
-    std::string out(p_, n);
+    const std::string_view out(p_, n);
     p_ += n;
     return out;
   }

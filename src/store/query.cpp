@@ -1,5 +1,9 @@
 #include "store/query.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
@@ -12,6 +16,19 @@ namespace rperf::store {
 namespace fs = std::filesystem;
 
 namespace {
+
+/// A directory opened for the *at() calls, closed on scope exit; `fd` is
+/// -1 when it cannot be opened.
+struct DirFd {
+  explicit DirFd(const std::string& dir)
+      : fd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC)) {}
+  ~DirFd() {
+    if (fd >= 0) ::close(fd);
+  }
+  DirFd(const DirFd&) = delete;
+  DirFd& operator=(const DirFd&) = delete;
+  const int fd;
+};
 
 std::string ambiguity_message(const std::string& prefix,
                               const std::vector<std::string>& matches) {
@@ -81,9 +98,11 @@ void StoreQuery::build_catalog() {
     }
   }
 
+  // Segment sizes are checked against one directory fd: no path is built
+  // or walked per segment.
+  const DirFd dir_fd(dir_);
   std::uint64_t prev_seq = 0;
   for (const auto& name : names) {
-    const std::string path = dir_ + "/" + name;
     SegmentInfo info;
     info.name = name;
     info.first_entry = catalog_.size();
@@ -91,9 +110,12 @@ void StoreQuery::build_catalog() {
     // A manifest entry that still matches the file on disk serves the
     // segment without opening it.
     const ManifestSegment* m = manifest ? manifest->segment(name) : nullptr;
-    std::error_code ec;
+    struct stat st {};
     const bool fresh =
-        m != nullptr && fs::file_size(path, ec) == m->file_size && !ec;
+        m != nullptr && dir_fd.fd >= 0 &&
+        ::fstatat(dir_fd.fd, name.c_str(), &st, 0) == 0 &&
+        S_ISREG(st.st_mode) &&
+        static_cast<std::uint64_t>(st.st_size) == m->file_size;
     if (fresh) {
       for (const auto& r : m->runs) catalog_.push_back({r, name, -1});
       info.indexed = true;
@@ -107,7 +129,7 @@ void StoreQuery::build_catalog() {
       }
       // Full record decode: index trouble got us here for free, but
       // record damage stays fail-closed.
-      MappedFile map(path);
+      MappedFile map(dir_ + "/" + name);
       SegmentScan s = scan_segment_image(map.view(), name);
       if (s.data_clean && s.rec.first_seq != 0 &&
           s.rec.first_seq <= prev_seq) {

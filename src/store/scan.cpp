@@ -1,11 +1,15 @@
 #include "store/scan.hpp"
 
+#include <dirent.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <thread>
 
 #include "instrument/wire_codec.hpp"
@@ -81,6 +85,21 @@ const std::string* current_run_id(const ScanState& st) {
   return nullptr;
 }
 
+/// Note a cell's kernel name in `to`, the run it is parked for, unless it
+/// repeats the name that run noted last (parked or, for the open run's
+/// tail, already committed). Runs of equal consecutive names keep one
+/// copy: the bloom filter needs each name once, and a cell of a kernel
+/// already noted costs no allocation.
+void note_kernel(ScanState& st, ParkedRun& to, std::string_view kernel) {
+  const std::vector<std::string>* noted = &to.info.kernels;
+  if (noted->empty() && &to == &st.open_tail && st.open_run >= 0) {
+    noted = &st.index[st.open_run].kernels;
+  }
+  if (noted->empty() || noted->back() != kernel) {
+    to.info.kernels.emplace_back(kernel);
+  }
+}
+
 /// Commit the open run's parked records into it and empty `open_tail`
 /// (keeping its capacity: most markers commit a single cell).
 void commit_open_tail(ScanState& st) {
@@ -154,10 +173,10 @@ bool consume_record(ScanState& st, RecordType type, std::string_view payload,
           ++to.info.entry.cells;
           if (full) {
             to.run.cells.push_back(decode_cell_payload(payload));
-            to.info.kernels.push_back(to.run.cells.back().kernel);
+            note_kernel(st, to, to.run.cells.back().kernel);
           } else {
             wire::Reader r(payload.data(), payload.size());
-            to.info.kernels.push_back(r.get_bytes());
+            note_kernel(st, to, r.get_bytes_view());
           }
         } else if (type == RecordType::ProfileRegion) {
           ++to.info.entry.profiles;
@@ -195,7 +214,7 @@ bool consume_record(ScanState& st, RecordType type, std::string_view payload,
         wire::Reader r(payload.data(), payload.size());
         const std::uint64_t covers = r.get_u64();
         const bool final_marker = r.get_u8() != 0;
-        const std::string marker_run = r.get_bytes();
+        const std::string_view marker_run = r.get_bytes_view();
         // A marker commits nothing unless it provably belongs exactly
         // here: it must cover its immediate predecessor and name the
         // run that is actually open. A stale or relocated marker (torn
@@ -380,16 +399,27 @@ std::string segment_name(std::uint64_t index) {
 }
 
 std::vector<std::string> list_segments(const std::string& dir) {
+  auto list_error = [&dir](int err) {
+    return IoError("store: cannot list '" + dir + "': " + std::strerror(err));
+  };
   std::vector<std::string> names;
-  if (fs::is_directory(dir)) {
-    for (const auto& entry : fs::directory_iterator(dir)) {
-      std::string name = entry.path().filename().string();
-      if (name.rfind("seg-", 0) == 0 && name.size() > 8 &&
-          name.substr(name.size() - 4) == ".rps") {
-        names.push_back(std::move(name));
-      }
+  DIR* opened = ::opendir(dir.c_str());
+  if (opened == nullptr) {
+    if (errno == ENOENT || errno == ENOTDIR) return names;
+    throw list_error(errno);
+  }
+  const std::unique_ptr<DIR, int (*)(DIR*)> d(opened, &::closedir);
+  while (true) {
+    errno = 0;
+    const dirent* entry = ::readdir(d.get());
+    if (entry == nullptr) break;
+    const std::string_view name = entry->d_name;
+    if (name.starts_with("seg-") && name.size() > 8 &&
+        name.ends_with(".rps")) {
+      names.emplace_back(name);
     }
   }
+  if (errno != 0) throw list_error(errno);
   std::sort(names.begin(), names.end());
   return names;
 }

@@ -16,7 +16,9 @@
 // into StoredRuns. ScanDepth::Catalog makes every check Full makes on
 // frames, CRCs, sequences, the commit protocol and the run-id hash, but
 // decodes only what a manifest entry needs: each run header, each commit
-// marker and each cell's kernel name. Its RecordsScan::index, first_seq,
+// marker and each cell's kernel name, compared in place against the name
+// the run noted last, so a walk over cells of one kernel and over commit
+// markers allocates nothing. Its RecordsScan::index, first_seq,
 // committed_seq, committed_end and clean equal Full's on any input whose
 // records all decode; it gives up one thing: a CRC-valid cell (past its
 // kernel name), profile, counter set or trace summary that fails to
@@ -46,7 +48,9 @@
 namespace rperf::store {
 
 /// Per-run index info gathered during a scan: the manifest entry the run
-/// gets, plus its committed cells' kernel names (bloom input).
+/// gets, plus its committed cells' kernel names (bloom input), in cell
+/// order with each run of equal consecutive names kept once. The same at
+/// both depths; `entry.cells` still counts every cell.
 struct RunIndexInfo {
   RunEntry entry;
   std::vector<std::string> kernels;

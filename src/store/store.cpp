@@ -90,9 +90,12 @@ ManifestSegment manifest_entry(const std::string& name, std::uint64_t size,
   seg.name = name;
   seg.file_size = size;
   seg.last_seq = rec.committed_seq;
-  std::size_t kernel_count = 0;
-  for (const auto& ri : rec.index) kernel_count += ri.kernels.size();
-  seg.kernels = BloomFilter::sized_for(kernel_count);
+  // Sized by the cell count, one name per cell, as every manifest was:
+  // `kernels` keeps a name once per run of equal names, and sizing by it
+  // would change the filter's bits and the manifest's bytes.
+  std::size_t cell_count = 0;
+  for (const auto& ri : rec.index) cell_count += ri.entry.cells;
+  seg.kernels = BloomFilter::sized_for(cell_count);
   for (const auto& ri : rec.index) {
     seg.runs.push_back(ri.entry);
     for (const auto& k : ri.kernels) seg.kernels.add(k);

@@ -24,7 +24,7 @@
 //   record := u32 kRecordMagic | u32 len | u32 crc32 | body
 //   body   := u64 seq | u8 type | payload            (len = |body|)
 //
-// crc32 covers the body (the shared slice-by-8 CRC-32 in
+// crc32 covers the body (the shared CRC-32 in
 // util/crc32.hpp). seq increases by exactly 1 per record within a file; the
 // first record of a file may only jump forward (so fsck can drop a
 // quarantined segment without invalidating its successors). Payloads

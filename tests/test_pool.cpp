@@ -36,6 +36,7 @@
 #include "sandbox/protocol.hpp"
 #include "sandbox/sandbox.hpp"
 #include "suite/executor.hpp"
+#include "util/crc32.hpp"
 
 namespace {
 
@@ -100,8 +101,8 @@ class PoolTest : public ::testing::Test {
 
 TEST_F(PoolTest, Crc32MatchesKnownVector) {
   // The IEEE CRC-32 check value ("123456789" -> 0xCBF43926).
-  EXPECT_EQ(sandbox::crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(sandbox::crc32("", 0), 0u);
+  EXPECT_EQ(util::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(util::crc32("", 0), 0u);
 }
 
 TEST_F(PoolTest, FrameRoundTripsThroughSplitFeeds) {

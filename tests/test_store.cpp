@@ -15,6 +15,7 @@
 // quarantined from there on.
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -32,6 +33,7 @@
 #include "instrument/profile.hpp"
 #include "sandbox/wire.hpp"
 #include "store/store.hpp"
+#include "util/crc32.hpp"
 #include "util/fnv1a.hpp"
 
 namespace {
@@ -209,6 +211,40 @@ TEST_F(StoreTest, RunConfigIdIsStableAcrossBuilds) {
       {"variants", "Base_Seq,RAJA_OpenMP"}};
   EXPECT_EQ(store::run_config_id(cfg), "9d57e1d34a4a8c28");
   EXPECT_EQ(store::run_config_id({}), "cbf29ce484222325");
+}
+
+// MANIFEST.rps is on-disk format too: a ledger written by an earlier build
+// must open without its manifest being rewritten. A fixed three-run
+// ledger, whose cells come in runs of one kernel name as a sweep writes
+// them, pins the file to the bytes the format has always produced; a
+// reopen must then leave the file itself in place.
+TEST_F(StoreTest, ManifestBytesAreStableAcrossBuilds) {
+  {
+    store::StoreWriter w(base_);
+    for (int run = 0; run < 3; ++run) {
+      w.begin_run(small_config("manifest-" + std::to_string(run)));
+      for (std::size_t i = 0; i < 12; ++i) {
+        store::CellRecord cell = make_cell(i);
+        cell.kernel = "Apps_MANIFEST_PIN_" + std::to_string(run + i / 4);
+        w.add_cell(cell);
+        if (i % 3 == 2) w.commit();
+      }
+      w.add_trace_summary({{"cells", 12.0}});
+      w.finish_run();
+    }
+  }
+  const std::string path = base_ + "/" + store::kManifestName;
+  const std::string bytes = slurp(path);
+  EXPECT_EQ(bytes.size(), 377u);
+  EXPECT_EQ(util::crc32_bytewise(bytes.data(), bytes.size()), 0xb2f003f4u);
+
+  struct stat before {};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+  { store::StoreWriter reopened(base_); }
+  struct stat after {};
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino) << "the writer rewrote the manifest";
+  EXPECT_EQ(slurp(path), bytes);
 }
 
 // The shared hash behind run ids, bloom filters and affinity keys matches

@@ -223,8 +223,8 @@ class StoreQueryTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Shared CRC32 (one slice-by-8 implementation for the pipe protocol and
-// store framing, parity-checked against the byte-at-a-time reference)
+// Shared CRC32 (one implementation for the pipe protocol and store framing,
+// parity-checked against the byte-at-a-time reference)
 
 TEST_F(StoreQueryTest, SliceBy8Crc32MatchesBytewiseReference) {
   std::mt19937_64 rng(7);
@@ -237,6 +237,22 @@ TEST_F(StoreQueryTest, SliceBy8Crc32MatchesBytewiseReference) {
               util::crc32_bytewise(data.data(), data.size()))
         << "len=" << len;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Segment listing
+
+TEST_F(StoreQueryTest, ListSegmentsNamesSealedSegmentsInLedgerOrder) {
+  for (const char* name : {"seg-000002.rps", "seg-000000.rps", "journal.rps",
+                           store::kManifestName, "seg-.rps",
+                           "seg-000001.rps.tmp"}) {
+    spit(base_ + "/" + name, "x");
+  }
+  EXPECT_EQ(store::list_segments(base_),
+            (std::vector<std::string>{"seg-000000.rps", "seg-000002.rps"}));
+  // A path that is not a directory lists empty.
+  EXPECT_TRUE(store::list_segments(base_ + "/journal.rps").empty());
+  EXPECT_TRUE(store::list_segments(base_ + "/missing").empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -866,6 +882,40 @@ TEST_F(StoreQueryTest, WriterOpenWritesTheManifestFsckRepairWrites) {
     EXPECT_EQ(catalog.committed_cells, full.committed_cells) << at;
     EXPECT_EQ(full.runs.size(), 4u) << at;
     EXPECT_TRUE(catalog.runs.empty()) << at;
+  }
+}
+
+TEST_F(StoreQueryTest, ScanNotesARunOfOneKernelNameOnce) {
+  // A sweep lands its cells kernel by kernel. Both depths note a name once
+  // per run of equal consecutive names, within one commit and across
+  // markers, while entry.cells still counts every cell.
+  const char* const kLong = "Apps_NODAL_ACCUMULATION_3D";
+  {
+    store::StoreWriter w(base_);
+    w.begin_run({{"tag", "names"}});
+    store::CellRecord c;
+    c.status = "Passed";
+    for (const char* kernel : {kLong, kLong, "Basic_DAXPY"}) {
+      c.kernel = kernel;
+      w.add_cell(c);
+    }
+    w.commit();
+    for (const char* kernel : {"Basic_DAXPY", kLong, kLong}) {
+      c.kernel = kernel;
+      w.add_cell(c);
+      w.commit();
+    }
+    w.finish_run();
+  }
+  const std::string name = store::segment_name(0);
+  const std::string image = slurp(base_ + "/" + name);
+  const std::vector<std::string> want = {kLong, "Basic_DAXPY", kLong};
+  for (const auto depth : {store::ScanDepth::Full, store::ScanDepth::Catalog}) {
+    const store::SegmentScan s = store::scan_segment_image(image, name, depth);
+    ASSERT_TRUE(s.data_clean) << s.problem;
+    ASSERT_EQ(s.rec.index.size(), 1u);
+    EXPECT_EQ(s.rec.index[0].kernels, want);
+    EXPECT_EQ(s.rec.index[0].entry.cells, 6u);
   }
 }
 

@@ -1,7 +1,7 @@
 // Tests for the pool's transport: the wire snapshot codec (typed
 // round-trips, string refs, raw-bit checksum parity against the
-// hexfloat text path, fuzzed decode robustness), the slice-by-8 CRC-32
-// equivalence, and the pool-level paths records take over the CRC-framed
+// hexfloat text path, fuzzed decode robustness), every CRC-32 path's
+// equivalence with the bytewise reference, and the pool-level paths records take over the CRC-framed
 // pipe (payloads larger than the pipe buffer, affinity dispatch).
 //
 // OpenMP note: pool tests fork workers from this process, so the fixture
@@ -25,6 +25,7 @@
 #include "sandbox/pool.hpp"
 #include "sandbox/protocol.hpp"
 #include "sandbox/wire.hpp"
+#include "util/crc32.hpp"
 
 namespace {
 
@@ -360,24 +361,44 @@ TEST_F(TransportTest, TruncatedBlobsNeverEscapeTheDecoder) {
 // --------------------------------------------------------------- crc-32
 
 TEST_F(TransportTest, SliceBy8Crc32MatchesBytewiseReference) {
-  // Known check value first, then pseudo-random buffers over every length
-  // 0..64 and every alignment 0..7 of a larger block: the two independent
-  // implementations must agree everywhere.
-  EXPECT_EQ(sandbox::crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(sandbox::crc32_bytewise("123456789", 9), 0xCBF43926u);
-
-  std::uint64_t seed = 31337;
-  const std::string block = pattern_bytes(seed, 4096 + 8);
-  for (std::size_t len = 0; len <= 64; ++len) {
-    const std::string buf = pattern_bytes(seed + len, len);
-    EXPECT_EQ(sandbox::crc32(buf.data(), len),
-              sandbox::crc32_bytewise(buf.data(), len))
-        << "length " << len;
+  // Every CRC-32 path against the byte-at-a-time reference: the table
+  // path called directly (so it stays covered on hosts that take the
+  // fold), the carry-less fold where this CPU has it, and the dispatched
+  // util::crc32 every layer calls. Every length 0..1024 at every alignment
+  // 0..15 crosses the fold's 64-byte entry, its 16-byte blocks and each
+  // tail length; 65537 bytes runs many 64-byte folds.
+  struct Path {
+    const char* name;
+    std::uint32_t (*fn)(const void*, std::size_t);
+  };
+  std::vector<Path> paths = {{"slice-by-8", &util::crc32_slice8},
+                             {"dispatched", &util::crc32}};
+#if RPERF_CRC32_CLMUL
+  if (util::crc32_clmul_available()) {
+    paths.push_back({"clmul", &util::crc32_clmul});
   }
-  for (std::size_t off = 0; off < 8; ++off) {
-    EXPECT_EQ(sandbox::crc32(block.data() + off, 4096),
-              sandbox::crc32_bytewise(block.data() + off, 4096))
-        << "alignment " << off;
+#endif
+  EXPECT_EQ(util::crc32_bytewise("123456789", 9), 0xCBF43926u);
+
+  const std::string block = pattern_bytes(31337, 65537 + 16);
+  for (const Path& path : paths) {
+    SCOPED_TRACE(path.name);
+    EXPECT_EQ(path.fn("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(path.fn(block.data(), 65537),
+              util::crc32_bytewise(block.data(), 65537));
+    std::size_t mismatches = 0;
+    std::string first;
+    for (std::size_t off = 0; off < 16; ++off) {
+      for (std::size_t len = 0; len <= 1024; ++len) {
+        const char* p = block.data() + off;
+        if (path.fn(p, len) != util::crc32_bytewise(p, len) &&
+            mismatches++ == 0) {
+          first = "length " + std::to_string(len) + " at alignment " +
+                  std::to_string(off);
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "first: " << first;
   }
 }
 
