@@ -15,6 +15,12 @@
 //                    on segment size as much as on cores (this ledger's
 //                    small segments scan below 1x on some 4-core hosts
 //                    where larger ones reach ~3x).
+//   host scaling   — right after the cold scan, a fixed CPU-only loop
+//                    (no memory traffic) split over 4 threads vs. run on
+//                    1, median of 3. Recorded, not gated: it reads ~4x on
+//                    four idle cores and less when the host's other load
+//                    takes cores, so a reader can tell a slow cold scan
+//                    on a busy host from a slow scan in the code.
 //   writer open    — while the ledger is built, the writer is closed and
 //                    reopened after the 100th and the 1000th seal, median
 //                    of 5 each, and the per-segment slope between the
@@ -69,6 +75,36 @@ double median(const double (&samples)[N]) {
   std::copy(samples, samples + N, v);
   std::sort(v, v + N);
   return v[N / 2];
+}
+
+/// Where spin_seconds() leaves its results, so the loops cannot be dropped.
+volatile std::uint64_t g_spin_sink = 0;
+
+/// The host-scaling loop: `steps` xorshift64 steps, a serial dependency
+/// chain that touches no memory.
+std::uint64_t spin(std::uint64_t seed, std::uint64_t steps) {
+  std::uint64_t x = seed | 1u;
+  for (std::uint64_t i = 0; i < steps; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  return x;
+}
+
+/// Seconds to run spin() for `total` steps split evenly over `threads`.
+double spin_seconds(unsigned threads, std::uint64_t total) {
+  std::vector<std::uint64_t> out(threads);
+  std::vector<std::thread> workers;
+  const auto start = Clock::now();
+  for (unsigned t = 0; t < threads; ++t) {
+    workers.emplace_back(
+        [&out, t, threads, total] { out[t] = spin(t + 1, total / threads); });
+  }
+  for (auto& th : workers) th.join();
+  const double sec = seconds_since(start);
+  for (const std::uint64_t v : out) g_spin_sink = g_spin_sink ^ v;
+  return sec;
 }
 
 bool runs_bit_identical(const store::StoredRun& a, const store::StoredRun& b,
@@ -281,6 +317,21 @@ int main(int argc, char** argv) {
               "(%.2fx, %u hw threads)\n",
               census, one_sec * 1e3, four_sec * 1e3, scan_speedup, hw);
 
+  // --- Host scaling: the same loop on 1 thread and split over 4. ---
+  constexpr std::uint64_t kSpinSteps = 40'000'000;
+  double spin_one_s[3];
+  double spin_four_s[3];
+  for (int rep = 0; rep < 3; ++rep) {
+    spin_one_s[rep] = spin_seconds(1, kSpinSteps);
+    spin_four_s[rep] = spin_seconds(4, kSpinSteps);
+  }
+  const double spin_one = median(spin_one_s);
+  const double spin_four = median(spin_four_s);
+  const double spin_speedup = spin_one / spin_four;
+  std::printf("  host scaling: CPU loop 1 thread %.2f ms, 4 threads %.2f ms "
+              "(%.2fx)\n",
+              spin_one * 1e3, spin_four * 1e3, spin_speedup);
+
   // --- Record (merge into the sweep bench's document when present). ---
   json::Object doc;
   {
@@ -306,6 +357,9 @@ int main(int argc, char** argv) {
   sq["cold_scan_1t_sec"] = one_sec;
   sq["cold_scan_4t_sec"] = four_sec;
   sq["cold_scan_speedup"] = scan_speedup;
+  sq["cpu_loop_1t_sec"] = spin_one;
+  sq["cpu_loop_4t_sec"] = spin_four;
+  sq["cpu_loop_speedup"] = spin_speedup;
   sq["hardware_threads"] = static_cast<std::int64_t>(hw);
   for (const auto& [sealed, ms] : open_ms) {
     sq["writer_open_ms_" + std::to_string(sealed)] = ms;

@@ -51,8 +51,8 @@ void ATOMIC::runVariant(VariantID vid) {
                                                    : kReplication;
   for (Index_type r = 0; r < reps; ++r) {
     for (Index_type s = 0; s < 512; ++s) counters[s] = 0.0;
-    run_forall(vid, 0, n, 1, [=](Index_type i) {
-      port::atomicAdd(&counters[i % width], 1.0);
+    run_forall_atomic(vid, 0, n, 1, [=]<typename Atomic>(Index_type i) {
+      port::atomicAdd<Atomic>(&counters[i % width], 1.0);
     });
   }
 }
@@ -101,8 +101,8 @@ void HISTOGRAM::runVariant(VariantID vid) {
   const Index_type reps = run_reps();
   for (Index_type r = 0; r < reps; ++r) {
     for (int b = 0; b < kHistBins; ++b) hist[b] = 0ull;
-    run_forall(vid, 0, n, 1, [=](Index_type i) {
-      port::atomicAdd(&hist[bins[i]], 1ull);
+    run_forall_atomic(vid, 0, n, 1, [=]<typename Atomic>(Index_type i) {
+      port::atomicAdd<Atomic>(&hist[bins[i]], 1ull);
     });
   }
 }

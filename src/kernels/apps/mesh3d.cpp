@@ -166,20 +166,21 @@ void NODAL_ACCUMULATION_3D::runVariant(VariantID vid) {
   for (Index_type r = 0; r < reps; ++r) {
     // Accumulators are rezeroed so repetitions are idempotent.
     run_forall(vid, 0, d * d * d, 1, [=](Index_type n) { x[n] = 0.0; });
-    run_forall(vid, 0, zd * zd * zd, 1, [=](Index_type zidx) {
-      const Index_type i = zidx / (zd * zd);
-      const Index_type j = (zidx / zd) % zd;
-      const Index_type k = zidx % zd;
-      const double val = 0.125 * vol[zidx];
-      port::atomicAdd(&x[node(i, j, k)], val);
-      port::atomicAdd(&x[node(i + 1, j, k)], val);
-      port::atomicAdd(&x[node(i + 1, j + 1, k)], val);
-      port::atomicAdd(&x[node(i, j + 1, k)], val);
-      port::atomicAdd(&x[node(i, j, k + 1)], val);
-      port::atomicAdd(&x[node(i + 1, j, k + 1)], val);
-      port::atomicAdd(&x[node(i + 1, j + 1, k + 1)], val);
-      port::atomicAdd(&x[node(i, j + 1, k + 1)], val);
-    });
+    run_forall_atomic(
+        vid, 0, zd * zd * zd, 1, [=]<typename Atomic>(Index_type zidx) {
+          const Index_type i = zidx / (zd * zd);
+          const Index_type j = (zidx / zd) % zd;
+          const Index_type k = zidx % zd;
+          const double val = 0.125 * vol[zidx];
+          port::atomicAdd<Atomic>(&x[node(i, j, k)], val);
+          port::atomicAdd<Atomic>(&x[node(i + 1, j, k)], val);
+          port::atomicAdd<Atomic>(&x[node(i + 1, j + 1, k)], val);
+          port::atomicAdd<Atomic>(&x[node(i, j + 1, k)], val);
+          port::atomicAdd<Atomic>(&x[node(i, j, k + 1)], val);
+          port::atomicAdd<Atomic>(&x[node(i + 1, j, k + 1)], val);
+          port::atomicAdd<Atomic>(&x[node(i + 1, j + 1, k + 1)], val);
+          port::atomicAdd<Atomic>(&x[node(i, j + 1, k + 1)], val);
+        });
   }
 }
 

@@ -1,15 +1,9 @@
 // ARRAY_OF_PTRS: sum a fixed set of arrays addressed through an array of
 // pointers captured in the kernel body — stresses pointer-heavy lambda
 // captures.
-#include <array>
-
 #include "kernels/basic/basic.hpp"
 
 namespace rperf::kernels::basic {
-
-namespace {
-constexpr int kNumPtrs = 8;
-}
 
 ARRAY_OF_PTRS::ARRAY_OF_PTRS(const RunParams& params)
     : KernelBase("ARRAY_OF_PTRS", GroupID::Basic, params) {
@@ -35,7 +29,6 @@ ARRAY_OF_PTRS::ARRAY_OF_PTRS(const RunParams& params)
 
 void ARRAY_OF_PTRS::setUp(VariantID) {
   const Index_type n = actual_prob_size();
-  m_sub.resize(kNumPtrs);
   for (int p = 0; p < kNumPtrs; ++p) {
     suite::init_data(m_sub[static_cast<std::size_t>(p)], n,
                      101u + static_cast<std::uint32_t>(p));
@@ -66,8 +59,7 @@ long double ARRAY_OF_PTRS::computeChecksum(VariantID) {
 
 void ARRAY_OF_PTRS::tearDown(VariantID) {
   free_data(m_a);
-  m_sub.clear();
-  m_sub.shrink_to_fit();
+  for (auto& sub : m_sub) free_data(sub);
 }
 
 }  // namespace rperf::kernels::basic

@@ -2,20 +2,23 @@
 // challenges (Table I, group 3).
 #pragma once
 
+#include <array>
+
 #include "kernels/common.hpp"
 
 namespace rperf::kernels::basic {
 
-RPERF_DECLARE_KERNEL(ARRAY_OF_PTRS, std::vector<std::vector<double>> m_sub;);
+RPERF_DECLARE_KERNEL(ARRAY_OF_PTRS, static constexpr int kNumPtrs = 8;
+                     std::array<suite::Real_vec, kNumPtrs> m_sub;);
 RPERF_DECLARE_KERNEL(COPY8);
 RPERF_DECLARE_KERNEL(DAXPY);
 RPERF_DECLARE_KERNEL(DAXPY_ATOMIC);
 RPERF_DECLARE_KERNEL(IF_QUAD);
 RPERF_DECLARE_KERNEL(INDEXLIST, port::Index_type m_len = 0;
-                     std::vector<port::Index_type> m_list;);
+                     suite::Index_vec m_list;
+                     suite::Index_vec m_flags; suite::Index_vec m_pos;);
 RPERF_DECLARE_KERNEL(INDEXLIST_3LOOP, port::Index_type m_len = 0;
-                     std::vector<port::Index_type> m_list;
-                     std::vector<port::Index_type> m_counts;);
+                     suite::Index_vec m_list; suite::Index_vec m_counts;);
 RPERF_DECLARE_KERNEL(INIT3);
 RPERF_DECLARE_KERNEL(INIT_VIEW1D);
 RPERF_DECLARE_KERNEL(INIT_VIEW1D_OFFSET);

@@ -82,8 +82,10 @@ void DAXPY_ATOMIC::runVariant(VariantID vid) {
   const double a = m_s0;
   const double* x = m_a.data();
   double* y = m_b.data();
-  run_forall(vid, 0, n, run_reps(),
-             [=](Index_type i) { port::atomicAdd(&y[i], a * x[i]); });
+  run_forall_atomic(vid, 0, n, run_reps(),
+                    [=]<typename Atomic>(Index_type i) {
+                      port::atomicAdd<Atomic>(&y[i], a * x[i]);
+                    });
 }
 
 long double DAXPY_ATOMIC::computeChecksum(VariantID) {

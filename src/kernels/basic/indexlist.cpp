@@ -42,7 +42,11 @@ INDEXLIST::INDEXLIST(const RunParams& params)
 void INDEXLIST::setUp(VariantID) {
   const Index_type n = actual_prob_size();
   suite::init_data_ramp(m_a, n, -0.5, 0.5);
-  m_list.assign(static_cast<std::size_t>(n), 0);
+  // Not filled: each rep writes an entry before anything reads it. The
+  // flag and position scratch serve the flag + scan + scatter variants.
+  m_list.resize(static_cast<std::size_t>(n));
+  m_flags.resize(static_cast<std::size_t>(n));
+  m_pos.resize(static_cast<std::size_t>(n));
   m_len = 0;
 }
 
@@ -67,13 +71,11 @@ void INDEXLIST::runVariant(VariantID vid) {
     }
     case VariantID::RAJA_Seq:
     case VariantID::Lambda_OpenMP:
-      case VariantID::Base_OpenMP:
+    case VariantID::Base_OpenMP:
     case VariantID::RAJA_OpenMP: {
       // Flag + scan + scatter; the scan policy matches the variant.
-      std::vector<Index_type> flags(static_cast<std::size_t>(n));
-      std::vector<Index_type> positions(static_cast<std::size_t>(n));
-      Index_type* f = flags.data();
-      Index_type* pos = positions.data();
+      Index_type* f = m_flags.data();
+      Index_type* pos = m_pos.data();
       const bool omp = suite::is_openmp_variant(vid);
       for (Index_type r = 0; r < run_reps(); ++r) {
         auto flag = [=](Index_type i) { f[i] = x[i] < 0.0 ? 1 : 0; };
@@ -106,9 +108,7 @@ long double INDEXLIST::computeChecksum(VariantID) {
 }
 
 void INDEXLIST::tearDown(VariantID) {
-  free_data(m_a);
-  m_list.clear();
-  m_list.shrink_to_fit();
+  free_data(m_a, m_list, m_flags, m_pos);
 }
 
 INDEXLIST_3LOOP::INDEXLIST_3LOOP(const RunParams& params)
@@ -125,8 +125,9 @@ INDEXLIST_3LOOP::INDEXLIST_3LOOP(const RunParams& params)
 void INDEXLIST_3LOOP::setUp(VariantID) {
   const Index_type n = actual_prob_size();
   suite::init_data_ramp(m_a, n, -0.5, 0.5);
-  m_list.assign(static_cast<std::size_t>(n), 0);
-  m_counts.assign(static_cast<std::size_t>(n) + 1, 0);
+  // Not filled: each rep writes an entry before anything reads it.
+  m_list.resize(static_cast<std::size_t>(n));
+  m_counts.resize(static_cast<std::size_t>(n) + 1);
   m_len = 0;
 }
 
@@ -192,11 +193,7 @@ long double INDEXLIST_3LOOP::computeChecksum(VariantID) {
 }
 
 void INDEXLIST_3LOOP::tearDown(VariantID) {
-  free_data(m_a);
-  m_list.clear();
-  m_list.shrink_to_fit();
-  m_counts.clear();
-  m_counts.shrink_to_fit();
+  free_data(m_a, m_list, m_counts);
 }
 
 }  // namespace rperf::kernels::basic

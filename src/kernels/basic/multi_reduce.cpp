@@ -54,9 +54,6 @@ void MULTI_REDUCE::runVariant(VariantID vid) {
   double* values = m_b.data();
 
   auto zero_bins = [=](Index_type b) { values[b] = 0.0; };
-  auto accumulate = [=](Index_type i) {
-    atomicAdd(&values[bin[i]], x[i]);
-  };
 
   for (Index_type r = 0; r < run_reps(); ++r) {
     switch (vid) {
@@ -68,20 +65,24 @@ void MULTI_REDUCE::runVariant(VariantID vid) {
       }
       case VariantID::RAJA_Seq:
         forall<seq_exec>(RangeSegment(0, kNumBins), zero_bins);
-        forall<seq_exec>(RangeSegment(0, n), accumulate);
+        forall<seq_exec>(RangeSegment(0, n), [=](Index_type i) {
+          atomicAdd<seq_atomic>(&values[bin[i]], x[i]);
+        });
         break;
       case VariantID::Lambda_OpenMP:
       case VariantID::Base_OpenMP: {
         for (Index_type b = 0; b < kNumBins; ++b) values[b] = 0.0;
 #pragma omp parallel for
         for (Index_type i = 0; i < n; ++i) {
-          atomicAdd(&values[bin[i]], x[i]);
+          atomicAdd<omp_atomic>(&values[bin[i]], x[i]);
         }
         break;
       }
       case VariantID::RAJA_OpenMP:
         forall<seq_exec>(RangeSegment(0, kNumBins), zero_bins);
-        forall<omp_parallel_for_exec>(RangeSegment(0, n), accumulate);
+        forall<omp_parallel_for_exec>(RangeSegment(0, n), [=](Index_type i) {
+          atomicAdd<omp_atomic>(&values[bin[i]], x[i]);
+        });
         break;
     }
   }

@@ -48,9 +48,9 @@ void PI_ATOMIC::runVariant(VariantID vid) {
   const Index_type reps = run_reps();
   for (Index_type r = 0; r < reps; ++r) {
     *pi = 0.0;
-    run_forall(vid, 0, n, 1, [=](Index_type i) {
+    run_forall_atomic(vid, 0, n, 1, [=]<typename Atomic>(Index_type i) {
       const double x = (static_cast<double>(i) + 0.5) * dx;
-      port::atomicAdd(pi, dx / (1.0 + x * x));
+      port::atomicAdd<Atomic>(pi, dx / (1.0 + x * x));
     });
     *pi *= 4.0;
   }

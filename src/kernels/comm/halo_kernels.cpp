@@ -30,29 +30,40 @@ constexpr int kRanks = HaloTopology::kNumRanks;
 }  // namespace
 
 /// Shared state for all HALO kernels: virtual-rank fields, buffers, and
-/// fused work lists.
+/// fused work lists, all drawn from the pool in setUp.
 struct HaloState {
+  using RankBufs = std::array<suite::Real_vec, kRanks>;
+
   std::unique_ptr<HaloTopology> topo;
   /// vars[rank * kNumVars + v] is one local array with ghosts.
-  std::vector<std::vector<double>> vars;
-  /// send_bufs[rank * kDirs + d]: packed data, kNumVars blocks.
-  std::vector<std::vector<double>> send_bufs;
-  std::vector<std::vector<double>> recv_bufs;
-  /// Fused work list (same for every rank): (local cell idx, buffer slot).
-  std::vector<port::Index_type> fused_pack_src;
-  std::vector<port::Index_type> fused_pack_dst;
-  std::vector<port::Index_type> fused_pack_var;
-  std::vector<port::Index_type> fused_unpack_dst;
-  std::vector<port::Index_type> fused_unpack_src;
-  std::vector<port::Index_type> fused_unpack_var;
+  std::array<suite::Real_vec, kRanks * kNumVars> vars;
+  /// Per-direction kernels: send_bufs[rank * kDirs + d] holds packed data,
+  /// kNumVars blocks.
+  std::array<suite::Real_vec, kRanks * kDirs> send_bufs;
+  std::array<suite::Real_vec, kRanks * kDirs> recv_bufs;
+  /// Fused kernels: the work list (same for every rank), (local cell idx,
+  /// buffer slot), and one mega buffer per rank holding every direction's
+  /// block at dir_offset. HALO_PACKING_FUSED packs into and unpacks from
+  /// send_mega; HALO_EXCHANGE_FUSED unpacks from recv_mega.
+  suite::Index_vec fused_pack_src;
+  suite::Index_vec fused_pack_dst;
+  suite::Index_vec fused_pack_var;
+  suite::Index_vec fused_unpack_dst;
+  suite::Index_vec fused_unpack_src;
+  RankBufs send_mega;
+  RankBufs recv_mega;
+  /// HALO_PACKING_FUSED: ghost data for direction d sits in the block
+  /// packed for opposite(d); redirect[slot] is that block's slot.
+  suite::Index_vec redirect;
   /// Per-direction offset of its block in the mega buffer.
   std::array<port::Index_type, kDirs> dir_offset{};
   port::Index_type mega_size = 0;
 
-  void build(port::Index_type ld) {
+  /// Topology, fields and block offsets, plus the per-direction buffers or
+  /// (fused) the work list.
+  void build(port::Index_type ld, bool fused) {
     topo = std::make_unique<HaloTopology>(ld);
     const auto cells = topo->local_cells();
-    vars.assign(kRanks * kNumVars, {});
     for (int r = 0; r < kRanks; ++r) {
       for (int v = 0; v < kNumVars; ++v) {
         suite::init_data(vars[static_cast<std::size_t>(r * kNumVars + v)],
@@ -60,29 +71,29 @@ struct HaloState {
                          3001u + static_cast<std::uint32_t>(r * 7 + v));
       }
     }
-    send_bufs.assign(kRanks * kDirs, {});
-    recv_bufs.assign(kRanks * kDirs, {});
     port::Index_type offset = 0;
     for (int d = 0; d < kDirs; ++d) {
       dir_offset[static_cast<std::size_t>(d)] = offset;
       const auto len =
           static_cast<port::Index_type>(topo->pack_list(d).size());
       offset += len * kNumVars;
+      if (fused) continue;
       for (int r = 0; r < kRanks; ++r) {
-        send_bufs[static_cast<std::size_t>(r * kDirs + d)]
-            .assign(static_cast<std::size_t>(len * kNumVars), 0.0);
-        recv_bufs[static_cast<std::size_t>(r * kDirs + d)]
-            .assign(static_cast<std::size_t>(len * kNumVars), 0.0);
+        suite::init_data_const(
+            send_bufs[static_cast<std::size_t>(r * kDirs + d)],
+            len * kNumVars, 0.0);
+        suite::init_data_const(
+            recv_bufs[static_cast<std::size_t>(r * kDirs + d)],
+            len * kNumVars, 0.0);
       }
     }
     mega_size = offset;
+    if (!fused) return;
 
-    fused_pack_src.clear();
-    fused_pack_dst.clear();
-    fused_pack_var.clear();
-    fused_unpack_src.clear();
-    fused_unpack_dst.clear();
-    fused_unpack_var.clear();
+    for (auto* list : {&fused_pack_src, &fused_pack_dst, &fused_pack_var,
+                       &fused_unpack_dst, &fused_unpack_src}) {
+      list->resize(static_cast<std::size_t>(mega_size));
+    }
     for (int d = 0; d < kDirs; ++d) {
       const auto& plist = topo->pack_list(d);
       const auto& ulist = topo->unpack_list(d);
@@ -91,15 +102,20 @@ struct HaloState {
         for (port::Index_type k = 0; k < len; ++k) {
           const port::Index_type slot =
               dir_offset[static_cast<std::size_t>(d)] + v * len + k;
-          fused_pack_src.push_back(plist[static_cast<std::size_t>(k)]);
-          fused_pack_dst.push_back(slot);
-          fused_pack_var.push_back(v);
-          fused_unpack_dst.push_back(ulist[static_cast<std::size_t>(k)]);
-          fused_unpack_src.push_back(slot);
-          fused_unpack_var.push_back(v);
+          const auto s = static_cast<std::size_t>(slot);
+          fused_pack_src[s] = plist[static_cast<std::size_t>(k)];
+          fused_pack_dst[s] = slot;
+          fused_pack_var[s] = v;
+          fused_unpack_dst[s] = ulist[static_cast<std::size_t>(k)];
+          fused_unpack_src[s] = slot;
         }
       }
     }
+  }
+
+  /// Zero-filled mega buffers, one per rank.
+  void build_mega(RankBufs& mega) const {
+    for (auto& buf : mega) suite::init_data_const(buf, mega_size, 0.0);
   }
 };
 
@@ -143,7 +159,7 @@ void halo_traits(rperf::machine::KernelTraits& t, const HaloTopology& topo,
 
 /// Pack one rank's boundary into its send buffers (one loop per dir/var).
 void run_pack(VariantID vid, const HaloState& st, int rank,
-              std::vector<std::vector<double>>& bufs) {
+              std::array<suite::Real_vec, kRanks * kDirs>& bufs) {
   const auto& topo = *st.topo;
   for (int d = 0; d < kDirs; ++d) {
     const auto& list = topo.pack_list(d);
@@ -164,7 +180,7 @@ void run_pack(VariantID vid, const HaloState& st, int rank,
 /// set (HALO_PACKING), data comes from this rank's own opposite-direction
 /// send buffer; otherwise from the received buffers.
 void run_unpack(VariantID vid, HaloState& st, int rank,
-                const std::vector<std::vector<double>>& bufs,
+                const std::array<suite::Real_vec, kRanks * kDirs>& bufs,
                 bool from_opposite_own) {
   const auto& topo = *st.topo;
   for (int d = 0; d < kDirs; ++d) {
@@ -227,7 +243,7 @@ HALO_PACKING::~HALO_PACKING() = default;
 
 void HALO_PACKING::setUp(VariantID) {
   m_state = std::make_unique<HaloState>();
-  m_state->build(m_ld);
+  m_state->build(m_ld, /*fused=*/false);
 }
 
 void HALO_PACKING::runVariant(VariantID vid) {
@@ -267,7 +283,20 @@ HALO_PACKING_FUSED::~HALO_PACKING_FUSED() = default;
 
 void HALO_PACKING_FUSED::setUp(VariantID) {
   m_state = std::make_unique<HaloState>();
-  m_state->build(m_ld);
+  HaloState& st = *m_state;
+  st.build(m_ld, /*fused=*/true);
+  st.build_mega(st.send_mega);
+  st.redirect.resize(static_cast<std::size_t>(st.mega_size));
+  const auto& topo = *st.topo;
+  for (int d = 0; d < kDirs; ++d) {
+    const auto len = static_cast<Index_type>(topo.pack_list(d).size());
+    const Index_type base = st.dir_offset[static_cast<std::size_t>(d)];
+    const Index_type obase =
+        st.dir_offset[static_cast<std::size_t>(topo.opposite(d))];
+    for (Index_type k = 0; k < len * kNumVars; ++k) {
+      st.redirect[static_cast<std::size_t>(base + k)] = obase + k;
+    }
+  }
 }
 
 void HALO_PACKING_FUSED::runVariant(VariantID vid) {
@@ -278,30 +307,11 @@ void HALO_PACKING_FUSED::runVariant(VariantID vid) {
   const Index_type* pvar = st.fused_pack_var.data();
   const Index_type* udst = st.fused_unpack_dst.data();
   const Index_type* usrc = st.fused_unpack_src.data();
-
-  std::vector<std::vector<double>> mega(
-      kRanks, std::vector<double>(static_cast<std::size_t>(st.mega_size)));
-
-  // Ghost data for direction d sits in the block packed for opposite(d);
-  // precompute the redirected source slot once.
-  std::vector<Index_type> redirect(static_cast<std::size_t>(st.mega_size));
-  {
-    const auto& topo = *st.topo;
-    for (int d = 0; d < kDirs; ++d) {
-      const auto len = static_cast<Index_type>(topo.pack_list(d).size());
-      const Index_type base = st.dir_offset[static_cast<std::size_t>(d)];
-      const Index_type obase =
-          st.dir_offset[static_cast<std::size_t>(topo.opposite(d))];
-      for (Index_type k = 0; k < len * kNumVars; ++k) {
-        redirect[static_cast<std::size_t>(base + k)] = obase + k;
-      }
-    }
-  }
-  const Index_type* rd = redirect.data();
+  const Index_type* rd = st.redirect.data();
 
   for (Index_type r = 0; r < run_reps(); ++r) {
     for (int rank = 0; rank < kRanks; ++rank) {
-      double* buf = mega[static_cast<std::size_t>(rank)].data();
+      double* buf = st.send_mega[static_cast<std::size_t>(rank)].data();
       std::array<double*, kNumVars> vars{};
       for (int v = 0; v < kNumVars; ++v) {
         vars[static_cast<std::size_t>(v)] =
@@ -343,7 +353,7 @@ HALO_SENDRECV::~HALO_SENDRECV() = default;
 
 void HALO_SENDRECV::setUp(VariantID) {
   m_state = std::make_unique<HaloState>();
-  m_state->build(m_ld);
+  m_state->build(m_ld, /*fused=*/false);
   // Pre-fill the send buffers once; the kernel measures transport only.
   for (int rank = 0; rank < kRanks; ++rank) {
     run_pack(VariantID::Base_Seq, *m_state, rank, m_state->send_bufs);
@@ -386,7 +396,7 @@ HALO_EXCHANGE::~HALO_EXCHANGE() = default;
 
 void HALO_EXCHANGE::setUp(VariantID) {
   m_state = std::make_unique<HaloState>();
-  m_state->build(m_ld);
+  m_state->build(m_ld, /*fused=*/false);
 }
 
 void HALO_EXCHANGE::runVariant(VariantID vid) {
@@ -428,7 +438,9 @@ HALO_EXCHANGE_FUSED::~HALO_EXCHANGE_FUSED() = default;
 
 void HALO_EXCHANGE_FUSED::setUp(VariantID) {
   m_state = std::make_unique<HaloState>();
-  m_state->build(m_ld);
+  m_state->build(m_ld, /*fused=*/true);
+  m_state->build_mega(m_state->send_mega);
+  m_state->build_mega(m_state->recv_mega);
 }
 
 void HALO_EXCHANGE_FUSED::runVariant(VariantID vid) {
@@ -439,11 +451,8 @@ void HALO_EXCHANGE_FUSED::runVariant(VariantID vid) {
   const Index_type* pvar = st.fused_pack_var.data();
   const Index_type* udst = st.fused_unpack_dst.data();
   const Index_type* usrc = st.fused_unpack_src.data();
-
-  std::vector<std::vector<double>> send_mega(
-      kRanks, std::vector<double>(static_cast<std::size_t>(st.mega_size)));
-  std::vector<std::vector<double>> recv_mega(
-      kRanks, std::vector<double>(static_cast<std::size_t>(st.mega_size)));
+  auto& send_mega = st.send_mega;
+  auto& recv_mega = st.recv_mega;
 
   for (Index_type r = 0; r < run_reps(); ++r) {
     for (int rank = 0; rank < kRanks; ++rank) {

@@ -116,6 +116,25 @@ void run_forall(VariantID vid, Index_type begin, Index_type end,
   }
 }
 
+/// run_forall for a body that adds into shared memory through
+/// port::atomicAdd. `body` is a template lambda, `[=]<typename Atomic>(
+/// Index_type i)`, called with the variant's atomic policy: seq_atomic (a
+/// plain add) for the three Seq variants, omp_atomic for the three OpenMP
+/// ones.
+template <typename Body>
+void run_forall_atomic(VariantID vid, Index_type begin, Index_type end,
+                       Index_type reps, const Body& body) {
+  if (suite::is_openmp_variant(vid)) {
+    run_forall(vid, begin, end, reps, [=](Index_type i) {
+      body.template operator()<port::omp_atomic>(i);
+    });
+  } else {
+    run_forall(vid, begin, end, reps, [=](Index_type i) {
+      body.template operator()<port::seq_atomic>(i);
+    });
+  }
+}
+
 /// 2-D sibling of run_forall: `reps` repetitions of the nest i over `si`,
 /// j over `sj` (j innermost), invoking body(i, j). The variants mean what
 /// they mean in run_forall: Base runs the raw nest, Lambda the same nest

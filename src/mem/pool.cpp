@@ -56,13 +56,18 @@ void* Pool::allocate(std::size_t bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.alloc_calls;
 
-  const std::size_t idx = class_index(class_bytes);
-  if (idx < free_lists_.size() && !free_lists_[idx].empty()) {
-    void* raw = free_lists_[idx].back();
-    free_lists_[idx].pop_back();
+  // Smallest idle chunk that fits: the request's own class first, then
+  // each larger one. The chunk keeps its class (its header says which).
+  for (std::size_t idx = class_index(class_bytes); idx < free_lists_.size();
+       ++idx) {
+    auto& list = free_lists_[idx];
+    if (list.empty()) continue;
+    void* raw = list.back();
+    list.pop_back();
+    const std::size_t chunk_bytes = static_cast<RawHeader*>(raw)->chunk_bytes;
     ++stats_.reuse_hits;
-    stats_.bytes_free -= class_bytes;
-    stats_.bytes_in_use += class_bytes;
+    stats_.bytes_free -= chunk_bytes;
+    stats_.bytes_in_use += chunk_bytes;
     stats_.high_water_bytes =
         std::max(stats_.high_water_bytes, stats_.bytes_in_use);
     return static_cast<char*>(raw) + kHeaderBytes;

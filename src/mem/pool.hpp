@@ -5,21 +5,34 @@
 // megabyte-scale buffers are returned to the OS and re-faulted hundreds of
 // times per run. The pool keeps freed chunks on per-size-class free lists
 // ("reset, don't free"): a released chunk's pages stay mapped — and keep
-// their NUMA first-touch placement — so the next cell's allocation of the
-// same class is a pop, not an mmap.
+// their NUMA first-touch placement — so the next cell's allocation is a
+// pop, not an mmap.
 //
 //   * chunks are 64-byte aligned (cache line / AVX-512 friendly);
 //   * size classes are powers of two from 64 bytes up, so a kernel whose
 //     problem size wobbles a little between cells still reuses chunks;
+//   * fit rule: an allocation takes the smallest idle chunk whose class is
+//     at least the request's (its own class first, then each larger one)
+//     and asks the OS only when every idle chunk is smaller. A chunk keeps
+//     its class for life: it counts at its class in the stats and goes
+//     back to its own free list;
+//   * the reserve (bytes in use + bytes free) is what the pool holds from
+//     the OS until `release()`. Only a request larger than every idle
+//     chunk grows it, so it stays within the peak bytes in use plus the
+//     idle chunks smaller than the request that last grew it. (Reusing
+//     only a request's own class would let it reach the sum over classes
+//     of each class's own peak.);
 //   * stats track bytes in use, reserved bytes, high-water marks, and
 //     free-list reuse hits (surfaced per cell as `pool_hit` and per run in
 //     profile metadata);
-//   * the PR-1 fault injector's `alloc@KERNEL` hook is routed through
+//   * the fault injector's `alloc@KERNEL` hook is routed through
 //     `Pool::allocate`, so injected allocation failures keep firing on the
 //     exact same code path real ones would take;
 //   * each chunk carries a header recording its size class, so
 //     `deallocate` files it on the right free list whatever byte count
 //     the caller passes back.
+//
+// Chunks come from `operator new`, wherever the C++ heap places them.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +44,7 @@
 namespace rperf::mem {
 
 struct PoolStats {
-  std::size_t bytes_in_use = 0;     ///< live chunk bytes (rounded to class)
+  std::size_t bytes_in_use = 0;     ///< live chunk bytes (each chunk's class)
   std::size_t bytes_free = 0;       ///< bytes parked on free lists
   std::size_t high_water_bytes = 0; ///< max bytes_in_use observed
   std::uint64_t alloc_calls = 0;
@@ -65,10 +78,12 @@ class Pool {
 
   /// 64-byte-aligned chunk of at least `bytes` bytes. Fires the fault
   /// injector's alloc hook (so alloc@KERNEL specs throw std::bad_alloc from
-  /// here), then serves from the matching free list when possible.
+  /// here), then takes the smallest idle chunk whose class is at least
+  /// size_class_bytes(bytes); only when none is idle does it ask the OS.
   void* allocate(std::size_t bytes);
 
-  /// Return a chunk to its size class's free list.
+  /// Return a chunk to its own size class's free list (the class it was
+  /// made with, not the class of `bytes`).
   void deallocate(void* p, std::size_t bytes) noexcept;
 
   /// Trim: free every cached (free-list) chunk to the OS. Live chunks are

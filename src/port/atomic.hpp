@@ -1,11 +1,19 @@
 // Portable atomic read-modify-write operations.
 //
-// These wrap std::atomic_ref so kernels can express atomics on plain arrays
-// without changing storage types — matching how portability layers expose
-// `atomicAdd(&x[i], v)` across backends. All operations use relaxed memory
-// order: the kernels only need atomicity of the arithmetic, and each loop is
-// followed by an implicit barrier (end of parallel region) that publishes
-// results.
+// `atomicAdd<Policy>(&x[i], v)` expresses an atomic on a plain array without
+// changing its storage type, and the policy says what the caller's
+// execution needs — matching how portability layers expose
+// `atomicAdd<seq_atomic>` / `atomicAdd<omp_atomic>` across backends:
+//
+//   seq_atomic  a plain add: the loop runs on one thread, so nothing can
+//               interleave with the update;
+//   omp_atomic  a relaxed std::atomic_ref fetch_add: the kernels only need
+//               atomicity of the arithmetic, and each loop is followed by
+//               an implicit barrier (end of parallel region) that
+//               publishes results.
+//
+// Both compute the same sum, so a sequential loop gives the same bits
+// under either policy.
 #pragma once
 
 #include <atomic>
@@ -13,23 +21,27 @@
 
 namespace rperf::port {
 
-template <typename T>
-inline T atomicAdd(T* address, T value) {
-  static_assert(std::atomic_ref<T>::is_always_lock_free,
-                "atomicAdd requires a lock-free atomic_ref");
-  return std::atomic_ref<T>(*address).fetch_add(value,
-                                                std::memory_order_relaxed);
-}
+/// Atomic policy for sequential execution: a plain read-add-write.
+struct seq_atomic {};
 
-/// fetch_add for floating point: atomic_ref supports it directly in C++20.
-inline double atomicAdd(double* address, double value) {
-  return std::atomic_ref<double>(*address).fetch_add(
-      value, std::memory_order_relaxed);
-}
+/// Atomic policy for OpenMP execution: a lock-free atomic fetch_add.
+struct omp_atomic {};
 
-inline float atomicAdd(float* address, float value) {
-  return std::atomic_ref<float>(*address).fetch_add(value,
-                                                    std::memory_order_relaxed);
+/// *address += value under `Policy`; returns the previous value.
+template <typename Policy, typename T>
+inline T atomicAdd(T* address, std::type_identity_t<T> value) {
+  if constexpr (std::is_same_v<Policy, seq_atomic>) {
+    const T old = *address;
+    *address = old + value;
+    return old;
+  } else {
+    static_assert(std::is_same_v<Policy, omp_atomic>,
+                  "atomicAdd policy must be seq_atomic or omp_atomic");
+    static_assert(std::atomic_ref<T>::is_always_lock_free,
+                  "atomicAdd requires a lock-free atomic_ref");
+    return std::atomic_ref<T>(*address).fetch_add(value,
+                                                  std::memory_order_relaxed);
+  }
 }
 
 }  // namespace rperf::port

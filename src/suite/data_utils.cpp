@@ -14,9 +14,21 @@ namespace {
 
 constexpr Index_type kBlock = mem::kFillBlockElems;
 
+/// Elements after which both the lane (i % 4) and the weight (i % 7) of
+/// an element repeat.
+constexpr Index_type kPeriod = 28;
+static_assert(kBlock % 4 == 0, "lanes must restart at every block");
+
 /// One block of the shared checksum: four stride-4 double lanes (breaking
 /// the serial FP dependency chain), folded lane 0..3 into a long double
 /// partial. Depends only on (data, begin, len).
+///
+/// The lanes are four register accumulators stepped over one kPeriod of
+/// elements at a time against a per-block table of its weights, so the
+/// loop body holds no index arithmetic and no int-to-double conversion of
+/// a weight. Each lane still adds the same products in ascending element
+/// order, so the partial is bit-identical to a loop that walks the block
+/// one element at a time.
 ///
 /// noinline: the serial and parallel checksum paths must perform the exact
 /// same floating-point operations. Inlined into two different contexts
@@ -29,12 +41,25 @@ __attribute__((noinline))
 #endif
 long double
 checksum_block(const T* data, Index_type begin, Index_type len) {
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  int wi = static_cast<int>(begin % 7);  // weight index of element `begin`
-  for (Index_type k = 0; k < len; ++k) {
-    lane[k & 3] +=
-        static_cast<double>(data[begin + k]) * static_cast<double>(wi + 1);
-    wi = (wi == 6) ? 0 : wi + 1;
+  double w[kPeriod];  // w[m] is the weight of element begin + m + j * kPeriod
+  for (Index_type m = 0; m < kPeriod; ++m) {
+    w[m] = static_cast<double>((begin + m) % 7 + 1);
+  }
+  const T* p = data + begin;
+  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+  Index_type k = 0;
+  for (; k + kPeriod <= len; k += kPeriod) {
+    for (Index_type m = 0; m < kPeriod; m += 4) {
+      l0 += static_cast<double>(p[k + m]) * w[m];
+      l1 += static_cast<double>(p[k + m + 1]) * w[m + 1];
+      l2 += static_cast<double>(p[k + m + 2]) * w[m + 2];
+      l3 += static_cast<double>(p[k + m + 3]) * w[m + 3];
+    }
+  }
+  // Tail: fewer than kPeriod elements, starting on lane 0 and weight w[0].
+  double lane[4] = {l0, l1, l2, l3};
+  for (Index_type m = 0; k + m < len; ++m) {
+    lane[m & 3] += static_cast<double>(p[k + m]) * w[m];
   }
   long double partial = static_cast<long double>(lane[0]);
   partial += static_cast<long double>(lane[1]);

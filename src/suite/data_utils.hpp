@@ -24,9 +24,11 @@ namespace rperf::suite {
 
 /// Kernel working-set vector types: pooled, 64-byte aligned, and default-
 /// initialized on resize (every element is overwritten by an init_data*
-/// call, so the usual zero-fill would be wasted work).
+/// call or by the kernel before it is read, so the usual zero-fill would be
+/// wasted work).
 using Real_vec = std::vector<double, mem::PoolAllocator<double>>;
 using Int_vec = std::vector<int, mem::PoolAllocator<int>>;
+using Index_vec = std::vector<Index_type, mem::PoolAllocator<Index_type>>;
 
 namespace detail {
 
@@ -80,12 +82,16 @@ void init_int_data(std::vector<int, Alloc>& v, Index_type n, int lo, int hi,
 /// (i % 7) + 1, so permutations of the data are (almost surely) detected.
 ///
 /// The blocking and fold order are explicit and fixed: consecutive
-/// 4096-element blocks; within a block four stride-4 double lanes are
-/// accumulated and folded lane 0..3 into a long double block partial;
-/// block partials are folded in ascending block order into the result.
-/// Every quantity depends only on (data, n), never on the thread count or
-/// schedule, so the value is bit-identical for 1, 2, or 8 threads and for
-/// pooled or freshly allocated buffers.
+/// 4096-element blocks; within a block, lane i % 4 accumulates the double
+/// product data[i] * w(i) in ascending i, and the four lanes are folded
+/// lane 0..3 into a long double block partial; block partials are folded
+/// in ascending block order into the result. Lane and weight repeat every
+/// 28 elements, so a block is walked one 28-element period at a time with
+/// the lanes in registers and the period's weights in a table: the same
+/// products and the same adds, laid out for the machine. Every quantity
+/// depends only on (data, n), never on the thread count or schedule, so
+/// the value is bit-identical for 1, 2, or 8 threads and for pooled or
+/// freshly allocated buffers.
 [[nodiscard]] long double calc_checksum(const double* data, Index_type n);
 [[nodiscard]] long double calc_checksum(const int* data, Index_type n);
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <utility>
 
 #include "instrument/channel.hpp"
 #include "mem/pool.hpp"
@@ -118,6 +120,46 @@ TEST_P(KernelSuiteTest, AnalyticMetricsGrowWithProblemSize) {
       k_small->traits().bytes_total() + k_small->traits().flops;
   const double w_big = k_big->traits().bytes_total() + k_big->traits().flops;
   EXPECT_GT(w_big, 2.0 * w_small) << GetParam();
+}
+
+// Kernels whose working set includes index lists, arrays of arrays or
+// scratch: every array is drawn from the pool, so one cell raises the
+// pool's high water by at least the sum of the arrays' size classes.
+TEST(KernelWorkingSets, ComeFromThePool) {
+  // Size class of an array of `elems` 8-byte elements.
+  const auto cls = [](Index_type elems) {
+    return rperf::mem::Pool::size_class_bytes(
+        static_cast<std::size_t>(elems) * 8);
+  };
+  // Bytes of every array one RAJA_Seq cell holds, from its problem size n.
+  const std::pair<const char*, std::function<std::size_t(Index_type)>>
+      cases[] = {
+          // m_a and the eight summed arrays.
+          {"Basic_ARRAY_OF_PTRS", [&](Index_type n) { return 9 * cls(n); }},
+          // m_a, m_list, and the flag and position scratch.
+          {"Basic_INDEXLIST", [&](Index_type n) { return 4 * cls(n); }},
+          // m_a, m_list and m_counts (n + 1 entries).
+          {"Basic_INDEXLIST_3LOOP",
+           [&](Index_type n) { return 2 * cls(n) + cls(n + 1); }},
+          // Five node arrays on a d x d mesh and the (d - 2)^2 real zones.
+          {"Apps_DEL_DOT_VEC_2D",
+           [&](Index_type n) {
+             auto d = static_cast<Index_type>(
+                 std::llround(std::sqrt(static_cast<double>(n))));
+             if (d < 4) d = 4;
+             return 5 * cls(d * d) + cls((d - 2) * (d - 2));
+           }},
+      };
+  for (const auto& [name, bytes] : cases) {
+    const auto kernel = make_kernel(name, tiny_params());
+    rperf::cali::Channel channel;
+    rperf::mem::pool().reset_stats();
+    const std::size_t before = rperf::mem::pool().stats().bytes_in_use;
+    kernel->execute(VariantID::RAJA_Seq, channel);
+    const std::size_t peak =
+        rperf::mem::pool().stats().high_water_bytes - before;
+    EXPECT_GE(peak, bytes(kernel->actual_prob_size())) << name;
+  }
 }
 
 }  // namespace

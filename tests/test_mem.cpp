@@ -2,8 +2,11 @@
 // fills, and the blocked checksum's thread invariance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <random>
 #include <vector>
 
 #include <omp.h>
@@ -58,6 +61,78 @@ TEST(MemPool, ResetNotFreeSemantics) {
   EXPECT_EQ(s.reuse_hits, 1u);
   EXPECT_EQ(s.os_allocs, 1u);  // no new OS allocation
   pool.deallocate(q, 9000);
+}
+
+/// Four idle chunks, one each of the 16, 64, 256 KiB and 1 MiB classes, in
+/// a fresh pool; returns them smallest first.
+std::vector<void*> park_chunks(mem::Pool& pool) {
+  std::vector<void*> chunks;
+  for (std::size_t kib : {16u, 64u, 256u, 1024u}) {
+    chunks.push_back(pool.allocate(kib << 10));
+  }
+  for (void* p : chunks) pool.deallocate(p, 0);
+  return chunks;
+}
+
+TEST(MemPool, MissTakesTheSmallestIdleLargerChunk) {
+  mem::Pool pool;
+  const std::vector<void*> chunks = park_chunks(pool);
+  // Class 32 KiB has no idle chunk: the 64 KiB one is the smallest that
+  // fits, ahead of the 256 KiB and 1 MiB ones.
+  void* p = pool.allocate(20000);
+  EXPECT_EQ(p, chunks[1]);
+  const auto s = pool.stats();
+  EXPECT_EQ(s.reuse_hits, 1u);
+  EXPECT_EQ(s.os_allocs, 4u);  // no new OS allocation
+  // A request larger than every idle chunk still goes to the OS.
+  void* big = pool.allocate((1u << 20) + 1);
+  EXPECT_EQ(pool.stats().os_allocs, 5u);
+  pool.deallocate(big, 0);
+  pool.deallocate(p, 20000);
+}
+
+TEST(MemPool, StatsCountTheChunksClass) {
+  mem::Pool pool;
+  park_chunks(pool);
+  const std::size_t reserved = pool.stats().bytes_reserved();
+  void* p = pool.allocate(20000);  // lands in the 64 KiB chunk
+  const auto s = pool.stats();
+  EXPECT_EQ(s.bytes_in_use, 65536u);
+  EXPECT_EQ(s.bytes_free, reserved - 65536u);
+  EXPECT_EQ(s.bytes_reserved(), reserved);
+  EXPECT_GE(s.high_water_bytes, 65536u);
+  pool.deallocate(p, 20000);
+  EXPECT_EQ(pool.stats().bytes_in_use, 0u);
+  EXPECT_EQ(pool.stats().bytes_free, reserved);
+}
+
+TEST(MemPool, DeallocateReturnsTheChunkToItsOwnList) {
+  mem::Pool pool;
+  const std::vector<void*> chunks = park_chunks(pool);
+  void* p = pool.allocate(20000);  // class 32 KiB, served by the 64 KiB chunk
+  ASSERT_EQ(p, chunks[1]);
+  pool.deallocate(p, 20000);
+  // Filed back under 64 KiB, not 32 KiB: an exact 64 KiB request finds it
+  // on its own list, and a 32 KiB request finds no chunk of its own class.
+  void* q = pool.allocate(65536);
+  EXPECT_EQ(q, chunks[1]);
+  void* r = pool.allocate(20000);
+  EXPECT_EQ(r, chunks[2]);  // the next smallest idle chunk that fits
+  EXPECT_EQ(pool.stats().os_allocs, 4u);
+  pool.deallocate(q, 65536);
+  pool.deallocate(r, 20000);
+}
+
+TEST(MemPool, SameClassChunkIsStillPreferred) {
+  mem::Pool pool;
+  const std::vector<void*> chunks = park_chunks(pool);
+  void* p = pool.allocate(200000);  // class 256 KiB: its own chunk
+  EXPECT_EQ(p, chunks[2]);
+  void* q = pool.allocate(10000);  // class 16 KiB: its own chunk
+  EXPECT_EQ(q, chunks[0]);
+  EXPECT_EQ(pool.stats().bytes_in_use, (256u + 16u) << 10);
+  pool.deallocate(p, 200000);
+  pool.deallocate(q, 10000);
 }
 
 TEST(MemPool, HighWaterTracksPeakInUse) {
@@ -216,6 +291,83 @@ TEST(MemChecksum, MatchesLegacyWithinRounding) {
   EXPECT_TRUE(suite::checksums_match(blocked, reference, 1e-12))
       << "blocked=" << static_cast<double>(blocked)
       << " reference=" << static_cast<double>(reference);
+}
+
+/// The block checksum as a scalar loop walks it, one element at a time:
+/// element begin + k of a 4096-element block adds data * ((begin + k) % 7
+/// + 1) to lane k % 4, and the lanes fold 0..3 into a long double block
+/// partial; partials fold in block order. calc_checksum must equal it bit
+/// for bit, whatever the layout of its loop.
+template <typename T>
+long double reference_checksum(const T* data, suite::Index_type n) {
+  long double sum = 0.0L;
+  for (suite::Index_type begin = 0; begin < n;
+       begin += mem::kFillBlockElems) {
+    const suite::Index_type len = std::min(mem::kFillBlockElems, n - begin);
+    double lane[4] = {0.0, 0.0, 0.0, 0.0};
+    int wi = static_cast<int>(begin % 7);
+    for (suite::Index_type k = 0; k < len; ++k) {
+      lane[k & 3] +=
+          static_cast<double>(data[begin + k]) * static_cast<double>(wi + 1);
+      wi = (wi == 6) ? 0 : wi + 1;
+    }
+    long double partial = static_cast<long double>(lane[0]);
+    partial += static_cast<long double>(lane[1]);
+    partial += static_cast<long double>(lane[2]);
+    partial += static_cast<long double>(lane[3]);
+    sum += partial;
+  }
+  return sum;
+}
+
+/// Lengths 0..200, both sides of one and two blocks, and one length past
+/// the parallel threshold; starts 0..27 put element 0 on every phase mod 7
+/// and mod 4 of the data (and every alignment of the pointer).
+template <typename T>
+void expect_checksum_matches_reference(const std::vector<T>& data) {
+  std::vector<suite::Index_type> lengths;
+  for (suite::Index_type n = 0; n <= 200; ++n) lengths.push_back(n);
+  for (suite::Index_type n : {4095, 4096, 4097, 8191, 8193}) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(mem::kParallelFillThreshold + 1001);
+  int mismatches = 0;
+  for (suite::Index_type start = 0; start < 28; ++start) {
+    for (suite::Index_type n : lengths) {
+      const T* p = data.data() + start;
+      const long double got = suite::calc_checksum(p, n);
+      const long double want = reference_checksum(p, n);
+      if (got != want && ++mismatches <= 5) {
+        ADD_FAILURE() << "start " << start << " n " << n << ": "
+                      << std::hexfloat << got << " != " << want;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(MemChecksum, DoubleBitIdenticalToScalarLaneReference) {
+  // Full 53-bit mantissas over 40 binades, so nearly every add rounds and
+  // a lane that adds its products in another order or takes another
+  // lane's products changes the bits. (fill_random's multiples of 2^-25
+  // sum exactly in any order and would hide that.)
+  const std::int64_t n = mem::kParallelFillThreshold + 1001 + 28;
+  std::vector<double> data(static_cast<std::size_t>(n));
+  std::mt19937_64 rng(1759u);
+  for (double& x : data) {
+    const double unit = static_cast<double>(rng() >> 11) * 0x1p-53;
+    x = std::ldexp(unit, static_cast<int>(rng() % 41) - 20);
+  }
+  expect_checksum_matches_reference(data);
+}
+
+// Int products and their lane sums are exact in double, so this pins the
+// weights and the element coverage rather than the add order.
+TEST(MemChecksum, IntBitIdenticalToScalarLaneReference) {
+  const std::int64_t n = mem::kParallelFillThreshold + 1001 + 28;
+  std::vector<int> data(static_cast<std::size_t>(n));
+  mem::fill_int_random(data.data(), n, -1000000, 1000000, 1777u);
+  expect_checksum_matches_reference(data);
 }
 
 TEST(MemChecksum, DetectsPermutation) {

@@ -318,17 +318,39 @@ TEST(Atomic, ParallelAtomicAddSumsExactlyForIntegers) {
   const Index_type n = 200000;
   long long total = 0;
   long long* t = &total;
-  forall<omp_parallel_for_exec>(RangeSegment(0, n),
-                                [=](Index_type) { atomicAdd(t, 1LL); });
+  forall<omp_parallel_for_exec>(RangeSegment(0, n), [=](Index_type) {
+    atomicAdd<omp_atomic>(t, 1LL);
+  });
   EXPECT_EQ(total, n);
+}
+
+TEST(Atomic, SeqAtomicIsAPlainAddWithTheSameBits) {
+  const Index_type n = 1000;
+  double plain = 0.0;
+  double atomic = 0.0;
+  for (Index_type i = 0; i < n; ++i) {
+    const double v = 1.0 / static_cast<double>(i + 3);
+    EXPECT_EQ(atomicAdd<seq_atomic>(&plain, v),
+              atomicAdd<omp_atomic>(&atomic, v));
+  }
+  EXPECT_EQ(plain, atomic);  // same adds in the same order
+
+  unsigned long long hist[3] = {0, 0, 0};
+  unsigned long long* h = hist;
+  forall<seq_exec>(RangeSegment(0, 300), [=](Index_type i) {
+    atomicAdd<seq_atomic>(&h[i % 3], 1ull);
+  });
+  EXPECT_EQ(hist[0] + hist[1] + hist[2], 300u);
+  EXPECT_EQ(hist[2], 100u);
 }
 
 TEST(Atomic, ParallelAtomicAddDoubleIsCorrectToRounding) {
   const Index_type n = 100000;
   double total = 0.0;
   double* t = &total;
-  forall<omp_parallel_for_exec>(RangeSegment(0, n),
-                                [=](Index_type) { atomicAdd(t, 0.5); });
+  forall<omp_parallel_for_exec>(RangeSegment(0, n), [=](Index_type) {
+    atomicAdd<omp_atomic>(t, 0.5);
+  });
   EXPECT_NEAR(total, 0.5 * static_cast<double>(n), 1e-6);
 }
 
