@@ -1,5 +1,5 @@
-// Query-engine benchmark for the .rps profile store (BENCH_sweep.json,
-// "store_query" section).
+// Query-engine benchmark for the .rps profile store
+// (BENCH_store_query.json).
 //
 // Builds a synthetic ledger of --runs complete runs (one sealed segment
 // each, catalogued in MANIFEST.rps; --cells committed cells per run)
@@ -33,9 +33,8 @@
 //                    always on; a mismatch is a correctness bug, not a
 //                    perf miss.
 //
-// Results land in --json (default BENCH_sweep.json) under "store_query",
-// merged into the existing document when one is present so the sweep
-// bench and this one share the file.
+// Results land in --json (default BENCH_store_query.json), which this
+// bench alone writes; a file already there is replaced.
 //
 //   store_query [--runs N] [--cells N] [--json PATH] [--dir PATH]
 //               [--keep]
@@ -137,7 +136,7 @@ bool runs_bit_identical(const store::StoredRun& a, const store::StoredRun& b,
 int main(int argc, char** argv) {
   std::size_t n_runs = 1000;
   std::size_t n_cells = 48;
-  std::string json_path = "BENCH_sweep.json";
+  std::string json_path = "BENCH_store_query.json";
   std::string dir;
   bool keep = false;
   for (int i = 1; i < argc; ++i) {
@@ -332,21 +331,7 @@ int main(int argc, char** argv) {
               "(%.2fx)\n",
               spin_one * 1e3, spin_four * 1e3, spin_speedup);
 
-  // --- Record (merge into the sweep bench's document when present). ---
-  json::Object doc;
-  {
-    std::ifstream in(json_path);
-    if (in) {
-      try {
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        json::Value existing = json::Value::parse(text);
-        if (existing.is_object()) doc = std::move(existing.as_object());
-      } catch (const json::JsonError&) {
-        // Unparseable prior document: start fresh rather than fail.
-      }
-    }
-  }
+  // --- Record. ---
   json::Object sq;
   sq["runs"] = static_cast<std::int64_t>(n_runs);
   sq["cells_per_run"] = static_cast<std::int64_t>(n_cells);
@@ -369,9 +354,8 @@ int main(int argc, char** argv) {
         (open_ms[1000] - open_ms[100]) / (1000.0 - 100.0);
   }
   sq["bit_identical"] = true;
-  doc["store_query"] = std::move(sq);
   std::ofstream os(json_path);
-  os << json::Value(std::move(doc)).dump(2) << '\n';
+  os << json::Value(std::move(sq)).dump(2) << '\n';
   std::printf("  wrote %s\n", json_path.c_str());
 
   if (!keep) fs::remove_all(dir);

@@ -63,8 +63,12 @@ int main() {
   exec.run();
   const auto* matmat = exec.find_kernel("Basic_MAT_MAT_SHARED");
   const auto* triad = exec.find_kernel("Stream_TRIAD");
-  const double t_mm = matmat->time_per_rep(suite::VariantID::Base_OpenMP);
-  const double t_tr = triad->time_per_rep(suite::VariantID::Base_OpenMP);
+  double t_mm = -1.0;
+  double t_tr = -1.0;
+  for (const auto& r : exec.results()) {
+    if (r.kernel == matmat->name()) t_mm = r.time_per_rep_sec;
+    if (r.kernel == triad->name()) t_tr = r.time_per_rep_sec;
+  }
   const double gflops = matmat->traits().flops / t_mm / 1e9;
   const double gbs = triad->traits().bytes_total() / t_tr / 1e9;
   std::printf("%-12s %-14s %-24s %5d | measured MAT_MAT %.2f GFLOPS, "

@@ -12,8 +12,9 @@
 // simulated from the model itself, so the same numbers only check that
 // the counter->TMA inversion is consistent with the model that generated
 // the counters: printed as "inversion consistency" and recorded as
-// tma_inversion_mae. Results land in --json (default BENCH_sweep.json)
-// under "hwc_validation", tagged with the run's hwc_source.
+// tma_inversion_mae. Results land in --json (default
+// BENCH_validation_model.json), which this bench alone writes, tagged with
+// the run's hwc_source.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -31,7 +32,7 @@
 
 int main(int argc, char** argv) {
   using namespace rperf;
-  std::string json_path = "BENCH_sweep.json";
+  std::string json_path = "BENCH_validation_model.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
@@ -61,15 +62,14 @@ int main(int argc, char** argv) {
   bench::print_rule(96);
 
   std::vector<double> measured, predicted;
-  for (const auto& kernel : exec.kernels()) {
-    const double m =
-        kernel->time_per_rep(suite::VariantID::Base_OpenMP) * 1e6;
-    const double p =
-        machine::predict(kernel->traits(), host).time_sec * 1e6;
+  for (const auto& r : exec.results()) {
+    const auto* kernel = exec.find_kernel(r.kernel);
+    const double m = r.time_per_rep_sec * 1e6;
+    const double p = machine::predict(kernel->traits(), host).time_sec * 1e6;
     measured.push_back(m);
     predicted.push_back(p);
-    std::printf("%-26s %14.2f %14.2f %10.2f\n", kernel->name().c_str(), m,
-                p, m > 0.0 ? p / m : 0.0);
+    std::printf("%-26s %14.2f %14.2f %10.2f\n", r.kernel.c_str(), m, p,
+                m > 0.0 ? p / m : 0.0);
   }
   bench::print_rule(96);
 
@@ -157,21 +157,7 @@ int main(int argc, char** argv) {
               hwc_measured ? "model error" : "inversion MAE", tma_kernels,
               overall_mae);
 
-  // --- Record (merge into the sweep bench's document when present). ---
-  json::Object doc;
-  {
-    std::ifstream in(json_path);
-    if (in) {
-      try {
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        json::Value existing = json::Value::parse(text);
-        if (existing.is_object()) doc = std::move(existing.as_object());
-      } catch (const json::JsonError&) {
-        // Unparseable prior document: start fresh rather than fail.
-      }
-    }
-  }
+  // --- Record. ---
   json::Object hv;
   hv["hwc_source"] = exec.hwc_source();
   hv["hwc_overhead_pct"] = exec.hwc_overhead_pct();
@@ -185,9 +171,8 @@ int main(int argc, char** argv) {
     by_group[name] = g.mae_sum / static_cast<double>(g.kernels);
   }
   hv[key + "_by_group"] = std::move(by_group);
-  doc["hwc_validation"] = std::move(hv);
   std::ofstream os(json_path);
-  os << json::Value(std::move(doc)).dump(2) << '\n';
+  os << json::Value(std::move(hv)).dump(2) << '\n';
   std::printf("wrote %s\n", json_path.c_str());
   return 0;
 }

@@ -1,48 +1,67 @@
-// Halo-exchange demo: the mini message-passing substrate end-to-end.
-// Eight ranks (threads) each own a subdomain of a periodic 3-D grid,
-// run Jacobi smoothing steps, and exchange one-cell halos through the
-// MiniComm mailbox transport using the HaloTopology pack/unpack lists —
-// the communication pattern behind the suite's Comm kernels.
+// Halo-exchange demo: the pack -> hand-off -> unpack loop of the suite's
+// HALO_EXCHANGE kernel, driving a small computation end to end. Eight
+// virtual ranks each own a subdomain of a periodic 3-D grid, run Jacobi
+// smoothing steps, and exchange one-cell halos through the HaloTopology
+// pack/unpack lists: every rank packs one buffer per direction, each
+// buffer is handed to the neighbor that direction names, and every rank
+// unpacks what it received into its ghost cells.
+#include <array>
 #include <cstdio>
 #include <vector>
 
 #include "comm/halo.hpp"
-#include "comm/minicomm.hpp"
 
 int main() {
   using namespace rperf;
+  using comm::HaloTopology;
   constexpr port::Index_type kLocalDim = 16;
   constexpr int kSteps = 4;
+  constexpr int kRanks = HaloTopology::kNumRanks;
+  constexpr int kDirs = HaloTopology::kNumDirections;
 
-  comm::HaloTopology topo(kLocalDim);
-  comm::MiniComm comm(comm::HaloTopology::kNumRanks);
+  const HaloTopology topo(kLocalDim);
   const auto cells = static_cast<std::size_t>(topo.local_cells());
+  const port::Index_type stride = kLocalDim + 2;
 
-  // Shared result slot per rank (each rank writes only its own).
-  std::vector<double> rank_sums(comm::HaloTopology::kNumRanks, 0.0);
+  std::vector<std::vector<double>> fields;
+  for (int rank = 0; rank < kRanks; ++rank) {
+    fields.emplace_back(cells, static_cast<double>(rank + 1));
+  }
+  // send[rank][d] is what `rank` packs for direction d; recv[rank][d] is
+  // what it receives from its neighbor in direction d.
+  std::array<std::array<std::vector<double>, kDirs>, kRanks> send;
+  std::array<std::array<std::vector<double>, kDirs>, kRanks> recv;
 
-  comm.run([&](comm::RankContext& ctx) {
-    const int rank = ctx.rank();
-    std::vector<double> field(cells,
-                              static_cast<double>(rank + 1));
-    const port::Index_type stride = kLocalDim + 2;
-
-    for (int step = 0; step < kSteps; ++step) {
-      // Pack and send one buffer per direction.
-      for (int d = 0; d < comm::HaloTopology::kNumDirections; ++d) {
+  for (int step = 0; step < kSteps; ++step) {
+    // Pack one buffer per direction.
+    for (int rank = 0; rank < kRanks; ++rank) {
+      const auto& field = fields[static_cast<std::size_t>(rank)];
+      for (int d = 0; d < kDirs; ++d) {
         const auto& plist = topo.pack_list(d);
-        std::vector<double> buf(plist.size());
+        auto& buf = send[static_cast<std::size_t>(rank)]
+                        [static_cast<std::size_t>(d)];
+        buf.resize(plist.size());
         for (std::size_t k = 0; k < plist.size(); ++k) {
           buf[k] = field[static_cast<std::size_t>(plist[k])];
         }
-        // Tag by the direction as seen by the receiver (opposite of d).
-        ctx.send(topo.neighbor(rank, d), 100 * step + topo.opposite(d),
-                 buf);
       }
-      // Receive and unpack.
-      for (int d = 0; d < comm::HaloTopology::kNumDirections; ++d) {
-        const auto buf = ctx.recv(topo.neighbor(rank, d), 100 * step + d);
+    }
+    // Hand off: the neighbor in direction d packed its boundary toward
+    // this rank as direction opposite(d).
+    for (int rank = 0; rank < kRanks; ++rank) {
+      for (int d = 0; d < kDirs; ++d) {
+        recv[static_cast<std::size_t>(rank)][static_cast<std::size_t>(d)] =
+            send[static_cast<std::size_t>(topo.neighbor(rank, d))]
+                [static_cast<std::size_t>(topo.opposite(d))];
+      }
+    }
+    for (int rank = 0; rank < kRanks; ++rank) {
+      auto& field = fields[static_cast<std::size_t>(rank)];
+      // Unpack into the ghost cells.
+      for (int d = 0; d < kDirs; ++d) {
         const auto& ulist = topo.unpack_list(d);
+        const auto& buf = recv[static_cast<std::size_t>(rank)]
+                              [static_cast<std::size_t>(d)];
         for (std::size_t k = 0; k < ulist.size(); ++k) {
           field[static_cast<std::size_t>(ulist[k])] = buf[k];
         }
@@ -66,9 +85,13 @@ int main() {
         }
       }
       field = std::move(next);
-      ctx.barrier();
     }
+  }
 
+  std::vector<double> rank_sums(kRanks, 0.0);
+  double total = 0.0;
+  for (int rank = 0; rank < kRanks; ++rank) {
+    const auto& field = fields[static_cast<std::size_t>(rank)];
     double sum = 0.0;
     for (port::Index_type x = 1; x <= kLocalDim; ++x) {
       for (port::Index_type y = 1; y <= kLocalDim; ++y) {
@@ -79,19 +102,16 @@ int main() {
       }
     }
     rank_sums[static_cast<std::size_t>(rank)] = sum;
-    const double total = ctx.allreduce_sum(sum);
-    if (rank == 0) {
-      std::printf("global field sum after %d smoothing steps: %.6f\n",
-                  kSteps, total);
-    }
-  });
-
+    total += sum;
+  }
+  std::printf("global field sum after %d smoothing steps: %.6f\n", kSteps,
+              total);
   std::printf("per-rank interior sums (diffusion pulls them together):\n");
   for (std::size_t r = 0; r < rank_sums.size(); ++r) {
     std::printf("  rank %zu: %.4f\n", r, rank_sums[r]);
   }
   std::printf("demo complete: 8 ranks x %d steps x 26-direction halo "
-              "exchange through MiniComm.\n",
+              "exchange (pack, hand-off, unpack).\n",
               kSteps);
   return 0;
 }

@@ -27,8 +27,9 @@ int main(int argc, char** argv) {
     std::printf("Achieved bandwidth per kernel (fastest variant):\n");
     for (const auto& kernel : exec.kernels()) {
       double best = -1.0;
-      for (suite::VariantID v : kernel->variants()) {
-        const double t = kernel->time_per_rep(v);
+      for (const auto& r : exec.results()) {
+        const double t = r.time_per_rep_sec;
+        if (r.kernel != kernel->name() || r.tuning != 0) continue;
         if (t > 0.0 && (best < 0.0 || t < best)) best = t;
       }
       if (best > 0.0) {

@@ -6,8 +6,8 @@
 // RAJAPerf-style pack and unpack index lists; the suite's Comm kernels
 // loop over these lists, which is exactly the computation the paper's
 // HALO kernels measure. Message transport between virtual ranks is a
-// buffer hand-off inside one address space (see DESIGN.md substitutions);
-// the thread-based MiniComm provides real transport for examples/tests.
+// buffer hand-off inside one address space, on one thread (see DESIGN.md
+// substitutions).
 #pragma once
 
 #include <array>

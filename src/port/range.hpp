@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace rperf::port {
 
@@ -25,24 +24,22 @@ class RangeSegment {
 };
 
 /// Explicit list of indices, in iteration order (may repeat, any order).
+/// A view, like RAJA's unowned list segments: it holds a pointer and a
+/// count into the caller's storage, which must outlive it.
 class ListSegment {
  public:
-  ListSegment() = default;
-  explicit ListSegment(std::vector<Index_type> indices)
-      : indices_(std::move(indices)) {}
-  ListSegment(const Index_type* data, std::size_t count)
-      : indices_(data, data + count) {}
+  constexpr ListSegment(const Index_type* data, std::size_t count)
+      : data_(data), size_(static_cast<Index_type>(count)) {}
 
-  [[nodiscard]] Index_type size() const {
-    return static_cast<Index_type>(indices_.size());
-  }
-  [[nodiscard]] const Index_type* data() const { return indices_.data(); }
-  [[nodiscard]] Index_type operator[](Index_type i) const {
-    return indices_[static_cast<std::size_t>(i)];
+  [[nodiscard]] constexpr Index_type size() const { return size_; }
+  [[nodiscard]] constexpr const Index_type* data() const { return data_; }
+  [[nodiscard]] constexpr Index_type operator[](Index_type i) const {
+    return data_[i];
   }
 
  private:
-  std::vector<Index_type> indices_;
+  const Index_type* data_;
+  Index_type size_;
 };
 
 }  // namespace rperf::port

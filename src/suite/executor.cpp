@@ -36,8 +36,9 @@ RunStatus Executor::run_cell_once(const Cell& cell, cali::Channel& channel,
   // worker, not the supervisor.
   hwc::RegionCounterService hwc_service;
   if (params_.hwc) (void)hwc_service.attach(channel);
+  KernelBase::Measurement m;
   try {
-    cell.kernel->execute(cell.vid, cell.tuning, channel);
+    m = cell.kernel->execute(cell.vid, cell.tuning, channel);
   } catch (const KernelTimeout& e) {
     r.error = e.what();
     return RunStatus::TimedOut;
@@ -48,13 +49,13 @@ RunStatus Executor::run_cell_once(const Cell& cell, cali::Channel& channel,
     r.error = "unknown exception";
     return RunStatus::Failed;
   }
-  r.time_per_rep_sec = cell.kernel->time_per_rep(cell.vid, cell.tuning);
-  r.checksum = cell.kernel->checksum(cell.vid, cell.tuning);
+  r.time_per_rep_sec = m.time_per_rep_sec;
+  r.checksum = m.checksum;
   r.problem_size = cell.kernel->actual_prob_size();
   r.reps = cell.kernel->run_reps();
-  r.setup_ms = cell.kernel->last_setup_sec() * 1e3;
-  r.checksum_ms = cell.kernel->last_checksum_sec() * 1e3;
-  r.pool_hits = cell.kernel->last_pool_hits();
+  r.setup_ms = m.setup_sec * 1e3;
+  r.checksum_ms = m.checksum_sec * 1e3;
+  r.pool_hits = m.pool_hits;
   if (params_.hwc) {
     if (hwc_service.regions_observed() > 0) {
       // Measured: the service already attributed multiplex-scaled PAPI

@@ -102,8 +102,8 @@ void KernelBase::finalize_sizing() {
   sized_ = true;
 }
 
-void KernelBase::execute(VariantID vid, std::size_t tuning,
-                         cali::Channel& channel) {
+KernelBase::Measurement KernelBase::execute(VariantID vid, std::size_t tuning,
+                                            cali::Channel& channel) {
   if (!has_variant(vid)) {
     throw std::invalid_argument(name_ + ": variant " + to_string(vid) +
                                 " not available");
@@ -116,11 +116,7 @@ void KernelBase::execute(VariantID vid, std::size_t tuning,
   tuning_ = tuning;
 
   using Clock = std::chrono::steady_clock;
-  double best = -1.0;
-  long double csum = 0.0L;
-
-  last_setup_sec_ = 0.0;
-  last_checksum_sec_ = 0.0;
+  Measurement m;
   const mem::PoolStats pool_before = mem::pool().stats();
 
   // Per-thread span stats accumulate on the process-wide sink keyed by the
@@ -147,7 +143,7 @@ void KernelBase::execute(VariantID vid, std::size_t tuning,
       {
         const auto setup_start = Clock::now();
         setUp(vid);
-        last_setup_sec_ +=
+        m.setup_sec +=
             std::chrono::duration<double>(Clock::now() - setup_start).count();
       }
       {
@@ -158,7 +154,9 @@ void KernelBase::execute(VariantID vid, std::size_t tuning,
         const double elapsed =
             std::chrono::duration<double>(stop - start).count();
         const double per_rep = elapsed / static_cast<double>(reps_);
-        if (best < 0.0 || per_rep < best) best = per_rep;
+        if (m.time_per_rep_sec < 0.0 || per_rep < m.time_per_rep_sec) {
+          m.time_per_rep_sec = per_rep;
+        }
 
         // Attribute the paper's analytic metrics to the kernel region.
         const auto& t = traits_;
@@ -174,12 +172,14 @@ void KernelBase::execute(VariantID vid, std::size_t tuning,
       }
       const auto csum_start = Clock::now();
       long double pass_csum = computeChecksum(vid);
-      last_checksum_sec_ +=
+      m.checksum_sec +=
           std::chrono::duration<double>(Clock::now() - csum_start).count();
       pass_csum = faults::injector().corrupt_checksum(name_, pass_csum);
       // A pass that is not finite decides the cell: a later clean pass
       // must not overwrite it.
-      if (std::isfinite(static_cast<double>(csum))) csum = pass_csum;
+      if (std::isfinite(static_cast<double>(m.checksum))) {
+        m.checksum = pass_csum;
+      }
     } catch (...) {
       try {
         tearDown(vid);
@@ -202,16 +202,16 @@ void KernelBase::execute(VariantID vid, std::size_t tuning,
     }
   }
 
-  last_pool_hits_ = mem::pool().stats().reuse_hits - pool_before.reuse_hits;
+  m.pool_hits = mem::pool().stats().reuse_hits - pool_before.reuse_hits;
 
   // Setup-cost observability: setup/checksum time sits outside the kernel
   // region's inclusive_time_sec, so recording it as region metrics never
   // perturbs the measured kernel time. attribute_metric_at leaves the
   // region's visit_count untouched.
-  channel.attribute_metric_at(name_, "setup_ms", last_setup_sec_ * 1e3);
-  channel.attribute_metric_at(name_, "checksum_ms", last_checksum_sec_ * 1e3);
+  channel.attribute_metric_at(name_, "setup_ms", m.setup_sec * 1e3);
+  channel.attribute_metric_at(name_, "checksum_ms", m.checksum_sec * 1e3);
   channel.attribute_metric_at(name_, "pool_hit",
-                              static_cast<double>(last_pool_hits_));
+                              static_cast<double>(m.pool_hits));
 
   // Load-imbalance metrics from the traced OpenMP path. Max/mean thread
   // times are sums over parallel instances, so they stay meaningful when
@@ -227,22 +227,7 @@ void KernelBase::execute(VariantID vid, std::size_t tuning,
     }
   }
 
-  time_per_rep_[{vid, tuning}] = best;
-  checksums_[{vid, tuning}] = csum;
-}
-
-double KernelBase::time_per_rep(VariantID vid, std::size_t tuning) const {
-  auto it = time_per_rep_.find({vid, tuning});
-  return it == time_per_rep_.end() ? -1.0 : it->second;
-}
-
-long double KernelBase::checksum(VariantID vid, std::size_t tuning) const {
-  auto it = checksums_.find({vid, tuning});
-  return it == checksums_.end() ? 0.0L : it->second;
-}
-
-bool KernelBase::was_run(VariantID vid, std::size_t tuning) const {
-  return time_per_rep_.count({vid, tuning}) > 0;
+  return m;
 }
 
 }  // namespace rperf::suite

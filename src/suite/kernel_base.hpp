@@ -20,8 +20,8 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <initializer_list>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -84,6 +84,19 @@ class KernelBase {
   [[nodiscard]] const machine::KernelTraits& traits() const { return traits_; }
 
   // ----- execution -----
+  /// What one execute() measured: the fastest pass's seconds per
+  /// repetition (negative until a pass completes); the checksum of the
+  /// first pass that is not finite, else of the last pass; the seconds
+  /// spent in setUp and in computeChecksum summed over all passes; and the
+  /// working set's allocations the pool free lists served.
+  struct Measurement {
+    double time_per_rep_sec = -1.0;
+    long double checksum = 0.0L;
+    double setup_sec = 0.0;
+    double checksum_sec = 0.0;
+    std::uint64_t pool_hits = 0;
+  };
+
   /// Run one variant under one tuning: setUp -> timed repetitions
   /// (npasses, min taken) -> checksum -> tearDown, with Caliper-substitute
   /// annotations on `channel`. Throws std::invalid_argument for an
@@ -92,28 +105,11 @@ class KernelBase {
   /// When any lifecycle stage throws, tearDown is still attempted so a
   /// failed cell cannot leak allocations into the rest of the sweep;
   /// tearDown must therefore tolerate being called after a failed setUp.
-  void execute(VariantID vid, std::size_t tuning, cali::Channel& channel);
-  void execute(VariantID vid, cali::Channel& channel) {
-    execute(vid, 0, channel);
+  Measurement execute(VariantID vid, std::size_t tuning,
+                      cali::Channel& channel);
+  Measurement execute(VariantID vid, cali::Channel& channel) {
+    return execute(vid, 0, channel);
   }
-
-  /// Seconds per repetition for the fastest pass; negative when the
-  /// (variant, tuning) pair has not been executed.
-  [[nodiscard]] double time_per_rep(VariantID vid,
-                                    std::size_t tuning = 0) const;
-  /// Checksum recorded by the last execution of the (variant, tuning):
-  /// the first pass's that is not finite, else the last pass's.
-  [[nodiscard]] long double checksum(VariantID vid,
-                                     std::size_t tuning = 0) const;
-  [[nodiscard]] bool was_run(VariantID vid, std::size_t tuning = 0) const;
-
-  // ----- setup-cost observability (valid after execute()) -----
-  /// Total seconds spent in setUp across all passes of the last execute().
-  [[nodiscard]] double last_setup_sec() const { return last_setup_sec_; }
-  /// Total seconds spent in computeChecksum across all passes.
-  [[nodiscard]] double last_checksum_sec() const { return last_checksum_sec_; }
-  /// Pool free-list hits during the last execute().
-  [[nodiscard]] std::uint64_t last_pool_hits() const { return last_pool_hits_; }
 
  protected:
   // ----- subclass lifecycle hooks -----
@@ -170,13 +166,6 @@ class KernelBase {
   machine::KernelTraits traits_;
   std::vector<std::string> tunings_{"default"};
   std::size_t tuning_ = 0;
-
-  std::map<std::pair<VariantID, std::size_t>, double> time_per_rep_;
-  std::map<std::pair<VariantID, std::size_t>, long double> checksums_;
-
-  double last_setup_sec_ = 0.0;
-  double last_checksum_sec_ = 0.0;
-  std::uint64_t last_pool_hits_ = 0;
 };
 
 }  // namespace rperf::suite

@@ -2,11 +2,12 @@
 // several OpenMP team sizes, under each cell's checksum order class
 // (suite::ChecksumOrder).
 //
-// Cells: every kernel carrying the Atomic, Reduction or Scan feature (the
-// kernels whose adds OpenMP may order), every nested-loop kernel (the
-// Kernel feature: collapse(2) nests, forall_2d and forall_3d), plus
-// Stream_TRIAD as a streaming control, in all six variants and every
-// tuning, at size factor 0.01.
+// Cells: every Stream, Basic and Lcals kernel (the harness-bound sweep
+// the benchmark times), every other kernel carrying the Atomic, Reduction
+// or Scan feature (the kernels whose adds OpenMP may order), and every
+// other nested-loop kernel (the Kernel feature: collapse(2) nests,
+// forall_2d and forall_3d), in all six variants and every tuning, at size
+// factor 0.01.
 // Paths: 2 persistent workers (--workers 2), disposable workers
 // (--isolate cell), and in-process twice, each at team sizes 1, 2 and
 // omp_get_max_threads(). Every pair of one cell's checksums must satisfy
@@ -38,12 +39,14 @@ namespace {
 using namespace rperf;
 using namespace rperf::suite;
 
-/// Every kernel whose checksum may depend on the order of its adds, every
-/// nested-loop kernel, plus Stream_TRIAD.
+/// Every Stream, Basic and Lcals kernel, every kernel whose checksum may
+/// depend on the order of its adds, and every nested-loop kernel.
 std::vector<std::string> oracle_kernels() {
-  std::vector<std::string> names = {"Stream_TRIAD"};
+  std::vector<std::string> names;
   for (const auto& k : make_kernels(RunParams{})) {
-    if (k->has_feature(FeatureID::Atomic) ||
+    if (k->group() == GroupID::Stream || k->group() == GroupID::Basic ||
+        k->group() == GroupID::Lcals ||
+        k->has_feature(FeatureID::Atomic) ||
         k->has_feature(FeatureID::Reduction) ||
         k->has_feature(FeatureID::Scan) ||
         k->has_feature(FeatureID::Kernel)) {
@@ -134,8 +137,8 @@ TEST(ChecksumOracle, EveryPathAgreesUnderItsOrderClass) {
     legs.run("in-process again", team, in_process);
   }
 
-  // 39 kernels x 6 variants, and the extra tunings.
-  ASSERT_GE(legs.cells.size(), 39u * 6u);
+  // 59 kernels x 6 variants, and the extra tunings.
+  ASSERT_GE(legs.cells.size(), 59u * 6u);
   std::map<ChecksumOrder, std::size_t> per_class;
   for (const auto& [key, cell] : legs.cells) {
     ++per_class[cell.order];

@@ -1,7 +1,9 @@
 // Contract tests for the executor's seams, each called directly rather
 // than through a sweep: the checkpoint (progress.jsonl and crashes.jsonl),
 // the worker job and result wire records with the failure
-// classification, and the text reports.
+// classification, and the text reports. The store landing is checked
+// through a small in-process sweep, since its cost is the barriers a
+// whole run issues.
 #include <gtest/gtest.h>
 #include <signal.h>
 
@@ -11,8 +13,10 @@
 #include "instrument/profile.hpp"
 #include "sandbox/protocol.hpp"
 #include "sandbox/wire.hpp"
+#include "store/store.hpp"
 #include "suite/cell_record.hpp"
 #include "suite/checkpoint.hpp"
+#include "suite/executor.hpp"
 #include "suite/registry.hpp"
 #include "suite/reports.hpp"
 
@@ -173,6 +177,46 @@ TEST_F(CheckpointTest, EmptyDirIsInert) {
   EXPECT_EQ(cp.crashes_path(), "");
   EXPECT_TRUE(cp.load_progress().empty());
   EXPECT_TRUE(cp.load_crashes("crash record").empty());
+}
+
+// --------------------------------------------------------- store landing
+
+using RunStoreTest = CheckpointTest;
+
+// A --store run lands every cell in one complete stored run, with no more
+// fsync barriers than group commit and the fixed barriers of one run on a
+// fresh store account for (store.cpp). Group commit fsyncs the journal
+// once per 8 commit markers (WriterOptions' sync_every_commits), with one
+// marker for begin_run and one per cell. Opening fsyncs the new journal's
+// header and the directory (2); finish_run fsyncs the journal before and
+// after the final marker (2); the seal fsyncs the directory after renaming
+// the journal into a segment, then the manifest and the directory it is
+// renamed into, then the next journal's header (4).
+TEST_F(RunStoreTest, RunLandsEveryCellWithinTheBarrierBound) {
+  RunParams p;
+  p.group_filter = {GroupID::Stream};
+  p.size_factor = 0.01;
+  p.reps_factor = 0.1;
+  p.store_dir = dir_.string();
+  Executor exec(p);
+  exec.run();
+  const std::size_t cells = exec.results().size();
+  ASSERT_GE(cells, 24u);
+  EXPECT_EQ(exec.store_error(), "");
+  EXPECT_EQ(exec.store_cells(), cells);
+
+  const store::StoreReader reader(p.store_dir);
+  const store::StoredRun* run = reader.find("");
+  ASSERT_NE(run, nullptr);
+  EXPECT_TRUE(run->complete);
+  EXPECT_EQ(run->cells.size(), cells);
+
+  constexpr std::size_t kSyncEveryCommits = 8;
+  constexpr std::size_t kFixedBarriers = 2 + 2 + 4;
+  const std::size_t commits = 1 + cells;
+  EXPECT_LE(exec.store_barriers(),
+            (commits + kSyncEveryCommits - 1) / kSyncEveryCommits +
+                kFixedBarriers);
 }
 
 // ------------------------------------------------ job and result records

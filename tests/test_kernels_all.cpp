@@ -69,10 +69,9 @@ TEST_P(KernelSuiteTest, AllVariantsAgreeOnChecksum) {
   long double reference = 0.0L;
   bool have_reference = false;
   for (VariantID v : kernel->variants()) {
-    kernel->execute(v, channel);
+    const long double cs = kernel->execute(v, channel).checksum;
     EXPECT_EQ(rperf::mem::pool().stats().bytes_in_use, in_use)
         << GetParam() << " " << to_string(v) << " left pooled data live";
-    const long double cs = kernel->checksum(v);
     if (!have_reference) {
       reference = cs;
       have_reference = true;
@@ -88,10 +87,10 @@ TEST_P(KernelSuiteTest, AllVariantsAgreeOnChecksum) {
 TEST_P(KernelSuiteTest, ExecutionIsDeterministic) {
   const auto kernel = make_kernel(GetParam(), tiny_params());
   rperf::cali::Channel channel;
-  kernel->execute(VariantID::Base_Seq, channel);
-  const long double first = kernel->checksum(VariantID::Base_Seq);
-  kernel->execute(VariantID::Base_Seq, channel);
-  EXPECT_EQ(first, kernel->checksum(VariantID::Base_Seq)) << GetParam();
+  const long double first =
+      kernel->execute(VariantID::Base_Seq, channel).checksum;
+  EXPECT_EQ(first, kernel->execute(VariantID::Base_Seq, channel).checksum)
+      << GetParam();
 }
 
 TEST_P(KernelSuiteTest, ExecuteAnnotatesTheKernelRegion) {

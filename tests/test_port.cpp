@@ -33,10 +33,19 @@ TEST(RangeSegment, EmptyWhenEndBeforeBegin) {
 }
 
 TEST(ListSegment, IteratesInGivenOrder) {
-  ListSegment seg({4, 2, 7, 2});
+  const std::vector<Index_type> list = {4, 2, 7, 2};
+  ListSegment seg(list.data(), list.size());
   std::vector<Index_type> seen;
   forall<seq_exec>(seg, [&](Index_type i) { seen.push_back(i); });
-  EXPECT_EQ(seen, (std::vector<Index_type>{4, 2, 7, 2}));
+  EXPECT_EQ(seen, list);
+}
+
+TEST(ListSegment, ViewsTheCallersIndices) {
+  const std::vector<Index_type> list = {9, 3, 5};
+  ListSegment seg(list.data(), list.size());
+  EXPECT_EQ(seg.data(), list.data());
+  EXPECT_EQ(seg.size(), 3);
+  EXPECT_EQ(seg[1], 3);
 }
 
 TEST(ListSegment, OpenMPForallCoversEveryIndexOnce) {
@@ -44,7 +53,7 @@ TEST(ListSegment, OpenMPForallCoversEveryIndexOnce) {
   for (Index_type i = 500; i < 1000; i += 3) list.push_back(i);
   std::vector<int> hits(1000, 0);
   int* h = hits.data();
-  forall<omp_parallel_for_exec>(ListSegment(std::move(list)),
+  forall<omp_parallel_for_exec>(ListSegment(list.data(), list.size()),
                                 [=](Index_type i) { h[i] += 1; });
   for (Index_type i = 0; i < 500; ++i) EXPECT_EQ(hits[i], 0);
   for (Index_type i = 500; i < 1000; ++i) {

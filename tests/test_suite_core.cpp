@@ -173,13 +173,14 @@ TEST(KernelBase, AnalyticMetricsArePositiveAndScaleWithSize) {
 TEST(KernelBase, ExecuteRecordsTimeAndChecksum) {
   RunParams p = small_params();
   auto k = make_kernel("Stream_TRIAD", p);
-  EXPECT_FALSE(k->was_run(VariantID::Base_Seq));
-  EXPECT_LT(k->time_per_rep(VariantID::Base_Seq), 0.0);
+  // A measurement no execute() filled in reads as not run.
+  EXPECT_LT(KernelBase::Measurement{}.time_per_rep_sec, 0.0);
   rperf::cali::Channel ch;
-  k->execute(VariantID::Base_Seq, ch);
-  EXPECT_TRUE(k->was_run(VariantID::Base_Seq));
-  EXPECT_GE(k->time_per_rep(VariantID::Base_Seq), 0.0);
-  EXPECT_NE(k->checksum(VariantID::Base_Seq), 0.0L);
+  const KernelBase::Measurement m = k->execute(VariantID::Base_Seq, ch);
+  EXPECT_GE(m.time_per_rep_sec, 0.0);
+  EXPECT_NE(m.checksum, 0.0L);
+  EXPECT_GT(m.setup_sec, 0.0);
+  EXPECT_GT(m.checksum_sec, 0.0);
   // The channel has a region named after the kernel with analytic metrics.
   const auto* node = ch.root().find("Stream_TRIAD");
   ASSERT_NE(node, nullptr);
@@ -262,13 +263,12 @@ TEST(Tunings, TuningsProduceIdenticalMatmulResults) {
   RunParams p = small_params();
   const auto k = make_kernel("Basic_MAT_MAT_SHARED", p);
   rperf::cali::Channel ch;
+  std::vector<long double> checksums;
   for (std::size_t t = 0; t < k->num_tunings(); ++t) {
-    k->execute(VariantID::Base_Seq, t, ch);
+    checksums.push_back(k->execute(VariantID::Base_Seq, t, ch).checksum);
   }
-  const long double ref = k->checksum(VariantID::Base_Seq, 0);
   for (std::size_t t = 1; t < k->num_tunings(); ++t) {
-    EXPECT_TRUE(
-        checksums_match(ref, k->checksum(VariantID::Base_Seq, t), 1e-10))
+    EXPECT_TRUE(checksums_match(checksums[0], checksums[t], 1e-10))
         << k->tunings()[t];
   }
 }
@@ -277,12 +277,10 @@ TEST(Tunings, TimesAreRecordedPerTuning) {
   RunParams p = small_params();
   const auto k = make_kernel("Algorithm_ATOMIC", p);
   rperf::cali::Channel ch;
-  k->execute(VariantID::Base_Seq, 0, ch);
-  EXPECT_TRUE(k->was_run(VariantID::Base_Seq, 0));
-  EXPECT_FALSE(k->was_run(VariantID::Base_Seq, 1));
-  k->execute(VariantID::Base_Seq, 1, ch);
-  EXPECT_TRUE(k->was_run(VariantID::Base_Seq, 1));
-  EXPECT_GE(k->time_per_rep(VariantID::Base_Seq, 1), 0.0);
+  EXPECT_GE(k->execute(VariantID::Base_Seq, 0, ch).time_per_rep_sec, 0.0);
+  EXPECT_EQ(ch.root().find("Algorithm_ATOMIC")->visit_count, 1u);
+  EXPECT_GE(k->execute(VariantID::Base_Seq, 1, ch).time_per_rep_sec, 0.0);
+  EXPECT_EQ(ch.root().find("Algorithm_ATOMIC")->visit_count, 2u);
 }
 
 TEST(Tunings, OutOfRangeTuningThrows) {
@@ -353,10 +351,10 @@ TEST(KernelBase, NPassesKeepsMinimumTime) {
   p.npasses = 4;
   const auto k = make_kernel("Stream_TRIAD", p);
   rperf::cali::Channel ch;
-  k->execute(VariantID::Base_Seq, ch);
+  const KernelBase::Measurement m = k->execute(VariantID::Base_Seq, ch);
   // Four passes fold into one region node with 4 visits.
   EXPECT_EQ(ch.root().find("Stream_TRIAD")->visit_count, 4u);
-  EXPECT_GE(k->time_per_rep(VariantID::Base_Seq), 0.0);
+  EXPECT_GE(m.time_per_rep_sec, 0.0);
 }
 
 TEST(Executor, KernelFilterSelectsSubset) {
