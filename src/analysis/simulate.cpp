@@ -2,6 +2,7 @@
 
 #include "counters/ncu.hpp"
 #include "counters/tma.hpp"
+#include "instrument/channel.hpp"
 
 namespace rperf::analysis {
 
@@ -75,7 +76,7 @@ cali::Profile to_profile(const std::vector<SimResult>& results,
       }
     }
   }
-  return cali::to_profile(channel);
+  return channel.profile();
 }
 
 bool included_in_clustering(const SimResult& r) {

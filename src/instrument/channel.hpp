@@ -1,12 +1,12 @@
 // Region-annotation channel — the Caliper substitute.
 //
-// A `Channel` records a tree of nested annotated regions. Entering the same
-// region path twice accumulates (time and visit count), so repeated kernel
-// executions fold into one node, as Caliper's aggregation service does.
-// Arbitrary named metrics (e.g. the suite's analytic metrics: bytes read,
-// bytes written, FLOPs) can be attributed to the currently open region.
-// Run-level metadata (the Adiak substitute) records variant, tuning,
-// machine, problem size, etc.
+// A `Channel` records nested annotated regions into the `Profile` it owns
+// (profile.hpp). Entering the same region path twice accumulates (time
+// and visit count), so repeated kernel executions fold into one node, as
+// Caliper's aggregation service does. Arbitrary named metrics (e.g. the
+// suite's analytic metrics: bytes read, bytes written, FLOPs) can be
+// attributed to the currently open region. Run-level metadata (the Adiak
+// substitute) records variant, tuning, machine, problem size, etc.
 //
 // Typical use, mirroring the paper's integration:
 //
@@ -17,36 +17,18 @@
 //     run_kernel();
 //     ch.attribute_metric("flops", 2.0 * n);
 //   }
-//   write_profile(ch, "triad.cali.json");
+//   write_profile(ch.profile(), "triad.cali.json");
 #pragma once
 
 #include <chrono>
 #include <functional>
-#include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "instrument/profile.hpp"
+
 namespace rperf::cali {
-
-/// One node of the region tree.
-struct RegionNode {
-  std::string name;
-  RegionNode* parent = nullptr;
-  std::vector<std::unique_ptr<RegionNode>> children;
-
-  double inclusive_time_sec = 0.0;  ///< summed wall time across visits
-  std::uint64_t visit_count = 0;    ///< number of begin/end pairs
-  std::map<std::string, double> metrics;  ///< attributed metrics (summed)
-
-  /// Find or create a child with the given name.
-  RegionNode& child(const std::string& child_name);
-  /// Find a child; nullptr when absent.
-  [[nodiscard]] const RegionNode* find(const std::string& child_name) const;
-  /// Slash-joined path from the root (root itself is "").
-  [[nodiscard]] std::string path() const;
-};
 
 class AnnotationError : public std::runtime_error {
  public:
@@ -55,8 +37,6 @@ class AnnotationError : public std::runtime_error {
 
 class Channel {
  public:
-  Channel();
-
   /// Open a nested region. Regions must be strictly nested.
   void begin(const std::string& region);
   /// Close the innermost region; `region` must match the open one.
@@ -76,30 +56,12 @@ class Channel {
   void set_metadata(const std::string& key, const std::string& value);
   void set_metadata(const std::string& key, double value);
 
-  [[nodiscard]] const RegionNode& root() const { return *root_; }
-  /// Mutable root, for deserializers that rebuild a recorded tree
-  /// (e.g. channel_from_profile). Not for live annotation — use begin/end.
-  [[nodiscard]] RegionNode& root_rw() { return *root_; }
-  [[nodiscard]] const std::map<std::string, std::string>& metadata() const {
-    return metadata_;
-  }
+  /// The regions and metadata recorded so far. Open regions are in the
+  /// tree but not yet timed or counted.
+  [[nodiscard]] const Profile& profile() const { return profile_; }
   [[nodiscard]] int open_depth() const {
-    return static_cast<int>(stack_.size()) - 1;
+    return static_cast<int>(open_.size());
   }
-
-  /// Total time attributed to top-level regions.
-  [[nodiscard]] double total_time_sec() const;
-
-  /// Drop all recorded regions and metadata.
-  void clear();
-
-  /// Fold another channel's recorded regions into this one: matching
-  /// region paths sum their time, visit counts, and metrics; new paths are
-  /// adopted; `other`'s metadata overwrites same-keyed entries here. Both
-  /// channels must have no open regions. Used by the executor to commit a
-  /// per-cell scratch channel into the per-variant profile only after the
-  /// cell passes.
-  void merge(const Channel& other);
 
   /// Observer invoked on every begin (is_begin=true) and end event with
   /// the region name and seconds since channel creation. Used by the
@@ -120,18 +82,25 @@ class Channel {
  private:
   using Clock = std::chrono::steady_clock;
 
+  struct OpenRegion {
+    std::size_t child = 0;  ///< index among its parent's children
+    Clock::time_point start;
+  };
   struct HookEntry {
     int id = 0;
     EventHook fn;
   };
 
+  /// The innermost open region; open_ must not be empty.
+  ProfileNode& innermost();
   void notify_hooks(const std::string& region, bool is_begin,
                     Clock::time_point now) const;
 
-  std::unique_ptr<RegionNode> root_;
-  std::vector<RegionNode*> stack_;       // innermost last; stack_[0] == root
-  std::vector<Clock::time_point> times_; // begin timestamps, parallel to stack_
-  std::map<std::string, std::string> metadata_;
+  Profile profile_;
+  /// Open regions, outermost first, as a path of child indices: pointers
+  /// would dangle when attribute_metric_at grows profile_.roots while a
+  /// region is open.
+  std::vector<OpenRegion> open_;
   Clock::time_point epoch_ = Clock::now();
   std::vector<HookEntry> hooks_;
   int next_hook_id_ = 1;

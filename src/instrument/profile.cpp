@@ -18,15 +18,15 @@ void visit(const std::string& prefix, const ProfileNode& node,
   for (const ProfileNode& c : node.children) visit(path, c, fn);
 }
 
-ProfileNode convert(const RegionNode& node) {
-  ProfileNode out;
-  out.name = node.name;
-  out.time_sec = node.inclusive_time_sec;
-  out.visit_count = node.visit_count;
-  out.metrics = node.metrics;
-  out.children.reserve(node.children.size());
-  for (const auto& c : node.children) out.children.push_back(convert(*c));
-  return out;
+void merge_nodes(std::vector<ProfileNode>& dst,
+                 const std::vector<ProfileNode>& src) {
+  for (const ProfileNode& s : src) {
+    ProfileNode& d = dst[child_index(dst, s.name)];
+    d.time_sec += s.time_sec;
+    d.visit_count += s.visit_count;
+    for (const auto& [name, value] : s.metrics) d.metrics[name] += value;
+    merge_nodes(d.children, s.children);
+  }
 }
 
 json::Value node_to_json(const ProfileNode& node) {
@@ -89,13 +89,24 @@ std::size_t Profile::node_count() const {
   return count;
 }
 
-Profile to_profile(const Channel& channel) {
-  Profile profile;
-  profile.metadata = channel.metadata();
-  for (const auto& c : channel.root().children) {
-    profile.roots.push_back(convert(*c));
+std::string metadata_text(double value) {
+  std::ostringstream os;
+  os << value;
+  return os.str();
+}
+
+std::size_t child_index(std::vector<ProfileNode>& nodes,
+                        const std::string& name) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i].name == name) return i;
   }
-  return profile;
+  nodes.push_back(ProfileNode{name, 0.0, 0, {}, {}});
+  return nodes.size() - 1;
+}
+
+void merge(Profile& dst, const Profile& src) {
+  for (const auto& [key, value] : src.metadata) dst.metadata[key] = value;
+  merge_nodes(dst.roots, src.roots);
 }
 
 json::Value profile_to_value(const Profile& profile) {
@@ -133,36 +144,11 @@ Profile profile_from_json(const std::string& text) {
   return profile_from_value(json::Value::parse(text));
 }
 
-namespace {
-
-void rebuild_region(RegionNode& parent, const ProfileNode& src) {
-  RegionNode& node = parent.child(src.name);
-  node.inclusive_time_sec += src.time_sec;
-  node.visit_count += src.visit_count;
-  for (const auto& [k, v] : src.metrics) node.metrics[k] += v;
-  for (const ProfileNode& c : src.children) rebuild_region(node, c);
-}
-
-}  // namespace
-
-Channel channel_from_profile(const Profile& profile) {
-  Channel channel;
-  for (const auto& [k, v] : profile.metadata) channel.set_metadata(k, v);
-  for (const ProfileNode& r : profile.roots) {
-    rebuild_region(channel.root_rw(), r);
-  }
-  return channel;
-}
-
 void write_profile(const Profile& profile, const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open for writing: " + path);
   out << profile_to_json(profile) << '\n';
   if (!out) throw std::runtime_error("write failed: " + path);
-}
-
-void write_profile(const Channel& channel, const std::string& path) {
-  write_profile(to_profile(channel), path);
 }
 
 Profile read_profile(const std::string& path) {

@@ -1,9 +1,10 @@
-// Serialized performance profiles (the ".cali file" substitute).
+// Performance profiles (the ".cali file" substitute), the instrument
+// layer's one region tree.
 //
-// A `Profile` is the at-rest form of one instrumented run: run metadata plus
-// a tree of regions with time, visit count, and attributed metrics. Channels
-// convert to profiles; profiles round-trip through JSON files; the analysis
-// toolkit (thicket substitute) ingests them.
+// A `Profile` is one instrumented run: run metadata plus a tree of regions
+// with time, visit count, and attributed metrics. A `Channel` records into
+// one (channel.hpp); profiles merge, round-trip through JSON files, and
+// feed the analysis toolkit (thicket substitute).
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "instrument/channel.hpp"
 #include "instrument/json.hpp"
 
 namespace rperf::cali {
@@ -40,13 +40,24 @@ struct Profile {
   [[nodiscard]] std::size_t node_count() const;
 };
 
-/// Snapshot a channel's region tree into a profile.
-[[nodiscard]] Profile to_profile(const Channel& channel);
+/// A number as metadata text, in the stream's default form ("0.05").
+[[nodiscard]] std::string metadata_text(double value);
+
+/// Index of the node named `name` in `nodes`, appending an empty node of
+/// that name when there is none.
+[[nodiscard]] std::size_t child_index(std::vector<ProfileNode>& nodes,
+                                      const std::string& name);
+
+/// Fold `src` into `dst`: matching region paths sum their time, visit
+/// counts, and metrics; new paths are appended in `src`'s order; `src`'s
+/// metadata overwrites same-keyed entries. The executor commits each
+/// passed cell into its (variant, tuning) profile this way, whether the
+/// cell ran in this process or a worker, or was restored by --resume.
+void merge(Profile& dst, const Profile& src);
 
 /// Serialize a profile to a JSON file (throws std::runtime_error on I/O
 /// failure).
 void write_profile(const Profile& profile, const std::string& path);
-void write_profile(const Channel& channel, const std::string& path);
 
 /// Parse a profile previously written by write_profile.
 [[nodiscard]] Profile read_profile(const std::string& path);
@@ -67,10 +78,5 @@ void write_profile(const Channel& channel, const std::string& path);
 /// instrument/wire_codec.hpp.)
 [[nodiscard]] json::Value profile_to_value(const Profile& profile);
 [[nodiscard]] Profile profile_from_value(const json::Value& v);
-
-/// Rebuild a channel whose region tree and metadata mirror `profile`,
-/// so a deserialized profile can be folded into a live channel with
-/// Channel::merge. Inverse of to_profile up to region ordering.
-[[nodiscard]] Channel channel_from_profile(const Profile& profile);
 
 }  // namespace rperf::cali

@@ -75,9 +75,4 @@ std::string runtime_report(const Profile& profile,
   return os.str();
 }
 
-std::string runtime_report(const Channel& channel,
-                           const ReportOptions& opts) {
-  return runtime_report(to_profile(channel), opts);
-}
-
 }  // namespace rperf::cali

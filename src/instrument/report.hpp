@@ -1,12 +1,11 @@
-// runtime-report — hierarchical text rendering of a channel or profile,
-// mirroring Caliper's built-in runtime-report service: one row per region,
-// indented by nesting depth, with inclusive/exclusive time and the share
-// of total runtime.
+// runtime-report — hierarchical text rendering of a profile, mirroring
+// Caliper's built-in runtime-report service: one row per region, indented
+// by nesting depth, with inclusive/exclusive time and the share of total
+// runtime.
 #pragma once
 
 #include <string>
 
-#include "instrument/channel.hpp"
 #include "instrument/profile.hpp"
 
 namespace rperf::cali {
@@ -22,8 +21,6 @@ struct ReportOptions {
 
 /// Render the hierarchical runtime report.
 [[nodiscard]] std::string runtime_report(const Profile& profile,
-                                         const ReportOptions& options = {});
-[[nodiscard]] std::string runtime_report(const Channel& channel,
                                          const ReportOptions& options = {});
 
 }  // namespace rperf::cali

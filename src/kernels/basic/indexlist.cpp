@@ -1,5 +1,6 @@
 // INDEXLIST: build a packed list of indices whose data value is negative.
-// The parallel variants use an exclusive scan of selection flags — the
+// The sequential variants append in one pass under a running count; the
+// OpenMP variants use an exclusive scan of selection flags — the
 // canonical stream-compaction pattern (Scan feature).
 //
 // INDEXLIST_3LOOP: the same computation restructured into three explicit
@@ -39,14 +40,16 @@ INDEXLIST::INDEXLIST(const RunParams& params)
   fill_traits(traits_rw(), static_cast<double>(actual_prob_size()), 1.0);
 }
 
-void INDEXLIST::setUp(VariantID) {
+void INDEXLIST::setUp(VariantID vid) {
   const Index_type n = actual_prob_size();
   suite::init_data_ramp(m_a, n, -0.5, 0.5);
   // Not filled: each rep writes an entry before anything reads it. The
-  // flag and position scratch serve the flag + scan + scatter variants.
+  // flag and position scratch serve the OpenMP flag + scan + scatter.
   m_list.resize(static_cast<std::size_t>(n));
-  m_flags.resize(static_cast<std::size_t>(n));
-  m_pos.resize(static_cast<std::size_t>(n));
+  if (suite::is_openmp_variant(vid)) {
+    m_flags.resize(static_cast<std::size_t>(n));
+    m_pos.resize(static_cast<std::size_t>(n));
+  }
   m_len = 0;
 }
 
@@ -69,28 +72,31 @@ void INDEXLIST::runVariant(VariantID vid) {
       }
       break;
     }
-    case VariantID::RAJA_Seq:
+    case VariantID::RAJA_Seq: {
+      // In order, so Base_Seq's running count needs no scan.
+      for (Index_type r = 0; r < run_reps(); ++r) {
+        Index_type count = 0;
+        forall<seq_exec>(RangeSegment(0, n), [&](Index_type i) {
+          if (x[i] < 0.0) list[count++] = i;
+        });
+        *len = count;
+      }
+      break;
+    }
     case VariantID::Lambda_OpenMP:
     case VariantID::Base_OpenMP:
     case VariantID::RAJA_OpenMP: {
-      // Flag + scan + scatter; the scan policy matches the variant.
+      // Flag + scan + scatter.
       Index_type* f = m_flags.data();
       Index_type* pos = m_pos.data();
-      const bool omp = suite::is_openmp_variant(vid);
       for (Index_type r = 0; r < run_reps(); ++r) {
         auto flag = [=](Index_type i) { f[i] = x[i] < 0.0 ? 1 : 0; };
         auto scatter = [=](Index_type i) {
           if (f[i] != 0) list[pos[i]] = i;
         };
-        if (omp) {
-          forall<omp_parallel_for_exec>(RangeSegment(0, n), flag);
-          exclusive_scan<omp_parallel_for_exec>(f, pos, n);
-          forall<omp_parallel_for_exec>(RangeSegment(0, n), scatter);
-        } else {
-          forall<seq_exec>(RangeSegment(0, n), flag);
-          exclusive_scan<seq_exec>(f, pos, n);
-          forall<seq_exec>(RangeSegment(0, n), scatter);
-        }
+        forall<omp_parallel_for_exec>(RangeSegment(0, n), flag);
+        exclusive_scan<omp_parallel_for_exec>(f, pos, n);
+        forall<omp_parallel_for_exec>(RangeSegment(0, n), scatter);
         *len = (n > 0) ? pos[n - 1] + f[n - 1] : 0;
       }
       break;

@@ -22,8 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -112,18 +110,5 @@ class FrameReader {
   std::string buf_;
   bool corrupt_ = false;
 };
-
-/// Exact long-double round-trip for checksums written as JSON text
-/// (progress.jsonl): JSON numbers are doubles, so records carry a C99
-/// hexfloat string too.
-[[nodiscard]] inline std::string checksum_to_hex(long double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%La", v);
-  return buf;
-}
-
-[[nodiscard]] inline long double checksum_from_hex(const std::string& s) {
-  return std::strtold(s.c_str(), nullptr);
-}
 
 }  // namespace rperf::sandbox

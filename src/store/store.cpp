@@ -260,9 +260,7 @@ CounterRecord decode_counter_payload(std::string_view payload) {
 // ---------------------------------------------------------------------------
 // StoreWriter
 
-StoreWriter::StoreWriter(std::string dir, WriterOptions opt)
-    : dir_(std::move(dir)), opt_(opt) {
-  if (opt_.sync_every_commits == 0) opt_.sync_every_commits = 1;
+StoreWriter::StoreWriter(std::string dir) : dir_(std::move(dir)) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec) {
@@ -446,7 +444,7 @@ void StoreWriter::commit() {
   // Recovery validates markers against their covered records, so a
   // power cut between barriers can only lose the undurable window —
   // never resurrect a marker over torn data.
-  if (++commits_since_sync_ >= opt_.sync_every_commits) barrier();
+  if (++commits_since_sync_ >= kSyncEveryCommits) barrier();
 }
 
 void StoreWriter::finish_run() {

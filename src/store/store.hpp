@@ -183,11 +183,10 @@ struct StoredRun {
 [[nodiscard]] std::string encode_counter_payload(const CounterRecord& c);
 [[nodiscard]] CounterRecord decode_counter_payload(std::string_view payload);
 
-struct WriterOptions {
-  /// fsync the journal after this many commit markers (group commit).
-  /// Consistency never depends on this — only the durability window.
-  std::size_t sync_every_commits = 8;
-};
+/// The writer fsyncs the journal after this many commit markers (group
+/// commit; begin_run writes a run's first marker). Consistency never
+/// depends on this, only the durability window.
+inline constexpr std::size_t kSyncEveryCommits = 8;
 
 /// What opening the writer had to recover.
 struct RecoveryInfo {
@@ -214,7 +213,7 @@ struct SealInfo {
 /// the file's tail state is unknown until the next recovery scan).
 class StoreWriter {
  public:
-  explicit StoreWriter(std::string dir, WriterOptions opt = {});
+  explicit StoreWriter(std::string dir);
   ~StoreWriter();
   StoreWriter(const StoreWriter&) = delete;
   StoreWriter& operator=(const StoreWriter&) = delete;
@@ -240,7 +239,7 @@ class StoreWriter {
                    const cali::Profile& profile);
   void add_trace_summary(const std::map<std::string, double>& summary);
   /// Commit everything appended since the last marker; fsyncs every
-  /// sync_every_commits markers.
+  /// kSyncEveryCommits markers.
   void commit();
   /// Final commit marker + fsync barrier + seal the journal into the
   /// next immutable segment.
@@ -254,7 +253,6 @@ class StoreWriter {
   void publish_manifest(SealInfo& info);
 
   std::string dir_;
-  WriterOptions opt_;
   Manifest manifest_;  ///< every sealed segment; saved at open and seal
   AppendFile journal_;
   int lock_fd_ = -1;

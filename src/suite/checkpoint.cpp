@@ -1,12 +1,13 @@
 #include "suite/checkpoint.hpp"
 
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
 
-#include "sandbox/protocol.hpp"
 #include "sandbox/sandbox.hpp"
 
 namespace rperf::suite {
@@ -45,6 +46,16 @@ std::string cell_key(const std::string& kernel, const std::string& variant,
   return kernel + " [" + variant + "/" + tuning_name + "]";
 }
 
+std::string checksum_to_hex(long double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%La", v);
+  return buf;
+}
+
+long double checksum_from_hex(const std::string& s) {
+  return std::strtold(s.c_str(), nullptr);
+}
+
 std::string Checkpoint::progress_path() const {
   return dir_.empty() ? "" : dir_ + "/progress.jsonl";
 }
@@ -66,7 +77,7 @@ std::map<std::string, RunResult> Checkpoint::load_progress() const {
       r.time_per_rep_sec = v.number_or("time_per_rep_sec", -1.0);
       if (v.contains("checksum_hex")) {
         r.checksum =
-            sandbox::checksum_from_hex(v.at("checksum_hex").as_string());
+            checksum_from_hex(v.at("checksum_hex").as_string());
       } else {
         r.checksum = static_cast<long double>(v.number_or("checksum", 0.0));
       }
@@ -144,7 +155,7 @@ void Checkpoint::append_progress(const RunResult& r,
   o["checksum"] = static_cast<double>(r.checksum);
   // Exact long-double round-trip so restored cells keep bit-identical
   // checksums (the readable double above is for humans and older readers).
-  o["checksum_hex"] = sandbox::checksum_to_hex(r.checksum);
+  o["checksum_hex"] = checksum_to_hex(r.checksum);
   o["problem_size"] = static_cast<std::int64_t>(r.problem_size);
   o["reps"] = static_cast<std::int64_t>(r.reps);
   o["attempts"] = r.attempts;

@@ -36,6 +36,11 @@ namespace rperf::suite {
   return cell_key(kernel, to_string(vid), tuning_name);
 }
 
+/// Exact long-double round-trip for checksums in progress.jsonl: JSON
+/// numbers are doubles, so records carry a C99 hexfloat string too.
+[[nodiscard]] std::string checksum_to_hex(long double v);
+[[nodiscard]] long double checksum_from_hex(const std::string& s);
+
 /// What crashes.jsonl records about one cell.
 struct CellCrashes {
   int crashes = 0;           ///< worker deaths ("crash" records)

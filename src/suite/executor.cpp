@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -89,7 +90,7 @@ RunStatus Executor::run_cell_once(const Cell& cell, cali::Channel& channel,
 
 void Executor::run() {
   results_.clear();
-  channels_.clear();
+  profiles_.clear();
   crash_history_.clear();
   stopped_ = false;
   facts_ = RunFacts{};
@@ -144,16 +145,15 @@ void Executor::run() {
     crash_history_ = checkpoint_.load_crashes(
         "crash record; quarantine counting stays conservative");
     // The on-disk profiles hold the restored cells' regions. Seeding
-    // each slice's channel with its profile lets the re-run cells fold
-    // in, so --outdir and --store both get the complete slice.
+    // each slice with its profile lets the re-run cells fold in, so
+    // --outdir and --store both get the complete slice.
     for (const Cell& cell : cells) {
       const auto key = std::make_pair(cell.vid, cell.tuning_name);
       const std::string path =
           params_.output_dir + "/" +
           cali::profile_file_name(to_string(cell.vid), cell.tuning_name);
-      if (channels_.count(key) == 0 && std::filesystem::exists(path)) {
-        channels_[key].merge(
-            cali::channel_from_profile(cali::read_profile(path)));
+      if (profiles_.count(key) == 0 && std::filesystem::exists(path)) {
+        profiles_.emplace(key, cali::read_profile(path));
       }
     }
   }
@@ -186,9 +186,9 @@ void Executor::run() {
     facts_.hwc_overhead_pct = 100.0 * overhead / wall;
   }
 
-  stamp_run_metadata(channels_, params_, results_, facts_);
+  stamp_run_metadata(profiles_, params_, results_, facts_);
   // After this the run is durable and queryable via rperf-report --store.
-  store_.finish(channels_, results_, facts_);
+  store_.finish(profiles_, results_, facts_);
 }
 
 void Executor::finalize(const RunResult& r) {
@@ -222,10 +222,19 @@ std::string Executor::skip_reason() const {
   return "";
 }
 
+std::chrono::milliseconds retry_delay(int backoff_ms, int consumed) {
+  constexpr std::int64_t kCapMs = 2000;  // sandbox/pool.cpp's respawn cap
+  const std::int64_t base = std::max(backoff_ms, 0);
+  // 2^11 > kCapMs, so no doubling past the 11th changes the result.
+  const int doublings = std::clamp(consumed - 1, 0, 11);
+  return std::chrono::milliseconds(
+      std::min(base << doublings, std::max(base, kCapMs)));
+}
+
 void Executor::retry_backoff(int consumed) const {
   if (params_.retry_backoff_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        params_.retry_backoff_ms << (consumed - 1)));
+    std::this_thread::sleep_for(
+        retry_delay(params_.retry_backoff_ms, consumed));
   }
 }
 
@@ -281,7 +290,7 @@ void Executor::run_cell_in_process(const Cell& cell, int consumed,
     r.attempts = attempt + 1;
     r.status = run_cell_once(cell, scratch, r);
     if (r.status == RunStatus::Passed) {
-      channels_[{cell.vid, cell.tuning_name}].merge(scratch);
+      cali::merge(profiles_[{cell.vid, cell.tuning_name}], scratch.profile());
       return;
     }
     // A budget violation is deterministic; retrying only doubles the
@@ -334,20 +343,18 @@ KernelBase* Executor::find_kernel(const std::string& name) const {
 
 std::vector<cali::Profile> Executor::profiles() const {
   std::vector<cali::Profile> out;
-  out.reserve(channels_.size());
-  for (const auto& [key, channel] : channels_) {
-    out.push_back(cali::to_profile(channel));
-  }
+  out.reserve(profiles_.size());
+  for (const auto& [key, profile] : profiles_) out.push_back(profile);
   return out;
 }
 
 void Executor::write_profiles() const {
   if (params_.output_dir.empty()) return;
   std::filesystem::create_directories(params_.output_dir);
-  for (const auto& [key, channel] : channels_) {
+  for (const auto& [key, profile] : profiles_) {
     const std::string name =
         cali::profile_file_name(to_string(key.first), key.second);
-    cali::write_profile(channel, params_.output_dir + "/" + name);
+    cali::write_profile(profile, params_.output_dir + "/" + name);
   }
 }
 

@@ -26,7 +26,7 @@
 // persistent workers; without it, one disposable worker is replaced per
 // cell (--isolate cell) or per kernel (--isolate kernel). Workers send
 // each result back as an rperf::wire record and the parent folds it into
-// the same channels, checkpoint, and reports as in-process execution, so
+// the same profiles, checkpoint, and reports as in-process execution, so
 // the two modes produce identical outputs for passing sweeps.
 //
 // With RunParams::trace, the process-wide TraceSink records the whole
@@ -45,6 +45,7 @@
 // checksum agreement) and pooled.cpp (worker-pool execution).
 #pragma once
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -74,6 +75,14 @@ namespace rperf::suite {
 /// cells contiguous so that each kernel gets exactly one fresh worker.
 [[nodiscard]] std::vector<std::size_t> pooled_dispatch_order(
     const std::vector<int>& cores, bool persistent);
+
+/// The sleep before a cell's next attempt once `consumed` attempts have
+/// failed: `backoff_ms` after the first, doubling per attempt until it
+/// reaches the pool's 2 s respawn cap. A base above the cap stays as
+/// given; a base of 0 or less never sleeps. Defined for every `consumed`,
+/// so a large --retries can neither overflow the shift nor sleep for hours.
+[[nodiscard]] std::chrono::milliseconds retry_delay(int backoff_ms,
+                                                    int consumed);
 
 class Executor {
  public:
@@ -245,7 +254,7 @@ class Executor {
   /// Entries exist only for (variant, tuning) pairs with at least one
   /// passed cell. Under --resume a pair starts from its on-disk profile,
   /// which holds the restored cells.
-  Channels channels_;
+  Profiles profiles_;
   std::vector<RunResult> results_;
   /// Each cell's crash record, restored from crashes.jsonl on --resume;
   /// worker deaths in this run add to its count.

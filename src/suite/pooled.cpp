@@ -1,6 +1,6 @@
 // Pooled execution: the executor's cells on sandbox::WorkerPool workers.
 // The parent dispatches each cell as a wire job, folds each result record
-// into the same channels, checkpoint and reports as in-process execution,
+// into the same profiles, checkpoint and reports as in-process execution,
 // and turns each worker death into a crash record, a retry or a
 // quarantine. When no worker can be spawned, the cells left finish
 // in-process.
@@ -45,17 +45,15 @@ std::string Executor::worker_run_cell(const std::string& payload) {
   // killed its first worker.
   faults::injector().deserialize_state(dispatch_state);
 
-  std::optional<cali::Profile> profile;
+  cali::Channel scratch;
   KernelBase* kernel = find_kernel(r.kernel);
   if (kernel == nullptr) {
     r.status = RunStatus::Failed;
     r.error = "unknown kernel in job payload: " + r.kernel;
   } else {
-    cali::Channel scratch;
     r.status = run_cell_once({kernel, r.variant, r.tuning, r.tuning_name},
                              scratch, r);
     sample_trace_counters();
-    if (r.status == RunStatus::Passed) profile = cali::to_profile(scratch);
   }
 
   // Post-job injector state rides back on every result so the parent's
@@ -69,8 +67,9 @@ std::string Executor::worker_run_cell(const std::string& payload) {
                                          r.kernel)) {
     sandbox::WorkerPool::corrupt_next_frame();
   }
-  return encode_cell_record(r, injector_state,
-                            profile ? &*profile : nullptr);
+  return encode_cell_record(
+      r, injector_state,
+      r.status == RunStatus::Passed ? &scratch.profile() : nullptr);
 }
 
 void Executor::run_pooled(const std::vector<const Cell*>& cells) {
@@ -160,8 +159,7 @@ void Executor::run_pooled(const std::vector<const Cell*>& cells) {
       // another worker's crash spent a budget it still carries.
       faults::injector().fold_result_state(injector_state);
       if (p.r.status == RunStatus::Passed && profile) {
-        channels_[{p.cell->vid, p.cell->tuning_name}].merge(
-            cali::channel_from_profile(*profile));
+        cali::merge(profiles_[{p.cell->vid, p.cell->tuning_name}], *profile);
       }
     } catch (const std::exception& e) {
       p.r.status = RunStatus::Crashed;

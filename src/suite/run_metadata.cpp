@@ -72,7 +72,7 @@ std::string vote_hwc_source(
   return "";
 }
 
-void stamp_run_metadata(Channels& channels, const RunParams& params,
+void stamp_run_metadata(Profiles& profiles, const RunParams& params,
                         const std::vector<RunResult>& results,
                         const RunFacts& facts) {
   static const std::pair<RunStatus, const char*> kCellCounts[] = {
@@ -103,20 +103,22 @@ void stamp_run_metadata(Channels& channels, const RunParams& params,
       {"pool_alloc_calls", mem_stats.alloc_calls},
       {"pool_reuse_hits", mem_stats.reuse_hits}};
 
-  for (auto& [key, channel] : channels) {
+  for (auto& [key, profile] : profiles) {
     const auto in_slice = [&key = key](const RunResult& r) {
       return r.variant == key.first && r.tuning_name == key.second;
     };
-    channel.set_metadata("variant", to_string(key.first));
-    channel.set_metadata("tuning", key.second);
-    channel.set_metadata("suite", "rajaperf-repro");
-    channel.set_metadata("size_factor", params.size_factor);
+    std::map<std::string, std::string>& meta = profile.metadata;
+    meta["variant"] = to_string(key.first);
+    meta["tuning"] = key.second;
+    meta["suite"] = "rajaperf-repro";
+    meta["size_factor"] = cali::metadata_text(params.size_factor);
     if (!params.fault_spec.empty()) {
-      channel.set_metadata("fault_spec", params.fault_spec);
-      channel.set_metadata("fault_seed", std::to_string(params.fault_seed));
+      meta["fault_spec"] = params.fault_spec;
+      meta["fault_seed"] = std::to_string(params.fault_seed);
     }
     if (params.trace) {
-      channel.set_metadata("trace_overhead_pct", facts.trace_overhead_pct);
+      meta["trace_overhead_pct"] =
+          cali::metadata_text(facts.trace_overhead_pct);
     }
     if (params.hwc) {
       // Slice-level source (a mix means e.g. a mid-run PMU failure); a
@@ -125,38 +127,37 @@ void stamp_run_metadata(Channels& channels, const RunParams& params,
       if (source.empty()) {
         source = facts.hwc_reason.empty() ? "measured" : "simulated";
       }
-      channel.set_metadata("hwc_source", source);
+      meta["hwc_source"] = source;
       if (!facts.hwc_reason.empty()) {
-        channel.set_metadata("hwc_unavailable_reason", facts.hwc_reason);
+        meta["hwc_unavailable_reason"] = facts.hwc_reason;
       }
-      channel.set_metadata("hwc_overhead_pct", facts.hwc_overhead_pct);
+      meta["hwc_overhead_pct"] = cali::metadata_text(facts.hwc_overhead_pct);
     }
     std::map<RunStatus, std::size_t> counts;
     for (const RunResult& r : results) {
       if (in_slice(r)) ++counts[r.status];
     }
     for (const auto& [status, name] : kCellCounts) {
-      channel.set_metadata(name, std::to_string(counts[status]));
+      meta[name] = std::to_string(counts[status]);
     }
     if (params.isolate != IsolationMode::None) {
-      channel.set_metadata("isolate", to_string(params.isolate));
-      channel.set_metadata("sandbox_children", std::to_string(pool.spawns));
-      channel.set_metadata("sandbox_peak_child_rss_kb",
-                           std::to_string(pool.peak_rss_kb));
-      channel.set_metadata("sandbox_child_user_sec", pool.child_user_sec);
-      channel.set_metadata("sandbox_child_sys_sec", pool.child_sys_sec);
-      channel.set_metadata("sandbox_degraded",
-                           facts.degraded ? "true" : "false");
+      meta["isolate"] = to_string(params.isolate);
+      meta["sandbox_children"] = std::to_string(pool.spawns);
+      meta["sandbox_peak_child_rss_kb"] = std::to_string(pool.peak_rss_kb);
+      meta["sandbox_child_user_sec"] =
+          cali::metadata_text(pool.child_user_sec);
+      meta["sandbox_child_sys_sec"] = cali::metadata_text(pool.child_sys_sec);
+      meta["sandbox_degraded"] = facts.degraded ? "true" : "false";
       if (params.workers > 0) {
         for (const auto& [name, value] : worker_pool) {
-          channel.set_metadata(name, std::to_string(value));
+          meta[name] = std::to_string(value);
         }
       }
     }
     for (const auto& [name, value] : memory) {
-      channel.set_metadata(name, std::to_string(value));
+      meta[name] = std::to_string(value);
     }
-    for (const auto& [k, v] : params.metadata) channel.set_metadata(k, v);
+    for (const auto& [k, v] : params.metadata) meta[k] = v;
   }
 }
 
@@ -216,14 +217,13 @@ void RunStore::append(const RunResult& r) {
   });
 }
 
-void RunStore::finish(const Channels& channels,
+void RunStore::finish(const Profiles& profiles,
                       const std::vector<RunResult>& results,
                       const RunFacts& facts) {
   if (!writer_) return;
   guarded([&] {
-    for (const auto& [key, channel] : channels) {
-      writer_->add_profile(to_string(key.first), key.second,
-                           cali::to_profile(channel));
+    for (const auto& [key, profile] : profiles) {
+      writer_->add_profile(to_string(key.first), key.second, profile);
     }
     std::map<std::string, double> summary;
     summary["wall_sec"] = facts.run_wall_sec;

@@ -11,7 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "instrument/channel.hpp"
+#include "instrument/profile.hpp"
 #include "sandbox/pool.hpp"
 #include "store/store.hpp"
 #include "suite/run_params.hpp"
@@ -19,9 +19,9 @@
 
 namespace rperf::suite {
 
-/// One channel per (variant, tuning name): the profile each slice of the
-/// sweep produces.
-using Channels = std::map<std::pair<VariantID, std::string>, cali::Channel>;
+/// One profile per (variant, tuning name): what each slice of the sweep
+/// produces.
+using Profiles = std::map<std::pair<VariantID, std::string>, cali::Profile>;
 
 /// Run-level facts the executor measures besides its cells.
 struct RunFacts {
@@ -40,9 +40,9 @@ struct RunFacts {
     const std::vector<RunResult>& results,
     const std::function<bool(const RunResult&)>& counted);
 
-/// Stamp every channel with the run's metadata and its slice's failure
+/// Stamp every profile with the run's metadata and its slice's failure
 /// taxonomy.
-void stamp_run_metadata(Channels& channels, const RunParams& params,
+void stamp_run_metadata(Profiles& profiles, const RunParams& params,
                         const std::vector<RunResult>& results,
                         const RunFacts& facts);
 
@@ -59,7 +59,7 @@ class RunStore {
   void append(const RunResult& r);
   /// Land the per-variant profiles and the run summary, then seal the run
   /// into an immutable segment.
-  void finish(const Channels& channels, const std::vector<RunResult>& results,
+  void finish(const Profiles& profiles, const std::vector<RunResult>& results,
               const RunFacts& facts);
 
   /// Content address of the run ("" when off or failed before it began).

@@ -65,7 +65,8 @@ struct RunParams {
   bool keep_going = true;
   /// Re-run a Failed/ChecksumInvalid cell up to this many extra attempts.
   int retries = 0;
-  /// Base delay before a retry; doubles per attempt (exponential backoff).
+  /// Base delay before a retry; doubles per attempt up to 2 s
+  /// (exponential backoff, suite::retry_delay).
   int retry_backoff_ms = 50;
   /// Per-kernel wall-clock budget in seconds enforced by a watchdog check
   /// between measurement passes; <= 0 disables the budget.

@@ -26,7 +26,7 @@ cali::Profile make_profile(const std::string& variant, double triad_time,
   ch.begin("Basic_DAXPY");
   ch.attribute_metric("time", daxpy_time);
   ch.end("Basic_DAXPY");
-  return cali::to_profile(ch);
+  return ch.profile();
 }
 
 // --------------------------------------------------------------- thicket
@@ -181,7 +181,7 @@ TEST(Thicket, TreeRendersMetricAnnotatedHierarchy) {
   ch.attribute_metric("time", 2.5);
   ch.end("Stream_TRIAD");
   ch.end("suite");
-  auto tk = thicket::Thicket::from_profiles({cali::to_profile(ch)});
+  auto tk = thicket::Thicket::from_profiles({ch.profile()});
   const std::string tree = tk.tree(0, "time");
   EXPECT_NE(tree.find("suite"), std::string::npos);
   EXPECT_NE(tree.find("  2.5  Stream_TRIAD"), std::string::npos);
@@ -212,7 +212,7 @@ TEST(Compare, SkipsNodesMissingOnEitherSide) {
   auto baseline =
       thicket::Thicket::from_profiles({make_profile("A", 1.0, 2.0)});
   auto candidate =
-      thicket::Thicket::from_profiles({cali::to_profile(only_triad)});
+      thicket::Thicket::from_profiles({only_triad.profile()});
   const auto rows = thicket::compare(baseline, candidate, "time");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].node, "Stream_TRIAD");

@@ -186,8 +186,8 @@ using RunStoreTest = CheckpointTest;
 // A --store run lands every cell in one complete stored run, with no more
 // fsync barriers than group commit and the fixed barriers of one run on a
 // fresh store account for (store.cpp). Group commit fsyncs the journal
-// once per 8 commit markers (WriterOptions' sync_every_commits), with one
-// marker for begin_run and one per cell. Opening fsyncs the new journal's
+// once per store::kSyncEveryCommits commit markers, with one marker for
+// begin_run and one per cell. Opening fsyncs the new journal's
 // header and the directory (2); finish_run fsyncs the journal before and
 // after the final marker (2); the seal fsyncs the directory after renaming
 // the journal into a segment, then the manifest and the directory it is
@@ -211,11 +211,11 @@ TEST_F(RunStoreTest, RunLandsEveryCellWithinTheBarrierBound) {
   EXPECT_TRUE(run->complete);
   EXPECT_EQ(run->cells.size(), cells);
 
-  constexpr std::size_t kSyncEveryCommits = 8;
   constexpr std::size_t kFixedBarriers = 2 + 2 + 4;
   const std::size_t commits = 1 + cells;
   EXPECT_LE(exec.store_barriers(),
-            (commits + kSyncEveryCommits - 1) / kSyncEveryCommits +
+            (commits + store::kSyncEveryCommits - 1) /
+                    store::kSyncEveryCommits +
                 kFixedBarriers);
 }
 

@@ -3,11 +3,14 @@
 // checkpoint/resume.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <climits>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 
 #include "faults/injector.hpp"
+#include "instrument/channel.hpp"
 #include "instrument/json.hpp"
 #include "instrument/profile.hpp"
 #include "mem/pool.hpp"
@@ -337,6 +340,17 @@ TEST_F(FaultsTest, RetryRecoversATransientFault) {
   EXPECT_EQ(exec.profiles()[0].find("Stream_TRIAD")->visit_count, 1u);
 }
 
+TEST(RetryDelay, DoublesUpToTheCapAtAnyAttempt) {
+  using std::chrono::milliseconds;
+  EXPECT_EQ(retry_delay(50, 1), milliseconds(50));
+  EXPECT_EQ(retry_delay(50, 2), milliseconds(100));
+  EXPECT_EQ(retry_delay(50, 40), milliseconds(2000));
+  EXPECT_EQ(retry_delay(50, INT_MAX), milliseconds(2000));
+  // A base above the cap stays as given; a base of 0 never sleeps.
+  EXPECT_EQ(retry_delay(5000, INT_MAX), milliseconds(5000));
+  EXPECT_EQ(retry_delay(0, INT_MAX), milliseconds(0));
+}
+
 TEST_F(FaultsTest, NoKeepGoingStopsTheSweepAndSkipsTheRest) {
   RunParams p = small_params();
   p.kernel_filter = {"Basic_DAXPY", "Stream_TRIAD"};
@@ -487,12 +501,13 @@ TEST_F(FaultsTest, ChannelMergeSumsRegionsAndMetrics) {
     cali::ScopedRegion r(b, "L");
   }
   b.set_metadata("variant", "Base_Seq");
-  a.merge(b);
-  ASSERT_NE(a.root().find("K"), nullptr);
-  EXPECT_EQ(a.root().find("K")->visit_count, 2u);
-  EXPECT_DOUBLE_EQ(a.root().find("K")->metrics.at("flops"), 3.0);
-  ASSERT_NE(a.root().find("L"), nullptr);
-  EXPECT_EQ(a.metadata().at("variant"), "Base_Seq");
+  cali::Profile merged = a.profile();
+  cali::merge(merged, b.profile());
+  ASSERT_NE(merged.find("K"), nullptr);
+  EXPECT_EQ(merged.find("K")->visit_count, 2u);
+  EXPECT_DOUBLE_EQ(merged.find("K")->metrics.at("flops"), 3.0);
+  ASSERT_NE(merged.find("L"), nullptr);
+  EXPECT_EQ(merged.metadata.at("variant"), "Base_Seq");
 }
 
 // ------------------------------------------------- mid-suite failure e2e

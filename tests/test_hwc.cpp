@@ -282,7 +282,7 @@ TEST(HwcService, FailOpenLeavesChannelUntouched) {
   // responsible for the simulated fallback.
   ch.begin("k");
   ch.end("k");
-  const auto* node = ch.root().find("k");
+  const auto* node = ch.profile().find("k");
   ASSERT_NE(node, nullptr);
   EXPECT_TRUE(node->metrics.empty());
   EXPECT_EQ(svc.regions_observed(), 0u);
@@ -332,7 +332,7 @@ TEST(HwcMeasured, ServiceAttributesMeasuredMetrics) {
   ch.end("kernel");
   EXPECT_EQ(svc.regions_observed(), 1u);
   EXPECT_EQ(svc.sample().source, "measured");
-  const auto* node = ch.root().find("kernel");
+  const auto* node = ch.profile().find("kernel");
   ASSERT_NE(node, nullptr);
   EXPECT_GT(node->metrics.at("PAPI_TOT_CYC"), 0.0);
   svc.detach(ch);

@@ -5,7 +5,7 @@
 
 #include <cmath>
 #include <functional>
-#include <utility>
+#include <tuple>
 
 #include "instrument/channel.hpp"
 #include "mem/pool.hpp"
@@ -97,7 +97,7 @@ TEST_P(KernelSuiteTest, ExecuteAnnotatesTheKernelRegion) {
   const auto kernel = make_kernel(GetParam(), tiny_params());
   rperf::cali::Channel channel;
   kernel->execute(kernel->variants().front(), channel);
-  const auto* node = channel.root().find(kernel->name());
+  const auto* node = channel.profile().find(kernel->name());
   ASSERT_NE(node, nullptr) << GetParam();
   EXPECT_GE(node->visit_count, 1u);
   EXPECT_TRUE(node->metrics.count("bytes_read"));
@@ -130,18 +130,25 @@ TEST(KernelWorkingSets, ComeFromThePool) {
     return rperf::mem::Pool::size_class_bytes(
         static_cast<std::size_t>(elems) * 8);
   };
-  // Bytes of every array one RAJA_Seq cell holds, from its problem size n.
-  const std::pair<const char*, std::function<std::size_t(Index_type)>>
+  // Bytes of every array one cell of the variant holds, from its problem
+  // size n.
+  const std::tuple<const char*, VariantID,
+                   std::function<std::size_t(Index_type)>>
       cases[] = {
           // m_a and the eight summed arrays.
-          {"Basic_ARRAY_OF_PTRS", [&](Index_type n) { return 9 * cls(n); }},
-          // m_a, m_list, and the flag and position scratch.
-          {"Basic_INDEXLIST", [&](Index_type n) { return 4 * cls(n); }},
+          {"Basic_ARRAY_OF_PTRS", VariantID::RAJA_Seq,
+           [&](Index_type n) { return 9 * cls(n); }},
+          // m_a and m_list, plus the flag and position scratch of the
+          // OpenMP flag + scan + scatter.
+          {"Basic_INDEXLIST", VariantID::RAJA_Seq,
+           [&](Index_type n) { return 2 * cls(n); }},
+          {"Basic_INDEXLIST", VariantID::RAJA_OpenMP,
+           [&](Index_type n) { return 4 * cls(n); }},
           // m_a, m_list and m_counts (n + 1 entries).
-          {"Basic_INDEXLIST_3LOOP",
+          {"Basic_INDEXLIST_3LOOP", VariantID::RAJA_Seq,
            [&](Index_type n) { return 2 * cls(n) + cls(n + 1); }},
           // Five node arrays on a d x d mesh and the (d - 2)^2 real zones.
-          {"Apps_DEL_DOT_VEC_2D",
+          {"Apps_DEL_DOT_VEC_2D", VariantID::RAJA_Seq,
            [&](Index_type n) {
              auto d = static_cast<Index_type>(
                  std::llround(std::sqrt(static_cast<double>(n))));
@@ -149,15 +156,16 @@ TEST(KernelWorkingSets, ComeFromThePool) {
              return 5 * cls(d * d) + cls((d - 2) * (d - 2));
            }},
       };
-  for (const auto& [name, bytes] : cases) {
+  for (const auto& [name, vid, bytes] : cases) {
     const auto kernel = make_kernel(name, tiny_params());
     rperf::cali::Channel channel;
     rperf::mem::pool().reset_stats();
     const std::size_t before = rperf::mem::pool().stats().bytes_in_use;
-    kernel->execute(VariantID::RAJA_Seq, channel);
+    kernel->execute(vid, channel);
     const std::size_t peak =
         rperf::mem::pool().stats().high_water_bytes - before;
-    EXPECT_GE(peak, bytes(kernel->actual_prob_size())) << name;
+    EXPECT_GE(peak, bytes(kernel->actual_prob_size()))
+        << name << " " << to_string(vid);
   }
 }
 

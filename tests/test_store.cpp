@@ -800,22 +800,27 @@ TEST_F(StoreTest, TornSegWriteOnJournalIsRecoverable) {
 }
 
 TEST_F(StoreTest, FsyncFailLosesDurabilityNotConsistency) {
+  // begin_run writes the first marker of the group, so the commit of the
+  // group's last cell is the one that fsyncs.
+  const std::size_t cells = store::kSyncEveryCommits - 1;
   {
-    store::WriterOptions opt;
-    opt.sync_every_commits = 1;
-    store::StoreWriter w(base_, opt);
+    store::StoreWriter w(base_);
     w.begin_run(small_config("fsyncfail"));
-    w.add_cell(make_cell(0));
     faults::injector().configure("fsyncfail@journal:1");
+    for (std::size_t i = 0; i + 1 < cells; ++i) {
+      w.add_cell(make_cell(i));
+      w.commit();
+    }
+    w.add_cell(make_cell(cells - 1));
     EXPECT_THROW(w.commit(), store::StoreError);
     EXPECT_TRUE(w.failed());
     faults::injector().reset();
   }
-  // The marker bytes landed before the failed barrier, so the cell IS
+  // The marker bytes landed before the failed barrier, so every cell IS
   // committed — fsyncfail bounds the durability window, never validity.
   store::StoreReader r(base_);
   ASSERT_EQ(r.runs().size(), 1u);
-  EXPECT_EQ(r.runs()[0].cells.size(), 1u);
+  EXPECT_EQ(r.runs()[0].cells.size(), cells);
   EXPECT_EQ(store::fsck(base_, false).status, store::FsckStatus::Clean);
 }
 

@@ -182,7 +182,7 @@ TEST(KernelBase, ExecuteRecordsTimeAndChecksum) {
   EXPECT_GT(m.setup_sec, 0.0);
   EXPECT_GT(m.checksum_sec, 0.0);
   // The channel has a region named after the kernel with analytic metrics.
-  const auto* node = ch.root().find("Stream_TRIAD");
+  const auto* node = ch.profile().find("Stream_TRIAD");
   ASSERT_NE(node, nullptr);
   EXPECT_GT(node->metrics.at("flops"), 0.0);
   EXPECT_GT(node->metrics.at("bytes_read"), 0.0);
@@ -278,9 +278,9 @@ TEST(Tunings, TimesAreRecordedPerTuning) {
   const auto k = make_kernel("Algorithm_ATOMIC", p);
   rperf::cali::Channel ch;
   EXPECT_GE(k->execute(VariantID::Base_Seq, 0, ch).time_per_rep_sec, 0.0);
-  EXPECT_EQ(ch.root().find("Algorithm_ATOMIC")->visit_count, 1u);
+  EXPECT_EQ(ch.profile().find("Algorithm_ATOMIC")->visit_count, 1u);
   EXPECT_GE(k->execute(VariantID::Base_Seq, 1, ch).time_per_rep_sec, 0.0);
-  EXPECT_EQ(ch.root().find("Algorithm_ATOMIC")->visit_count, 2u);
+  EXPECT_EQ(ch.profile().find("Algorithm_ATOMIC")->visit_count, 2u);
 }
 
 TEST(Tunings, OutOfRangeTuningThrows) {
@@ -353,7 +353,7 @@ TEST(KernelBase, NPassesKeepsMinimumTime) {
   rperf::cali::Channel ch;
   const KernelBase::Measurement m = k->execute(VariantID::Base_Seq, ch);
   // Four passes fold into one region node with 4 visits.
-  EXPECT_EQ(ch.root().find("Stream_TRIAD")->visit_count, 4u);
+  EXPECT_EQ(ch.profile().find("Stream_TRIAD")->visit_count, 4u);
   EXPECT_GE(m.time_per_rep_sec, 0.0);
 }
 

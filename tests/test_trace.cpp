@@ -21,7 +21,6 @@ namespace {
 
 using rperf::cali::Channel;
 using rperf::cali::ChromeTrace;
-using rperf::cali::RegionNode;
 using rperf::cali::TraceData;
 using rperf::cali::TraceRecord;
 using rperf::cali::TraceSink;
@@ -35,10 +34,12 @@ void set_threads(int n) {
 }
 
 /// (path, visit_count) pairs of a channel's region tree, depth-first.
-void collect_tree(const RegionNode& node, std::vector<std::pair<std::string,
+void collect_tree(const Channel& ch, std::vector<std::pair<std::string,
                   std::uint64_t>>& out) {
-  if (node.parent != nullptr) out.emplace_back(node.path(), node.visit_count);
-  for (const auto& c : node.children) collect_tree(*c, out);
+  ch.profile().for_each(
+      [&out](const std::string& path, const rperf::cali::ProfileNode& n) {
+        out.emplace_back(path, n.visit_count);
+      });
 }
 
 /// Run `visits` annotated OpenMP foralls with `threads` threads and return
@@ -62,7 +63,7 @@ run_traced(int threads, int visits) {
   TraceData data = sink.flush();
   sink.disable();
   std::vector<std::pair<std::string, std::uint64_t>> tree;
-  collect_tree(ch.root(), tree);
+  collect_tree(ch, tree);
   EXPECT_DOUBLE_EQ(
       std::accumulate(y.begin(), y.end(), 0.0),
       1024.0 * visits);

@@ -25,6 +25,7 @@
 #include "sandbox/pool.hpp"
 #include "sandbox/protocol.hpp"
 #include "sandbox/wire.hpp"
+#include "suite/checkpoint.hpp"
 #include "util/crc32.hpp"
 
 namespace {
@@ -116,11 +117,13 @@ TEST_F(TransportTest, ChecksumRawBitsMatchHexfloatBitForBit) {
       LDBL_MAX,
       LDBL_TRUE_MIN,             // denormal
       9007199254740993.0L,       // first integer a double cannot hold
+      1234567.89012345678L,
+      -2.5e-300L,
   };
   for (const long double v : cases) {
     // Text path: C99 hexfloat printf -> strtold.
     const long double via_hex =
-        sandbox::checksum_from_hex(sandbox::checksum_to_hex(v));
+        suite::checksum_from_hex(suite::checksum_to_hex(v));
     // Wire path: raw bits through the codec.
     wire::Writer w;
     w.put_f80(v);
